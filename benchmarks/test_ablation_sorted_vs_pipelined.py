@@ -27,8 +27,8 @@ def test_ablation_sorted_vs_pipelined(benchmark, experiment_scale):
         results = []
         for num_dates in (1, 4, 16):
             query = tpch_shipdate_query(rows, num_dates, seed=100 + num_dates)
-            sorted_scan = db.query(query, force="sorted_index_scan", cold_cache=True)
-            pipelined = db.query(query, force="pipelined_index_scan", cold_cache=True)
+            sorted_scan = db.run_query(query, force="sorted_index_scan", cold_cache=True)
+            pipelined = db.run_query(query, force="pipelined_index_scan", cold_cache=True)
             results.append(
                 {
                     "num_dates": num_dates,

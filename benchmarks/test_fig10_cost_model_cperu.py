@@ -58,7 +58,7 @@ def test_fig10_cost_model_tracks_c_per_u(benchmark, ebay_database):
         for attribute, value, c_per_u in chosen:
             cm = table.correlation_maps[f"cm_{attribute}"]
             query = ebay_category_query(attribute, value)
-            measured = db.query(query, force="cm_scan", cold_cache=True)
+            measured = db.run_query(query, force="cm_scan", cold_cache=True)
             targets = cm.lookup({attribute: value})
             model_ms = cm_lookup_cost(
                 1,

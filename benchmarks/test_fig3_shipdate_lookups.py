@@ -38,8 +38,8 @@ def test_fig3_shipdate_lookups(benchmark, tpch_correlated, tpch_uncorrelated):
         series = {"correlated": [], "uncorrelated": [], "table_scan": [], "cost_model": []}
         for n in NUM_DATES:
             query = tpch_shipdate_query(rows, n, seed=n)
-            correlated = corr_db.query(query, force="sorted_index_scan", cold_cache=True)
-            uncorrelated = uncorr_db.query(query, force="sorted_index_scan", cold_cache=True)
+            correlated = corr_db.run_query(query, force="sorted_index_scan", cold_cache=True)
+            uncorrelated = uncorr_db.run_query(query, force="sorted_index_scan", cold_cache=True)
             series["correlated"].append(round(correlated.elapsed_ms, 1))
             series["uncorrelated"].append(round(uncorrelated.elapsed_ms, 1))
             series["table_scan"].append(round(table_scan_ms, 1))

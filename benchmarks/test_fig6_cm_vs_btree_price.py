@@ -47,8 +47,8 @@ def test_fig6_cm_vs_btree_price(benchmark, ebay_database):
         series = {"cm_ms": [], "btree_ms": [], "cm_rows": [], "btree_rows": []}
         for price_range in PRICE_RANGES:
             query = ebay_price_range_query(PRICE_LOW, price_range)
-            cm_result = db.query(query, force="cm_scan", cold_cache=True)
-            bt_result = db.query(query, force="sorted_index_scan", cold_cache=True)
+            cm_result = db.run_query(query, force="cm_scan", cold_cache=True)
+            bt_result = db.run_query(query, force="sorted_index_scan", cold_cache=True)
             series["cm_ms"].append(round(cm_result.elapsed_ms, 2))
             series["btree_ms"].append(round(bt_result.elapsed_ms, 2))
             series["cm_rows"].append(cm_result.rows_matched)

@@ -24,7 +24,7 @@ def test_fig7_bucket_level_tradeoff(benchmark, ebay_database):
     table = db.table("items")
     hardware = HardwareParameters.from_disk(db.disk.params)
     profile = table.table_profile()
-    btree_result = db.query(QUERY, force="sorted_index_scan", cold_cache=True)
+    btree_result = db.run_query(QUERY, force="sorted_index_scan", cold_cache=True)
 
     def run():
         results = []
@@ -36,7 +36,7 @@ def test_fig7_bucket_level_tradeoff(benchmark, ebay_database):
                 bucketers={"price": ebay_price_bucketer(level)},
                 name=name,
             )
-            result = db.query(QUERY, force="cm_scan", cold_cache=True)
+            result = db.run_query(QUERY, force="cm_scan", cold_cache=True)
             model_ms = cm_lookup_cost(
                 1,
                 CMCostInputs(

@@ -54,7 +54,7 @@ def _run_workload(db, rows, kind: str):
         if step == "insert":
             insert_ms += db.insert("items", payload, batch_size=INSERTS_PER_ROUND).elapsed_ms
         else:
-            select_ms += db.query(payload, force=force).elapsed_ms
+            select_ms += db.run_query(payload, force=force).elapsed_ms
     return insert_ms, select_ms
 
 

@@ -6,8 +6,9 @@ flat-table hash join -- partition-wise execution splits the work, it never
 re-reads it.  The layout is chosen so partition heaps fill exactly whole
 pages (range boundaries splitting ``catid % 64`` evenly, row counts
 divisible by ``tups_per_page``), making the comparison exact rather than
-page-rounding-tolerant.  Pruning through the join's outer side and the
-zero-heap-read purity of join planning (all three shapes) ride along.
+page-rounding-tolerant.  Pruning through the join's outer side, the
+zero-heap-read purity of join planning (all three shapes) and the simulated
+cost of the partitioned ORDER BY + LIMIT merge ride along.
 """
 
 import pytest
@@ -145,3 +146,38 @@ def test_partition_join_planning_performs_zero_heap_page_reads(databases):
     devices = list(part.table("items").devices) + list(part.table("cats").devices)
     for device, snap in zip(devices, device_snaps):
         assert device.window_since(snap).pages_read == 0
+
+
+def test_ordered_limit_merge_costs_within_a_tenth_of_the_flat_sort():
+    """ORDER BY + LIMIT over 8 hash partitions vs one flat sort.
+
+    Per-partition top-k plus the k-way merge must return exactly the flat
+    table's rows (the ordering ends in the unique ``itemid``, so it is
+    total) for at most 1.10x the flat plan's simulated time.  The budget is
+    the fixed cost of partitioned storage -- one seek per partition stream
+    -- which only a table this large amortises.
+    """
+    rows = [
+        {"itemid": i, "catid": (i * 11) % NUM_CATS, "price": float((i * 37) % 10_000)}
+        for i in range(200_000)
+    ]
+    results = []
+    for spec in (None, PartitionSpec.by_hash("catid", 8)):
+        db = Database(buffer_pool_pages=600)
+        db.create_table(
+            "items", sample_row=rows[0], tups_per_page=50, partition_by=spec
+        )
+        db.load("items", rows)
+        results.append(
+            db.run_query(
+                Query.select("items", order_by=["-price", "itemid"], limit=100),
+                cold_cache=True,
+            )
+        )
+    flat, merged = results
+    assert len(flat.rows) == 100
+    assert merged.rows == flat.rows
+    assert merged.elapsed_ms <= 1.10 * flat.elapsed_ms, (
+        f"partitioned merge {merged.elapsed_ms:.1f} ms vs flat sort "
+        f"{flat.elapsed_ms:.1f} ms"
+    )

@@ -31,7 +31,7 @@ def test_table3_clustered_bucketing(benchmark, experiment_scale):
             if "cm_fieldid" in db.table("photoobj").correlation_maps:
                 db.table("photoobj").drop_correlation_map("cm_fieldid")
             db.create_correlation_map("photoobj", ["fieldid"], name="cm_fieldid")
-            result = db.query(query, force="cm_scan", cold_cache=True)
+            result = db.run_query(query, force="cm_scan", cold_cache=True)
             results.append(
                 {
                     "bucket_size_pages": pages_per_bucket,

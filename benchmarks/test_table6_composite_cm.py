@@ -65,10 +65,10 @@ def test_table6_composite_cm(benchmark, sdss_database):
                 }
                 for cm_name in others:
                     del table.correlation_maps[cm_name]
-                result = db.query(query, force=force, cold_cache=True)
+                result = db.run_query(query, force=force, cold_cache=True)
                 table.correlation_maps.update(others)
             else:
-                result = db.query(query, force=force, cold_cache=True)
+                result = db.run_query(query, force=force, cold_cache=True)
             results.append(
                 {
                     "index": name,

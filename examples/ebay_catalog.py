@@ -53,7 +53,7 @@ def main():
     print()
     print("query:", query.describe())
     for method in ("seq_scan", "sorted_index_scan", "cm_scan"):
-        result = db.query(query, force=method, cold_cache=True)
+        result = db.run_query(query, force=method, cold_cache=True)
         print(
             f"  {method:<20} value={result.value:<4}"
             f" simulated {result.elapsed_ms:8.2f} ms, {result.pages_visited} pages"
@@ -64,7 +64,7 @@ def main():
     cat_query = Query.select(
         "items", Equals("cat4", sample_cat), aggregate=Aggregate.avg("price")
     )
-    result = db.query(cat_query, cold_cache=True)
+    result = db.run_query(cat_query, cold_cache=True)
     print()
     print("query:", cat_query.describe())
     print(

@@ -71,7 +71,7 @@ def main():
     print()
 
     for method in ("seq_scan", "sorted_index_scan", "cm_scan"):
-        result = db.query(query, force=method, cold_cache=True)
+        result = db.run_query(query, force=method, cold_cache=True)
         print(
             f"{method:<22} -> count={result.value:<6}"
             f" simulated {result.elapsed_ms:8.2f} ms,"
@@ -80,7 +80,7 @@ def main():
         )
 
     # 4. The rewriting the CM performs, and the size comparison.
-    cm_result = db.query(query, force="cm_scan")
+    cm_result = db.run_query(query, force="cm_scan")
     print()
     print("rewritten query sent to the clustered index:")
     print(" ", cm_result.rewritten_sql)

@@ -48,7 +48,7 @@ def main():
     for label, cm in (("CM(ra)", cm_ra), ("CM(dec)", cm_dec), ("CM(ra, dec)", cm_pair)):
         # Leave only the CM under test visible to the planner.
         table.correlation_maps = {cm.name: cm}
-        result = db.query(query, force="cm_scan", cold_cache=True)
+        result = db.run_query(query, force="cm_scan", cold_cache=True)
         rows_out.append(
             {
                 "index": label,
@@ -58,7 +58,7 @@ def main():
             }
         )
     table.correlation_maps = correlation_maps
-    result = db.query(query, force="sorted_index_scan", cold_cache=True)
+    result = db.run_query(query, force="sorted_index_scan", cold_cache=True)
     rows_out.append(
         {
             "index": "B+Tree(ra, dec)",

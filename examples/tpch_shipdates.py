@@ -45,8 +45,8 @@ def main():
     series = {"correlated_ms": [], "uncorrelated_ms": [], "scan_ms": [], "model_ms": []}
     for n in counts:
         query = tpch_shipdate_query(rows, n, seed=n)
-        correlated = corr_db.query(query, force="sorted_index_scan", cold_cache=True)
-        uncorrelated = uncorr_db.query(query, force="sorted_index_scan", cold_cache=True)
+        correlated = corr_db.run_query(query, force="sorted_index_scan", cold_cache=True)
+        uncorrelated = uncorr_db.run_query(query, force="sorted_index_scan", cold_cache=True)
         series["correlated_ms"].append(round(correlated.elapsed_ms, 1))
         series["uncorrelated_ms"].append(round(uncorrelated.elapsed_ms, 1))
         series["scan_ms"].append(round(scan_cost(profile, hardware), 1))

@@ -26,7 +26,7 @@ Quickstart::
     db.cluster("items", "catid", pages_per_bucket=10)
     db.create_correlation_map("items", ["price"],
                               bucketers={"price": WidthBucketer(64.0)})
-    result = db.query(Query.select("items", Between("price", 1000, 1100),
+    result = db.run_query(Query.select("items", Between("price", 1000, 1100),
                                    aggregate=Aggregate.count()))
 """
 

@@ -85,7 +85,7 @@ def _run_demo(
     query = Query.select("items", Between("price", 10_000, 10_800), aggregate=Aggregate.count())
     print("query:", query.describe())
     for method in ("seq_scan", "sorted_index_scan", "cm_scan"):
-        result = db.query(query, force=method, cold_cache=True)
+        result = db.run_query(query, force=method, cold_cache=True)
         print(
             f"  {method:<20} count={result.value:<5} "
             f"{result.elapsed_ms:8.2f} ms simulated, {result.pages_visited} pages"

@@ -207,73 +207,6 @@ def ebay_cat_values_by_c_per_u(
 
 
 # ---------------------------------------------------------------------------
-# Concurrent serving: interleaved readers and snapshot-isolated writers
-# ---------------------------------------------------------------------------
-
-def concurrent_mixed_workload(
-    rows: Sequence[Mapping[str, Any]],
-    *,
-    num_readers: int = 8,
-    num_writer_batches: int = 4,
-    rows_per_writer_batch: int = 50,
-    table: str = "items",
-    seed: int = 0,
-) -> list[tuple[str, Any]]:
-    """A reader/writer mix for the concurrent-serving benchmark and tests.
-
-    Returns interleaved ``("read", Query)`` and ``("write", rows)`` steps:
-    the readers are full-range *streaming* scans (every one sweeps the
-    whole table, so buffer-pool sharing between them is maximal, and they
-    yield batch by batch -- an aggregate would block and finish in one
-    scheduling quantum), the writers are batches of fresh rows to insert
-    under a transaction.  The driver decides the concurrency semantics --
-    the benchmark harness submits the reads to a
-    :class:`~repro.engine.scheduler.QueryScheduler` and runs each write
-    batch as one snapshot-isolated transaction between scheduling quanta,
-    then checks every reader's matched-row count equals the live rows at
-    the snapshot it was admitted under.
-    """
-    rng = random.Random(seed)
-    prices = sorted(row["price"] for row in rows)
-    next_itemid = max(row["itemid"] for row in rows) + 1 if rows else 0
-    steps: list[tuple[str, Any]] = []
-    writer_slots = set(
-        rng.sample(range(1, num_readers + num_writer_batches), num_writer_batches)
-        if num_writer_batches
-        else []
-    )
-    readers_emitted = 0
-    for position in range(num_readers + num_writer_batches):
-        if position in writer_slots:
-            batch = []
-            for _ in range(rows_per_writer_batch):
-                batch.append(
-                    {
-                        "itemid": next_itemid,
-                        "catid": rng.randrange(0, 200),
-                        "price": rng.uniform(prices[0], prices[-1]),
-                    }
-                )
-                next_itemid += 1
-            steps.append(("write", batch))
-        else:
-            low = prices[0]
-            high = prices[-1]
-            steps.append(
-                (
-                    "read",
-                    Query.select(
-                        table,
-                        Between("price", low, high),
-                        name=f"reader_{readers_emitted}",
-                    ),
-                )
-            )
-            readers_emitted += 1
-    return steps
-
-
-# ---------------------------------------------------------------------------
 # SDSS: SX6 and the Q2 variant (Tables 3-6, Experiment 5)
 # ---------------------------------------------------------------------------
 

@@ -23,9 +23,9 @@ Four access methods are implemented, mirroring Sections 3 and 5 of the paper:
 
 Every path streams: :meth:`AccessPath.iter_rows` is a generator built on one
 shared scan kernel (page sweep + residual filter + counter charging) and an
-:class:`~repro.engine.executor.ExecutionContext` that carries counters, the
-LIMIT budget and the projection.  :meth:`AccessPath.execute` is a thin
-materialising wrapper kept for callers that want every row at once.
+:class:`~repro.engine.executor.ExecutionContext` that carries the counters
+and the MVCC snapshot.  Rows are the live heap-page dicts; abandoning the
+generator stops the sweep, so remaining pages are never read.
 
 Each path also speaks the batched protocol: :meth:`AccessPath.iter_batches`
 produces page-aligned :class:`~repro.engine.executor.RowBatch` objects
@@ -44,7 +44,6 @@ queries against the inner table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -55,35 +54,13 @@ from repro.engine.executor import (
     ExecutionContext,
     RowBatch,
     _chunk_rows,
-    _emit_batch,
     _truncated_batches,
-    materialize,
 )
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.table import BUCKET_COLUMN, Table
 from repro.index.bitmap import PageBitmap
 from repro.index.secondary import SecondaryIndex
 from repro.storage.page import RID
-
-
-@dataclass
-class AccessResult:
-    """Rows produced by an access path plus its execution counters.
-
-    ``join_probes`` and ``rows_emitted`` mirror their
-    :class:`~repro.engine.executor.ExecutionCounters` fields so that join
-    EXPLAIN/ANALYZE-style reporting sees the probe work and the emission
-    count instead of under-reporting it (both are zero-filled for plain
-    single-table paths executed without a shared context).
-    """
-
-    rows: list[dict[str, Any]] = field(default_factory=list)
-    rows_examined: int = 0
-    pages_visited: int = 0
-    lookups: int = 0
-    join_probes: int = 0
-    rows_emitted: int = 0
-    rewritten_sql: str | None = None
 
 
 class AccessPath:
@@ -99,10 +76,7 @@ class AccessPath:
 
     def iter_rows(self, context: ExecutionContext | None = None) -> Iterator[dict[str, Any]]:
         """Stream matching rows, charging counters on ``context`` as they flow."""
-        context = context or ExecutionContext()
-        if context.limit_reached:
-            return
-        yield from self._stream(context)
+        yield from self._stream(context or ExecutionContext())
 
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
         yield from self._sweep_pages(self._target_pages(context), context)
@@ -132,7 +106,7 @@ class AccessPath:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         context = context or ExecutionContext()
-        if context.limit_reached or (demand is not None and demand <= 0):
+        if demand is not None and demand <= 0:
             return
         stream = self._stream_batches(context, batch_size, demand, run_reads)
         yield from _truncated_batches(stream, demand)
@@ -144,15 +118,10 @@ class AccessPath:
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # A row budget, a finite demand or a context projection all carry
-        # per-row semantics: serve them through the row kernel (lazy
-        # production, batch delivery) so the accounting is the row path's
-        # by construction.
-        if (
-            demand is not None
-            or context.limit is not None
-            or context.projection is not None
-        ):
+        # A finite demand carries per-row semantics: serve it through the
+        # row kernel (lazy production, batch delivery) so the accounting is
+        # the row path's by construction.
+        if demand is not None:
             yield from _chunk_rows(self._stream(context), batch_size, demand)
             return
         yield from self._sweep_pages_batched(
@@ -172,11 +141,8 @@ class AccessPath:
         compiled per-page kernel (see
         :meth:`~repro.engine.predicates.PredicateSet.batch_kernel`), so a
         ProjectNode sitting directly on a scan materialises no intermediate
-        full-width batch.  Only called on the vectorized path: ``context``
-        must carry no LIMIT budget or context-level projection.
+        full-width batch.
         """
-        if context.limit_reached:
-            return
         yield from self._sweep_pages_batched(
             self._target_pages(context),
             context,
@@ -184,10 +150,6 @@ class AccessPath:
             run_reads,
             project=tuple(columns),
         )
-
-    def execute(self, context: ExecutionContext | None = None) -> AccessResult:
-        """Materialise the stream into an :class:`AccessResult` (compatibility)."""
-        return materialize(self, context)
 
     def output_ordering(self) -> tuple[tuple[str, bool], ...]:
         """Columns the emitted stream is sorted by, as ``(column, ascending)``.
@@ -231,14 +193,12 @@ class AccessPath:
 
         Pages are read through the buffer pool in the order given; every live
         tuple is charged as examined and filtered with the full predicate set.
-        The sweep stops between rows and between pages once the LIMIT budget
-        is spent, so remaining pages are never read.
+        A consumer that stops pulling abandons the sweep where it stands, so
+        remaining pages are never read.
         """
         heap = self.table.heap
         visible = self._visibility(context)
         for page_no in pages:
-            if context.limit_reached:
-                return
             page = heap.read_page(page_no)
             context.counters.pages_visited += 1
             examined = 0
@@ -249,17 +209,13 @@ class AccessPath:
                     if visible is not None and not visible(row):
                         continue
                     if self.predicates.matches(row):
-                        yield context.emit(row)
-                        if context.limit_reached:
-                            break
+                        yield row
             finally:
                 # CPU is charged once per page (the counter is purely additive
                 # so the total matches per-tuple charging); the finally makes
                 # the charge land even when the consumer abandons the stream
                 # mid-page.
                 self._charge_cpu(examined)
-            if context.limit_reached:
-                return
 
     def _sweep_pages_batched(
         self,
@@ -322,10 +278,10 @@ class AccessPath:
                     counters.rows_examined += examined
                     self._charge_cpu(examined)
             if len(batch) >= batch_size or (batch and not run_reads):
-                yield _emit_batch(context, batch)
+                yield batch
                 batch = RowBatch()
         if batch:
-            yield _emit_batch(context, batch)
+            yield batch
 
     def _charge_cpu(self, rows_examined: int) -> None:
         self.table.buffer_pool.disk.charge_cpu_tuples(rows_examined)
@@ -437,8 +393,6 @@ class PipelinedIndexScan(AccessPath):
         visible = self._visibility(context)
         visited_pages: set[int] = set()
         for rid in rids:
-            if context.limit_reached:
-                return
             row = self.table.heap.fetch(rid)
             if rid.page_no not in visited_pages:
                 visited_pages.add(rid.page_no)
@@ -450,7 +404,7 @@ class PipelinedIndexScan(AccessPath):
             if visible is not None and not visible(row):
                 continue
             if self.predicates.matches(row):
-                yield context.emit(row)
+                yield row
 
     def _stream_batches(
         self,
@@ -464,12 +418,7 @@ class PipelinedIndexScan(AccessPath):
         # I/O-interleaving consumer (run_reads=False) fetches must alternate
         # with the consumer's reads exactly as in the row pipeline, so fall
         # back to chunked row production there.
-        if (
-            not run_reads
-            or demand is not None
-            or context.limit is not None
-            or context.projection is not None
-        ):
+        if not run_reads or demand is not None:
             yield from _chunk_rows(self._stream(context), batch_size, demand)
             return
         rids, lookups = _probe_index(self.index, self.predicates)
@@ -496,14 +445,14 @@ class PipelinedIndexScan(AccessPath):
                     counters.rows_examined += examined
                     self._charge_cpu(examined)
                     examined = 0
-                    yield _emit_batch(context, batch)
+                    yield batch
                     batch = RowBatch()
         finally:
             if examined:
                 counters.rows_examined += examined
                 self._charge_cpu(examined)
         if batch:
-            yield _emit_batch(context, batch)
+            yield batch
 
     def project_batches(
         self,

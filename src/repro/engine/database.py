@@ -13,7 +13,7 @@ Typical use::
     db.load("items", rows)
     db.cluster("items", "catid", pages_per_bucket=10)
     db.create_correlation_map("items", ["price"], bucketers={"price": WidthBucketer(64)})
-    result = db.query(Query.select("items", Between("price", 1000, 1100)))
+    result = db.run_query(Query.select("items", Between("price", 1000, 1100)))
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Database:
         #: (scans align batches to page boundaries).  ``None`` executes
         #: row-at-a-time through ``iter_rows`` instead -- same results and
         #: bit-identical simulated I/O statistics, more interpreter overhead
-        #: per row; the wall-clock benchmarks compare the two.
+        #: per row (``executor.row_mode_us_per_row`` in ``perf/``).
         self.batch_size = batch_size
         self.buffer_pool = BufferPool(self.disk, capacity_pages=buffer_pool_pages)
         self.wal = WriteAheadLog(self.disk)
@@ -290,13 +290,12 @@ class Database:
     def _drain(self, plan: PlanNode, context: ExecutionContext) -> list[dict[str, Any]]:
         """Pull every output row of ``plan``, batched or row-at-a-time.
 
-        The batched pull is the default executor; rows leaving a scan-rooted
-        plan are live heap-page dicts, so they are copied here before
-        reaching callers -- exactly what the root context's ``emit`` does on
-        the row-at-a-time path.
+        Rows leaving a scan-rooted plan are live heap-page dicts, so they
+        are copied here before reaching callers.
         """
         if self.batch_size is None:
-            return list(plan.iter_rows(context))
+            stream = plan.iter_rows(context)
+            return list(stream if plan.produces_fresh_rows else map(dict, stream))
         rows: list[dict[str, Any]] = []
         extend = rows.extend
         if plan.produces_fresh_rows:
@@ -396,16 +395,6 @@ class Database:
             plan=plan,
         )
 
-    def query(
-        self,
-        query: Query,
-        *,
-        force: str | None = None,
-        cold_cache: bool = False,
-    ) -> QueryResult:
-        """Compatibility wrapper over :meth:`run_query`."""
-        return self.run_query(query, force=force, cold_cache=cold_cache)
-
     def stream(
         self,
         query: Query,
@@ -424,19 +413,22 @@ class Database:
         outer scan and the inner probes interleave -- and abandoning the
         iterator stops every stage (pages past the last consumed row are
         never read).  A Sort/TopK in the plan buffers internally, but the
-        surface stays the same generator.  Aggregating queries are rejected
-        -- an aggregate needs the whole stream; use :meth:`run_query`.
+        surface stays the same generator.  Rows of scan-rooted plans are
+        copied before they leave, so callers may keep or mutate them freely.
+        Aggregating queries are rejected -- an aggregate needs the whole
+        stream; use :meth:`run_query`.
         """
         if query.aggregate is not None:
             raise ValueError("stream() does not support aggregating queries")
         plan = self._prepare(
             query, force=force, force_join=force_join, limit=limit, projection=projection
         )
-        return plan.iter_rows(
+        rows = plan.iter_rows(
             ExecutionContext(
                 snapshot=self._effective_snapshot(snapshot, transaction, query)
             )
         )
+        return rows if plan.produces_fresh_rows else (dict(row) for row in rows)
 
     def stream_batches(
         self,

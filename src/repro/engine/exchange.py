@@ -137,17 +137,14 @@ class MergeExchangeNode(ExchangeNode):
         return parts
 
     def _merged(
-        self,
-        context: ExecutionContext,
-        parts: list[list[dict[str, Any]]],
-        fresh: bool,
+        self, parts: list[list[dict[str, Any]]]
     ) -> Iterator[dict[str, Any]]:
         key_of = sort_key_function(self.ordering)
         emitted = 0
         try:
             for row in heapq.merge(*parts, key=key_of):
                 emitted += 1
-                yield context.emit(row, fresh=fresh)
+                yield row
         finally:
             if self.disk is not None and emitted:
                 self.disk.charge_cpu_tuples(
@@ -156,9 +153,9 @@ class MergeExchangeNode(ExchangeNode):
 
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
         if self._replay_parts is not None:
-            yield from self._merged(context, self._replay_parts, True)
+            yield from self._merged(self._replay_parts)
             return
-        yield from self._merged(context, self._gather_parts(context), False)
+        yield from self._merged(self._gather_parts(context))
 
     def _stream_batches(
         self,
@@ -167,21 +164,16 @@ class MergeExchangeNode(ExchangeNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # A finite demand (LIMIT above), a context budget or a replay all
-        # keep the chunked row pipeline: the merge emits lazily either way,
-        # and the row path's early-close point is the reference semantics.
-        if (
-            context.limit is not None
-            or context.projection is not None
-            or demand is not None
-            or self._replay_parts is not None
-        ):
+        # A finite demand (LIMIT above) or a replay keeps the chunked row
+        # pipeline: the merge emits lazily either way, and the row path's
+        # early-close point is the reference semantics.
+        if demand is not None or self._replay_parts is not None:
             yield from PlanNode._stream_batches(
                 self, context, batch_size, demand, run_reads
             )
             return
         parts = self._gather_parts(context, batch_size, run_reads)
-        yield from _chunk_rows(self._merged(context, parts, False), batch_size)
+        yield from _chunk_rows(self._merged(parts), batch_size)
 
     def describe_detail(self) -> str:
         return f"merge[{_ordering_text(self.ordering)}], " + super().describe_detail()
@@ -249,8 +241,7 @@ class BroadcastNode(PlanNode):
                 "broadcast cache was never filled: the source-holding node "
                 "must run (or be prepared) first"
             )
-        for row in rows:
-            yield context.emit(row, fresh=True)
+        yield from rows
 
     def describe_detail(self) -> str:
         return f"{self.table_name} to all partitions"
@@ -354,8 +345,7 @@ class RepartitionNode(PlanNode):
                 "repartition buckets were never filled: the source-holding "
                 "node must run (or be prepared) first"
             )
-        for row in buckets[self.partition_index]:
-            yield context.emit(row, fresh=True)
+        yield from buckets[self.partition_index]
 
     def describe_detail(self) -> str:
         return (

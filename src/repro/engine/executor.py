@@ -11,9 +11,8 @@ while :meth:`PlanNode.total_counters` folds the tree back into whole-query
 totals.
 
 An :class:`ExecutionContext` travels down the pipeline carrying the
-counters to charge, the (legacy, context-level) LIMIT budget, the output
-projection and the per-query shared state.  Two composition rules keep the
-accounting straight:
+counters to charge, the MVCC snapshot and the per-query shared state.  Two
+composition rules keep the accounting straight:
 
 * pulling from a *child node* goes through :meth:`PlanNode.iter_rows`,
   which re-homes the context onto that node's counters
@@ -39,8 +38,8 @@ every node speaks a batch-at-a-time protocol: :meth:`PlanNode.iter_batches`
 pulls :class:`RowBatch` objects (plain lists of row dicts, default
 ``batch_size`` :data:`DEFAULT_BATCH_SIZE`) through the tree, which is what
 ``Database(batch_size=...)`` executes by default.  Batching amortises the
-dominant interpreter overheads -- generator frame switches, per-row emit and
-counter calls -- while keeping every simulated-disk number *bit-identical*
+dominant interpreter overheads -- generator frame switches, per-row counter
+calls -- while keeping every simulated-disk number *bit-identical*
 to the row-at-a-time path.  Three rules make that parity hold:
 
 * **demand**: a ``demand`` row budget flows down from :class:`repro.engine.
@@ -59,18 +58,16 @@ to the row-at-a-time path.  Three rules make that parity hold:
   per-row ones, but only where the totals are provably equal (the counters
   are purely additive).
 
-``iter_rows`` remains as the compatibility surface (``Database.stream``,
-bare access paths, hand-driven contexts) and as the reference semantics the
-batched path is tested against.
+``iter_rows`` remains as the lazy row surface (``Database.stream``, bare
+access paths, ``Database(batch_size=None)``) and as the reference semantics
+the batched path is tested against.
 
-LIMIT enforcement lives in the plan tree (:class:`repro.engine.plan.
+LIMIT and projection live in the plan tree only: :class:`repro.engine.plan.
 LimitNode` stops pulling once its budget is spent, which abandons every
-upstream generator mid-sweep so the remaining pages are never read); the
-context-level budget remains for access paths driven directly, outside a
-tree.
-
-``AccessResult`` (in :mod:`repro.engine.access`) remains as the materialised
-view of one finished execution for callers that want all rows at once.
+upstream generator mid-sweep so the remaining pages are never read.  Rows
+leaving a scan are live heap-page dicts (:attr:`PlanNode.
+produces_fresh_rows`); ``Database`` copies them at the plan root before they
+reach a caller.
 """
 
 from __future__ import annotations
@@ -90,7 +87,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cost import CostSplit
-    from repro.engine.access import AccessResult
     from repro.engine.transactions import Snapshot
 
 #: Default number of rows per :class:`RowBatch` pulled through the batched
@@ -106,8 +102,8 @@ class RowBatch(list):
     indirection on the hot path) whose type marks the batch boundary of the
     set-at-a-time protocol.  Scan batches hold *live* heap-page dicts --
     consumers that keep or mutate rows must copy them, exactly as with the
-    child-context rows of the row-at-a-time pipeline (``Database`` copies at
-    the plan root before handing rows to callers).
+    rows of the row-at-a-time pipeline (``Database`` copies at the plan root
+    before handing rows to callers).
 
     The row-dict view is the source of truth; per-column vectors are
     *lazily materialised* by :meth:`column`/:meth:`key_vector` with one
@@ -144,7 +140,6 @@ class ExecutionCounters:
     rows_examined: int = 0
     pages_visited: int = 0
     lookups: int = 0
-    rows_emitted: int = 0
     #: Inner-path probes performed by join operators (one per outer row per
     #: join step).
     join_probes: int = 0
@@ -162,30 +157,9 @@ class SharedQueryState:
 
 @dataclass(slots=True)
 class ExecutionContext:
-    """Per-execution state threaded through a plan's row pipelines.
+    """Per-execution state threaded through a plan's row pipelines."""
 
-    Parameters
-    ----------
-    limit:
-        Stop after emitting this many rows (``None`` = no limit).  The scan
-        kernel checks the budget between rows and between pages, so a
-        satisfied LIMIT never sweeps the remaining pages; join operators
-        additionally stop pulling outer rows.
-    projection:
-        Columns to keep in emitted rows (``None`` = whole row).  Projection
-        happens at emission time so residual predicates still see every
-        column.
-    count_output:
-        Whether :meth:`emit` counts towards ``counters.rows_emitted``.  True
-        for the root context; child contexts (see :meth:`child`) disable it
-        so that intermediate rows flowing into a join operator do not distort
-        the root's LIMIT accounting.
-    """
-
-    limit: int | None = None
-    projection: tuple[str, ...] | None = None
     counters: ExecutionCounters = field(default_factory=ExecutionCounters)
-    count_output: bool = True
     #: False on join inner-probe contexts, whose rewritten SQL nobody reads
     #: -- lets the CM scan skip rendering it once per probe.
     report_rewritten_sql: bool = True
@@ -197,12 +171,6 @@ class ExecutionContext:
     #: query and inherited by every child/adopted context so all scans of
     #: one execution -- including join inner probes -- see the same state.
     snapshot: "Snapshot | None" = None
-
-    def __post_init__(self) -> None:
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("limit must be non-negative")
-        if self.projection is not None:
-            self.projection = tuple(self.projection)
 
     @property
     def rewritten_sql(self) -> str | None:
@@ -219,40 +187,13 @@ class ExecutionContext:
         The child shares the parent's :class:`ExecutionCounters` (work of an
         intra-node pipeline lands on the operator that caused it; a child
         *node* re-homes the context onto its own counters via
-        :meth:`PlanNode.adopt`), but it carries no LIMIT budget (the parent
-        decides when to stop pulling), no projection (the parent needs whole
-        rows to merge), and its emissions do not count as output rows.
+        :meth:`PlanNode.adopt`).
         """
         return ExecutionContext(
             counters=self.counters,
-            count_output=False,
             shared=self.shared,
             snapshot=self.snapshot,
         )
-
-    @property
-    def limit_reached(self) -> bool:
-        return self.limit is not None and self.counters.rows_emitted >= self.limit
-
-    def emit(self, row: Mapping[str, Any], *, fresh: bool = False) -> dict[str, Any]:
-        """Count one output row and apply the projection.
-
-        Root contexts copy the row: emitted rows reach callers (``stream``,
-        ``QueryResult.rows``) who may mutate them, and handing out the live
-        heap-page dict would corrupt the page, the indexes built over it and
-        the statistics sample.  Join operators pass ``fresh=True`` because
-        their merged ``{**outer, **inner}`` dict is already a private copy,
-        skipping a second per-row copy on the output hot path.  Child
-        contexts skip the copy too -- their rows only feed a parent
-        operator, which builds a fresh merged dict anyway.
-        """
-        if self.count_output:
-            self.counters.rows_emitted += 1
-            if self.projection is None:
-                return row if fresh and isinstance(row, dict) else dict(row)
-        if self.projection is None:
-            return row if isinstance(row, dict) else dict(row)
-        return {column: row[column] for column in self.projection}
 
 
 def _chunk_rows(
@@ -322,18 +263,6 @@ def _truncated_batches(
             close()
 
 
-def _emit_batch(context: ExecutionContext, batch: RowBatch) -> RowBatch:
-    """Batch-level twin of :meth:`ExecutionContext.emit` for vectorized nodes.
-
-    Vectorized ``_stream_batches`` implementations only run when the context
-    carries no projection and no row budget (anything else falls back to the
-    chunked row pipeline), so emission parity reduces to the output count.
-    """
-    if context.count_output:
-        context.counters.rows_emitted += len(batch)
-    return batch
-
-
 def iter_batches_of(
     source: "RowSource",
     context: ExecutionContext,
@@ -391,9 +320,9 @@ class PlanNode:
     #: Project) that plan ranking and result labelling look through: the
     #: ``method`` of a decorated plan is the underlying scan's or join's.
     is_decorator = False
-    #: Whether rows leaving this node are private dicts.  False only for
-    #: scans, whose rows are live heap-page dicts: whoever emits them to a
-    #: caller must copy first (``ExecutionContext.emit`` handles it).
+    #: Whether rows leaving this node are private dicts.  False for scans
+    #: (and whatever passes their rows through), whose rows are live
+    #: heap-page dicts: ``Database`` copies them at the plan root.
     produces_fresh_rows = True
 
     __slots__ = (
@@ -426,8 +355,6 @@ class PlanNode:
     ) -> Iterator[dict[str, Any]]:
         """Stream output rows, charging this node's :attr:`actual` counters."""
         context = self.adopt(context or ExecutionContext())
-        if context.limit_reached:
-            return
         for row in self._stream(context):
             self.actual.rows_out += 1
             yield row
@@ -464,7 +391,7 @@ class PlanNode:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         context = self.adopt(context or ExecutionContext())
-        if context.limit_reached or (demand is not None and demand <= 0):
+        if demand is not None and demand <= 0:
             return
         actual = self.actual
         stream = self._stream_batches(context, batch_size, demand, run_reads)
@@ -482,46 +409,23 @@ class PlanNode:
         """Default batch production: chunk this node's row pipeline.
 
         Exact row-at-a-time accounting by construction -- rows are produced
-        lazily by ``_stream`` (whose ``context.emit`` calls handle output
-        counting and projection) and only delivered in batches.  Hot
+        lazily by ``_stream`` and only delivered in batches.  Hot
         operators override this with vectorized implementations gated to
         the cases whose accounting they reproduce; everything else -- and
         every demand-limited pull -- lands here.
         """
         yield from _chunk_rows(self._stream(context), batch_size, demand)
 
-    def _vectorizable(
-        self, context: ExecutionContext, demand: int | None
-    ) -> bool:
-        """Whether a vectorized override may run under this context.
-
-        A finite demand, a context-level row budget or a context projection
-        all carry per-row semantics the vectorized paths do not replicate;
-        overrides fall back to the chunked row pipeline for them.
-        """
-        return (
-            demand is None
-            and context.limit is None
-            and context.projection is None
-        )
-
     def adopt(self, context: ExecutionContext) -> ExecutionContext:
-        """``context`` re-homed onto this node's counters (same budget/flags)."""
+        """``context`` re-homed onto this node's counters (same flags)."""
         if context.counters is self.actual:
             return context
         return ExecutionContext(
-            limit=context.limit,
-            projection=context.projection,
             counters=self.actual,
-            count_output=context.count_output,
             report_rewritten_sql=context.report_rewritten_sql,
             shared=context.shared,
             snapshot=context.snapshot,
         )
-
-    def execute(self, context: ExecutionContext | None = None) -> "AccessResult":
-        """Materialise the stream into an :class:`AccessResult` (compatibility)."""
-        return materialize(self, context)
 
     # -- tree structure -------------------------------------------------------
 
@@ -544,7 +448,6 @@ class PlanNode:
             total.lookups += node.actual.lookups
             total.join_probes += node.actual.join_probes
         total.rows_out = self.actual.rows_out
-        total.rows_emitted = self.actual.rows_out
         return total
 
     # -- planner-facing views -------------------------------------------------
@@ -658,36 +561,6 @@ class ProbeNode(PlanNode):
         return f"{self.name}({self.probe.describe()})"
 
 
-def materialize(
-    source: "RowSource", context: ExecutionContext | None = None
-) -> AccessResult:
-    """Drain a row source into an :class:`~repro.engine.access.AccessResult`.
-
-    The one place the stream-to-materialised conversion lives: both
-    :meth:`AccessPath.execute` and :meth:`PlanNode.execute` delegate here,
-    so a counter added to ``AccessResult`` is wired up exactly once.  Plan
-    nodes report their whole-subtree totals; bare access paths report the
-    context's counters, as before.
-    """
-    from repro.engine.access import AccessResult
-
-    context = context or ExecutionContext()
-    rows = list(source.iter_rows(context))
-    if isinstance(source, PlanNode):
-        counters = source.total_counters()
-    else:
-        counters = context.counters
-    return AccessResult(
-        rows=rows,
-        rows_examined=counters.rows_examined,
-        pages_visited=counters.pages_visited,
-        lookups=counters.lookups,
-        join_probes=counters.join_probes,
-        rows_emitted=counters.rows_emitted,
-        rewritten_sql=context.rewritten_sql,
-    )
-
-
 class JoinOperator(PlanNode):
     """Base streaming equi-join operator: a plan node over an outer input.
 
@@ -769,9 +642,7 @@ class ProbeJoin(JoinOperator):
             inner_context.report_rewritten_sql = False
             for inner_row in inner_path.iter_rows(inner_context):
                 self.inner.actual.rows_out += 1
-                yield context.emit({**outer_row, **inner_row}, fresh=True)
-                if context.limit_reached:
-                    return
+                yield {**outer_row, **inner_row}
 
     def _stream_batches(
         self,
@@ -789,7 +660,7 @@ class ProbeJoin(JoinOperator):
         # batches (pulled with run_reads=False, because this operator's
         # probes interleave with the outer sweep), each probe reuses one
         # inner context, and merged rows leave in batches.
-        if not run_reads or not self._vectorizable(context, demand):
+        if not run_reads or demand is not None:
             yield from PlanNode._stream_batches(
                 self, context, batch_size, demand, run_reads
             )
@@ -813,10 +684,10 @@ class ProbeJoin(JoinOperator):
                 if matched:
                     inner_counters.rows_out += matched
             if len(out) >= batch_size:
-                yield _emit_batch(context, out)
+                yield out
                 out = RowBatch()
         if out:
-            yield _emit_batch(context, out)
+            yield out
 
     def describe_detail(self) -> str:
         return self.probe.describe()
@@ -1033,9 +904,7 @@ class HashJoin(JoinOperator):
                     outer_row, inner_row = (
                         (probe_row, matched) if build_inner else (matched, probe_row)
                     )
-                    yield context.emit({**outer_row, **inner_row}, fresh=True)
-                    if context.limit_reached:
-                        return
+                    yield {**outer_row, **inner_row}
         finally:
             _charge_cpu(self.inner_path, probe_rows)
 
@@ -1053,7 +922,7 @@ class HashJoin(JoinOperator):
         # inputs degrade to page-at-a-time reads, keeping the simulated head
         # movement identical.  A finite demand (LIMIT above) falls back to
         # the chunked row pipeline for its exact mid-probe stop.
-        if not self._vectorizable(context, demand):
+        if demand is not None:
             yield from PlanNode._stream_batches(
                 self, context, batch_size, demand, run_reads
             )
@@ -1118,12 +987,12 @@ class HashJoin(JoinOperator):
                         ]
                     )
                 if len(out) >= batch_size:
-                    yield _emit_batch(context, out)
+                    yield out
                     out = RowBatch()
         finally:
             _charge_cpu(self.inner_path, probe_rows)
         if out:
-            yield _emit_batch(context, out)
+            yield out
 
     def describe_detail(self) -> str:
         keys = ", ".join(inner for _outer, inner in self.join_on)
@@ -1236,14 +1105,10 @@ class SortMergeJoin(JoinOperator):
         # Vectorized only when both inputs get materialised and sorted in
         # memory: the I/O then happens in two full upfront drains with
         # nothing interleaved, so batching the reads and running the merge
-        # columnar changes no simulated number.  A lazy pre-sorted side, a
-        # finite demand or a context budget all keep the chunked row
-        # pipeline (see the class docstring).
-        if (
-            self.inner_sorted
-            or self.outer_sorted
-            or not self._vectorizable(context, demand)
-        ):
+        # columnar changes no simulated number.  A lazy pre-sorted side or
+        # a finite demand keeps the chunked row pipeline (see the class
+        # docstring).
+        if self.inner_sorted or self.outer_sorted or demand is not None:
             yield from PlanNode._stream_batches(
                 self, context, batch_size, demand, run_reads
             )
@@ -1297,7 +1162,7 @@ class SortMergeJoin(JoinOperator):
                     # Inner exhausted mid-skip: this group is counted (as in
                     # the row merge) and the remaining outer groups are not.
                     if out:
-                        yield _emit_batch(context, out)
+                        yield out
                     return
                 if inner_keys[parked] != key:
                     continue
@@ -1312,10 +1177,10 @@ class SortMergeJoin(JoinOperator):
                     ]
                 )
                 if len(out) >= batch_size:
-                    yield _emit_batch(context, out)
+                    yield out
                     out = RowBatch()
             if out:
-                yield _emit_batch(context, out)
+                yield out
         finally:
             inner_fetched = min(parked + 1, n_inner)
             _charge_cpu(self.inner_path, outer_consumed + inner_fetched)
@@ -1364,9 +1229,7 @@ class SortMergeJoin(JoinOperator):
                     advance()
                 for outer_row in outer_group:
                     for matched in inner_group:
-                        yield context.emit({**outer_row, **matched}, fresh=True)
-                        if context.limit_reached:
-                            return
+                        yield {**outer_row, **matched}
         finally:
             # The merge compares each consumed row once; charge that CPU.
             _charge_cpu(self.inner_path, merged_rows)

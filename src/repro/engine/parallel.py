@@ -110,7 +110,7 @@ class _ChildPayload:
     """Everything one worker ships back about its partition subtree."""
 
     #: Per-node counter tuples over the subtree's pre-order ``walk()``.
-    counters: list[tuple[int, int, int, int, int, int]]
+    counters: list[tuple[int, int, int, int, int]]
     #: The subtree's device group's I/O counter windows, as plain tuples in
     #: the order of ``exchange.device_groups[index]``.
     io: list[tuple[int, int, int, int, int, int, int]]
@@ -183,9 +183,7 @@ def _run_child(index: int) -> _ChildPayload:
     devices = exchange.device_groups[index]
     snapshot: "Snapshot | None" = state["snapshot"]
     mode: str = state["mode"]
-    # count_output=False mirrors the child context the exchange node pulls
-    # under serially, so per-node rows_emitted matches the serial run.
-    context = ExecutionContext(snapshot=snapshot, count_output=False)
+    context = ExecutionContext(snapshot=snapshot)
     befores = [device.snapshot() for device in devices]
     rows = _child_rows(child, context, state["batch_size"])
 
@@ -233,7 +231,6 @@ def _run_child(index: int) -> _ChildPayload:
                 node.actual.rows_examined,
                 node.actual.pages_visited,
                 node.actual.lookups,
-                node.actual.rows_emitted,
                 node.actual.join_probes,
                 node.actual.rows_out,
             )
@@ -269,7 +266,6 @@ def _apply_payloads(
                 node.actual.rows_examined,
                 node.actual.pages_visited,
                 node.actual.lookups,
-                node.actual.rows_emitted,
                 node.actual.join_probes,
                 node.actual.rows_out,
             ) = counters
@@ -309,7 +305,6 @@ def _merge_aggregate(
     plan.value = value
     plan._charge_cpu(rows_in)
     plan.actual.rows_out = 1
-    plan.actual.rows_emitted = 1
     exchange.actual.rows_out = rows_in
     exchange.partitions_scanned = len(exchange.sources)
     return [{aggregate.output_name: value}]
@@ -338,7 +333,6 @@ def _merge_groups(
     plan.groups_out = len(rows)
     plan._charge_cpu(rows_in)
     plan.actual.rows_out = len(rows)
-    plan.actual.rows_emitted = len(rows)
     exchange.actual.rows_out = rows_in
     exchange.partitions_scanned = len(exchange.sources)
     return rows
@@ -369,11 +363,7 @@ def maybe_run_parallel(
     # context the fill runs under serially.
     prepare_plan(
         plan,
-        ExecutionContext(
-            snapshot=context.snapshot,
-            count_output=False,
-            report_rewritten_sql=False,
-        ),
+        ExecutionContext(snapshot=context.snapshot, report_rewritten_sql=False),
     )
     # Under a LIMIT the serial batched drain degrades the exchange's
     # children to row-at-a-time pulls (the chunked-row fallback); the

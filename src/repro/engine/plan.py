@@ -48,7 +48,6 @@ from repro.engine.executor import (
     PlanNode,
     RowBatch,
     ScanNode,
-    _emit_batch,
     iter_batches_of,
 )
 from repro.engine.query import Aggregate
@@ -256,9 +255,7 @@ class SortNode(DecoratorNode):
         self.rows_in = len(rows)
         self._charge_cpu(sort_comparison_count(len(rows)))
         rows.sort(key=sort_key_function(self.ordering))
-        fresh = self.source_fresh
-        for row in rows:
-            yield context.emit(row, fresh=fresh)
+        yield from rows
 
     def _stream_batches(
         self,
@@ -270,11 +267,6 @@ class SortNode(DecoratorNode):
         # Blocking: the input is drained and sorted in full whatever the
         # consumer's demand (exactly as in the row pipeline), so demand only
         # caps the output -- which the iter_batches wrapper enforces.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         rows: list[dict[str, Any]] = []
         for batch in self._source_batches(context, batch_size, None, run_reads):
             rows.extend(batch)
@@ -282,7 +274,7 @@ class SortNode(DecoratorNode):
         self._charge_cpu(sort_comparison_count(len(rows)))
         columnar_sort(rows, self.ordering)
         for chunk in self._chunks(rows, batch_size):
-            yield _emit_batch(context, chunk)
+            yield chunk
 
     def describe_detail(self) -> str:
         return _ordering_text(self.ordering)
@@ -341,9 +333,8 @@ class TopKNode(DecoratorNode):
                 heapq.heapreplace(heap, (_MaxHeapEntry(entry_key), row))
         self.rows_in = seq
         self._charge_cpu(top_k_comparison_count(seq, self.k))
-        fresh = self.source_fresh
         for entry in sorted(heap, key=lambda item: item[0].key):
-            yield context.emit(entry[1], fresh=fresh)
+            yield entry[1]
 
     def _stream_batches(
         self,
@@ -353,11 +344,6 @@ class TopKNode(DecoratorNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # Blocking: the whole input flows through the k-heap either way.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         if self.k == 0:
             return
         # Columnar top-k: instead of feeding the k-heap row by row, merge
@@ -391,7 +377,7 @@ class TopKNode(DecoratorNode):
         self.rows_in = seq
         self._charge_cpu(top_k_comparison_count(seq, self.k))
         for chunk in self._chunks(top_rows, batch_size):
-            yield _emit_batch(context, chunk)
+            yield chunk
 
     def describe_detail(self) -> str:
         return f"{_ordering_text(self.ordering)}, k={self.k}"
@@ -434,7 +420,7 @@ class AggregateNode(DecoratorNode):
         self.rows_in = rows_in
         self._charge_cpu(rows_in)
         self.value = accumulator.result()
-        yield context.emit({self.aggregate.output_name: self.value}, fresh=True)
+        yield {self.aggregate.output_name: self.value}
 
     def _stream_batches(
         self,
@@ -443,11 +429,6 @@ class AggregateNode(DecoratorNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         accumulator = self.aggregate.make_accumulator()
         add_batch = accumulator.add_batch
         rows_in = 0
@@ -457,9 +438,7 @@ class AggregateNode(DecoratorNode):
         self.rows_in = rows_in
         self._charge_cpu(rows_in)
         self.value = accumulator.result()
-        yield _emit_batch(
-            context, RowBatch(({self.aggregate.output_name: self.value},))
-        )
+        yield RowBatch(({self.aggregate.output_name: self.value},))
 
     def describe_detail(self) -> str:
         return self.aggregate.output_name
@@ -510,7 +489,7 @@ class GroupByNode(DecoratorNode):
         for key, accumulator in groups.items():
             merged = dict(zip(columns, key))
             merged[output_name] = accumulator.result()
-            yield context.emit(merged, fresh=True)
+            yield merged
 
     def _stream_batches(
         self,
@@ -521,11 +500,6 @@ class GroupByNode(DecoratorNode):
     ) -> Iterator[RowBatch]:
         # Blocking: every input row lands in an accumulator whatever the
         # demand; a LIMIT above only caps how many *group* rows leave.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         # Columnar hash aggregation: extract the whole batch's group keys
         # with one itemgetter pass, then fold them through per-kind batch
         # kernels (:class:`~repro.engine.query.GroupedAccumulators`) instead
@@ -552,10 +526,10 @@ class GroupByNode(DecoratorNode):
             merged[output_name] = value
             out.append(merged)
             if len(out) >= batch_size:
-                yield _emit_batch(context, out)
+                yield out
                 out = RowBatch()
         if out:
-            yield _emit_batch(context, out)
+            yield out
 
     def describe_detail(self) -> str:
         return f"{', '.join(self.group_columns)}: {self.aggregate.output_name}"
@@ -566,8 +540,7 @@ class LimitNode(DecoratorNode):
 
     Closing the child generator mid-stream abandons every upstream pipeline
     at its current yield point, so heap pages past the last consumed row are
-    never read -- the same early termination the context-level budget used
-    to provide, now owned by an explicit plan node.
+    never read.
     """
 
     name = "limit"
@@ -590,9 +563,8 @@ class LimitNode(DecoratorNode):
         if self.k == 0:
             return
         produced = 0
-        fresh = self.source_fresh
         for row in self.source.iter_rows(context.child()):
-            yield context.emit(row, fresh=fresh)
+            yield row
             produced += 1
             if produced >= self.k:
                 return
@@ -607,18 +579,13 @@ class LimitNode(DecoratorNode):
         # The origin of the demand budget: the child receives k (or less) as
         # its demand.  Streaming children degrade to exact lazy production;
         # blocking children ignore the budget, as they must.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         if self.k == 0:
             return
         child_demand = self.k if demand is None else min(self.k, demand)
         for batch in self._source_batches(
             context, batch_size, child_demand, run_reads
         ):
-            yield _emit_batch(context, batch)
+            yield batch
 
     def describe_detail(self) -> str:
         return str(self.k)
@@ -641,9 +608,7 @@ class ProjectNode(DecoratorNode):
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
         columns = self.columns
         for row in self.source.iter_rows(context.child()):
-            yield context.emit(
-                {column: row[column] for column in columns}, fresh=True
-            )
+            yield {column: row[column] for column in columns}
 
     def _stream_batches(
         self,
@@ -655,11 +620,6 @@ class ProjectNode(DecoratorNode):
         # Row-count preserving and free of I/O/charging, so a finite demand
         # forwards to the child unchanged and the projection stays a
         # C-driven list comprehension per batch.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         columns = self.columns
         source = self.source
         if demand is None and isinstance(source, ScanNode):
@@ -676,12 +636,11 @@ class ProjectNode(DecoratorNode):
                 scan_context = source.adopt(context.child())
                 for batch in fused(scan_context, batch_size, run_reads, columns):
                     scan_actual.rows_out += len(batch)
-                    yield _emit_batch(context, batch)
+                    yield batch
                 return
         for batch in self._source_batches(context, batch_size, demand, run_reads):
-            yield _emit_batch(
-                context,
-                RowBatch([{column: row[column] for column in columns} for row in batch]),
+            yield RowBatch(
+                [{column: row[column] for column in columns} for row in batch]
             )
 
     def describe_detail(self) -> str:
@@ -783,14 +742,12 @@ class ExchangeNode(PlanNode):
 
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
         if self._replay is not None:
-            for row in self._replay:
-                yield context.emit(row, fresh=True)
+            yield from self._replay
             return
         self.partitions_scanned = 0
         for source in self.sources:
             self.partitions_scanned += 1
-            for row in source.iter_rows(context.child()):
-                yield context.emit(row)
+            yield from source.iter_rows(context.child())
 
     def _stream_batches(
         self,
@@ -799,15 +756,10 @@ class ExchangeNode(PlanNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         if self._replay is not None:
             rows = self._replay
             for start in range(0, len(rows), batch_size):
-                yield _emit_batch(context, RowBatch(rows[start : start + batch_size]))
+                yield RowBatch(rows[start : start + batch_size])
             return
         self.partitions_scanned = 0
         remaining = demand
@@ -820,7 +772,7 @@ class ExchangeNode(PlanNode):
             for batch in iter_batches_of(
                 source, context.child(), batch_size, remaining, run_reads
             ):
-                yield _emit_batch(context, batch)
+                yield batch
                 if remaining is not None:
                     remaining -= len(batch)
             if remaining is not None and remaining <= 0:

@@ -19,7 +19,8 @@ buffer_pool.BufferPool`, and each quantum's I/O window (a
 query that ran it.  Interleaved readers of the same table advance through
 the heap roughly in lockstep, so one query's physical page read serves the
 others from cache -- the aggregate-throughput effect
-``scripts/bench_concurrent.py`` measures.  Per-query latency is reported in
+``tests/engine/test_scheduler.py`` pins in simulated time and ``perf/``
+records as ``scheduler.shared_read_ratio``.  Per-query latency is reported in
 simulated milliseconds from submission to completion, so queueing delay and
 interference are visible in the same unit as every other cost in the
 repository.

@@ -4,10 +4,10 @@ The differential fuzzer and the anomaly suites replay whole workloads
 from a single integer seed; one ambient clock read or module-level
 ``random.random()`` call makes a failure unreproducible.  The rule bans:
 
-* wall-clock reads (``time.time``, ``datetime.now`` ...) everywhere in
-  ``src/repro`` -- the benchmark harness under ``bench/`` is exempt from
-  the *timer* subset (``perf_counter``/``strftime``/``gmtime``), because
-  measuring wall-clock time is its entire point;
+* wall-clock reads (``time.time``, ``datetime.now`` ...) and timers
+  (``perf_counter``/``process_time``/``strftime``/``gmtime``) everywhere in
+  ``src/repro`` -- wall time is measured only by ``perf/``, outside the
+  package;
 * module-level randomness (``random.random()``, ``random.shuffle`` ...)
   and ``from random import`` of anything but ``Random``.  Seeded
   ``random.Random(seed)`` instances are the sanctioned source.
@@ -23,7 +23,7 @@ from repro.lint.registry import Rule, register_rule
 from repro.lint.rules._common import import_aliases, qualified_call_name
 from repro.lint.violations import Violation
 
-#: Ambient clock reads banned everywhere (replay would diverge).
+#: Ambient clock and timer reads, banned everywhere (replay would diverge).
 CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -32,26 +32,17 @@ CLOCK_CALLS = frozenset(
         "time.monotonic_ns",
         "time.localtime",
         "time.ctime",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.strftime",
+        "time.gmtime",
         "datetime.datetime.now",
         "datetime.datetime.utcnow",
         "datetime.datetime.today",
         "datetime.date.today",
     }
 )
-
-#: Timer/formatting calls allowed only in the wall-clock benchmark harness.
-TIMER_CALLS = frozenset(
-    {
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.strftime",
-        "time.gmtime",
-    }
-)
-
-#: The benchmark package allowed to read timers.
-BENCH_PREFIX = "bench/"
 
 
 @register_rule
@@ -65,7 +56,6 @@ class DeterminismRule(Rule):
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         aliases = import_aliases(module.tree)
-        in_bench = BENCH_PREFIX in module.relpath
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 qualified = qualified_call_name(node, aliases)
@@ -78,14 +68,6 @@ class DeterminismRule(Rule):
                         node.col_offset + 1,
                         f"ambient clock read {qualified}() breaks "
                         "replay-from-seed; thread explicit timestamps instead",
-                    )
-                elif qualified in TIMER_CALLS and not in_bench:
-                    yield self.violation(
-                        module,
-                        node.lineno,
-                        node.col_offset + 1,
-                        f"{qualified}() outside the bench/ harness; engine "
-                        "code must not observe wall-clock time",
                     )
                 elif (
                     qualified.startswith("random.")

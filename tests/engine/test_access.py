@@ -8,7 +8,7 @@ from repro.engine.query import Aggregate, Query
 
 
 def run(db, query, force):
-    return db.query(query, force=force, cold_cache=True)
+    return db.run_query(query, force=force, cold_cache=True)
 
 
 def reference_answer(db, predicates):

@@ -49,7 +49,7 @@ class TestQueries:
         query = Query.select(
             "items", Between("price", 1000, 1100), aggregate=Aggregate.count()
         )
-        result = indexed_database.query(query, cold_cache=True)
+        result = indexed_database.run_query(query, cold_cache=True)
         assert result.value == result.rows_matched
         assert result.io.pages_read > 0
         assert result.elapsed_ms > 0
@@ -57,10 +57,10 @@ class TestQueries:
 
     def test_cold_cache_flag_affects_io(self, indexed_database):
         query = Query.select("items", Equals("cat2", "group1"), aggregate=Aggregate.count())
-        warm_first = indexed_database.query(query, force="cm_scan", cold_cache=True)
-        warm_second = indexed_database.query(query, force="cm_scan")
+        warm_first = indexed_database.run_query(query, force="cm_scan", cold_cache=True)
+        warm_second = indexed_database.run_query(query, force="cm_scan")
         assert warm_second.io.pages_read <= warm_first.io.pages_read
-        cold_again = indexed_database.query(query, force="cm_scan", cold_cache=True)
+        cold_again = indexed_database.run_query(query, force="cm_scan", cold_cache=True)
         assert cold_again.io.pages_read == warm_first.io.pages_read
 
     def test_explain_lists_costs(self, indexed_database):
@@ -72,7 +72,7 @@ class TestQueries:
 
 class TestMaintenance:
     def test_insert_updates_query_results(self, indexed_database):
-        before = indexed_database.query(
+        before = indexed_database.run_query(
             Query.select("items", Equals("cat2", "group0"), aggregate=Aggregate.count()),
             force="seq_scan",
         ).value
@@ -83,7 +83,7 @@ class TestMaintenance:
         outcome = indexed_database.insert("items", rows)
         assert outcome.rows_affected == 10
         assert outcome.elapsed_ms > 0
-        after = indexed_database.query(
+        after = indexed_database.run_query(
             Query.select("items", Equals("cat2", "group0"), aggregate=Aggregate.count()),
             force="seq_scan",
         ).value
@@ -153,7 +153,7 @@ class TestMaintenance:
     def test_delete_removes_rows_everywhere(self, indexed_database):
         outcome = indexed_database.delete("items", [Equals("cat2", "group9")])
         assert outcome.rows_affected > 0
-        count = indexed_database.query(
+        count = indexed_database.run_query(
             Query.select("items", Equals("cat2", "group9"), aggregate=Aggregate.count()),
             force="seq_scan",
         ).value
@@ -174,7 +174,7 @@ class TestMeasurementControl:
     def test_reset_and_elapsed(self, indexed_database):
         indexed_database.reset_measurements()
         assert indexed_database.elapsed_ms() == 0
-        indexed_database.query(
+        indexed_database.run_query(
             Query.select("items", Equals("cat2", "group1")), force="seq_scan"
         )
         assert indexed_database.elapsed_ms() > 0

@@ -25,20 +25,20 @@ class TestIterRows:
             query = Query.select("items", Between("price", 1000, 1100))
         path = planned_path(indexed_database, query, force)
         streamed = sorted(r["itemid"] for r in path.iter_rows())
-        path2 = planned_path(indexed_database, query, force)
-        materialised = sorted(r["itemid"] for r in path2.execute().rows)
-        assert streamed == materialised
+        result = indexed_database.run_query(query, force=force)
+        assert streamed == sorted(r["itemid"] for r in result.rows)
         assert streamed
 
     def test_execute_counters_match_context(self, indexed_database):
         query = Query.select("items", Between("price", 1000, 1100))
         path = planned_path(indexed_database, query, "sorted_index_scan")
         context = ExecutionContext()
-        result = path.execute(context)
+        rows = list(path.iter_rows(context))
+        result = indexed_database.run_query(query, force="sorted_index_scan")
         assert result.rows_examined == context.counters.rows_examined
         assert result.pages_visited == context.counters.pages_visited
-        assert result.lookups == context.counters.lookups
-        assert context.counters.rows_emitted == len(result.rows)
+        assert result.plan.total_counters().lookups == context.counters.lookups
+        assert result.rows_matched == len(rows)
 
 
 class TestLimit:
@@ -150,15 +150,3 @@ class TestStream:
         query = Query.select("items", Equals("catid", 1), aggregate=Aggregate.count())
         with pytest.raises(ValueError):
             indexed_database.stream(query)
-
-
-class TestContext:
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(limit=-1)
-
-    def test_emit_counts_and_projects(self):
-        context = ExecutionContext(projection=("a",))
-        row = context.emit({"a": 1, "b": 2})
-        assert row == {"a": 1}
-        assert context.counters.rows_emitted == 1

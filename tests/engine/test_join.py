@@ -427,7 +427,7 @@ class TestHashAndSortMergeOperators:
                 [("custid", "custid")],
                 outer_sorted=outer_sorted,
             )
-            assert operator.execute().rows == []
+            assert list(operator.iter_rows()) == []
             assert inner_heap.logical_page_reads == before
 
     def test_all_duplicate_keys_produce_the_full_cross_block(self, join_db):
@@ -507,8 +507,7 @@ class TestHashAndSortMergeOperators:
         assert result.join_probes == len(orders)
 
     def test_join_counters_thread_through_materialisation(self, join_db):
-        # The satellite bugfix: materialize() used to drop join_probes and
-        # rows_emitted, so QueryResult under-reported the join's work.
+        # QueryResult must report the join's probes and its emitted rows.
         db, orders, _customers = join_db
         query = Query.select("orders").join("customers", on="custid")
         result = db.run_query(query, force_join="hash_join")

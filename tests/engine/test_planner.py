@@ -37,7 +37,7 @@ def test_selective_query_does_not_choose_seq_scan(indexed_database):
     assert plan.method != "seq_scan" or plan.estimated_cost_ms <= min(
         p["estimated_cost_ms"] for p in indexed_database.explain(query)
     )
-    result = indexed_database.query(query)
+    result = indexed_database.run_query(query)
     assert result.access_method in {"cm_scan", "sorted_index_scan", "clustered_index_scan"}
 
 
@@ -45,22 +45,22 @@ def test_force_methods_all_supported(indexed_database):
     query = Query.select("items", Between("price", 1000, 1050))
     for force in ["seq_scan", "sorted_index_scan", "pipelined_index_scan", "cm_scan"]:
         assert force in FORCE_METHODS
-        result = indexed_database.query(query, force=force)
+        result = indexed_database.run_query(query, force=force)
         assert result.access_method == force
 
 
 def test_force_unknown_method_rejected(indexed_database):
     query = Query.select("items", Between("price", 1000, 1050))
     with pytest.raises(ValueError):
-        indexed_database.query(query, force="hash_join")
+        indexed_database.run_query(query, force="hash_join")
 
 
 def test_force_inapplicable_method_rejected(indexed_database):
     query = Query.select("items", Equals("noise", 1))
     with pytest.raises(ValueError):
-        indexed_database.query(query, force="sorted_index_scan")
+        indexed_database.run_query(query, force="sorted_index_scan")
     with pytest.raises(ValueError):
-        indexed_database.query(query, force="pipelined_index_scan")
+        indexed_database.run_query(query, force="pipelined_index_scan")
 
 
 def test_estimated_costs_are_positive_and_ordered(indexed_database):

@@ -4,8 +4,9 @@ The scheduler's contract is cooperative round-robin at RowBatch granularity:
 a quantum is one batch pull (or budget-bounded pulls), yielding queries keep
 all execution state in their suspended generator pipeline, and everything is
 deterministic.  These tests drive :meth:`QueryScheduler.step` directly to
-observe individual quanta; end-to-end behaviour (throughput, interference)
-lives in ``repro.bench.concurrent``.
+observe individual quanta; the last test pins the shared-pool throughput
+effect in simulated time, and ``perf/``'s ``concurrent_serving`` workload
+records it in real seconds (``scheduler.shared_read_ratio``).
 """
 
 import pytest
@@ -220,3 +221,42 @@ def test_scheduler_rejects_bad_arguments(database):
         scheduler.submit(FULL_SCAN, page_budget=0)
     with pytest.raises(ValueError):
         scheduler.submit(FULL_SCAN, cpu_ms_budget=0)
+
+
+def test_interleaved_readers_share_the_pool_for_twice_the_throughput():
+    """Eight identical full scans of a table 4x the buffer pool.
+
+    Back to back, every query re-reads every page (the pool thrashes); under
+    the fair scheduler the readers advance through the heap in lockstep, so
+    one physical read serves all eight.  Simulated time only.
+    """
+    readers, num_rows = 8, 12_000
+    db = Database(buffer_pool_pages=60)
+    db.create_table(
+        "items", sample_row={"itemid": 0, "price": 0.0}, tups_per_page=50
+    )
+    db.load("items", [{"itemid": i, "price": float(i)} for i in range(num_rows)])
+    reader = Query.select("items", Between("price", 0, num_rows))
+
+    db.reset_measurements()
+    db.drop_caches()
+    serial = [db.run_query(reader, force="seq_scan") for _ in range(readers)]
+    serial_ms = db.elapsed_ms()
+
+    db.reset_measurements()
+    db.drop_caches()
+    scheduler = QueryScheduler(db, max_concurrent=readers, policy="fair")
+    for _ in range(readers):
+        scheduler.submit(reader, force="seq_scan")
+    scheduled = [entry.result for entry in scheduler.run()]
+    scheduled_ms = db.elapsed_ms()
+
+    assert [r.rows_matched for r in serial] == [num_rows] * readers
+    assert [r.rows_matched for r in scheduled] == [num_rows] * readers
+    assert sum(r.pages_visited for r in scheduled) == sum(
+        r.pages_visited for r in serial
+    )
+    assert 2 * sum(r.io.pages_read for r in scheduled) <= sum(
+        r.io.pages_read for r in serial
+    )
+    assert serial_ms >= 2 * scheduled_ms

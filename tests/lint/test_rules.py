@@ -56,11 +56,15 @@ class TestParityAccounting:
 
 class TestDeterminism:
     def test_bad_fixture_exact_findings(self):
-        assert findings("REPRO103", "determinism/bad_clocks.py") == [
+        assert findings(
+            "REPRO103", "determinism/bad_clocks.py", "determinism/bench/timer.py"
+        ) == [
             ("determinism/bad_clocks.py", 5),  # from random import shuffle
             ("determinism/bad_clocks.py", 9),  # time.time()
             ("determinism/bad_clocks.py", 13),  # shuffle() resolves to random.
             ("determinism/bad_clocks.py", 14),  # random.choice()
+            # No bench/ exemption: a timer is flagged wherever it sits.
+            ("determinism/bench/timer.py", 7),  # time.perf_counter()
         ]
 
     def test_seeded_random_clean(self):

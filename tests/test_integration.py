@@ -52,16 +52,16 @@ class TestTPCHScenario:
         query = tpch_shipdate_query(rows, 5, seed=1)
         answers = {}
         for force in ("seq_scan", "sorted_index_scan", "cm_scan"):
-            result = db.query(query, force=force, cold_cache=True)
+            result = db.run_query(query, force=force, cold_cache=True)
             answers[force] = (result.rows_matched, round(result.value or 0, 6))
         assert len(set(answers.values())) == 1
 
     def test_correlation_makes_index_and_cm_cheap(self, tpch_db):
         db, rows = tpch_db
         query = tpch_shipdate_query(rows, 5, seed=2)
-        seq = db.query(query, force="seq_scan", cold_cache=True)
-        btree = db.query(query, force="sorted_index_scan", cold_cache=True)
-        cm = db.query(query, force="cm_scan", cold_cache=True)
+        seq = db.run_query(query, force="seq_scan", cold_cache=True)
+        btree = db.run_query(query, force="sorted_index_scan", cold_cache=True)
+        cm = db.run_query(query, force="cm_scan", cold_cache=True)
         assert btree.pages_visited < seq.pages_visited / 4
         assert cm.pages_visited < seq.pages_visited / 2
         assert cm.rows_matched == btree.rows_matched
@@ -69,7 +69,7 @@ class TestTPCHScenario:
     def test_cost_model_prediction_is_reported(self, tpch_db):
         db, rows = tpch_db
         query = tpch_shipdate_query(rows, 3, seed=3)
-        result = db.query(query, force="sorted_index_scan", cold_cache=True)
+        result = db.run_query(query, force="sorted_index_scan", cold_cache=True)
         assert result.estimated_cost_ms is not None
         assert result.estimated_cost_ms > 0
 
@@ -94,8 +94,8 @@ class TestEbayScenario:
     def test_cm_answers_price_range_like_btree(self, ebay_db):
         db, _rows = ebay_db
         query = ebay_price_range_query(1_000, 5_000)
-        cm = db.query(query, force="cm_scan", cold_cache=True)
-        btree = db.query(query, force="sorted_index_scan", cold_cache=True)
+        cm = db.run_query(query, force="cm_scan", cold_cache=True)
+        btree = db.run_query(query, force="sorted_index_scan", cold_cache=True)
         assert cm.value == btree.value
         assert cm.rows_matched == btree.rows_matched
 
@@ -116,13 +116,13 @@ class TestEbayScenario:
             "items", Between("price", 1234.0, 1260.0), aggregate=Aggregate.count()
         )
         counts = {
-            force: db.query(query, force=force, cold_cache=True).value
+            force: db.run_query(query, force=force, cold_cache=True).value
             for force in ("seq_scan", "sorted_index_scan", "cm_scan")
         }
         assert len(set(counts.values())) == 1
         db.delete("items", [Between("itemid", 10_000_000, None)])
         counts_after = {
-            force: db.query(query, force=force, cold_cache=True).value
+            force: db.run_query(query, force=force, cold_cache=True).value
             for force in ("seq_scan", "sorted_index_scan", "cm_scan")
         }
         assert len(set(counts_after.values())) == 1
@@ -155,9 +155,9 @@ class TestSDSSScenario:
         query = sdss_q2_query(
             ra_range=(185.0, 186.5), dec_range=(2.0, 2.6), surface_range=(10.0, 60.0)
         )
-        cm = db.query(query, force="cm_scan", cold_cache=True)
-        btree = db.query(query, force="sorted_index_scan", cold_cache=True)
-        seq = db.query(query, force="seq_scan", cold_cache=True)
+        cm = db.run_query(query, force="cm_scan", cold_cache=True)
+        btree = db.run_query(query, force="sorted_index_scan", cold_cache=True)
+        seq = db.run_query(query, force="seq_scan", cold_cache=True)
         assert cm.value == btree.value == seq.value
         assert cm.pages_visited < seq.pages_visited / 2
 
