@@ -3,6 +3,9 @@
 ``--fuzz-iterations N`` widens the differential fuzzer's seeded query corpus
 (``tests/engine/test_fuzz_parity.py``) beyond the small tier-1 default; CI
 smoke runs the default, nightly/soak runs pass a few hundred.
+
+``--update-plan-goldens`` re-records ``tests/engine/plan_goldens.json``
+instead of comparing against it (``tests/engine/test_plan_goldens.py``).
 """
 
 FUZZ_ITERATIONS_DEFAULT = 24
@@ -18,4 +21,9 @@ def pytest_addoption(parser):
             "seeded query corpus size for the differential batch-parity "
             f"fuzzer (default: {FUZZ_ITERATIONS_DEFAULT})"
         ),
+    )
+    parser.addoption(
+        "--update-plan-goldens",
+        action="store_true",
+        help="re-record tests/engine/plan_goldens.json instead of comparing",
     )

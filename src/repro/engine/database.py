@@ -19,7 +19,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer
 from repro.core.model import HardwareParameters
@@ -325,12 +325,13 @@ class Database:
                 "it reduces the full matching row stream to one value"
             )
         self._validate_query(query, projection)
-        return self._plan(
-            query,
-            force=force,
-            force_join=force_join,
-            limit=limit,
-            projection=projection,
+        choose, _candidates, target, options = self._planner_route(query)
+        if query.joins:
+            options["force_join"] = force_join
+        elif force_join is not None:
+            raise ValueError("force_join only applies to queries with joins")
+        return choose(
+            target, query, force=force, limit=limit, projection=projection, **options
         )
 
     def _effective_snapshot(
@@ -471,70 +472,43 @@ class Database:
 
         return batches()
 
-    def _plan(
-        self,
-        query: Query,
-        *,
-        force: str | None,
-        force_join: str | None = None,
-        limit: int | None = None,
-        projection: Sequence[str] | None = None,
-    ) -> PlanNode:
-        """Plan selection for one execution: a costed physical operator tree."""
-        if query.joins:
-            joined = self._join_tables(query)
-            if any(
-                isinstance(joined[name], PartitionedTable)
-                for name in query.tables
-            ):
-                return self.planner.choose_partitioned_join(
-                    joined,
-                    query,
-                    force=force,
-                    force_join=force_join,
-                    limit=limit,
-                    projection=projection,
-                    enable_repartition=self.enable_repartition,
-                )
-            return self.planner.choose_join(
-                joined,
-                query,
-                force=force,
-                force_join=force_join,
-                limit=limit,
-                projection=projection,
-            )
-        if force_join is not None:
-            raise ValueError("force_join only applies to queries with joins")
-        target = self.table(query.table)
-        if isinstance(target, PartitionedTable):
-            return self.planner.choose_partitioned(
-                target,
-                query,
-                force=force,
-                limit=limit,
-                projection=projection,
-            )
-        return self.planner.choose(
-            target,
-            query,
-            force=force,
-            limit=limit,
-            projection=projection,
-        )
+    def _planner_route(
+        self, query: Query
+    ) -> tuple[
+        Callable[..., PlanNode], Callable[..., list[PlanNode]], Any, dict[str, Any]
+    ]:
+        """The planner entry points serving ``query``, shared by plan and explain.
 
-    def _join_tables(self, query: Query) -> dict[str, Table | PartitionedTable]:
-        """The catalog view join planning resolves table names against.
-
-        Partitioned tables participate: when any joined table is
-        partitioned, :meth:`_plan` routes to the planner's partition-wise
-        join selection (co-partitioned, broadcast or repartition exchange
-        shapes); genuinely unsupported layouts are rejected there with an
-        actionable error.
+        Returns the ``choose*`` method, its ``candidate_*`` twin, their
+        first argument -- the table, or for joins the catalog the planner
+        resolves table names against -- and the extra options both take.
+        A join touching any partitioned table plans partition-wise
+        (co-partitioned, broadcast or repartition exchange shapes);
+        genuinely unsupported layouts are rejected there with an actionable
+        error.
         """
-        for name in query.tables:
-            self.table(name)  # raise the canonical unknown-table error
-        return dict(self.tables)
+        planner = self.planner
+        # self.table() raises the canonical unknown-table error.
+        chain = [self.table(name) for name in query.tables]
+        partitioned = any(isinstance(table, PartitionedTable) for table in chain)
+        if query.joins:
+            catalog = dict(self.tables)
+            if partitioned:
+                return (
+                    planner.choose_partitioned_join,
+                    planner.candidate_partitioned_join_plans,
+                    catalog,
+                    {"enable_repartition": self.enable_repartition},
+                )
+            return planner.choose_join, planner.candidate_join_plans, catalog, {}
+        if partitioned:
+            return (
+                planner.choose_partitioned,
+                planner.candidate_partitioned_plans,
+                chain[0],
+                {},
+            )
+        return planner.choose, planner.candidate_plans, chain[0], {}
 
     def _validate_query(self, query: Query, projection: Sequence[str] | None) -> None:
         """Check table names, column collisions and the projection.
@@ -625,32 +599,8 @@ class Database:
         (ambiguous columns, unknown projection) fails here the same way.
         """
         self._validate_query(query, query.projection)
-        if query.joins:
-            joined = self._join_tables(query)
-            if any(
-                isinstance(joined[name], PartitionedTable)
-                for name in query.tables
-            ):
-                plans = self.planner.candidate_partitioned_join_plans(
-                    joined,
-                    query,
-                    limit=query.limit,
-                    enable_repartition=self.enable_repartition,
-                )
-            else:
-                plans = self.planner.candidate_join_plans(
-                    joined, query, limit=query.limit
-                )
-        else:
-            target = self.table(query.table)
-            if isinstance(target, PartitionedTable):
-                plans = self.planner.candidate_partitioned_plans(
-                    target, query, limit=query.limit
-                )
-            else:
-                plans = self.planner.candidate_plans(
-                    target, query, limit=query.limit
-                )
+        _choose, candidates, target, options = self._planner_route(query)
+        plans = candidates(target, query, limit=query.limit, **options)
         return [
             {
                 "method": plan.method,
@@ -726,17 +676,21 @@ class Database:
         device_snaps = self._device_snapshots(target)
         pool_before = self.buffer_pool.stats.dirty_evictions
         affected = 0
-        transaction = self.transactions.begin()
+        # Begun with the first row of each batch, so no transaction is left
+        # open when the input is empty or ends exactly on a batch boundary.
+        transaction: Transaction | None = None
         for row in rows:
             rid = target.insert_row(row)
+            if transaction is None:
+                transaction = self.transactions.begin()
             transaction.log("insert", {"table": table, "rid": (rid.page_no, rid.slot)})
             for cm in self._maintained_cms(target, row):
                 transaction.log("cm_update", {"cm": cm.name}, size_bytes=32)
             affected += 1
             if batch_size and affected % batch_size == 0:
                 transaction.commit(two_phase=two_phase_commit)
-                transaction = self.transactions.begin()
-        if not transaction.closed and transaction.records:
+                transaction = None
+        if transaction is not None:
             transaction.commit(two_phase=two_phase_commit)
         io = self._fold_device_windows(self.disk.window_since(before), device_snaps)
         return MaintenanceResult(

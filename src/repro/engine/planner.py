@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, TypeVar
 
 if TYPE_CHECKING:
     from repro.core.correlation_map import CorrelationMap
@@ -135,7 +135,7 @@ FORCE_METHODS = (
     "cm_scan",
 )
 
-#: Names accepted by ``force_join=`` arguments.
+#: Names accepted by ``force_join=`` arguments: the join operators' names.
 FORCE_JOIN_METHODS = (
     "nested_loop_join",
     "index_nested_loop_join",
@@ -143,28 +143,60 @@ FORCE_JOIN_METHODS = (
     "sort_merge_join",
 )
 
-#: Operator class implementing each forced join strategy.
-_FORCE_JOIN_OPERATORS = {
-    "nested_loop_join": NestedLoopJoin,
-    "index_nested_loop_join": IndexNestedLoopJoin,
-    "hash_join": HashJoin,
-    "sort_merge_join": SortMergeJoin,
-}
-
 
 @dataclass(frozen=True)
 class _RawScan:
     """One applicable access path before LIMIT-aware costing.
 
-    The raw candidates are shared between single-table planning, join-driver
-    selection and the decorator layer, so the Section 4 formulas are
-    evaluated exactly once per path.
+    Every scan chooser starts from these -- single-table planning directly,
+    join-driver selection and partition fan-out through
+    :meth:`Planner._best_scan` -- and the LIMIT only enters afterwards, in
+    :meth:`Planner._scan_node`.
     """
 
     path: AccessPath
     structure: str
     split: CostSplit
     unlimited_ms: float
+
+
+_Node = TypeVar("_Node", bound=PlanNode)
+
+
+def _stamp(
+    node: _Node,
+    *,
+    rows: float | None = None,
+    pages: float | None = None,
+    split: CostSplit | None = None,
+    cost: float | None = None,
+    structure: str | None = None,
+) -> _Node:
+    """Write the planner's estimates onto ``node`` -- only the ones given."""
+    if rows is not None:
+        node.est_rows = rows
+    if pages is not None:
+        node.est_pages = pages
+    if split is not None:
+        node.cost_split = split
+    if cost is not None:
+        node.est_cost_ms = cost
+    if structure is not None:
+        node.structure = structure
+    return node
+
+
+def _piped(structure: str, node: PlanNode) -> str:
+    """The EXPLAIN pipeline text ``structure`` with ``node`` stacked on top."""
+    return f"{structure} -> {node.name}({node.describe_detail()})"
+
+
+def _check_forced(force: str | None, force_join: str | None = None) -> None:
+    """Reject ``force=`` / ``force_join=`` names the planner does not know."""
+    if force is not None and force not in FORCE_METHODS:
+        raise ValueError(f"unknown access method {force!r}")
+    if force_join is not None and force_join not in FORCE_JOIN_METHODS:
+        raise ValueError(f"unknown join method {force_join!r}")
 
 
 class Planner:
@@ -291,31 +323,50 @@ class Planner:
             cost = raw.unlimited_ms
         else:
             cost = limited_cost(raw.split, est_rows, limit)
-        node = ScanNode(raw.path)
-        node.structure = raw.structure
-        node.cost_split = raw.split
-        node.est_cost_ms = cost
-        node.est_rows = est_rows
-        node.est_pages = self._est_pages(raw.split, table)
-        return node
-
-    def _est_pages(self, split: CostSplit, table: Table) -> float:
-        """Rough page estimate: the streaming cost re-read as sequential pages."""
-        if self.hardware.seq_page_cost_ms <= 0:
-            return float(table.num_pages)
-        return min(
-            float(table.num_pages), split.streaming_ms / self.hardware.seq_page_cost_ms
+        # Rough page estimate: the streaming cost re-read as sequential pages.
+        pages = float(table.num_pages)
+        if self.hardware.seq_page_cost_ms > 0:
+            pages = min(pages, raw.split.streaming_ms / self.hardware.seq_page_cost_ms)
+        return _stamp(
+            ScanNode(raw.path),
+            rows=est_rows,
+            pages=pages,
+            split=raw.split,
+            cost=cost,
+            structure=raw.structure,
         )
 
-    def _candidate_scan_plans(
-        self, table: Table, predicates: PredicateSet, *, limit: int | None = None
-    ) -> list[ScanNode]:
-        """Bare (undecorated) scan candidates -- also the join-driver pool."""
+    def _cheapest(self, plans: Sequence[_Node], force: str | None) -> _Node:
+        """The best-ranked plan -- among those using the forced method, if any."""
+        if force is not None:
+            plans = [plan for plan in plans if plan.method == force]
+            if not plans:
+                raise ValueError(f"no applicable plan for forced method {force!r}")
+        return min(plans, key=self.plan_rank)
+
+    def _best_scan(
+        self,
+        table: Table,
+        predicates: PredicateSet,
+        *,
+        force: str | None,
+        limit: int | None,
+    ) -> ScanNode:
+        """The cheapest (or forced) bare scan of one table or partition child.
+
+        The one leaf chooser behind every multi-input plan: a join's driving
+        path, each surviving partition of a fan-out, and the build side a
+        broadcast or repartition scans once.  Raises :class:`ValueError`
+        when the forced method does not apply to this table.
+        """
+        if force == "pipelined_index_scan":
+            return self._pipelined_plan(table, predicates)
         est_rows = table.estimate_matching_rows(predicates)
-        return [
+        scans = [
             self._scan_node(table, raw, est_rows, limit)
             for raw in self._raw_scan_candidates(table, predicates)
         ]
+        return self._cheapest(scans, force)
 
     def candidate_plans(
         self,
@@ -335,8 +386,6 @@ class Planner:
         -- an aggregate, or an ORDER BY its stream does not already satisfy
         -- is costed for the full input drain instead.
         """
-        if projection is None:
-            projection = query.projection
         est_rows = table.estimate_matching_rows(query.predicates)
         plans = []
         for raw in self._raw_scan_candidates(table, query.predicates):
@@ -347,16 +396,7 @@ class Planner:
             blocking = query.aggregate is not None or sort_needed
             node = self._scan_node(table, raw, est_rows, None if blocking else limit)
             plans.append(
-                self._decorate(
-                    node,
-                    query,
-                    limit=limit,
-                    projection=projection,
-                    input_rows=est_rows,
-                    input_ordering=ordering,
-                    tables=[table],
-                    disk=table.buffer_pool.disk,
-                )
+                self._decorate(node, query, limit, projection, ordering, [table])
             )
         return plans
 
@@ -447,27 +487,35 @@ class Planner:
         self,
         node: PlanNode,
         query: Query,
-        *,
         limit: int | None,
         projection: Sequence[str] | None,
-        input_rows: float,
-        input_ordering: Sequence[tuple[Any, bool]],
+        ordering: Sequence[tuple[Any, bool]],
         tables: Sequence[AnyTable],
-        disk: DiskModel | None,
     ) -> PlanNode:
         """Stack Aggregate/GroupBy, Sort/TopK, Limit, Project over ``node``.
 
-        Costs accumulate bottom-up: the input tree's ``est_cost_ms`` (already
-        LIMIT-aware when the pipeline streams) plus each decorator's own
-        :class:`CostSplit`.  The finished root carries the whole-tree cost
-        and the pipeline ``structure`` string.
+        ``limit``/``projection`` are the effective execution values (no
+        projection given: the query's own); ``ordering`` is the order
+        ``node``'s stream already flows in and ``tables`` the inputs beneath
+        it, the fanned-out or driving one first (its device is charged the
+        decorators' CPU).  Costs accumulate bottom-up: the input tree's
+        ``est_cost_ms`` (already LIMIT-aware when the pipeline streams) plus
+        each decorator's own :class:`CostSplit`.  The finished root carries
+        the whole-tree cost and the pipeline ``structure`` string.
         """
-        total = node.est_cost_ms if node.est_cost_ms is not None else 0.0
+        if projection is None:
+            projection = query.projection
+        total = node.estimated_cost_ms
         structure = node.structure
-        est = input_rows
-        ordering = input_ordering
+        est = node.est_rows or 0.0
         current = node
         hw = self.hardware
+        first = tables[0]
+        disk = (
+            first.disk
+            if isinstance(first, PartitionedTable)
+            else first.buffer_pool.disk
+        )
 
         if query.aggregate is not None:
             if query.grouping:
@@ -477,58 +525,60 @@ class Planner:
                     current, query.grouping, query.aggregate, disk=disk
                 )
                 est = groups
-                structure += (
-                    f" -> hash_group({', '.join(query.grouping)}: "
-                    f"{query.aggregate.output_name})"
-                )
             else:
                 split = scalar_aggregate_cost(est, hw)
                 current = AggregateNode(current, query.aggregate, disk=disk)
                 est = 1.0
-                structure += f" -> aggregate({query.aggregate.output_name})"
-            current.est_rows = est
-            current.est_pages = 0.0
-            current.cost_split = split
+            _stamp(current, rows=est, pages=0.0, split=split)
             total += split.total_ms
+            structure = _piped(structure, current)
             ordering = ()  # hash aggregation scrambles any input order
 
+        # Free ORDER BY when the stream already flows in order; otherwise a
+        # Sort, which a LIMIT fuses into a bounded top-k.
         limit_fused = False
-        if query.ordering:
-            if self._ordering_satisfied(ordering, query.ordering):
-                pass  # free ORDER BY: the stream already flows in order
-            elif limit is not None:
-                split = top_k_cost(est, limit, hw)
-                current = TopKNode(current, query.ordering, limit, disk=disk)
-                est = min(est, float(limit))
-                current.est_rows = est
-                current.est_pages = 0.0
-                current.cost_split = split
-                total += split.total_ms
-                structure += f" -> topk({current.describe_detail()})"
-                limit_fused = True
-            else:
-                split = sort_cost(est, hw)
-                current = SortNode(current, query.ordering, disk=disk)
-                current.est_rows = est
-                current.est_pages = 0.0
-                current.cost_split = split
-                total += split.total_ms
-                structure += f" -> sort({current.describe_detail()})"
+        if query.ordering and not self._ordering_satisfied(ordering, query.ordering):
+            current, split = self._order_enforcer(
+                current, query.ordering, est, limit, disk
+            )
+            est = current.est_rows or 0.0
+            total += split.total_ms
+            structure = _piped(structure, current)
+            limit_fused = limit is not None
 
         if limit is not None and not limit_fused:
-            current = LimitNode(current, limit, disk=disk)
             est = min(est, float(limit))
-            current.est_rows = est
-            current.est_pages = 0.0
+            current = _stamp(LimitNode(current, limit, disk=disk), rows=est, pages=0.0)
 
         if projection is not None:
-            current = ProjectNode(current, projection, disk=disk)
-            current.est_rows = est
-            current.est_pages = 0.0
+            current = _stamp(
+                ProjectNode(current, projection, disk=disk), rows=est, pages=0.0
+            )
 
-        current.est_cost_ms = total
-        current.structure = structure
-        return current
+        return _stamp(current, cost=total, structure=structure)
+
+    def _order_enforcer(
+        self,
+        child: PlanNode,
+        ordering: Sequence[tuple[str, bool]],
+        rows: float,
+        limit: int | None,
+        disk: DiskModel | None,
+    ) -> tuple[SortNode | TopKNode, CostSplit]:
+        """A stamped Sort over ``child`` -- a bounded top-k under a LIMIT.
+
+        The one order enforcer: :meth:`_decorate` puts it above a whole
+        plan, :meth:`_assemble_exchange` above each partition's subtree
+        (charged to that partition's device) beneath a merging exchange.
+        """
+        if limit is not None:
+            split = top_k_cost(rows, limit, self.hardware)
+            node: SortNode | TopKNode = TopKNode(child, ordering, limit, disk=disk)
+            rows = min(rows, float(limit))
+        else:
+            split = sort_cost(rows, self.hardware)
+            node = SortNode(child, ordering, disk=disk)
+        return _stamp(node, rows=rows, pages=0.0, split=split), split
 
     # -- selection (single table) ---------------------------------------------------
 
@@ -547,33 +597,20 @@ class Planner:
         them so the tree's Limit/Project nodes and the LIMIT-aware costing
         match what the execution will run.
         """
-        if force is not None and force not in FORCE_METHODS:
-            raise ValueError(f"unknown access method {force!r}")
-        if projection is None:
-            projection = query.projection
+        _check_forced(force)
         if force == "pipelined_index_scan":
             node = self._pipelined_plan(table, query.predicates)
-            if node is None:
-                raise ValueError("no secondary index available for a pipelined scan")
             return self._decorate(
-                node,
-                query,
-                limit=limit,
-                projection=projection,
-                input_rows=node.est_rows or 0.0,
-                input_ordering=node.path.output_ordering(),
-                tables=[table],
-                disk=table.buffer_pool.disk,
+                node, query, limit, projection, node.path.output_ordering(), [table]
             )
-        plans = self.candidate_plans(table, query, limit=limit, projection=projection)
-        if force is not None:
-            matching = [plan for plan in plans if plan.method == force]
-            if not matching:
-                raise ValueError(f"no applicable plan for forced method {force!r}")
-            return min(matching, key=lambda plan: plan.estimated_cost_ms)
-        return min(plans, key=self.plan_rank)
+        # Every candidate is decorated before ranking: the whole-tree costs
+        # (not the bare scans') decide, and their float sums break the ties.
+        return self._cheapest(
+            self.candidate_plans(table, query, limit=limit, projection=projection),
+            force,
+        )
 
-    def _pipelined_plan(self, table: Table, predicates: PredicateSet) -> ScanNode | None:
+    def _pipelined_plan(self, table: Table, predicates: PredicateSet) -> ScanNode:
         """The pipelined variant of the cheapest applicable sorted-index plan.
 
         Pipelined scans are never chosen by cost (the paper's point is how
@@ -583,37 +620,40 @@ class Planner:
         """
         for raw in self._raw_scan_candidates(table, predicates):
             if isinstance(raw.path, SortedIndexScan):
-                profile = table.table_profile()
-                corr = table.correlation_profile(list(raw.path.index.attributes))
-                n = self._estimate_n_lookups(table, predicates, raw.path.index.attributes)
-                cost = pipelined_lookup_cost(n, corr, profile, self.hardware)
-                node = ScanNode(
-                    PipelinedIndexScan(table, raw.path.index, predicates)
+                index = raw.path.index
+                cost = pipelined_lookup_cost(
+                    self._estimate_n_lookups(table, predicates, index.attributes),
+                    table.correlation_profile(list(index.attributes)),
+                    table.table_profile(),
+                    self.hardware,
                 )
-                node.structure = raw.structure
-                node.cost_split = CostSplit(0.0, cost)
-                node.est_cost_ms = cost
-                node.est_rows = table.estimate_matching_rows(predicates)
-                return node
-        return None
+                return _stamp(
+                    ScanNode(PipelinedIndexScan(table, index, predicates)),
+                    rows=table.estimate_matching_rows(predicates),
+                    split=CostSplit(0.0, cost),
+                    cost=cost,
+                    structure=raw.structure,
+                )
+        raise ValueError("no secondary index available for a pipelined scan")
 
     # -- selection (partitioned table) ------------------------------------------------
 
-    def _partition_scan(
-        self, partition: Table, predicates: PredicateSet, force: str | None
-    ) -> ScanNode:
-        """The cheapest (or forced) bare scan over one partition child."""
-        if force == "pipelined_index_scan":
-            node = self._pipelined_plan(partition, predicates)
-            if node is None:
-                raise ValueError("no secondary index available for a pipelined scan")
-            return node
-        candidates = self._candidate_scan_plans(partition, predicates)
-        if force is not None:
-            candidates = [plan for plan in candidates if plan.method == force]
-            if not candidates:
-                raise ValueError(f"no applicable plan for forced method {force!r}")
-        return min(candidates, key=self.plan_rank)
+    def _concat_ordering(
+        self, spec: PartitionSpec, scans: Sequence[ScanNode]
+    ) -> Sequence[tuple[Any, bool]]:
+        """The order a concatenation of per-partition scans streams in.
+
+        Under range partitioning the concatenation preserves the partition
+        key's order whenever every child already streams in key order
+        (partition *k*'s values all precede partition *k+1*'s).
+        """
+        key_order = ((spec.key, True),)
+        if spec.method == "range" and all(
+            self._ordering_satisfied(scan.path.output_ordering(), key_order)
+            for scan in scans
+        ):
+            return key_order
+        return ()
 
     def choose_partitioned(
         self,
@@ -629,148 +669,124 @@ class Planner:
         Pruning consults only the partition spec and the predicate set (see
         :meth:`repro.engine.partition.PartitionSpec.prune`) -- zero heap
         reads, like the rest of plan enumeration.  Each surviving partition
-        gets its own cheapest (or forced) access path, chosen from that
-        partition's private statistics; the :class:`ExchangeNode` then
-        concatenates the children in ascending partition order and the usual
-        decorator stack goes on top, charged to the shared device.
-
-        Under range partitioning the concatenation preserves an ORDER BY on
-        the partition key for free whenever every child already streams in
-        key order (partition *k*'s values all precede partition *k+1*'s).
+        gets the flat planner's cheapest (or forced) bare scan;
+        :meth:`_assemble_exchange` concatenates or merges the children and
+        the usual decorator stack goes on top, charged to the shared device.
         """
-        if force is not None and force not in FORCE_METHODS:
-            raise ValueError(f"unknown access method {force!r}")
-        if projection is None:
-            projection = query.projection
-        spec = table.spec
-        survivors = table.prune(query.predicates)
-        children: list[PlanNode] = [
-            self._partition_scan(table.partitions[index], query.predicates, force)
-            for index in survivors
+        _check_forced(force)
+        exchange, ordering = self._scan_exchange(
+            table,
+            query.predicates,
+            force,
+            query.ordering if query.aggregate is None else (),
+            limit,
+        )
+        return self._decorate(exchange, query, limit, projection, ordering, [table])
+
+    def _scan_exchange(
+        self,
+        table: PartitionedTable,
+        predicates: PredicateSet,
+        force: str | None,
+        required: Sequence[tuple[str, bool]],
+        limit: int | None,
+    ) -> tuple[ExchangeNode, Sequence[tuple[Any, bool]]]:
+        """Prune ``table``, scan every survivor, and put the exchange on top."""
+        survivors = table.prune(predicates)
+        scans = [
+            self._best_scan(table.partitions[i], predicates, force=force, limit=None)
+            for i in survivors
         ]
-        key_order = ((spec.key, True),)
-        ordering: Sequence[tuple[Any, bool]] = ()
-        if spec.method == "range" and all(
-            self._ordering_satisfied(child.path.output_ordering(), key_order)
-            for child in children
-        ):
-            ordering = key_order
-        child_structures = sorted({child.structure or "?" for child in children})
-        body = (
-            f"{spec.describe()}: {len(children)}/{spec.num_partitions} "
-            f"scanned via {', '.join(child_structures) if child_structures else 'none'}"
-        )
-        devices = [table.devices[index] for index in survivors]
-        exchange, input_ordering = self._assemble_exchange(
-            children,
-            devices,
-            devices,
-            spec=spec,
-            shared_disk=table.disk,
-            query=query,
-            limit=limit,
-            concat_ordering=ordering,
-            structure_body=body,
-        )
-        return self._decorate(
-            exchange,
-            query,
-            limit=limit,
-            projection=projection,
-            input_rows=exchange.est_rows or 0.0,
-            input_ordering=input_ordering,
-            tables=[table],
-            disk=table.disk,
+        return self._assemble_exchange(
+            scans,
+            [table.devices[i] for i in survivors],
+            table,
+            "scanned",
+            required,
+            limit,
+            self._concat_ordering(table.spec, scans),
         )
 
     def _assemble_exchange(
         self,
-        children: list[PlanNode],
+        children: Sequence[PlanNode],
         device_entries: Sequence["DiskModel | tuple[DiskModel, ...]"],
-        sort_devices: Sequence["DiskModel"],
-        *,
-        spec: PartitionSpec,
-        shared_disk: "DiskModel",
-        query: Query,
+        table: PartitionedTable,
+        how: str,
+        required: Sequence[tuple[str, bool]],
         limit: int | None,
         concat_ordering: Sequence[tuple[Any, bool]],
-        structure_body: str,
     ) -> tuple[ExchangeNode, Sequence[tuple[Any, bool]]]:
         """The exchange over per-partition subtrees: plain concat or k-way merge.
 
-        When the query orders its rows, the concatenation does not already
-        satisfy the ORDER BY, and at least two partitions survive, each child
-        is wrapped in a per-partition Sort (or TopK when a LIMIT bounds the
-        result -- partitioned ORDER BY + LIMIT becomes per-partition top-k)
-        charged to that partition's private device, and a
-        :class:`MergeExchangeNode` heap-merges the ordered streams instead of
-        sorting the concatenation.  The returned ordering is what the
+        ``device_entries`` holds, per child, the private device(s) its
+        subtree reads through, its own partition's first; ``table`` is the
+        fanned-out table and ``how`` says what each child does with its
+        partition in the EXPLAIN text ("scanned", "broadcast orders", ...).
+        When a ``required`` order is given that the concatenation does not
+        already provide and at least two partitions survive, each child goes
+        under the order enforcer -- per-partition Sort, or TopK when a LIMIT
+        bounds the result -- charged to that partition's private device, and
+        a :class:`MergeExchangeNode` heap-merges the ordered streams instead
+        of sorting the concatenation.  The returned ordering is what the
         exchange's output stream provides, for :meth:`_decorate` (a merge's
         output satisfies the ORDER BY outright, descending included).
         """
-        hw = self.hardware
-        est_rows = sum(child.est_rows or 0.0 for child in children)
-        est_pages = sum(child.est_pages or 0.0 for child in children)
-        base_cost = sum(child.est_cost_ms or 0.0 for child in children)
-        want_merge = (
-            bool(query.ordering)
-            and query.aggregate is None
-            and len(children) >= 2
-            and not self._ordering_satisfied(concat_ordering, query.ordering)
+        spec = table.spec
+        via = sorted({child.structure or "?" for child in children})
+        body = (
+            f"{spec.describe()}: {len(children)}/{spec.num_partitions} "
+            f"{how} via {', '.join(via) if via else 'none'}"
         )
-        if not want_merge:
-            exchange = ExchangeNode(
-                children,
-                devices=device_entries,
-                partition_key=spec.key,
-                partition_method=spec.method,
-                partitions_total=spec.num_partitions,
-            )
-            exchange.est_rows = est_rows
-            exchange.est_pages = est_pages
-            exchange.est_cost_ms = base_cost
-            exchange.structure = f"exchange[{structure_body}]"
-            return exchange, concat_ordering
-
-        wrapped: list[PlanNode] = []
-        extra_ms = 0.0
-        out_rows = 0.0
-        for child, device in zip(children, sort_devices):
-            rows = child.est_rows or 0.0
-            node: PlanNode
-            if limit is not None:
-                split = top_k_cost(rows, limit, hw)
-                node = TopKNode(child, query.ordering, limit, disk=device)
-                node.est_rows = min(rows, float(limit))
-            else:
-                split = sort_cost(rows, hw)
-                node = SortNode(child, query.ordering, disk=device)
-                node.est_rows = rows
-            node.est_pages = 0.0
-            node.cost_split = split
-            extra_ms += split.total_ms
-            out_rows += node.est_rows
-            wrapped.append(node)
-        merge_split = merge_exchange_cost(out_rows, len(wrapped), hw)
-        merge = MergeExchangeNode(
-            wrapped,
+        fan_out: dict[str, Any] = dict(
             devices=device_entries,
             partition_key=spec.key,
             partition_method=spec.method,
             partitions_total=spec.num_partitions,
-            ordering=query.ordering,
-            disk=shared_disk,
         )
-        merge.est_rows = out_rows
-        merge.est_pages = est_pages
-        merge.cost_split = merge_split
-        merge.est_cost_ms = base_cost + extra_ms + merge_split.total_ms
-        kind = "topk" if limit is not None else "sort"
-        merge.structure = (
-            f"merge_exchange[{_ordering_text(tuple(query.ordering))}; "
-            f"{structure_body}; per-partition {kind}]"
+        pages = sum(child.est_pages or 0.0 for child in children)
+        cost = sum(child.est_cost_ms or 0.0 for child in children)
+        if (
+            not required
+            or len(children) < 2
+            or self._ordering_satisfied(concat_ordering, required)
+        ):
+            concat = _stamp(
+                ExchangeNode(children, **fan_out),
+                rows=sum(child.est_rows or 0.0 for child in children),
+                pages=pages,
+                cost=cost,
+                structure=f"exchange[{body}]",
+            )
+            return concat, concat_ordering
+
+        wrapped: list[PlanNode] = []
+        sort_ms = 0.0
+        out_rows = 0.0
+        for child, entry in zip(children, device_entries):
+            node, split = self._order_enforcer(
+                child,
+                required,
+                child.est_rows or 0.0,
+                limit,
+                entry[0] if isinstance(entry, tuple) else entry,
+            )
+            sort_ms += split.total_ms
+            out_rows += node.est_rows or 0.0
+            wrapped.append(node)
+        merge_split = merge_exchange_cost(out_rows, len(wrapped), self.hardware)
+        merge = _stamp(
+            MergeExchangeNode(wrapped, ordering=required, disk=table.disk, **fan_out),
+            rows=out_rows,
+            pages=pages,
+            split=merge_split,
+            cost=cost + sort_ms + merge_split.total_ms,
+            structure=(
+                f"merge_exchange[{_ordering_text(tuple(required))}; "
+                f"{body}; per-partition {wrapped[0].name}]"
+            ),
         )
-        return merge, tuple(query.ordering)
+        return merge, tuple(required)
 
     def candidate_partitioned_plans(
         self,
@@ -786,21 +802,16 @@ class Planner:
         comes first, followed by each uniformly-forced shape that applies;
         structurally identical trees are listed once.
         """
-        plans = [
-            self.choose_partitioned(table, query, limit=limit, projection=projection)
-        ]
-        seen = {plans[0].structure}
-        for method in FORCE_METHODS:
+        plans: dict[str, PlanNode] = {}
+        for method in (None, *FORCE_METHODS):
             try:
                 plan = self.choose_partitioned(
                     table, query, force=method, limit=limit, projection=projection
                 )
             except ValueError:
-                continue
-            if plan.structure not in seen:
-                seen.add(plan.structure)
-                plans.append(plan)
-        return plans
+                continue  # this method applies to none of the partitions
+            plans.setdefault(plan.structure, plan)
+        return list(plans.values())
 
     # -- selection (partition-wise joins) ----------------------------------------------
 
@@ -808,8 +819,7 @@ class Planner:
         self,
         tables: Mapping[str, AnyTable],
         query: Query,
-        *,
-        enable_repartition: bool = True,
+        enable_repartition: bool,
     ) -> "_PartitionJoinLayout":
         """Classify a two-table join touching partitioned storage.
 
@@ -829,37 +839,23 @@ class Planner:
           column equated with the outer partition key; gated by
           ``enable_repartition`` (``Database.enable_repartition``).
         """
-        names = list(query.tables)
-        if len(names) != 2:
+        if len(query.tables) != 2:
             raise ValueError(
                 "joins over partitioned tables support exactly two tables; "
-                f"{query.describe()!r} joins {len(names)}"
+                f"{query.describe()!r} joins {len(query.tables)}"
             )
-        edges = self._join_edges(tables, query)
-        driving, other = names
-        outer_name = (
-            driving
-            if isinstance(tables[driving], PartitionedTable)
-            else other
-        )
-        inner_name = other if outer_name == driving else driving
-        pairs: list[tuple[str, str]] = []
-        for a, ca, b, cb in edges:
-            if a == outer_name and b == inner_name:
-                pairs.append((ca, cb))
-            elif a == inner_name and b == outer_name:
-                pairs.append((cb, ca))
-        if not pairs:
-            raise ValueError(
-                f"join graph of {query.describe()!r} is not connected: every "
-                "joined table needs an equality linking it to the chain"
-            )
-        outer = tables[outer_name]
+        outer_name, inner_name = query.tables
+        if not isinstance(tables[outer_name], PartitionedTable):
+            outer_name, inner_name = inner_name, outer_name
+        # With two tables every edge links the driving table to the other
+        # (and a join step always has at least one key pair).
+        pairs = [
+            (ca, cb) if a == outer_name else (cb, ca)
+            for a, ca, _b, cb in self._join_edges(tables, query)
+        ]
+        outer, inner = tables[outer_name], tables[inner_name]
         assert isinstance(outer, PartitionedTable)
-        inner = tables[inner_name]
         spec = outer.spec
-        outer_local = self._local_predicates(query, outer_name)
-        inner_local = self._local_predicates(query, inner_name)
         shapes: list[str] = []
         if (
             isinstance(inner, PartitionedTable)
@@ -869,17 +865,11 @@ class Planner:
             shapes.append("co_partitioned")
         if isinstance(inner, Table):
             shapes.append("broadcast")
-        route_column = next(
-            (ic for oc, ic in pairs if oc == spec.key), None
-        )
-        if (
-            route_column is not None
-            and "co_partitioned" not in shapes
-            and enable_repartition
-        ):
+        routable = any(outer_column == spec.key for outer_column, _inner in pairs)
+        if routable and "co_partitioned" not in shapes and enable_repartition:
             shapes.append("repartition")
         if not shapes:
-            if route_column is not None and not enable_repartition:
+            if routable:
                 raise ValueError(
                     f"cannot join partitioned table {outer_name!r} with "
                     f"{inner_name!r}: the partition layouts are incompatible "
@@ -892,228 +882,66 @@ class Planner:
                 f"compatible partition keys nor the partition key "
                 f"{spec.key!r}, and the build side is not a flat table"
             )
+        outer_local = self._local_predicates(query, outer_name)
         return _PartitionJoinLayout(
-            outer_name=outer_name,
-            inner_name=inner_name,
             outer=outer,
             inner=inner,
             pairs=pairs,
             outer_local=outer_local,
-            inner_local=inner_local,
+            inner_local=self._local_predicates(query, inner_name),
             survivors=tuple(outer.prune(outer_local)),
             shapes=tuple(shapes),
         )
 
-    @staticmethod
-    def _filter_join_candidates(
-        candidates: list["_StepCandidate"], force_join: str | None
-    ) -> list["_StepCandidate"]:
-        """The subset of step candidates a forced join method permits."""
-        if force_join is None:
-            return candidates
-        if force_join == "nested_loop_join":
-            return [c for c in candidates if c.strategy == "seq_scan"]
-        if force_join == "index_nested_loop_join":
-            return [
-                c
-                for c in candidates
-                if c.kind == "probe" and c.strategy != "seq_scan"
-            ]
-        if force_join == "hash_join":
-            return [c for c in candidates if c.kind == "hash"]
-        if force_join == "sort_merge_join":
-            return [c for c in candidates if c.kind == "merge"]
-        raise ValueError(f"unknown join method {force_join!r}")
+    def _build_sides(
+        self, layout: "_PartitionJoinLayout", shape: str
+    ) -> tuple[list[PlanNode], float]:
+        """One build input per surviving outer partition, scanned only once.
 
-    def _partition_join_plan(
-        self,
-        layout: "_PartitionJoinLayout",
-        shape: str,
-        query: Query,
-        *,
-        force: str | None,
-        force_join: str | None,
-        limit: int | None,
-        projection: Sequence[str] | None,
-    ) -> PlanNode:
-        """One decorated partition-wise join plan of the requested shape."""
+        A single fill plan reads the build side and hangs under the first
+        partition's node.  ``broadcast`` replicates its rows to every
+        partition's hash join through a shared cache; ``repartition``
+        hash-splits them into the outer layout by the join column equated
+        with the outer partition key.  Also returns the shape-level cost --
+        the fill scan plus its distribution -- paid once, not per partition.
+        """
         outer, inner = layout.outer, layout.inner
-        spec = outer.spec
-        hw = self.hardware
-        pairs = layout.pairs
-        outer_columns = [oc for oc, _ic in pairs]
-        inner_columns = [ic for _oc, ic in pairs]
-        key_order = ((spec.key, True),)
-
-        if shape in ("broadcast", "repartition") and force_join not in (
-            None,
-            "hash_join",
-        ):
-            raise ValueError(
-                f"the {shape} shape only supports hash_join, not {force_join!r}"
-            )
-
-        # The single fill plan (broadcast source, repartition source) plus
-        # the shape-level cost paid once rather than per partition.
-        fill: PlanNode | None = None
-        extra_ms = 0.0
-        broadcast_cache: "_BroadcastCache | None" = None
-        repartition_cache: "_RepartitionCache | None" = None
-        route_column: str | None = None
-        est_fill_rows = 0.0
+        spec, hw = outer.spec, self.hardware
+        fill: PlanNode
+        if isinstance(inner, PartitionedTable):
+            fill, _ = self._scan_exchange(inner, layout.inner_local, None, (), None)
+        else:
+            fill = self._best_scan(inner, layout.inner_local, force=None, limit=None)
+        fill_rows = fill.est_rows or 0.0
+        builds: list[PlanNode] = []
         if shape == "broadcast":
-            assert isinstance(inner, Table)
-            fill = min(
-                self._candidate_scan_plans(inner, layout.inner_local),
-                key=self.plan_rank,
+            shape_split = broadcast_cost(
+                fill.estimated_cost_ms, fill_rows, max(1, len(layout.survivors)), hw
             )
-            est_fill_rows = fill.est_rows or 0.0
-            extra_ms = broadcast_cost(
-                fill.est_cost_ms or 0.0,
-                est_fill_rows,
-                max(1, len(layout.survivors)),
-                hw,
-            ).total_ms
+            build_rows = fill_rows
             broadcast_cache = _BroadcastCache()
-        elif shape == "repartition":
-            route_column = next(ic for oc, ic in pairs if oc == spec.key)
-            if isinstance(inner, PartitionedTable):
-                inner_survivors = inner.prune(layout.inner_local)
-                inner_children = [
-                    self._partition_scan(
-                        inner.partitions[index], layout.inner_local, None
-                    )
-                    for index in inner_survivors
-                ]
-                fill = ExchangeNode(
-                    inner_children,
-                    devices=[inner.devices[index] for index in inner_survivors],
-                    partition_key=inner.spec.key,
-                    partition_method=inner.spec.method,
-                    partitions_total=inner.spec.num_partitions,
-                )
-                fill.est_rows = sum(c.est_rows or 0.0 for c in inner_children)
-                fill.est_pages = sum(c.est_pages or 0.0 for c in inner_children)
-                fill.est_cost_ms = sum(
-                    c.est_cost_ms or 0.0 for c in inner_children
-                )
-            else:
-                fill = min(
-                    self._candidate_scan_plans(inner, layout.inner_local),
-                    key=self.plan_rank,
-                )
-            est_fill_rows = fill.est_rows or 0.0
-            extra_ms = repartition_cost(
-                fill.est_cost_ms or 0.0,
-                est_fill_rows,
-                est_fill_rows / max(1, inner.tups_per_page),
-                hw,
-            ).total_ms
-            repartition_cache = _RepartitionCache()
-
-        selectivity = 1.0
-        if layout.inner_local:
-            selectivity = inner.statistics.match_fraction(
-                layout.inner_local.matches, key=tuple(layout.inner_local)
-            )
-        children: list[PlanNode] = []
-        device_entries: list["DiskModel | tuple[DiskModel, ...]"] = []
-        sort_devices: list["DiskModel"] = []
-        concat_ordered = spec.method == "range"
-        for position, index in enumerate(layout.survivors):
-            outer_scan = self._partition_scan(
-                outer.partitions[index], layout.outer_local, force
-            )
-            est_rows = outer_scan.est_rows or 0.0
-            outer_key_card = float(
-                outer.partitions[index].key_cardinality(outer_columns)
-            )
-            operator: JoinOperator
-            if shape == "co_partitioned":
-                assert isinstance(inner, PartitionedTable)
-                inner_child = inner.partitions[index]
-                child_selectivity = (
-                    inner_child.statistics.match_fraction(
-                        layout.inner_local.matches,
-                        key=tuple(layout.inner_local),
-                    )
-                    if layout.inner_local
-                    else 1.0
-                )
-                step = _JoinStep(
-                    table=inner_child,
-                    join_on=list(pairs),
-                    local=layout.inner_local,
-                    options=self._inner_strategy_options(
-                        inner_child, inner_columns
-                    ),
-                    fanout=join_fanout(
-                        inner_child.num_rows,
-                        outer_key_card,
-                        float(inner_child.key_cardinality(inner_columns)),
-                    ),
-                    selectivity=child_selectivity,
-                    est_inner_rows=inner_child.num_rows * child_selectivity,
-                    inner_sorted=(
-                        len(inner_columns) == 1
-                        and inner_child.clustered_attribute == inner_columns[0]
-                        and not inner_child.tail_pages()
-                    ),
-                )
-                outer_sorted = len(pairs) == 1 and self._ordering_satisfied(
-                    outer_scan.path.output_ordering(), ((pairs[0][0], True),)
-                )
-                candidates = self._filter_join_candidates(
-                    self._step_candidates(step, est_rows, outer_sorted),
-                    force_join,
-                )
-                if not candidates:
-                    raise ValueError(
-                        "no applicable plan for forced join method "
-                        f"{force_join!r}"
-                    )
-                chosen = min(candidates, key=lambda c: c.split.total_ms)
-                rows_after = est_rows * step.fanout * step.selectivity
-                operator = self._build_step_operator(
-                    outer_scan, step, chosen, rows_after
-                )
-                split = chosen.split
-                pages = float(inner_child.num_pages) if chosen.kind in (
-                    "hash",
-                    "merge",
-                ) else 0.0
-                # Probe-family steps and an inner-built hash preserve the
-                # outer stream's order; a merge or an outer-built hash
-                # scrambles the concatenation's partition-key order.
-                if chosen.kind == "merge" or (
-                    chosen.kind == "hash" and chosen.build_side == "outer"
-                ):
-                    concat_ordered = False
-                device_entries.append(
-                    (outer.devices[index], inner.devices[index])
-                )
-            else:
-                fanout = join_fanout(
-                    inner.num_rows,
-                    outer_key_card,
-                    float(inner.key_cardinality(inner_columns)),
-                )
-                rows_after = est_rows * fanout * selectivity
-                if shape == "broadcast":
-                    assert broadcast_cache is not None and fill is not None
-                    build: PlanNode = BroadcastNode(
+            for index in layout.survivors:
+                builds.append(
+                    BroadcastNode(
                         broadcast_cache,
                         cpu_disk=outer.devices[index],
                         table_name=inner.name,
-                        source=fill if position == 0 else None,
+                        source=None if builds else fill,
                     )
-                    build.est_rows = est_fill_rows
-                    build.est_pages = 0.0
-                    build_rows = est_fill_rows
-                else:
-                    assert repartition_cache is not None
-                    assert fill is not None and route_column is not None
-                    build = RepartitionNode(
+                )
+        else:
+            shape_split = repartition_cost(
+                fill.estimated_cost_ms,
+                fill_rows,
+                fill_rows / max(1, inner.tups_per_page),
+                hw,
+            )
+            build_rows = fill_rows / max(1, spec.num_partitions)
+            repartition_cache = _RepartitionCache()
+            route_column = next(ic for oc, ic in layout.pairs if oc == spec.key)
+            for index in layout.survivors:
+                builds.append(
+                    RepartitionNode(
                         repartition_cache,
                         partition_index=index,
                         spec=spec,
@@ -1122,11 +950,110 @@ class Planner:
                         cpu_disk=outer.devices[index],
                         disk=outer.disk,
                         tups_per_page=inner.tups_per_page,
-                        source=fill if position == 0 else None,
+                        source=None if builds else fill,
                     )
-                    build_rows = est_fill_rows / max(1, spec.num_partitions)
-                    build.est_rows = build_rows
-                    build.est_pages = 0.0
+                )
+        for build in builds:
+            _stamp(build, rows=build_rows, pages=0.0)
+        return builds, shape_split.total_ms
+
+    def _partition_join_plan(
+        self,
+        layout: "_PartitionJoinLayout",
+        shape: str,
+        query: Query,
+        force: str | None,
+        force_join: str | None,
+        limit: int | None,
+        projection: Sequence[str] | None,
+    ) -> PlanNode:
+        """One decorated partition-wise join plan of the requested shape.
+
+        ``co_partitioned`` joins partition *k* of the outer with partition
+        *k* of the inner as one flat join step (:meth:`_join_step`), run by
+        its cheapest -- or the forced -- operator; the other shapes hash-join
+        every outer partition with its :meth:`_build_sides` input.
+        """
+        outer, inner, pairs = layout.outer, layout.inner, layout.pairs
+        co_partitioned = shape == "co_partitioned"
+        if not co_partitioned and force_join not in (None, "hash_join"):
+            raise ValueError(
+                f"the {shape} shape only supports hash_join, not {force_join!r}"
+            )
+        hw = self.hardware
+        # Each partition's scan is chosen from its private statistics, so
+        # access methods may differ across partitions.
+        outer_scans = [
+            self._best_scan(
+                outer.partitions[i], layout.outer_local, force=force, limit=None
+            )
+            for i in layout.survivors
+        ]
+        outer_columns = [outer_column for outer_column, _inner in pairs]
+        outer_devices = [outer.devices[i] for i in layout.survivors]
+        device_entries: Sequence["DiskModel | tuple[DiskModel, ...]"] = outer_devices
+        shape_ms = 0.0
+        if co_partitioned:
+            assert isinstance(inner, PartitionedTable)
+            inner_partitions = inner.partitions
+            device_entries = list(
+                zip(outer_devices, (inner.devices[i] for i in layout.survivors))
+            )
+            how = f"co-partitioned with {inner.name}"
+        else:
+            how = f"{shape} {inner.name}"
+            builds, shape_ms = self._build_sides(layout, shape)
+            inner_cardinality = float(
+                inner.key_cardinality([inner_column for _outer, inner_column in pairs])
+            )
+            selectivity = (
+                inner.statistics.match_fraction(
+                    layout.inner_local.matches, key=tuple(layout.inner_local)
+                )
+                if layout.inner_local
+                else 1.0
+            )
+        children: list[PlanNode] = []
+        order_kept = True
+        for position, (index, outer_scan) in enumerate(
+            zip(layout.survivors, outer_scans)
+        ):
+            est_rows = outer_scan.est_rows or 0.0
+            outer_cardinality = float(
+                outer.partitions[index].key_cardinality(outer_columns)
+            )
+            operator: JoinOperator
+            if co_partitioned:
+                step = self._join_step(
+                    inner_partitions[index],
+                    pairs,
+                    layout.inner_local,
+                    outer_cardinality,
+                )
+                chosen = self._choose_step(step, est_rows, outer_scan, force_join)
+                if chosen is None:
+                    raise ValueError(
+                        f"no applicable plan for forced join method {force_join!r}"
+                    )
+                rows_after = est_rows * step.fanout * step.selectivity
+                operator = self._build_step_operator(
+                    outer_scan, step, chosen, rows_after
+                )
+                split = chosen.split
+                inner_pages = (
+                    0.0 if chosen.kind == "probe" else float(step.table.num_pages)
+                )
+                # Probe-family steps and an inner-built hash preserve the
+                # outer stream's order; a merge or an outer-built hash
+                # scrambles the concatenation's partition-key order.
+                if chosen.kind == "merge" or chosen.build_side == "outer":
+                    order_kept = False
+            else:
+                build = builds[position]
+                fanout = join_fanout(
+                    inner.num_rows, outer_cardinality, inner_cardinality
+                )
+                rows_after = est_rows * fanout * selectivity
                 operator = HashJoin(
                     outer_scan,
                     build,
@@ -1135,63 +1062,64 @@ class Planner:
                     inner_label=f"{shape}({inner.name})",
                 )
                 split = CostSplit(
-                    upfront_ms=build_rows * hw.cpu_tuple_cost_ms,
+                    upfront_ms=(build.est_rows or 0.0) * hw.cpu_tuple_cost_ms,
                     streaming_ms=est_rows * hw.cpu_tuple_cost_ms,
                 )
-                pages = 0.0
-                device_entries.append(outer.devices[index])
-            if concat_ordered and not self._ordering_satisfied(
-                outer_scan.path.output_ordering(), key_order
-            ):
-                concat_ordered = False
-            operator.est_rows = rows_after
-            operator.cost_split = split
-            operator.est_pages = (outer_scan.est_pages or 0.0) + pages
-            operator.est_cost_ms = (
-                (outer_scan.est_cost_ms or 0.0) + split.total_ms
+                inner_pages = 0.0
+            children.append(
+                _stamp(
+                    operator,
+                    rows=rows_after,
+                    pages=(outer_scan.est_pages or 0.0) + inner_pages,
+                    split=split,
+                    cost=outer_scan.estimated_cost_ms + split.total_ms,
+                    structure=_piped(outer_scan.structure, operator),
+                )
             )
-            operator.structure = (
-                f"{outer_scan.structure} -> "
-                f"{operator.name}({operator.describe_detail()})"
-            )
-            children.append(operator)
-            sort_devices.append(outer.devices[index])
-
-        child_structures = sorted(
-            {child.structure or "?" for child in children}
-        )
-        shape_label = {
-            "co_partitioned": f"co-partitioned with {inner.name}",
-            "broadcast": f"broadcast {inner.name}",
-            "repartition": f"repartition {inner.name}",
-        }[shape]
-        body = (
-            f"{spec.describe()}: {len(children)}/{spec.num_partitions} "
-            f"{shape_label} via "
-            f"{', '.join(child_structures) if child_structures else 'none'}"
-        )
-        exchange, input_ordering = self._assemble_exchange(
+        exchange, ordering = self._assemble_exchange(
             children,
             device_entries,
-            sort_devices,
-            spec=spec,
-            shared_disk=outer.disk,
-            query=query,
-            limit=limit,
-            concat_ordering=key_order if concat_ordered else (),
-            structure_body=body,
+            outer,
+            how,
+            query.ordering if query.aggregate is None else (),
+            limit,
+            self._concat_ordering(outer.spec, outer_scans) if order_kept else (),
         )
-        exchange.est_cost_ms = (exchange.est_cost_ms or 0.0) + extra_ms
+        exchange.est_cost_ms = exchange.estimated_cost_ms + shape_ms
         return self._decorate(
-            exchange,
-            query,
-            limit=limit,
-            projection=projection,
-            input_rows=exchange.est_rows or 0.0,
-            input_ordering=input_ordering,
-            tables=[outer, inner],
-            disk=outer.disk,
+            exchange, query, limit, projection, ordering, [outer, inner]
         )
+
+    def _partition_join_plans(
+        self,
+        tables: Mapping[str, AnyTable],
+        query: Query,
+        force: str | None,
+        force_join: str | None,
+        limit: int | None,
+        projection: Sequence[str] | None,
+        enable_repartition: bool,
+    ) -> list[PlanNode]:
+        """One plan per exchange shape that applies and survives the forcing.
+
+        See :meth:`_partition_join_layout` for the shapes; when the forcing
+        rules every shape out, the first shape's reason is raised.
+        """
+        layout = self._partition_join_layout(tables, query, enable_repartition)
+        plans: list[PlanNode] = []
+        errors: list[str] = []
+        for shape in layout.shapes:
+            try:
+                plans.append(
+                    self._partition_join_plan(
+                        layout, shape, query, force, force_join, limit, projection
+                    )
+                )
+            except ValueError as error:
+                errors.append(str(error))
+        if not plans:
+            raise ValueError(errors[0])
+        return plans
 
     def choose_partitioned_join(
         self,
@@ -1211,36 +1139,10 @@ class Planner:
         costed; selection picks the cheapest by :meth:`plan_rank`, exactly
         as flat join planning picks among its strategy shapes.
         """
-        if force is not None and force not in FORCE_METHODS:
-            raise ValueError(f"unknown access method {force!r}")
-        if force_join is not None and force_join not in FORCE_JOIN_METHODS:
-            raise ValueError(f"unknown join method {force_join!r}")
-        if projection is None:
-            projection = query.projection
-        layout = self._partition_join_layout(
-            tables, query, enable_repartition=enable_repartition
+        _check_forced(force, force_join)
+        plans = self._partition_join_plans(
+            tables, query, force, force_join, limit, projection, enable_repartition
         )
-        plans: list[PlanNode] = []
-        errors: list[str] = []
-        for shape in layout.shapes:
-            try:
-                plans.append(
-                    self._partition_join_plan(
-                        layout,
-                        shape,
-                        query,
-                        force=force,
-                        force_join=force_join,
-                        limit=limit,
-                        projection=projection,
-                    )
-                )
-            except ValueError as error:
-                errors.append(str(error))
-        if not plans:
-            raise ValueError(
-                errors[0] if errors else "no applicable partition-wise join plan"
-            )
         return min(plans, key=self.plan_rank)
 
     def candidate_partitioned_join_plans(
@@ -1253,30 +1155,9 @@ class Planner:
         enable_repartition: bool = True,
     ) -> list[PlanNode]:
         """Every applicable partition-wise join shape, for ``Database.explain``."""
-        layout = self._partition_join_layout(
-            tables, query, enable_repartition=enable_repartition
+        return self._partition_join_plans(
+            tables, query, None, None, limit, projection, enable_repartition
         )
-        plans: list[PlanNode] = []
-        seen: set[str] = set()
-        for shape in layout.shapes:
-            try:
-                plan = self._partition_join_plan(
-                    layout,
-                    shape,
-                    query,
-                    force=None,
-                    force_join=None,
-                    limit=limit,
-                    projection=projection,
-                )
-            except ValueError:
-                continue
-            if plan.structure not in seen:
-                seen.add(plan.structure)
-                plans.append(plan)
-        if not plans:
-            raise ValueError("no applicable partition-wise join plan")
-        return plans
 
     #: Tie-break order when estimated costs are equal (which happens when all
     #: alternatives clamp to the scan cost on small tables): prefer the more
@@ -1323,8 +1204,6 @@ class Planner:
         every shape per the query.  All cardinalities come from reservoir
         samples; enumeration never reads a heap page.
         """
-        if projection is None:
-            projection = query.projection
         edges = self._join_edges(tables, query)
         orders = self._left_deep_orders(query.tables, edges)
         if not orders:
@@ -1332,25 +1211,23 @@ class Planner:
                 f"join graph of {query.describe()!r} is not connected: every "
                 "joined table needs an equality linking it to the chain"
             )
-        plans: list[PlanNode] = []
-        seen: set[str] = set()
-        selectors = ("best", *FORCE_JOIN_METHODS)
+        plans: dict[str, PlanNode] = {}
         for order in orders:
             analysis = self._analyze_order(
                 tables, query, order, edges, force=force, limit=limit
             )
             if analysis is None:
                 continue
-            for selector in selectors:
+            # ``None``: the cheapest operator per step; then the pure shapes.
+            for selector in (None, *FORCE_JOIN_METHODS):
                 plan = self._build_order_plan(
                     analysis, selector, limit, query, projection
                 )
-                if plan is not None and plan.structure not in seen:
-                    seen.add(plan.structure)
-                    plans.append(plan)
+                if plan is not None:
+                    plans.setdefault(plan.structure, plan)
         if not plans:
             raise ValueError(f"no applicable join plan for forced method {force!r}")
-        return plans
+        return list(plans.values())
 
     def choose_join(
         self,
@@ -1372,17 +1249,15 @@ class Planner:
         that operator (so a mixed chain satisfies no baseline).  ``force``
         pins the driving table's access method, as for single-table queries.
         """
-        if force_join is not None and force_join not in FORCE_JOIN_METHODS:
-            raise ValueError(f"unknown join method {force_join!r}")
+        _check_forced(force, force_join)
         plans = self.candidate_join_plans(
             tables, query, force=force, limit=limit, projection=projection
         )
         if force_join is not None:
-            wanted = _FORCE_JOIN_OPERATORS[force_join]
             plans = [
                 plan
                 for plan in plans
-                if all(type(step) is wanted for step in plan.join_steps())
+                if all(step.name == force_join for step in plan.join_steps())
             ]
             if not plans:
                 raise ValueError(f"no applicable plan for forced join {force_join!r}")
@@ -1557,36 +1432,12 @@ class Planner:
             ]
             if not pairs:
                 return None
-            table = tables[name]
-            local = self._local_predicates(query, name)
-            inner_columns = [inner for _owner, _outer, inner in pairs]
-            fanout = join_fanout(
-                table.num_rows,
-                self._outer_key_cardinality(tables, pairs),
-                float(table.key_cardinality(inner_columns)),
-            )
-            selectivity = (
-                table.statistics.match_fraction(local.matches, key=tuple(local))
-                if local
-                else 1.0
-            )
             steps.append(
-                _JoinStep(
-                    table=table,
-                    join_on=[(outer, inner) for _owner, outer, inner in pairs],
-                    local=local,
-                    options=self._inner_strategy_options(table, inner_columns),
-                    fanout=fanout,
-                    selectivity=selectivity,
-                    est_inner_rows=table.num_rows * selectivity,
-                    # Heap order *is* join-key order when the single join
-                    # column is the clustered attribute and no unsorted tail
-                    # has grown -- the case a sort-merge join merges for free.
-                    inner_sorted=(
-                        len(inner_columns) == 1
-                        and table.clustered_attribute == inner_columns[0]
-                        and not table.tail_pages()
-                    ),
+                self._join_step(
+                    tables[name],
+                    [(outer, inner) for _owner, outer, inner in pairs],
+                    self._local_predicates(query, name),
+                    self._outer_key_cardinality(tables, pairs),
                 )
             )
 
@@ -1604,63 +1455,102 @@ class Planner:
                 driver_limit = max(1, math.ceil(limit / amplification))
         driving = tables[order[0]]
         driving_predicates = self._local_predicates(query, order[0])
-        if force == "pipelined_index_scan":
-            driving_plan = self._pipelined_plan(driving, driving_predicates)
-            driving_unlimited = driving_plan
-        else:
-
-            def cheapest(effective_limit: int | None) -> ScanNode | None:
-                return min(
-                    (
-                        plan
-                        for plan in self._candidate_scan_plans(
-                            driving, driving_predicates, limit=effective_limit
-                        )
-                        if force is None or plan.method == force
-                    ),
-                    key=self.plan_rank,
-                    default=None,
-                )
-
-            driving_plan = cheapest(driver_limit)
+        try:
+            driving_plan = self._best_scan(
+                driving, driving_predicates, force=force, limit=driver_limit
+            )
             # A shape whose blocking step (hash build of the outer, explicit
             # merge sort, a Sort/TopK/Aggregate above the chain) drains the
             # whole outer cannot lean on the LIMIT-scaled driver: it gets
             # the honest full-drain plan.
             driving_unlimited = (
-                driving_plan if driver_limit is None else cheapest(None)
+                driving_plan
+                if driver_limit is None
+                else self._best_scan(
+                    driving, driving_predicates, force=force, limit=None
+                )
             )
-        if driving_plan is None or driving_unlimited is None:
+        except ValueError:
             return None  # the forced method is inapplicable to this order's driver
-        # Sweep-style driving paths emit rows in heap (= clustered) order, so
-        # a first-step sort-merge join can skip its outer sort when the
-        # driver is clustered on that step's single outer join column.
-        outer_sorted = False
-        if steps and len(steps[0].join_on) == 1:
-            outer_column = steps[0].join_on[0][0]
-            outer_sorted = self._ordering_satisfied(
-                driving_plan.path.output_ordering(), ((outer_column, True),)
-            )
         return _OrderAnalysis(
             driving_name=order[0],
             driving_plan=driving_plan,
             driving_unlimited=driving_unlimited,
-            driving_rows=driving.estimate_matching_rows(driving_predicates),
             steps=steps,
-            first_step_outer_sorted=outer_sorted,
         )
 
-    def _step_candidates(
-        self, step: "_JoinStep", est_rows: float, outer_sorted: bool
-    ) -> list["_StepCandidate"]:
-        """Every operator the cost model can run this step with, costed.
+    def _join_step(
+        self,
+        table: Table,
+        join_on: list[tuple[str, str]],
+        local: PredicateSet,
+        outer_key_cardinality: float,
+    ) -> "_JoinStep":
+        """The costing inputs for joining ``table`` (or one partition) in.
 
+        ``join_on`` pairs are ``(outer_column, inner_column)``.  Everything
+        that touches the statistics sample -- fanout, the local predicates'
+        selectivity, the probe-family strategy options -- is computed once
+        here, for a flat join's step and for each co-partitioned pair alike.
+        """
+        inner_columns = [inner for _outer, inner in join_on]
+        selectivity = (
+            table.statistics.match_fraction(local.matches, key=tuple(local))
+            if local
+            else 1.0
+        )
+        return _JoinStep(
+            table=table,
+            join_on=join_on,
+            local=local,
+            options=self._inner_strategy_options(table, inner_columns),
+            fanout=join_fanout(
+                table.num_rows,
+                outer_key_cardinality,
+                float(table.key_cardinality(inner_columns)),
+            ),
+            selectivity=selectivity,
+            est_inner_rows=table.num_rows * selectivity,
+            # Heap order *is* join-key order when the single join column is
+            # the clustered attribute and no unsorted tail has grown -- the
+            # case a sort-merge join merges for free.
+            inner_sorted=(
+                len(inner_columns) == 1
+                and table.clustered_attribute == inner_columns[0]
+                and not table.tail_pages()
+            ),
+        )
+
+    def _choose_step(
+        self,
+        step: "_JoinStep",
+        est_rows: float,
+        outer_scan: ScanNode | None,
+        join_method: str | None,
+    ) -> "_StepCandidate | None":
+        """The cheapest operator for one step -- of ``join_method``, if given.
+
+        ``outer_scan`` is the scan feeding the step directly (``None`` for a
+        later step of a chain): sweep-style paths emit rows in heap (=
+        clustered) order, so a sort-merge join above a table clustered on
+        the step's single outer join column skips its outer sort.
+        Every operator the cost model can run the step with is costed.
         Probe-family candidates (nested-loop rescan, index-nested-loop) are
         per-outer-row work, so their whole cost is streaming; the hash build
         and the explicit merge sorts are upfront (paid before the first
         merged row), which is exactly what lets a binding LIMIT steer
         selection back towards the probe operators for tiny result budgets.
+        ``None`` when no candidate is of the requested method (only
+        ``index_nested_loop_join`` can lack one: it needs a probe structure
+        on the inner table).
         """
+        outer_sorted = (
+            outer_scan is not None
+            and len(step.join_on) == 1
+            and self._ordering_satisfied(
+                outer_scan.path.output_ordering(), ((step.join_on[0][0], True),)
+            )
+        )
         candidates: list[_StepCandidate] = []
         for strategy, per_probe, index, cm in step.options:
             if strategy == "seq_scan":
@@ -1714,37 +1604,35 @@ class Planner:
                 blocks_outer=not outer_sorted,
             )
         )
-        return candidates
+        return min(
+            (c for c in candidates if join_method is None or c.method == join_method),
+            key=lambda c: c.split.total_ms,
+            default=None,
+        )
 
     def _build_order_plan(
         self,
         analysis: "_OrderAnalysis",
-        selector: str,
+        selector: str | None,
         limit: int | None,
         query: Query,
         projection: Sequence[str] | None,
     ) -> PlanNode | None:
-        """One strategy shape over a pre-analyzed order (``selector`` picks)."""
+        """One strategy shape over a pre-analyzed order.
+
+        ``selector`` names the join method every step must use (``None``:
+        each step's cheapest); a step that cannot makes the shape ``None``.
+        """
         chosen_steps: list[_StepCandidate] = []
         #: Estimated rows flowing out of each step (last entry: chain result).
         step_rows: list[float] = []
-        est_rows = analysis.driving_rows
+        est_rows = analysis.driving_plan.est_rows or 0.0
         for position, step in enumerate(analysis.steps):
-            outer_sorted = position == 0 and analysis.first_step_outer_sorted
-            candidates = self._step_candidates(step, est_rows, outer_sorted)
-            if selector == "nested_loop_join":
-                candidates = [c for c in candidates if c.strategy == "seq_scan"]
-            elif selector == "index_nested_loop_join":
-                candidates = [
-                    c for c in candidates if c.kind == "probe" and c.strategy != "seq_scan"
-                ]
-                if not candidates:
-                    return None  # no probe structure on this inner table
-            elif selector == "hash_join":
-                candidates = [c for c in candidates if c.kind == "hash"]
-            elif selector == "sort_merge_join":
-                candidates = [c for c in candidates if c.kind == "merge"]
-            chosen_steps.append(min(candidates, key=lambda c: c.split.total_ms))
+            outer_scan = analysis.driving_plan if position == 0 else None
+            chosen = self._choose_step(step, est_rows, outer_scan, selector)
+            if chosen is None:
+                return None
+            chosen_steps.append(chosen)
             est_rows = est_rows * step.fanout * step.selectivity
             step_rows.append(est_rows)
 
@@ -1787,8 +1675,6 @@ class Planner:
         source: PlanNode = driving
         for step, chosen, rows_after in zip(analysis.steps, chosen_steps, step_rows):
             source = self._build_step_operator(source, step, chosen, rows_after)
-            source.est_rows = rows_after
-            source.cost_split = chosen.split
             parts.append(f"{source.name}[{source.describe_detail()}]")
 
         upfront_ms = sum(c.split.upfront_ms for c in chosen_steps)
@@ -1815,18 +1701,13 @@ class Planner:
             + drained_ms
             + streaming_ms * fraction
         )
-        assert isinstance(source, JoinOperator)
-        source.est_cost_ms = cost
-        source.structure = " -> ".join(parts)
         return self._decorate(
-            source,
+            _stamp(source, cost=cost, structure=" -> ".join(parts)),
             query,
-            limit=limit,
-            projection=projection,
-            input_rows=est_rows,
-            input_ordering=chain_ordering,
-            tables=[analysis.driving_plan.table, *(s.table for s in analysis.steps)],
-            disk=analysis.driving_plan.table.buffer_pool.disk,
+            limit,
+            projection,
+            chain_ordering,
+            [analysis.driving_plan.table, *(s.table for s in analysis.steps)],
         )
 
     def _build_step_operator(
@@ -1836,47 +1717,53 @@ class Planner:
         chosen: "_StepCandidate",
         rows_after: float,
     ) -> JoinOperator:
-        """Instantiate the executable operator for one chosen step candidate.
+        """The executable, stamped operator for one chosen step candidate.
 
         ``rows_after`` is the estimated rows flowing out of this step; the
         probe leaf of a tuple-at-a-time join emits exactly the step's output
         rows (one merged row per probe match), so it carries that estimate.
         """
+        operator: JoinOperator
         if chosen.kind in ("hash", "merge"):
-            inner = ScanNode(SeqScan(step.table, step.local))
-            inner.structure = "heap"
-            inner.est_rows = step.est_inner_rows
-            inner.est_pages = float(step.table.num_pages)
+            inner = _stamp(
+                ScanNode(SeqScan(step.table, step.local)),
+                rows=step.est_inner_rows,
+                pages=float(step.table.num_pages),
+                structure="heap",
+            )
             if chosen.kind == "hash":
-                return HashJoin(
+                operator = HashJoin(
                     source,
                     inner,
                     step.join_on,
                     build_side=chosen.build_side,
                     inner_label=step.table.name,
                 )
-            return SortMergeJoin(
-                source,
-                inner,
-                step.join_on,
-                inner_sorted=step.inner_sorted,
-                outer_sorted=chosen.outer_sorted,
-                inner_label=step.table.name,
-            )
-        builder = InnerPathBuilder(
-            step.table,
-            step.join_on,
-            step.local,
-            chosen.strategy,
-            index=chosen.index,
-            cm=chosen.cm,
-        )
-        if chosen.strategy == "seq_scan":
-            operator = NestedLoopJoin(source, builder)
+            else:
+                operator = SortMergeJoin(
+                    source,
+                    inner,
+                    step.join_on,
+                    inner_sorted=step.inner_sorted,
+                    outer_sorted=chosen.outer_sorted,
+                    inner_label=step.table.name,
+                )
         else:
-            operator = IndexNestedLoopJoin(source, builder, chosen.strategy)
-        operator.inner.est_rows = rows_after
-        return operator
+            builder = InnerPathBuilder(
+                step.table,
+                step.join_on,
+                step.local,
+                chosen.strategy,
+                index=chosen.index,
+                cm=chosen.cm,
+            )
+            operator = probe = (
+                NestedLoopJoin(source, builder)
+                if chosen.strategy == "seq_scan"
+                else IndexNestedLoopJoin(source, builder, chosen.strategy)
+            )
+            _stamp(probe.inner, rows=rows_after)
+        return _stamp(operator, rows=rows_after, split=chosen.split)
 
 
 @dataclass
@@ -1910,6 +1797,17 @@ class _StepCandidate:
     #: True when this step drains its whole outer input before emitting.
     blocks_outer: bool = False
 
+    @property
+    def method(self) -> str:
+        """The ``FORCE_JOIN_METHODS`` name of the operator this step runs as."""
+        if self.kind == "probe":
+            return (
+                "nested_loop_join"
+                if self.strategy == "seq_scan"
+                else "index_nested_loop_join"
+            )
+        return "hash_join" if self.kind == "hash" else "sort_merge_join"
+
 
 @dataclass
 class _OrderAnalysis:
@@ -1919,10 +1817,7 @@ class _OrderAnalysis:
     driving_plan: ScanNode
     #: The driver costed without the LIMIT, for shapes with a blocking step.
     driving_unlimited: ScanNode
-    driving_rows: float
     steps: list[_JoinStep]
-    #: Whether the driving path streams in the first step's join-key order.
-    first_step_outer_sorted: bool = False
 
 
 @dataclass
@@ -1935,8 +1830,6 @@ class _PartitionJoinLayout:
     ``(outer_column, inner_column)``, and which exchange shapes apply.
     """
 
-    outer_name: str
-    inner_name: str
     outer: PartitionedTable
     inner: AnyTable
     pairs: list[tuple[str, str]]

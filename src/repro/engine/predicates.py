@@ -24,12 +24,12 @@ class Predicate:
         raise NotImplementedError
 
     def selector(self) -> Callable[[Mapping[str, Any]], bool]:
-        """A specialised row filter equivalent to :meth:`matches`.
+        """The row filter :meth:`condition_source` calls by default.
 
-        Built once per batch pipeline and applied row by row from a C-driven
-        comprehension, so the per-row cost is a closure call on captured
-        constants instead of a method dispatch plus attribute reads.  The
-        default falls back to the bound :meth:`matches`.
+        The built-in comparisons inline their test into the compiled batch
+        kernel instead; only a predicate wrapping an opaque callable
+        (:class:`ExpressionPredicate`) overrides this hook.  The default
+        falls back to the bound :meth:`matches`.
         """
         return self.matches
 
@@ -66,10 +66,6 @@ class Equals(Predicate):
     def matches(self, row: Mapping[str, Any]) -> bool:
         return row[self.attribute] == self.value
 
-    def selector(self) -> Callable[[Mapping[str, Any]], bool]:
-        attribute, value = self.attribute, self.value
-        return lambda row: row[attribute] == value
-
     def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
         return (
             f"row[_attr{index}] == _value{index}",
@@ -101,14 +97,9 @@ class InSet(Predicate):
     def matches(self, row: Mapping[str, Any]) -> bool:
         return row[self.attribute] in self.values
 
-    def selector(self) -> Callable[[Mapping[str, Any]], bool]:
-        # Tuple containment, like matches: equality-based even for values a
-        # set could not hash.
-        attribute, values = self.attribute, self.values
-        return lambda row: row[attribute] in values
-
     def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
-        # Tuple containment, matching selector()/matches().
+        # Tuple containment, like matches(): equality-based even for values
+        # a set could not hash.
         return (
             f"row[_attr{index}] in _values{index}",
             {f"_attr{index}": self.attribute, f"_values{index}": self.values},
@@ -145,19 +136,9 @@ class Between(Predicate):
             return False
         return True
 
-    def selector(self) -> Callable[[Mapping[str, Any]], bool]:
-        # The bound checks mirror matches() exactly (including its treatment
-        # of unordered values like NaN: a failed comparison keeps the row).
-        attribute, low, high = self.attribute, self.low, self.high
-        if low is None:
-            return lambda row: not row[attribute] > high
-        if high is None:
-            return lambda row: not row[attribute] < low
-        return lambda row: not (row[attribute] < low or row[attribute] > high)
-
     def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
-        # Negated-exclusion form, like selector(): a failed comparison
-        # (e.g. NaN) keeps the row, exactly as matches() does.
+        # Negated-exclusion form: a failed comparison (e.g. NaN) keeps the
+        # row, exactly as matches() does.
         attr = f"_attr{index}"
         env: dict[str, Any] = {attr: self.attribute}
         if self.low is None:

@@ -269,7 +269,15 @@ class QueryScheduler:
                     entry.snapshot = entry.transaction.snapshot
                 else:
                     entry.snapshot = db.transactions.snapshot()
-            entry.plan = db._prepare(entry.query, **entry.run_kwargs)
+            try:
+                entry.plan = db._prepare(entry.query, **entry.run_kwargs)
+            except Exception as exc:  # noqa: BLE001 - reported on the entry
+                # A query that cannot be planned fails like one that cannot
+                # run: recorded on the entry, its slot goes to the next one.
+                entry.error = exc
+                entry.state = FAILED
+                entry.finished_ms = db.elapsed_ms()
+                continue
             entry.context = ExecutionContext(snapshot=entry.snapshot)
             entry._iterator = entry.plan.iter_batches(entry.context, self.batch_size)
             entry._fresh_rows = entry.plan.produces_fresh_rows

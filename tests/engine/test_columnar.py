@@ -92,12 +92,7 @@ class TestBatchFilter:
         ]
         predicate_set = PredicateSet(predicates)
         expected = [row for row in rows if predicate_set.matches(row)]
-        via_selectors = rows
-        for predicate in predicates:
-            select = predicate.selector()
-            via_selectors = [row for row in via_selectors if select(row)]
         assert predicate_set.batch_filter(rows) == expected
-        assert via_selectors == expected
 
     def test_kernel_with_projection_filters_then_projects(self):
         rows = [{"a": i, "b": i * 10, "c": i * 100} for i in range(6)]

@@ -95,6 +95,15 @@ class TestMaintenance:
         # 4 batches, two-phase commit: 2 flushes each.
         assert outcome.log_flushes == 8
 
+    def test_insert_leaves_no_transaction_open(self, indexed_database):
+        """Row counts on a batch boundary, and empty inputs, used to leak one."""
+        db = indexed_database
+        outcome = db.insert("items", make_rows(n=10, seed=9), batch_size=5)
+        assert outcome.log_flushes == 4  # two 2PC batches, no third commit
+        assert db.transactions.active == set()
+        assert db.insert("items", []).log_flushes == 0
+        assert db.transactions.active == set()
+
     def test_insert_single_phase_commit(self, indexed_database):
         rows = make_rows(n=10, seed=9)
         outcome = indexed_database.insert("items", rows, two_phase_commit=False)

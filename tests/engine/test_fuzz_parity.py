@@ -20,62 +20,13 @@ The tier-1 corpus is small (see ``--fuzz-iterations`` in the root
 import math
 import random
 
-import pytest
-
-from repro.engine.database import Database
-from repro.engine.partition import PartitionSpec
 from repro.engine.predicates import Between, Equals, InSet
 from repro.engine.query import Aggregate, Query
+from tests.engine.conftest import NUM_CATEGORIES, PARTITION_LAYOUTS
 
 #: Batch sizes the fuzzer samples from -- degenerate (1-row batches), odd
 #: (never page-aligned), the default-ish, and larger-than-the-table.
 BATCH_SIZES = (1, 2, 3, 7, 32, 64, 256, 1024, 4096)
-
-NUM_CATEGORIES = 80
-NUM_ROWS = 2400
-
-
-def build_fuzz_rows():
-    rng = random.Random(1234)
-    rows = []
-    for i in range(NUM_ROWS):
-        price = rng.uniform(0, 10_000)
-        catid = int(price // (10_000 / NUM_CATEGORIES))
-        rows.append(
-            {
-                "itemid": i,
-                "catid": catid,
-                "cat2": f"group{catid // 10}",
-                "price": price,
-                "qty": rng.randrange(0, 20),
-            }
-        )
-    return rows
-
-
-@pytest.fixture(scope="module")
-def fuzz_database():
-    """items (clustered, price index) plus a cats dimension table for joins."""
-    rows = build_fuzz_rows()
-    db = Database(buffer_pool_pages=400)
-    db.create_table("items", sample_row=rows[0], tups_per_page=40)
-    db.load("items", rows)
-    db.cluster("items", "catid", pages_per_bucket=4)
-    db.create_secondary_index("items", "price")
-    cat_rows = build_cat_rows()
-    db.create_table("cats", sample_row=cat_rows[0], tups_per_page=40)
-    db.load("cats", cat_rows)
-    db.create_table("catsf", sample_row=cat_rows[0], tups_per_page=40)
-    db.load("catsf", cat_rows)
-    return db
-
-
-def build_cat_rows():
-    return [
-        {"catid": c, "label": f"cat{c}", "region": f"r{c % 5}"}
-        for c in range(NUM_CATEGORIES)
-    ]
-
 
 # ---------------------------------------------------------------------------
 # Seeded query generation
@@ -214,57 +165,6 @@ def test_fuzz_batch_parity(fuzz_database, fuzz_seed):
 # ---------------------------------------------------------------------------
 # Partitioned storage: the same contract across layouts and execution modes
 # ---------------------------------------------------------------------------
-
-#: Partition layouts the partition fuzzer samples -- including the
-#: degenerate single partition, on both methods.
-PARTITION_LAYOUTS = tuple(
-    f"{method}{count}" for method in ("hash", "range") for count in (1, 2, 4, 8)
-)
-
-
-def _partition_spec(label):
-    method, count = label.rstrip("0123456789"), int(label.lstrip("hasrnge"))
-    if method == "hash":
-        return PartitionSpec.by_hash("catid", count)
-    boundaries = [NUM_CATEGORIES * i // count for i in range(1, count)]
-    return PartitionSpec.by_range("catid", boundaries)
-
-
-@pytest.fixture(scope="module")
-def partitioned_databases():
-    """The fuzz tables under every partition layout (plus price index).
-
-    ``cats`` is co-partitioned with ``items`` on ``catid`` (partition-wise
-    joins pick the co-partitioned shape); ``catsf`` holds the same rows in a
-    single flat heap (joins against it plan broadcast or repartition).  The
-    flat reference database carries both names as ordinary flat tables, so
-    any generated query runs unchanged on both sides of the differential.
-    """
-    rows = build_fuzz_rows()
-    cat_rows = build_cat_rows()
-    databases = {}
-    for label in PARTITION_LAYOUTS:
-        db = Database(buffer_pool_pages=400)
-        db.create_table(
-            "items",
-            sample_row=rows[0],
-            tups_per_page=40,
-            partition_by=_partition_spec(label),
-        )
-        db.load("items", rows)
-        db.create_secondary_index("items", "price")
-        db.create_table(
-            "cats",
-            sample_row=cat_rows[0],
-            tups_per_page=40,
-            partition_by=_partition_spec(label),
-        )
-        db.load("cats", cat_rows)
-        db.create_table("catsf", sample_row=cat_rows[0], tups_per_page=40)
-        db.load("catsf", cat_rows)
-        databases[label] = db
-    return databases
-
 
 def generate_partition_query(seed):
     """One random query (possibly a join) plus a layout and execution modes."""

@@ -14,7 +14,7 @@ import pytest
 from repro.engine.database import Database
 from repro.engine.predicates import Between, ExpressionPredicate
 from repro.engine.query import Query
-from repro.engine.scheduler import FINISHED, QueryScheduler
+from repro.engine.scheduler import FAILED, FINISHED, QueryScheduler
 
 
 NUM_ROWS = 2000
@@ -209,6 +209,35 @@ def test_run_concurrent_reraises_a_query_failure(database):
     state["armed"] = True
     with pytest.raises(RuntimeError, match="boom"):
         database.run_concurrent([Query.select("items"), boom])
+
+
+def test_a_query_that_cannot_be_planned_fails_without_stalling_the_rest(database):
+    """Deferred and immediate admission alike: the failure lands on the entry.
+
+    With one slot, the bad query is admitted by whichever ``step()`` frees
+    it; its validation error must not escape from there (the healthy query
+    behind it would never run) nor leave the entry waiting forever.
+    """
+    bad = Query.select("items", projection=["no_such_column"], name="bad")
+    scheduler = QueryScheduler(database, max_concurrent=1, batch_size=256)
+    first = scheduler.submit(FULL_SCAN)
+    queued = scheduler.submit(bad)
+    last = scheduler.submit(POINT_LOOKUP)
+    assert queued.state != FAILED  # still waiting behind ``first``
+    scheduler.run()
+    assert first.state == FINISHED and last.state == FINISHED
+    assert last.result.rows_matched == 1
+    assert queued.state == FAILED and queued.result is None
+    assert isinstance(queued.error, ValueError)
+    assert "no_such_column" in str(queued.error)
+    assert queued.finished_ms is not None and queued.admitted_ms is None
+    assert scheduler.active == 0 and scheduler.pending == 0
+
+    immediate = QueryScheduler(database, max_concurrent=1).submit(bad)
+    assert immediate.state == FAILED and isinstance(immediate.error, ValueError)
+
+    with pytest.raises(ValueError, match="no_such_column"):
+        database.run_concurrent([FULL_SCAN, bad], max_concurrent=1)
 
 
 def test_scheduler_rejects_bad_arguments(database):
