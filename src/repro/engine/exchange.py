@@ -120,7 +120,10 @@ class MergeExchangeNode(ExchangeNode):
         batch_size: int | None = None,
         run_reads: bool = True,
     ) -> list[list[dict[str, Any]]]:
-        """Drain every child fully, in ascending partition order."""
+        """The per-partition ordered row lists: the replayed ones, else
+        every child drained fully, in ascending partition order."""
+        if self._replay_parts is not None:
+            return self._replay_parts
         parts: list[list[dict[str, Any]]] = []
         self.partitions_scanned = 0
         for source in self.sources:
@@ -152,9 +155,6 @@ class MergeExchangeNode(ExchangeNode):
                 )
 
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self._replay_parts is not None:
-            yield from self._merged(self._replay_parts)
-            return
         yield from self._merged(self._gather_parts(context))
 
     def _stream_batches(
@@ -164,16 +164,13 @@ class MergeExchangeNode(ExchangeNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # A finite demand (LIMIT above) or a replay keeps the chunked row
-        # pipeline: the merge emits lazily either way, and the row path's
-        # early-close point is the reference semantics.
-        if demand is not None or self._replay_parts is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
+        # The children are blocking Sort/TopK subtrees, drained in full
+        # before the first merged row whatever the consumer wants: they get
+        # ``demand=None`` and the batched protocol.  Only the lazy merge
+        # above them is demand-limited (closing it early charges the merge
+        # CPU for the rows emitted so far, as abandoning ``_stream`` does).
         parts = self._gather_parts(context, batch_size, run_reads)
-        yield from _chunk_rows(self._merged(parts), batch_size)
+        yield from _chunk_rows(self._merged(parts), batch_size, demand)
 
     def describe_detail(self) -> str:
         return f"merge[{_ordering_text(self.ordering)}], " + super().describe_detail()

@@ -43,11 +43,13 @@ calls -- while keeping every simulated-disk number *bit-identical*
 to the row-at-a-time path.  Three rules make that parity hold:
 
 * **demand**: a ``demand`` row budget flows down from :class:`repro.engine.
-  plan.LimitNode`.  An operator receiving a finite demand degrades to lazy
-  row-at-a-time production (chunking its own ``_stream``), so early
+  plan.LimitNode`.  A streaming operator receiving a finite demand degrades
+  to lazy row-at-a-time production (chunking its own ``_stream``), so early
   termination stops at exactly the same row, page and CPU charge as the
-  row pipeline; blocking operators (Sort/TopK/Aggregate/GroupBy) ignore
-  demand on their input side, exactly as they drain it fully either way.
+  row pipeline; a node that drains its inputs fully before its first output
+  (Sort/TopK/Aggregate/GroupBy, the merge exchange) forwards
+  ``demand=None`` and the batched protocol to them, exactly as it drains
+  them fully either way -- only its lazy merge/emit above is demand-limited.
 * **run_reads**: scans may read several consecutive heap pages back-to-back
   (charged as one sequential run) only while no operator between them and
   the consumer issues per-row I/O.  A :class:`ProbeJoin` pulls its outer
@@ -412,7 +414,9 @@ class PlanNode:
         lazily by ``_stream`` and only delivered in batches.  Hot
         operators override this with vectorized implementations gated to
         the cases whose accounting they reproduce; everything else -- and
-        every demand-limited pull -- lands here.
+        a demand-limited pull of a *streaming* operator (scans, joins) --
+        lands here.  Nodes that drain their inputs before their first
+        output never do: they pull those inputs with ``demand=None``.
         """
         yield from _chunk_rows(self._stream(context), batch_size, demand)
 

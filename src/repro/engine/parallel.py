@@ -365,16 +365,10 @@ def maybe_run_parallel(
         plan,
         ExecutionContext(snapshot=context.snapshot, report_rewritten_sql=False),
     )
-    # Under a LIMIT the serial batched drain degrades the exchange's
-    # children to row-at-a-time pulls (the chunked-row fallback); the
-    # workers mirror that so per-node accounting matches bit for bit.
-    batch_size = database.batch_size
-    if find_node(plan, LimitNode) is not None:
-        batch_size = None
     _WORKER_STATE.update(
         exchange=exchange,
         snapshot=context.snapshot,
-        batch_size=batch_size,
+        batch_size=database.batch_size,
         mode=mode,
         aggregate=getattr(plan, "aggregate", None),
         group_columns=getattr(plan, "group_columns", ()),

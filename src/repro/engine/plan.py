@@ -36,8 +36,17 @@ the planner's estimates next to the node's actual counters -- the
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 if TYPE_CHECKING:
     from repro.storage.disk import DiskModel
@@ -153,6 +162,31 @@ def _encode_sort_column(values: list[Any], ascending: bool) -> list[Any]:
         except TypeError:
             pass
     return [SortKey(value, ascending) for value in values]
+
+
+def _not_worse_mask(
+    batch: Sequence[Mapping[str, Any]],
+    column: str,
+    ascending: bool,
+    threshold: Any,
+) -> list[bool]:
+    """Per row of ``batch``: is ``row[column]`` *not* strictly worse than
+    ``threshold`` under ``SortKey(_, ascending)``?
+
+    The top-k prefilter: ``threshold`` is the leading ORDER BY value of the
+    current k-th row, and only rows marked ``True`` can still displace it
+    (equals stay -- later columns and arrival order decide them).  Uses the
+    one operator :class:`SortKey` orders by, so a value ``<`` cannot rank
+    (NaN) is kept, and a NaN threshold keeps everything.  So does a NULL or
+    otherwise non-comparable value on either side: those rank by
+    :class:`SortKey`'s rules, not by ``<``, and the whole batch is kept.
+    """
+    try:
+        if ascending:
+            return [not threshold < row[column] for row in batch]
+        return [not row[column] < threshold for row in batch]
+    except TypeError:
+        return [True] * len(batch)
 
 
 class _MaxHeapEntry:
@@ -355,15 +389,34 @@ class TopKNode(DecoratorNode):
         # (:func:`_encode_sort_column`), so mixed encodings never meet in
         # one comparison.  The same rows survive as with the heap: both
         # keep the k smallest (key, seq) pairs seen so far.
+        #
+        # Once k rows are held, a newcomer whose leading ORDER BY value is
+        # strictly worse than the k-th row's can never enter, whatever its
+        # later columns and seq say, so it is dropped before the merge
+        # (:func:`_not_worse_mask`); a batch with no survivor skips the
+        # sort altogether.  Survivors keep their arrival seq.
         ordering = self.ordering
         k = self.k
+        lead, lead_ascending = ordering[0]
         top_rows: list[dict[str, Any]] = []
         top_seqs: list[int] = []
         seq = 0
         for batch in self._source_batches(context, batch_size, None, run_reads):
-            candidate_rows = top_rows + batch
-            candidate_seqs = top_seqs + list(range(seq, seq + len(batch)))
+            rows: list[dict[str, Any]] = batch
+            seqs: Iterable[int] = range(seq, seq + len(batch))
             seq += len(batch)
+            if len(top_rows) == k:
+                mask = _not_worse_mask(
+                    batch, lead, lead_ascending, top_rows[-1][lead]
+                )
+                survivors = mask.count(True)
+                if not survivors:
+                    continue
+                if survivors < len(batch):
+                    rows = list(compress(batch, mask))
+                    seqs = compress(seqs, mask)
+            candidate_rows = top_rows + rows
+            candidate_seqs = [*top_seqs, *seqs]
             key_columns = [
                 _encode_sort_column(
                     [row[column] for row in candidate_rows], ascending

@@ -21,6 +21,7 @@ from repro.engine.executor import DEFAULT_BATCH_SIZE, _ordering_key_getter, _sor
 from repro.engine.plan import (
     SortKey,
     _encode_sort_column,
+    _not_worse_mask,
     columnar_sort,
     sort_key_function,
 )
@@ -36,7 +37,7 @@ from repro.engine.query import Aggregate, Query
 from test_batched_executor import assert_parity, run_both
 
 
-def _rows_with_nulls(n=200, seed=3):
+def _rows_with_nulls(n=200, seed=3, null_share=0.2):
     rng = random.Random(seed)
     rows = []
     for i in range(n):
@@ -44,7 +45,7 @@ def _rows_with_nulls(n=200, seed=3):
             {
                 "id": i,
                 "name": rng.choice(["ada", "bob", "cid", "dot"]),
-                "price": None if rng.random() < 0.2 else rng.uniform(0, 100),
+                "price": None if rng.random() < null_share else rng.uniform(0, 100),
                 "qty": rng.randrange(5),
             }
         )
@@ -152,6 +153,21 @@ class TestColumnarSort:
                         assert (encoded[i] == encoded[j]) == (wrapped[i] == wrapped[j])
                         assert (encoded[i] < encoded[j]) == (wrapped[i] < wrapped[j])
 
+    def test_not_worse_mask_follows_sortkey(self):
+        values = [5.0, 1.0, 3.0, 3.0, NAN]
+        batch = [{"v": value} for value in values]
+        for ascending in (True, False):
+            threshold = SortKey(3.0, ascending)
+            expected = [not threshold < SortKey(value, ascending) for value in values]
+            assert _not_worse_mask(batch, "v", ascending, 3.0) == expected
+            assert _not_worse_mask(batch, "v", ascending, NAN) == [True] * len(batch)
+            # NULLs (and any other non-comparable pair) rank by SortKey's
+            # rules, not by `<`: the whole batch is kept.
+            assert _not_worse_mask(batch, "v", ascending, None) == [True] * len(batch)
+            mixed = [{"v": 9.0}, {"v": None}]
+            assert _not_worse_mask(mixed, "v", ascending, 3.0) == [True, True]
+        assert _not_worse_mask([{"v": "a"}], "v", True, 3.0) == [True]
+
     def test_sorted_with_keys_matches_ordering_key_getter(self):
         rows = _rows_with_nulls()
         for columns in (["price"], ["name", "qty"], ["price", "id"]):
@@ -162,12 +178,68 @@ class TestColumnarSort:
         assert _sorted_with_keys([], ["price"]) == ([], [])
 
 
-def _null_database(batch_size=DEFAULT_BATCH_SIZE):
-    rows = _rows_with_nulls(400)
+def _database(rows, batch_size=DEFAULT_BATCH_SIZE):
     db = Database(buffer_pool_pages=200, batch_size=batch_size)
-    db.create_table("t", sample_row=rows[0], tups_per_page=16)
+    sample = dict(rows[0], price=1.0)  # row 0's price may be NULL or NaN
+    db.create_table("t", sample_row=sample, tups_per_page=16)
     db.load("t", rows)
     return db
+
+
+def _null_database(batch_size=DEFAULT_BATCH_SIZE):
+    return _database(_rows_with_nulls(400), batch_size)
+
+
+def _priced(prices):
+    return [
+        {"id": i, "name": "ada", "price": price, "qty": 0}
+        for i, price in enumerate(prices)
+    ]
+
+
+NAN = float("nan")
+
+#: name -> (rows, ORDER BY, k): the corners of the top-k threshold prefilter.
+#: Scan batches are whole 16-row pages, so every case spans many batches.
+TOP_K_PREFILTER_CASES = {
+    # Every row ties with the k-th on the leading key: equals are kept and
+    # the arrival seq decides -- the first-seen rows win ...
+    "leading_ties_first_seen_wins": (_rows_with_nulls(400), ("qty",), 90),
+    # ... unless a later column prefers the newcomer.
+    "leading_ties_later_column_decides": (_rows_with_nulls(400), ("qty", "-id"), 90),
+    "desc_leading_ties_later_column_decides": (
+        _rows_with_nulls(400),
+        ("-qty", "-id"),
+        90,
+    ),
+    # NULLs in the leading column rank by SortKey's rules (ASC last, DESC
+    # first), never by `<`: NULL newcomers and a NULL k-th row both switch
+    # the prefilter off.
+    "nulls_asc_real_threshold": (_rows_with_nulls(400), ("price",), 7),
+    "nulls_asc_null_threshold": (_rows_with_nulls(400), ("price", "id"), 350),
+    "nulls_desc_null_threshold": (_rows_with_nulls(400), ("-price", "id"), 7),
+    "sparse_nulls_desc_real_threshold": (
+        _rows_with_nulls(400, null_share=0.02),
+        ("-price",),
+        20,
+    ),
+    "desc_string_leading": (_rows_with_nulls(400), ("-name", "id"), 9),
+    "mixed_directions": (_rows_with_nulls(400), ("qty", "-name", "price"), 25),
+    # Every batch beats all rows before it: the prefilter never prunes.
+    "best_rows_arrive_last": (_rows_with_nulls(400), ("-id",), 13),
+    "k_at_least_n": (_rows_with_nulls(400), ("-price", "name"), 400),
+    "k_is_one": (_rows_with_nulls(400), ("price",), 1),
+    # NaN breaks the total order, so heap and sort only agree where neither
+    # ever has to rank a NaN against a real value to decide: NaNs arriving
+    # once k better rows are held (kept by the prefilter, then cut), and a
+    # NaN that is itself the k-th row (as threshold it prunes nothing).
+    "nan_newcomers": (
+        _priced([float(i) if i < 40 or i % 5 else NAN for i in range(400)]),
+        ("price",),
+        13,
+    ),
+    "nan_threshold": (_priced([NAN] + [float(i) for i in range(399)]), ("price",), 1),
+}
 
 
 class TestEndToEndColumnarParity:
@@ -194,6 +266,16 @@ class TestEndToEndColumnarParity:
         db = _null_database(batch_size=batch_size)
         query = Query.select("t").order_by("qty", "-id").with_limit(13)
         row_result, batched_result = run_both(db, query)
+        assert_parity(row_result, batched_result)
+
+    @pytest.mark.parametrize("batch_size", [1, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("case", TOP_K_PREFILTER_CASES)
+    def test_top_k_threshold_prefilter(self, case, batch_size):
+        rows, order_by, limit = TOP_K_PREFILTER_CASES[case]
+        db = _database(rows, batch_size=batch_size)
+        query = Query.select("t").order_by(*order_by).with_limit(limit)
+        row_result, batched_result = run_both(db, query)
+        assert len(row_result.rows) == min(limit, len(rows))
         assert_parity(row_result, batched_result)
 
     @pytest.mark.parametrize(

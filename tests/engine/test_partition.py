@@ -13,6 +13,7 @@ import pytest
 from repro.engine.database import Database
 from repro.engine.parallel import FORK_AVAILABLE, parallel_supported
 from repro.engine.partition import PartitionSpec, stable_partition_hash
+from repro.engine.plan import SortNode, TopKNode
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.query import Aggregate, Query
 
@@ -364,6 +365,11 @@ def assert_identical_stats(reference, candidate, *, context):
     assert candidate.elapsed_ms == reference.elapsed_ms, context
 
 
+def node_actuals(result):
+    """The EXPLAIN ANALYZE surface: every node's label and own counters."""
+    return [(node.label(), node.actual) for node in result.plan.walk()]
+
+
 class TestExecutionParity:
     @pytest.mark.parametrize("query", PARITY_QUERIES, ids=lambda q: q.name)
     def test_batched_matches_serial(self, query):
@@ -406,6 +412,44 @@ class TestExecutionParity:
                 reference, candidate, context=candidate.query.name
             )
             assert candidate.value == reference.value
+
+    @pytest.mark.parametrize("shape", ["scan", "co_partitioned_join"])
+    def test_ordered_limit_keeps_sort_subtrees_batched(self, shape, monkeypatch):
+        # A LIMIT above the merge exchange limits the merge, not its blocking
+        # Sort/TopK children: in every batched mode they are pulled through
+        # iter_batches, never through the row protocol, and every number
+        # still equals the row-at-a-time run.
+        spec = PartitionSpec.by_hash("catid", 4)
+        query = Query.select("items", order_by=["-price", "itemid"], limit=25)
+        if shape == "scan":
+            db = build_database(spec)
+        else:
+            db = build_join_database(spec, spec)
+            query = query.join("cats", on="catid")
+        reference = run_cold(db, query, batch_size=None)
+        assert len(reference.rows) == 25
+        assert "merge_exchange[" in node_actuals(reference)[1][0]
+
+        def row_fallback(node, context=None):
+            raise AssertionError(f"{node.label()} was entered through iter_rows")
+
+        monkeypatch.setattr(SortNode, "iter_rows", row_fallback)
+        monkeypatch.setattr(TopKNode, "iter_rows", row_fallback)
+        candidates = {
+            f"batch={batch_size}": run_cold(db, query, batch_size=batch_size)
+            for batch_size in (1, 7, 256, 4096)
+        }
+        db.batch_size = 256
+        db.reset_measurements()
+        db.drop_caches()
+        (candidates["scheduled"],) = db.run_concurrent([query])
+        if FORK_AVAILABLE:
+            candidates["parallel=2"] = run_cold(db, query, parallel=2)
+        for mode, candidate in candidates.items():
+            context = f"{shape} {mode}"
+            assert_identical_stats(reference, candidate, context=context)
+            assert candidate.rows == reference.rows, context
+            assert node_actuals(candidate) == node_actuals(reference), context
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
     @pytest.mark.parametrize("query", PARITY_QUERIES, ids=lambda q: q.name)
