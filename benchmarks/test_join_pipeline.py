@@ -19,10 +19,14 @@ Guards for the lineitem-orders join workload (counter-based, no wall clock):
   clustered index no longer covers the join key.
 """
 
+import zlib
+from dataclasses import astuple
+
 import pytest
 
 from repro.bench.harness import ExperimentScale, build_tpch_join_database
-from repro.engine.predicates import Between
+from repro.engine.database import Database
+from repro.engine.predicates import Between, PredicateSet
 from repro.engine.query import Query
 
 
@@ -210,3 +214,83 @@ def test_cm_guided_inner_path_when_join_key_correlates_with_clustering():
     assert "cm_orderkey" in limited.structure
     result = db.run_query(query, force_join="index_nested_loop_join", cold_cache=True)
     assert result.rows_matched == expected_match_count(lineitem_rows)
+
+
+#: ``(label, rows_examined, pages_visited, lookups, join_probes, rows_out)``
+#: per plan node, then the whole-query figures, as measured at the commit
+#: before the sweeps stopped dispatching predicates per row (PR 15) -- the
+#: change must leave every one of them where it was.
+PINNED_CM_PROBE_RUNS = {
+    "limit_10": (
+        dict(limit=10),
+        [
+            ("limit[10]", 0, 0, 0, 0, 10),
+            ("index_nested_loop_join[orders(orderkey) via cm_orderkey]", 0, 0, 0, 10, 10),
+            ("seq_scan(lineitem: heap)", 1813, 31, 0, 0, 10),
+            ("inner_probe(orders(orderkey) via cm_orderkey)", 5240, 89, 10, 0, 10),
+        ],
+        dict(rows=10, digest=716501029, elapsed_ms=6.724600000000001,
+             sequential_reads=63, random_reads=4, cpu_tuples=7053),
+    ),
+    "full_drain": (
+        dict(force_join="index_nested_loop_join"),
+        [
+            ("index_nested_loop_join[orders(orderkey) via cm_orderkey]", 0, 0, 0, 166, 166),
+            ("cm_scan(lineitem: cm_shipdate)", 1260, 21, 2, 0, 166),
+            ("inner_probe(orders(orderkey) via cm_orderkey)", 100360, 1686, 166, 0, 166),
+        ],
+        dict(rows=166, digest=1194375479, elapsed_ms=25.036,
+             sequential_reads=54, random_reads=5, cpu_tuples=101620),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_CM_PROBE_RUNS))
+def test_cm_guided_probes_never_dispatch_predicates_per_row(shape, monkeypatch):
+    """No ``PredicateSet.matches`` call while a CM-guided probe join executes.
+
+    Every inner probe sweeps its clustered buckets through the lazy page
+    sweep, which filters a page with one compiled-kernel pass; falling back
+    to per-row predicate dispatch (one generator inside ``all()`` per live
+    row) was half of ``tpch_join``'s time.  Planning still samples
+    predicates row by row, so the spy only counts outside ``_prepare``.
+    """
+    db, _lineitem, _orders = build_tpch_join_database(
+        ExperimentScale(0.25), cluster_orders_on="orderdate"
+    )
+    options, pinned_nodes, pinned = PINNED_CM_PROBE_RUNS[shape]
+    planning, dispatched = [], []
+    prepare, matches = Database._prepare, PredicateSet.matches
+
+    def spied_prepare(self, *args, **kwargs):
+        planning.append(True)
+        try:
+            return prepare(self, *args, **kwargs)
+        finally:
+            planning.pop()
+
+    def spied_matches(self, row):
+        if not planning:
+            dispatched.append(self)
+        return matches(self, row)
+
+    monkeypatch.setattr(Database, "_prepare", spied_prepare)
+    monkeypatch.setattr(PredicateSet, "matches", spied_matches)
+    for batch_size in (None, 1, 256):
+        db.batch_size = batch_size
+        result = db.run_query(join_query(), cold_cache=True, **options)
+        assert dispatched == [], (shape, batch_size)
+        assert [
+            (node.label(), *astuple(node.actual)) for node in result.plan.walk()
+        ] == pinned_nodes, (shape, batch_size)
+        digest = zlib.crc32(repr([sorted(row.items()) for row in result.rows]).encode())
+        assert dict(
+            rows=len(result.rows),
+            digest=digest,
+            elapsed_ms=result.elapsed_ms,
+            sequential_reads=result.io.sequential_reads,
+            random_reads=result.io.random_reads,
+            cpu_tuples=result.io.cpu_tuples,
+        ) == pinned, (shape, batch_size)
+        assert result.pages_visited == sum(node[2] for node in pinned_nodes)
+        assert result.rows_examined == sum(node[1] for node in pinned_nodes)

@@ -39,6 +39,7 @@ A CM is a plain in-memory structure that can also be used standalone::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer
@@ -53,12 +54,17 @@ from repro.core.composite import (
 #: target and its co-occurrence count under an already-stored key.
 _TARGET_BYTES = 8
 _COUNT_BYTES = 4
+_ENTRY_BYTES = _TARGET_BYTES + _COUNT_BYTES
 _KEY_OVERHEAD_BYTES = 8
 
 
 def _value_bytes(value: Any) -> int:
     if isinstance(value, tuple):
-        return sum(_value_bytes(part) for part in value)
+        # A plain loop: this runs once per new CM key, on the insert path.
+        size = 0
+        for part in value:
+            size += _value_bytes(part)
+        return size
     if isinstance(value, str):
         return max(4, len(value))
     return 8
@@ -117,6 +123,10 @@ class CorrelationMap:
         #: key tuple -> {clustered target -> co-occurrence count}
         self._mapping: dict[tuple[Any, ...], dict[Any, int]] = {}
         self._total_rows = 0
+        #: Size counters, maintained by :meth:`insert` / :meth:`delete`:
+        #: stored (key, target) pairs and the bytes of the stored keys.
+        self._entries = 0
+        self._key_bytes = 0
 
     # -- derivation of keys and targets ---------------------------------------
 
@@ -147,8 +157,16 @@ class CorrelationMap:
         """Maintain the CM for one inserted tuple."""
         key = self.key_of(row)
         target = self.target_of(row)
-        targets = self._mapping.setdefault(key, {})
-        targets[target] = targets.get(target, 0) + 1
+        targets = self._mapping.get(key)
+        if targets is None:
+            targets = self._mapping[key] = {}
+            self._key_bytes += _value_bytes(key) + _KEY_OVERHEAD_BYTES
+        count = targets.get(target)
+        if count is None:
+            targets[target] = 1
+            self._entries += 1
+        else:
+            targets[target] = count + 1
         self._total_rows += 1
 
     def delete(self, row: Mapping[str, Any]) -> bool:
@@ -166,8 +184,10 @@ class CorrelationMap:
         targets[target] -= 1
         if targets[target] <= 0:
             del targets[target]
-        if not targets:
-            del self._mapping[key]
+            self._entries -= 1
+            if not targets:
+                del self._mapping[key]
+                self._key_bytes -= _value_bytes(key) + _KEY_OVERHEAD_BYTES
         self._total_rows -= 1
         return True
 
@@ -217,8 +237,6 @@ class CorrelationMap:
         return all(constraint.buckets is not None for constraint in constraints)
 
     def _lookup_equality(self, constraints: Sequence[BucketConstraint]) -> list[Any]:
-        from itertools import product
-
         targets: set[Any] = set()
         bucket_sets = [sorted(constraint.buckets) for constraint in constraints]
         for combination in product(*bucket_sets):
@@ -235,6 +253,12 @@ class CorrelationMap:
         return self._mapping.get(key, {}).get(target, 0)
 
     # -- size accounting -------------------------------------------------------------
+    #
+    # The planner prices a CM on every plan (``size_pages``,
+    # ``measured_c_per_u``), so these are counters kept by Algorithm 1's
+    # insert/delete -- ``_entries`` moves when a (key, target) pair appears
+    # or its count reaches zero, ``_key_bytes`` when a key does -- and
+    # reading them never walks the mapping.
 
     @property
     def distinct_keys(self) -> int:
@@ -243,7 +267,7 @@ class CorrelationMap:
     @property
     def total_entries(self) -> int:
         """Number of (key, clustered target) pairs stored."""
-        return sum(len(targets) for targets in self._mapping.values())
+        return self._entries
 
     @property
     def total_rows_represented(self) -> int:
@@ -251,32 +275,27 @@ class CorrelationMap:
 
     def size_bytes(self) -> int:
         """Approximate in-memory / on-disk size of the CM."""
-        size = 0
-        for key, targets in self._mapping.items():
-            size += _value_bytes(key) + _KEY_OVERHEAD_BYTES
-            size += len(targets) * (_TARGET_BYTES + _COUNT_BYTES)
-        return size
+        return self._key_bytes + self._entries * _ENTRY_BYTES
 
     def size_pages(self, page_size_bytes: int = 8192) -> int:
         return max(1, -(-self.size_bytes() // page_size_bytes))
 
     def stats(self) -> CMStats:
-        targets_per_key = [len(targets) for targets in self._mapping.values()]
         return CMStats(
             distinct_keys=self.distinct_keys,
             total_entries=self.total_entries,
             size_bytes=self.size_bytes(),
-            max_targets_per_key=max(targets_per_key, default=0),
-            avg_targets_per_key=(
-                sum(targets_per_key) / len(targets_per_key) if targets_per_key else 0.0
-            ),
+            # The one figure no counter can keep under deletes; nothing on
+            # a query path reads it.
+            max_targets_per_key=max(map(len, self._mapping.values()), default=0),
+            avg_targets_per_key=self.measured_c_per_u(),
         )
 
     def measured_c_per_u(self) -> float:
         """The CM's own bucket-level ``c_per_u``: avg targets per stored key."""
         if not self._mapping:
             return 0.0
-        return self.total_entries / self.distinct_keys
+        return self._entries / len(self._mapping)
 
     def describe(self) -> str:
         return f"CM({self.key_spec.describe()}) -> {self.clustered_attribute}"

@@ -22,18 +22,24 @@ Four access methods are implemented, mirroring Sections 3 and 5 of the paper:
     predicate to drop false positives.
 
 Every path streams: :meth:`AccessPath.iter_rows` is a generator built on one
-shared scan kernel (page sweep + residual filter + counter charging) and an
+shared lazy sweep (:meth:`AccessPath._sweep_pages`) and an
 :class:`~repro.engine.executor.ExecutionContext` that carries the counters
 and the MVCC snapshot.  Rows are the live heap-page dicts; abandoning the
 generator stops the sweep, so remaining pages are never read.
 
 Each path also speaks the batched protocol: :meth:`AccessPath.iter_batches`
 produces page-aligned :class:`~repro.engine.executor.RowBatch` objects
-through a second shared kernel (:meth:`AccessPath._sweep_pages_batched`)
-that filters a whole page per Python-level iteration and charges counters
-per page run instead of per row -- same totals, far fewer interpreter
-operations.  Both kernels consume the same per-path page enumeration
-(:meth:`AccessPath._target_pages`), so the two protocols cannot drift.
+through a second shared sweep (:meth:`AccessPath._sweep_pages_batched`) that
+reads runs of pages and hands whole pages on.  The two sweeps consume the
+same per-path page enumeration (:meth:`AccessPath._target_pages`) and apply
+the same per-page filter step (:meth:`AccessPath._page_filter`: MVCC
+visibility, then the compiled predicate kernel, once per page -- neither
+dispatches a predicate per row), so the two protocols cannot drift.  They
+differ in delivery and charging only: the batched sweep drains every page
+and charges ``len(live)`` per page; the lazy sweep yields a page's survivors
+one at a time and charges each by its *position in the unfiltered live
+list*, which makes abandoning it after any row exact -- the counters are
+those of a loop that examined the page row by row and stopped there.
 
 Join operators reuse the same paths for their inner side:
 :class:`InnerPathBuilder` binds one outer row's join-key values into
@@ -44,7 +50,7 @@ queries against the inner table.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.correlation_map import CorrelationMap
@@ -61,6 +67,23 @@ from repro.engine.table import BUCKET_COLUMN, Table
 from repro.index.bitmap import PageBitmap
 from repro.index.secondary import SecondaryIndex
 from repro.storage.page import RID
+
+
+#: One page's rows: the live list a sweep reads, or what a filter keeps of it.
+_Rows = list[dict[str, Any]]
+
+
+def _keep_all(live: _Rows) -> _Rows:
+    """The page filter of a sweep with no predicate and no snapshot."""
+    return live
+
+
+def _one_by_one(
+    page_filter: Callable[[_Rows], _Rows], live: _Rows
+) -> Iterator[dict[str, Any]]:
+    """``page_filter`` applied lazily, one live row per pull."""
+    for row in live:
+        yield from page_filter([row])
 
 
 class AccessPath:
@@ -119,8 +142,8 @@ class AccessPath:
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # A finite demand carries per-row semantics: serve it through the
-        # row kernel (lazy production, batch delivery) so the accounting is
-        # the row path's by construction.
+        # lazy sweep (rows produced one at a time, delivered in batches),
+        # whose positional charging is exact wherever the consumer stops.
         if demand is not None:
             yield from _chunk_rows(self._stream(context), batch_size, demand)
             return
@@ -176,46 +199,95 @@ class AccessPath:
         only attaches a snapshot once a table holds versioned rows; the
         scheduler always attaches one, because versions may first appear
         *mid-scan* under concurrent writers, and unversioned rows pass the
-        filter trivially).  Both kernels apply the filter *after* charging
-        the row as examined and *before* the predicates: an invisible
-        version costs exactly what a non-matching row costs, in both
-        protocols, keeping the row/batch parity contract intact under MVCC.
+        filter trivially).  The filter is the first half of the shared
+        :meth:`_page_filter` step, and both sweeps count examined rows over
+        the unfiltered live list: an invisible version costs exactly what a
+        non-matching row costs, in both protocols, keeping the row/batch
+        parity contract intact under MVCC.
         """
         snapshot = context.snapshot
         if snapshot is None:
             return None
         return snapshot.visible
 
+    def _page_filter(
+        self, context: ExecutionContext, project: tuple[str, ...] | None = None
+    ) -> Callable[[_Rows], _Rows]:
+        """The one per-page filter step both sweeps apply to a live list.
+
+        MVCC visibility first (see :meth:`_visibility`), then the compiled
+        :meth:`~repro.engine.predicates.PredicateSet.batch_kernel` -- one
+        C-driven pass over the page, no per-row predicate dispatch.  Without
+        ``project`` the survivors are the *same dict objects*, in live-list
+        order, which is what lets :meth:`_sweep_pages` charge them by
+        position.  The sweeps count ``rows_examined`` over the list they
+        pass in, never over what comes back (REPRO102).
+        """
+        visible = self._visibility(context)
+        if self.predicates or project is not None:
+            kernel = self.predicates.batch_kernel(project)
+        else:
+            kernel = None
+        if visible is None:
+            return kernel if kernel is not None else _keep_all
+        if kernel is None:
+            return lambda live: [row for row in live if visible(row)]
+        return lambda live: kernel([row for row in live if visible(row)])
+
     def _sweep_pages(
         self, pages: Iterable[int], context: ExecutionContext
     ) -> Iterator[dict[str, Any]]:
-        """Page sweep + residual filter + counter charging (all sweep paths).
+        """Lazy page sweep with positional charging (all sweep paths).
 
-        Pages are read through the buffer pool in the order given; every live
-        tuple is charged as examined and filtered with the full predicate set.
-        A consumer that stops pulling abandons the sweep where it stands, so
-        remaining pages are never read.
+        Pages are read through the buffer pool in the order given.  Each
+        page's live list is taken when the page is read and filtered *once*
+        through :meth:`_page_filter`; the survivors are then yielded one at
+        a time, and each is charged on its way out by its position in the
+        **unfiltered** live list: yielding the row at live position ``p``
+        brings the page's ``rows_examined`` share to ``p + 1``, and a page
+        swept to its end charges ``len(live)``.  A consumer that abandons
+        the generator after its k-th match (a LimitNode, a probe join under
+        a demand) therefore leaves exactly the counters a row-at-a-time
+        loop would have left -- every live row up to and including that
+        match examined, later pages never read -- while the filtering itself
+        costs what the batched sweep pays.  Position is by *identity* (the
+        survivors are the live list's own dicts), never by dict equality.
+
+        A predicate that raises somewhere on a page would, evaluated page at
+        a time, fail a consumer that never needed that row; on a filter
+        exception the page is re-run one row at a time, lazily, so the error
+        surfaces only if the consumer actually pulls past the offending row
+        (having charged the rows up to its last survivor).
         """
         heap = self.table.heap
-        visible = self._visibility(context)
+        counters = context.counters
+        page_filter = self._page_filter(context)
         for page_no in pages:
             page = heap.read_page(page_no)
-            context.counters.pages_visited += 1
-            examined = 0
+            counters.pages_visited += 1
+            live = [row for row in page.slots if row is not None]
+            survivors: Iterable[dict[str, Any]]
             try:
-                for _slot, row in page.live_rows():
-                    examined += 1
-                    context.counters.rows_examined += 1
-                    if visible is not None and not visible(row):
-                        continue
-                    if self.predicates.matches(row):
-                        yield row
+                survivors = page_filter(live)
+            except Exception:
+                survivors = _one_by_one(page_filter, live)
+            position = charged = 0
+            try:
+                for row in survivors:
+                    while live[position] is not row:
+                        position += 1
+                    position += 1
+                    counters.rows_examined += position - charged
+                    charged = position
+                    yield row
+                counters.rows_examined += len(live) - charged
+                charged = len(live)
             finally:
                 # CPU is charged once per page (the counter is purely additive
                 # so the total matches per-tuple charging); the finally makes
                 # the charge land even when the consumer abandons the stream
                 # mid-page.
-                self._charge_cpu(examined)
+                self._charge_cpu(charged)
 
     def _sweep_pages_batched(
         self,
@@ -225,17 +297,17 @@ class AccessPath:
         run_reads: bool,
         project: tuple[str, ...] | None = None,
     ) -> Iterator[RowBatch]:
-        """Batched twin of :meth:`_sweep_pages`: filter a page per iteration.
+        """Full-drain twin of :meth:`_sweep_pages`: whole pages per batch.
 
         Pages are read in chunks sized to round ``batch_size`` up to whole
         pages (page-aligned batches); each chunk of consecutive pages is
         charged through one :meth:`~repro.storage.heap.HeapFile.read_pages`
-        run, each page's live tuples are filtered with one compiled
-        filter(+project) kernel pass, and the counters are bumped once per
-        page/chunk -- identical totals to the per-row kernel with a fraction
-        of its interpreter operations.
+        run, each page's live list goes through the same
+        :meth:`_page_filter` step as the lazy sweep, and -- since every page
+        is swept to its end -- the counters are bumped by ``len(live)`` once
+        per page/chunk: the total the lazy sweep reaches when drained.
 
-        With ``project`` the kernel's output element is a fresh dict of just
+        With ``project`` the filter's output element is a fresh dict of just
         those columns (the scan→filter→project fusion entry point,
         :meth:`project_batches`); predicates still see the full rows.
 
@@ -246,11 +318,7 @@ class AccessPath:
         """
         heap = self.table.heap
         counters = context.counters
-        visible = self._visibility(context)
-        if self.predicates or project is not None:
-            kernel = self.predicates.batch_kernel(project)
-        else:
-            kernel = None
+        page_filter = self._page_filter(context, project)
         if run_reads:
             pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
         else:
@@ -267,12 +335,7 @@ class AccessPath:
                     counters.pages_visited += 1
                     live = [row for row in page.slots if row is not None]
                     examined += len(live)
-                    if visible is not None:
-                        live = [row for row in live if visible(row)]
-                    if kernel is None:
-                        batch.extend(live)
-                    else:
-                        batch.extend(kernel(live))
+                    batch.extend(page_filter(live))
             finally:
                 if examined:
                     counters.rows_examined += examined
@@ -313,8 +376,6 @@ def _lookup_values_for_index(
     if all(
         isinstance(predicates_by_attr.get(attr), (Equals, InSet)) for attr in attrs
     ):
-        from itertools import product
-
         value_lists = [list(predicates_by_attr[attr].lookup_values) for attr in attrs]
         keys = [
             combo[0] if len(attrs) == 1 else tuple(combo)

@@ -46,7 +46,10 @@ to the row-at-a-time path.  Three rules make that parity hold:
   plan.LimitNode`.  A streaming operator receiving a finite demand degrades
   to lazy row-at-a-time production (chunking its own ``_stream``), so early
   termination stops at exactly the same row, page and CPU charge as the
-  row pipeline; a node that drains its inputs fully before its first output
+  row pipeline -- lazy *production*, not per-row predicate dispatch: at the
+  leaves the lazy sweep (:meth:`repro.engine.access.AccessPath._sweep_pages`)
+  filters each page once through the compiled kernel and charges survivors
+  by their position in the unfiltered live list; a node that drains its inputs fully before its first output
   (Sort/TopK/Aggregate/GroupBy, the merge exchange) forwards
   ``demand=None`` and the batched protocol to them, exactly as it drains
   them fully either way -- only its lazy merge/emit above is demand-limited.

@@ -58,6 +58,7 @@ if TYPE_CHECKING:
     from repro.core.correlation_map import CorrelationMap
     from repro.storage.disk import DiskModel
 
+from repro.core.composite import key_matches
 from repro.core.cost import (
     CMCostInputs,
     CostSplit,
@@ -416,8 +417,6 @@ class Planner:
         if not constraints:
             return 1
         bucket_constraints = cm.key_spec.bucket_constraints(constraints)
-        from repro.core.composite import key_matches
-
         matching = sum(1 for key in cm.keys() if key_matches(key, bucket_constraints))
         return max(1, matching)
 

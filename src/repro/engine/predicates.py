@@ -10,6 +10,8 @@ by correlation maps and the query rewriter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import CodeType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.composite import ValueConstraint
@@ -186,6 +188,20 @@ class ExpressionPredicate(Predicate):
         return f"expr({self.attribute})"
 
 
+@lru_cache(maxsize=256)
+def _kernel_code(source: str) -> CodeType:
+    """The compiled code of one batch-kernel source text.
+
+    The text names only generated identifiers -- attributes and constants
+    travel in the ``eval`` namespace -- so there is one text per predicate
+    *shape*, and every :class:`PredicateSet` of that shape (an inner probe
+    binds a fresh one per outer row) shares the code object.  A workload
+    has a handful of shapes; the bound only keeps a process that generates
+    them without end from growing the cache with it.
+    """
+    return compile(source, "<batch-kernel>", "eval")
+
+
 class PredicateSet:
     """A conjunction (AND) of predicates."""
 
@@ -231,9 +247,10 @@ class PredicateSet:
         ``project``, a fresh dict of just those columns — so a fused
         scan→filter→project pipeline runs as one C-driven pass per page with
         no intermediate batch materialisation.  Constants are bound through
-        the compilation namespace; only generated identifiers appear in the
-        source text.  Kernels are cached per projection tuple for the
-        lifetime of this set.
+        the evaluation namespace; only generated identifiers appear in the
+        source text, so its compiled code is shared by every set of the same
+        shape (:func:`_kernel_code`) and building a kernel costs one ``eval``.
+        Kernels are cached per projection tuple for the lifetime of this set.
         """
         key = tuple(project) if project is not None else None
         kernel = self._kernels.get(key)
@@ -252,7 +269,7 @@ class PredicateSet:
             condition = " and ".join(conditions)
             suffix = f" if {condition}" if condition else ""
             source = f"lambda rows: [{element} for row in rows{suffix}]"
-            kernel = eval(compile(source, "<batch-kernel>", "eval"), env)
+            kernel = eval(_kernel_code(source), env)
             self._kernels[key] = kernel
         return kernel
 

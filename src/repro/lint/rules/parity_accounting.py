@@ -1,20 +1,26 @@
-"""REPRO102: scan kernels charge counters before filtering, and only the
-two shared kernels read heap pages.
+"""REPRO102: examined rows are counted over the unfiltered live list, and
+only the two shared kernels read heap pages.
 
-The row-at-a-time and batch-at-a-time paths must report identical
-``rows_examined`` for the same snapshot, which only holds if every kernel
-charges the counter *before* MVCC visibility filtering and predicate
-evaluation drop rows.  The dynamic twin is the differential fuzzer
-(``tests/test_fuzz_differential.py``) plus the parity assertions in
-``tests/test_batch_parity.py``; this checker pins the two code shapes the
-fuzzer relies on:
+The lazy and the full-drain sweeps must report identical ``rows_examined``
+for the same snapshot, which only holds if the count is taken over the
+page's *unfiltered* live list -- never over what MVCC visibility or the
+predicate kernel let through.  The dynamic twin is the differential fuzzer
+(``tests/engine/test_fuzz_parity.py``) plus the parity assertions in
+``benchmarks/test_batch_parity.py``; this checker pins the two code shapes
+the fuzzer relies on:
 
 * ``HeapFile.read_page``/``read_pages``/``read_page_run`` may only be
   called from the two shared kernels in ``engine/access.py``
   (``_sweep_pages`` and ``_sweep_pages_batched``) -- every other operator
   goes through them, so accounting lives in exactly one place per path;
-* any function that both charges an examined counter and filters rows
-  must charge first (smaller line number than the first filter call).
+* a charge to an examined counter must not be *survivor-counted*: its
+  amount may not mention a name bound to filter output (``len(survivors)``),
+  and a bare constant may not be charged where only survivors reach it --
+  under an ``if`` testing a filter, in a ``for`` over filter output, or
+  after a filter-guarded ``continue``.  ``examined += len(live)`` before
+  the filter and the lazy sweep's positional charge (the survivor's index
+  in the live list, found by walking that list) both pass: they derive
+  from the pre-filter list.
 """
 
 from __future__ import annotations
@@ -41,27 +47,100 @@ PAGE_READS = frozenset({"read_page", "read_pages", "read_page_run"})
 #: Counter names whose ``+=`` constitutes "charging" an examined row.
 CHARGE_NAMES = frozenset({"examined", "rows_examined"})
 
-#: Calls that drop rows: MVCC visibility, predicate evaluation, fused
-#: batch kernels.
-FILTER_CALLS = frozenset({"visible", "matches", "kernel"})
+#: Calls that drop rows: MVCC visibility, predicate evaluation, the compiled
+#: batch kernel, the sweeps' shared per-page filter step.
+FILTER_CALLS = frozenset({"visible", "matches", "kernel", "page_filter"})
+
+_Function = ast.FunctionDef | ast.AsyncFunctionDef
 
 
-def _charge_lines(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[int]:
-    lines: list[int] = []
+def _filter_line(node: ast.AST) -> int | None:
+    """Line of the first filter call inside ``node``, if any."""
+    lines = [
+        call.lineno
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and terminal_attribute(call.func) in FILTER_CALLS
+    ]
+    return min(lines, default=None)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Names ``node`` mentions, minus those its own comprehensions bind."""
+    names: set[str] = set()
+    bound: set[str] = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.comprehension):
+            bound |= {
+                name.id for name in ast.walk(child.target) if isinstance(name, ast.Name)
+            }
+    return names - bound
+
+
+def _survivor_names(function: _Function) -> set[str]:
+    """Names bound (transitively) to the output of a filter call."""
+    bindings: list[tuple[ast.AST, ast.AST]] = []
     for node in walk_own_nodes(function):
-        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            if terminal_attribute(node.target) in CHARGE_NAMES:
-                lines.append(node.lineno)
-    return lines
+        if isinstance(node, ast.Assign):
+            bindings.extend((target, node.value) for target in node.targets)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bindings.append((node.target, node.iter))
+    survivors: set[str] = set()
+    while True:
+        found = {
+            name
+            for target, value in bindings
+            if _filter_line(value) is not None or _names(value) & survivors
+            for name in _names(target)
+        }
+        if found <= survivors:
+            return survivors
+        survivors |= found
 
 
-def _filter_lines(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[int]:
-    lines: list[int] = []
-    for node in walk_own_nodes(function):
-        if isinstance(node, ast.Call):
-            if terminal_attribute(node.func) in FILTER_CALLS:
-                lines.append(node.lineno)
-    return lines
+def _is_charge(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and terminal_attribute(node.target) in CHARGE_NAMES
+    )
+
+
+def _survivor_counted(function: _Function) -> Iterator[tuple[int, int]]:
+    """``(filter line, charge line)`` of every survivor-counted charge."""
+    survivors = _survivor_names(function)
+
+    def visit(statements: list[ast.stmt], guard: int | None) -> Iterator[tuple[int, int]]:
+        for statement in statements:
+            if _is_charge(statement):
+                assert isinstance(statement, ast.AugAssign)
+                if _names(statement.value) & survivors:
+                    yield statement.lineno, statement.lineno
+                elif guard is not None and isinstance(statement.value, ast.Constant):
+                    yield guard, statement.lineno
+                continue
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # nested defs are checked on their own
+            inner = guard
+            if isinstance(statement, ast.If):
+                inner = guard or _filter_line(statement.test)
+            elif isinstance(statement, ast.For):
+                if _filter_line(statement.iter) or _names(statement.iter) & survivors:
+                    inner = guard or statement.lineno
+            for field in ("body", "orelse", "finalbody"):
+                yield from visit(getattr(statement, field, []), inner)
+            for handler in getattr(statement, "handlers", []):
+                yield from visit(handler.body, inner)
+            # ``if <filter>: continue`` -- only survivors reach what follows.
+            if (
+                isinstance(statement, ast.If)
+                and isinstance(statement.body[-1], (ast.Continue, ast.Break, ast.Return))
+            ):
+                guard = guard or _filter_line(statement.test)
+
+    yield from visit(function.body, None)
 
 
 @register_rule
@@ -70,7 +149,7 @@ class ParityAccountingRule(Rule):
     name = "parity-accounting"
     description = (
         "heap page reads only inside the shared scan kernels, and examined "
-        "counters charged before visibility/predicate filtering"
+        "counters taken over the unfiltered live list, never over survivors"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -98,15 +177,13 @@ class ParityAccountingRule(Rule):
                             "_sweep_pages_batched so parity accounting stays "
                             "in one place",
                         )
-            charges = _charge_lines(function)
-            filters = _filter_lines(function)
-            if charges and filters and min(filters) < min(charges):
+            for filter_line, charge_line in _survivor_counted(function):
                 yield self.violation(
                     module,
-                    min(filters),
+                    filter_line,
                     1,
-                    f"{function.name!r} filters rows (line {min(filters)}) "
-                    f"before charging the examined counter (line "
-                    f"{min(charges)}); charge before visibility/predicate "
-                    "filtering so row and batch paths agree",
+                    f"{function.name!r} counts examined rows over filter "
+                    f"survivors (charge on line {charge_line}); take the "
+                    "count over the unfiltered live list so the lazy and "
+                    "the full-drain sweep agree",
                 )

@@ -1,8 +1,19 @@
 """Tests for access paths: all methods must agree on results; their I/O
 patterns must differ in the way the paper describes."""
 
+from itertools import islice
+
 import pytest
 
+from repro.core.bucketing import WidthBucketer
+from repro.engine.access import (
+    ClusteredIndexScan,
+    CorrelationMapScan,
+    SeqScan,
+    SortedIndexScan,
+)
+from repro.engine.database import Database
+from repro.engine.executor import ExecutionContext
 from repro.engine.predicates import Between, Equals, ExpressionPredicate, InSet, PredicateSet
 from repro.engine.query import Aggregate, Query
 
@@ -152,3 +163,253 @@ class TestTailCorrectness:
         for force in ["seq_scan", "sorted_index_scan", "cm_scan"]:
             result = run(indexed_database, query, force)
             assert result.rows_matched == len(expected), force
+
+
+# ---------------------------------------------------------------------------
+# Early termination against an oracle computed from the plain page contents
+# ---------------------------------------------------------------------------
+
+SWEEP_PATHS = ["seq_scan", "clustered_index_scan", "sorted_index_scan", "cm_scan"]
+
+
+@pytest.fixture
+def versioned_db():
+    """120 rows on 8-tuple pages with holes and invisible versions.
+
+    ``u`` follows the clustered ``c``.  Five rows are physically deleted
+    (empty slots), four are MVCC-updated and committed (the old versions
+    stay in their pages, invisible; the new ones land on the tail page), and
+    two transactions stay open: one inserted rows nobody else may see, one
+    delete-stamped a row everybody else still sees.
+    """
+    rows = [
+        {"id": i, "c": i // 10, "u": (i // 10) * 10 + i % 7, "v": 0}
+        for i in range(120)
+    ]
+    db = Database(buffer_pool_pages=100)
+    db.create_table("t", sample_row=rows[0], tups_per_page=8)
+    db.load("t", rows)
+    db.cluster("t", "c", pages_per_bucket=2)
+    db.create_secondary_index("t", "u")
+    db.create_correlation_map(
+        "t", ["u"], bucketers={"u": WidthBucketer(4)}, name="cm_u"
+    )
+    deleted = {21, 22, 40, 57, 83}
+    db.delete("t", [InSet("id", sorted(deleted))])
+    updated = {30, 31, 52, 75}
+    update = db.begin_transaction()
+    assert db.tx_update(update, "t", [InSet("id", sorted(updated))], {"v": 1}) == 4
+    update.commit()
+    open_insert = db.begin_transaction()
+    db.tx_insert(
+        open_insert,
+        "t",
+        [{"id": 1000 + i, "c": 3 + i, "u": 35 + 10 * i, "v": 0} for i in range(3)],
+    )
+    open_delete = db.begin_transaction()
+    assert db.tx_delete(open_delete, "t", [Equals("id", 60)]) == 1
+    # The logical table, kept as a plain list: what a fresh snapshot sees.
+    db.logical_rows = [
+        {**row, "v": 1 if row["id"] in updated else 0}
+        for row in rows
+        if row["id"] not in deleted
+    ]
+    return db
+
+
+def sweep_query():
+    # A predicate on the clustered attribute (for the clustered path) and one
+    # on the indexed / CM attribute, so all four sweep paths apply.
+    return Query.select("t", Between("c", 2, 9), Between("u", 25, 84))
+
+
+def wanted(row):
+    return 2 <= row["c"] <= 9 and 25 <= row["u"] <= 84
+
+
+def sweep_path(db, name):
+    table = db.table("t")
+    predicates = sweep_query().predicates
+    if name == "seq_scan":
+        return SeqScan(table, predicates)
+    if name == "clustered_index_scan":
+        return ClusteredIndexScan(table, predicates)
+    if name == "sorted_index_scan":
+        (index,) = table.secondary_indexes.values()
+        return SortedIndexScan(table, index, predicates)
+    return CorrelationMapScan(table, table.correlation_maps["cm_u"], predicates)
+
+
+def oracle(db, name, k, keep=wanted):
+    """What a sweep stopping at its k-th match must have done.
+
+    Walks the path's page enumeration over the raw page slots: a slot holds
+    a *match* when it is the current version of a logical row that ``keep``
+    accepts; every non-empty slot up to and including the k-th match was
+    examined, every page up to and including its page was visited.
+    """
+    heap = db.table("t").heap
+    current = {(row["id"], row["v"]) for row in db.logical_rows if keep(row)}
+    pages = list(sweep_path(db, name)._target_pages(ExecutionContext()))
+    matches, visited, examined = [], 0, 0
+    for page_no in pages:
+        visited += 1
+        for row in heap.read_page(page_no, charge_io=False).slots:
+            if row is None:
+                continue
+            examined += 1
+            if (row["id"], row["v"]) in current:
+                matches.append((row["id"], row["v"]))
+                if len(matches) == k:
+                    return matches, visited, examined
+    return matches, visited, examined
+
+
+def identities(rows):
+    return [(row["id"], row["v"]) for row in rows]
+
+
+class TestEarlyTerminationOracle:
+    """LIMIT k leaves the counters of a sweep that stopped at its k-th match.
+
+    The expectation comes from the page contents and the logical row list,
+    not from another execution mode: the row sweep used to be the reference
+    the batched sweep was compared with, and it is what changed.
+    """
+
+    @pytest.mark.parametrize("name", SWEEP_PATHS)
+    def test_every_limit_on_every_surface(self, versioned_db, name):
+        db = versioned_db
+        heap = db.table("t").heap
+        query = sweep_query()
+        total = len(oracle(db, name, None)[0])
+        assert total == sum(1 for row in db.logical_rows if wanted(row)) > 20
+        for k in range(1, total + 2):
+            rows, pages, examined = oracle(db, name, k)
+            expected = (rows, pages, examined, examined)  # CPU tuples = examined
+
+            # The bare access path, abandoned by the consumer after k rows.
+            context = ExecutionContext(snapshot=db.transactions.snapshot())
+            before = db.disk.snapshot()
+            stream = sweep_path(db, name).iter_rows(context)
+            pulled = identities(islice(stream, k))
+            stream.close()
+            assert (
+                pulled,
+                context.counters.pages_visited,
+                context.counters.rows_examined,
+                db.disk.window_since(before).cpu_tuples,
+            ) == expected, (name, k, "iter_rows")
+
+            # run_query: row mode and three batch sizes.
+            for batch_size in (None, 1, 7, 256):
+                db.batch_size = batch_size
+                result = db.run_query(query.with_limit(k), force=name)
+                assert result.access_method == name
+                assert (
+                    identities(result.rows),
+                    result.pages_visited,
+                    result.rows_examined,
+                    result.io.cpu_tuples,
+                ) == expected, (name, k, batch_size)
+
+            # Database.stream, observed from outside the plan.
+            reads = heap.logical_page_reads
+            before = db.disk.snapshot()
+            streamed = identities(db.stream(query, force=name, limit=k))
+            assert (
+                streamed,
+                heap.logical_page_reads - reads,
+                db.disk.window_since(before).cpu_tuples,
+            ) == (rows, pages, examined), (name, k, "stream")
+
+    def test_predicate_raising_after_the_stop_does_not_fail_the_limit(
+        self, versioned_db
+    ):
+        """Rows 36 and 37 share a page; the predicate cannot evaluate 37.
+
+        A sweep that filters the whole page at once meets the error before
+        it has yielded row 36 -- but a LIMIT satisfied by row 36 never
+        needed row 37, and must succeed with the counters of a sweep that
+        stopped there.  Pulling one row further surfaces the error.
+        """
+        db = versioned_db
+        table = db.table("t")
+        armed = []  # the planner samples predicates too; arm after planning
+
+        def fragile(row):
+            if armed and row["id"] == 37:
+                raise ZeroDivisionError("cannot evaluate row 37")
+            return row["id"] >= 34
+
+        predicates = PredicateSet.of(
+            Between("u", 25, 84), ExpressionPredicate("fragile", fragile)
+        )
+        # ids 34, 35, 36 precede the offender on its page.
+        rows, pages, examined = oracle(
+            db, "seq_scan", 3, keep=lambda row: 25 <= row["u"] <= 84 and row["id"] >= 34
+        )
+        assert rows == [(34, 0), (35, 0), (36, 0)]
+
+        def snapshot_context():
+            return ExecutionContext(snapshot=db.transactions.snapshot())
+
+        armed.append(True)
+        # Lazy rows, abandoned after the third.
+        context = snapshot_context()
+        stream = SeqScan(table, predicates).iter_rows(context)
+        assert identities(islice(stream, 3)) == rows
+        stream.close()
+        assert (context.counters.pages_visited, context.counters.rows_examined) == (
+            pages,
+            examined,
+        )
+        # The batched protocol under a demand of three.
+        for batch_size in (1, 7, 256):
+            context = snapshot_context()
+            before = db.disk.snapshot()
+            batches = SeqScan(table, predicates).iter_batches(
+                context, batch_size, demand=3
+            )
+            assert identities(row for batch in batches for row in batch) == rows
+            assert (
+                context.counters.pages_visited,
+                context.counters.rows_examined,
+                db.disk.window_since(before).cpu_tuples,
+            ) == (pages, examined, examined)
+        # One row further -- and a full drain, lazy or batched -- must fail.
+        with pytest.raises(ZeroDivisionError, match="row 37"):
+            list(islice(SeqScan(table, predicates).iter_rows(snapshot_context()), 4))
+        with pytest.raises(ZeroDivisionError, match="row 37"):
+            list(SeqScan(table, predicates).iter_rows(snapshot_context()))
+        with pytest.raises(ZeroDivisionError, match="row 37"):
+            list(SeqScan(table, predicates).iter_batches(snapshot_context()))
+        # Through a planned LIMIT query (planned before the predicate arms).
+        armed.clear()
+        query = Query(table="t", predicates=predicates)
+        limited = db.stream(query, force="seq_scan", limit=3)
+        failing = db.stream(query, force="seq_scan", limit=4)
+        armed.append(True)
+        assert identities(limited) == rows
+        with pytest.raises(ZeroDivisionError, match="row 37"):
+            list(failing)
+
+    def test_kernel_code_is_shared_per_shape_not_per_constants(self):
+        """Every inner probe binds a fresh PredicateSet: same shape, new
+        constants.  The compiled code is cached by source text; the
+        constants travel in each kernel's own namespace."""
+        rows = [{"a": a, "b": b} for a in range(4) for b in range(4)]
+        low = PredicateSet.of(Equals("a", 1), Between("b", 0, 1))
+        high = PredicateSet.of(Equals("a", 2), Between("b", 2, 3))
+        other_shape = PredicateSet.of(Equals("a", 1), InSet("b", (0, 1)))
+        assert low.batch_kernel().__code__ is high.batch_kernel().__code__
+        assert low.batch_kernel().__code__ is not other_shape.batch_kernel().__code__
+        assert low.batch_kernel()(rows) == [{"a": 1, "b": 0}, {"a": 1, "b": 1}]
+        assert high.batch_kernel()(rows) == [{"a": 2, "b": 2}, {"a": 2, "b": 3}]
+        assert other_shape.batch_kernel()(rows) == low.batch_kernel()(rows)
+        # Projection is part of the shape; the column names are not.
+        assert (
+            low.batch_kernel(("a",)).__code__ is high.batch_kernel(("b",)).__code__
+        )
+        assert low.batch_kernel(("a",))(rows) == [{"a": 1}, {"a": 1}]
+        assert high.batch_kernel(("b",))(rows) == [{"b": 2}, {"b": 3}]

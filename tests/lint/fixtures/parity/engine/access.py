@@ -1,9 +1,30 @@
-"""Good fixture: the shared-kernel shape (charge before filter)."""
+"""Good fixture: the shared-kernel shapes (examined counted pre-filter)."""
 
 
-def _sweep_pages(heap, predicates, counters, visible):
+def _sweep_pages(heap, page_filter, counters):
     for page in heap.read_pages(range(heap.num_pages)):  # allowed here
-        for row in page.rows:
-            counters.rows_examined += 1  # charged first
-            if visible(row) and predicates.matches(row):
-                yield row
+        live = [row for row in page.slots if row is not None]
+        survivors = page_filter(live)
+        position = charged = 0
+        for row in survivors:
+            while live[position] is not row:
+                position += 1
+            position += 1
+            counters.rows_examined += position - charged  # positional charge
+            charged = position
+            yield row
+        counters.rows_examined += len(live) - charged
+
+
+def _sweep_pages_batched(heap, page_filter, counters):
+    for page in heap.read_pages(range(heap.num_pages)):  # allowed here
+        live = [row for row in page.slots if row is not None]
+        counters.rows_examined += len(live)  # the unfiltered list
+        yield page_filter(live)
+
+
+def fetch_rows(rows, predicates, counters, visible):
+    for row in rows:
+        counters.rows_examined += 1  # charged first, then filtered
+        if visible(row) and predicates.matches(row):
+            yield row

@@ -50,7 +50,15 @@ class TestParityAccounting:
             ("parity/engine/bad_kernel.py", 7),  # filter before charge
         ]
 
+    def test_survivor_counted_charges_flagged(self):
+        assert findings("REPRO102", "parity/engine/bad_survivor_count.py") == [
+            ("parity/engine/bad_survivor_count.py", 6),  # += len(survivors)
+            ("parity/engine/bad_survivor_count.py", 11),  # += 1 per survivor
+            ("parity/engine/bad_survivor_count.py", 19),  # += 1 past the guard
+        ]
+
     def test_shared_kernel_shape_clean(self):
+        # Positional charging, len(live) before the filter, charge-then-test.
         assert findings("REPRO102", "parity/engine/access.py") == []
 
 
