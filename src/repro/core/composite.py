@@ -146,6 +146,13 @@ class BucketConstraint:
     low: Any
     high: Any
 
+    @property
+    def constrains(self) -> bool:
+        """False for the match-anything constraint of an unpredicated attribute."""
+        return (
+            self.buckets is not None or self.low is not None or self.high is not None
+        )
+
     def matches(self, bucket_key: Any) -> bool:
         if self.buckets is not None:
             return bucket_key in self.buckets

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer
@@ -49,6 +50,7 @@ from repro.core.composite import (
     ValueConstraint,
     key_matches,
 )
+from repro.core.ordering import SortedRun
 
 #: Byte estimates used for size reporting.  A CM entry stores one clustered
 #: target and its co-occurrence count under an already-stored key.
@@ -68,6 +70,10 @@ def _value_bytes(value: Any) -> int:
     if isinstance(value, str):
         return max(4, len(value))
     return 8
+
+
+#: The position a key directory is sorted by.
+_LEADING = itemgetter(0)
 
 
 @dataclass
@@ -127,6 +133,14 @@ class CorrelationMap:
         #: stored (key, target) pairs and the bytes of the stored keys.
         self._entries = 0
         self._key_bytes = 0
+        #: The key directory: the stored keys sorted by their leading
+        #: position, for range lookups (:meth:`matching_keys`).  Built by
+        #: the first one; from then on :meth:`insert` / :meth:`delete` touch
+        #: it only when a key appears or disappears.
+        self._directory: SortedRun | None = None
+        #: Cleared for good once the leading values proved not to order
+        #: (a ``None``, a NaN, mixed types): range lookups then walk the keys.
+        self._keys_order = True
 
     # -- derivation of keys and targets ---------------------------------------
 
@@ -161,6 +175,8 @@ class CorrelationMap:
         if targets is None:
             targets = self._mapping[key] = {}
             self._key_bytes += _value_bytes(key) + _KEY_OVERHEAD_BYTES
+            if self._directory is not None and not self._directory.add(key):
+                self._directory, self._keys_order = None, False
         count = targets.get(target)
         if count is None:
             targets[target] = 1
@@ -188,6 +204,8 @@ class CorrelationMap:
             if not targets:
                 del self._mapping[key]
                 self._key_bytes -= _value_bytes(key) + _KEY_OVERHEAD_BYTES
+                if self._directory is not None and not self._directory.remove(key):
+                    self._directory, self._keys_order = None, False
         self._total_rows -= 1
         return True
 
@@ -218,19 +236,52 @@ class CorrelationMap:
     ) -> list[Any]:
         """Clustered targets for arbitrary per-attribute constraints.
 
-        Handles range predicates and partially-constrained composite keys by
-        checking every stored key against the bucket-level constraints.  CMs
-        are small (that is the point), so the linear pass is cheap; exact
-        equality constraints over all attributes use the dictionary directly.
+        Exact equality constraints over all attributes probe the dictionary
+        directly; range predicates and partially-constrained composite keys
+        take the union over :meth:`matching_keys` -- a bisection of the
+        sorted key directory when the leading attribute carries a range, a
+        pass over the stored keys otherwise.
         """
         bucket_constraints = self.key_spec.bucket_constraints(constraints)
         if self._all_equality(bucket_constraints):
             return self._lookup_equality(bucket_constraints)
         targets: set[Any] = set()
-        for key, key_targets in self._mapping.items():
-            if key_matches(key, bucket_constraints):
-                targets.update(key_targets)
+        for key in self.matching_keys(bucket_constraints):
+            targets.update(self._mapping[key])
         return sorted(targets)
+
+    def matching_keys(
+        self, bucket_constraints: Sequence[BucketConstraint]
+    ) -> Sequence[tuple[Any, ...]]:
+        """The stored keys satisfying every bucket-level constraint.
+
+        The one place keys are tested against constraints: the planner
+        counts the result (``n_lookups`` at bucket granularity),
+        :meth:`lookup_constraints` unions its targets.  A range on the
+        leading key position is answered from the key directory -- the
+        stored keys sorted by that position, bisected for the range, the
+        remaining positions filtered over the slice alone.  Without such a
+        range, with a bound outside the keys' ordered family, or over keys
+        that do not order at all, every stored key is tested, as before.
+        """
+        leading = next((c for c in bucket_constraints if c.position == 0), None)
+        if leading is not None and leading.buckets is None and leading.constrains:
+            directory = self._key_directory()
+            span = None if directory is None else directory.span(leading.low, leading.high)
+            if directory is not None and span is not None:
+                keys = directory.items[span[0] : span[1]]
+                rest = [c for c in bucket_constraints if c is not leading and c.constrains]
+                if rest:
+                    keys = [key for key in keys if key_matches(key, rest)]
+                return keys
+        return [key for key in self._mapping if key_matches(key, bucket_constraints)]
+
+    def _key_directory(self) -> SortedRun | None:
+        """The sorted key directory, built on first use; ``None`` if keys do not order."""
+        if self._directory is None and self._keys_order:
+            self._directory = SortedRun.build(self._mapping, key=_LEADING)
+            self._keys_order = self._directory is not None
+        return self._directory
 
     @staticmethod
     def _all_equality(constraints: Sequence[BucketConstraint]) -> bool:

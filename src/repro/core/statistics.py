@@ -23,9 +23,15 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.core.bucketing import IdentityBucketer
 from repro.core.composite import CompositeKeySpec
 from repro.core.model import CorrelationProfile
+from repro.core.ordering import SortedRun
 from repro.sampling.adaptive import adaptive_estimate
 from repro.sampling.distinct import DistinctSampler
 from repro.sampling.reservoir import ReservoirSampler
+
+
+#: What the collector reads rows from -- it only iterates and takes ``len``,
+#: so the live reservoir serves in place, uncopied.
+RowCollection = Sequence[Mapping[str, Any]] | ReservoirSampler
 
 
 def c_per_u_from_cardinalities(distinct_uc: float, distinct_u: float) -> float:
@@ -58,7 +64,7 @@ class StatisticsCollector:
     (estimates over samples).
     """
 
-    def __init__(self, rows: Sequence[Mapping[str, Any]]) -> None:
+    def __init__(self, rows: RowCollection) -> None:
         self._rows = rows
 
     @property
@@ -122,7 +128,7 @@ class StatisticsCollector:
         self,
         unclustered: CompositeKeySpec | str,
         clustered: CompositeKeySpec | str,
-        sample: Sequence[Mapping[str, Any]] | None = None,
+        sample: RowCollection | None = None,
         *,
         sample_size: int = 30_000,
         seed: int = 0,
@@ -195,9 +201,14 @@ class IncrementalTableStatistics:
       bounds below the live domain and flip the error to under-estimation;
     * the live row count.
 
-    Derived profiles are cached until the next insert/delete, so repeated
-    planning between updates is O(1) and planning after an update is bounded
-    by the sample size -- independent of the heap.
+    Derived profiles and swept selectivities are cached until the next
+    insert/delete, so repeated planning between updates is O(1) and the
+    first sweep after an update is bounded by the sample size -- independent
+    of the heap.  Single-attribute *range* selectivity does not sweep at
+    all: :meth:`range_fraction` bisects a sorted column of the sample's
+    values, built on first use and then kept in step with the reservoir's
+    own admit / evict / discard decisions, so it costs O(log sample) before
+    and after DML alike and is not one of the caches an update clears.
     """
 
     def __init__(
@@ -245,6 +256,10 @@ class IncrementalTableStatistics:
         self._profile_cache: dict[tuple, CorrelationProfile] = {}
         self._cardinality_cache: dict[tuple, int] = {}
         self._selectivity_cache: dict[Any, float] = {}
+        #: attribute -> sorted run of the sample's values of it, built by the
+        #: first :meth:`range_fraction` and maintained with the reservoir
+        #: from then on; ``None`` once the column proved not to order.
+        self._sorted_columns: dict[str, SortedRun | None] = {}
 
     # -- maintenance ------------------------------------------------------------
 
@@ -264,7 +279,9 @@ class IncrementalTableStatistics:
     def observe_insert(self, row: Mapping[str, Any]) -> None:
         self._total_rows += 1
         self._ops_since_refresh += 1
-        self._reservoir.add(row)
+        admitted, evicted = self._reservoir.add(row)
+        if self._sorted_columns:
+            self._follow_reservoir(row if admitted else None, evicted)
         for attribute, value in row.items():
             self._observe_value(attribute, value)
         self._invalidate()
@@ -272,7 +289,9 @@ class IncrementalTableStatistics:
     def observe_delete(self, row: Mapping[str, Any]) -> None:
         self._total_rows = max(0, self._total_rows - 1)
         self._ops_since_refresh += 1
-        self._reservoir.discard(row)
+        if self._reservoir.discard(row) and self._sorted_columns:
+            # The sampled copy equals ``row``, so its values do too.
+            self._follow_reservoir(None, row)
         # A single delete leaves min/max conservatively wide (we cannot know
         # cheaply whether duplicates of an extreme remain), but enough churn
         # re-derives them from the reservoir so Between selectivity tracks a
@@ -294,6 +313,30 @@ class IncrementalTableStatistics:
             self._rebuild_bounds_from_sample()
         self._invalidate()
 
+    def _follow_reservoir(
+        self,
+        stored: Mapping[str, Any] | None,
+        removed: Mapping[str, Any] | None,
+    ) -> None:
+        """Mirror one reservoir change in every built sorted column.
+
+        A column that cannot follow -- the stored value does not order with
+        the rest, or the removed one is not where the sample says it was --
+        stops answering rather than drift from the sample.
+        """
+        for attribute, column in self._sorted_columns.items():
+            if column is None:
+                continue
+            followed = (
+                removed is None
+                or (attribute in removed and column.remove(removed[attribute]))
+            ) and (
+                stored is None
+                or (attribute in stored and column.add(stored[attribute]))
+            )
+            if not followed:
+                self._sorted_columns[attribute] = None
+
     def _touches_bound(self, row: Mapping[str, Any]) -> bool:
         """Whether deleting ``row`` may have shrunk any attribute's bounds."""
         for attribute, value in row.items():
@@ -310,7 +353,7 @@ class IncrementalTableStatistics:
         untracked.
         """
         self._minmax = {}
-        for row in self._reservoir.sample:
+        for row in self._reservoir:
             for attribute, value in row.items():
                 self._observe_value(attribute, value)
         self._deletes_since_bounds_rebuild = 0
@@ -397,13 +440,46 @@ class IncrementalTableStatistics:
                 pass
             except TypeError:
                 key = None
-        rows = self._reservoir.sample
+        rows = self._reservoir
         fraction = (
             sum(1 for row in rows if matches(row)) / len(rows) if rows else 0.0
         )
         if key is not None:
             self._selectivity_cache[key] = fraction
         return fraction
+
+    def range_fraction(self, attribute: str, low: Any, high: Any) -> float | None:
+        """Fraction of live rows with ``low <= row[attribute] <= high``.
+
+        Order statistics instead of a sweep: the very float
+        :meth:`match_fraction` returns for that inclusive range (either
+        bound may be ``None``; an inverted range matches nothing), read off
+        a sorted column of the sample's values as ``bisect_right(high) -
+        bisect_left(low)``.  The column is built on first use and follows
+        the reservoir from then on, so neither repetition nor DML makes the
+        answer cost more than the two bisections -- which is also why ranges
+        never enter the selectivity memo.
+
+        ``None`` when bisection could not reproduce the sweep: the column
+        holds (or ever held, since the last :meth:`rebuild`) a ``None``, a
+        NaN, or values that do not order with one another, some sampled row
+        lacks the attribute, or a bound is not of the column's family.  The
+        caller sweeps instead.
+        """
+        columns = self._sorted_columns
+        if attribute not in columns:
+            try:
+                columns[attribute] = SortedRun.build(
+                    [row[attribute] for row in self._reservoir]
+                )
+            except KeyError:  # a sampled row lacks the attribute
+                columns[attribute] = None
+        column = columns[attribute]
+        span = None if column is None else column.span(low, high)
+        if column is None or span is None:
+            return None
+        start, stop = span
+        return (stop - start) / len(column.items) if column.items else 0.0
 
     # -- derived statistics ------------------------------------------------------
 
@@ -417,7 +493,7 @@ class IncrementalTableStatistics:
         cache_key = self._spec_cache_key(spec)
         if cache_key is not None and cache_key in self._cardinality_cache:
             return self._cardinality_cache[cache_key]
-        rows = self._reservoir.sample
+        rows = self._reservoir
         if not rows:
             return 0
         keys = [spec.key_of(row) for row in rows]
@@ -442,7 +518,7 @@ class IncrementalTableStatistics:
         cache_key = (u_key, c_key) if u_key is not None and c_key is not None else None
         if cache_key is not None and cache_key in self._profile_cache:
             return self._profile_cache[cache_key]
-        rows = self._reservoir.sample
+        rows = self._reservoir
         collector = StatisticsCollector(rows)
         if self.sample_is_complete:
             profile = collector.correlation_profile(u_spec, c_spec)

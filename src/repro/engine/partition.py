@@ -45,7 +45,7 @@ from repro.core.model import TableProfile
 from repro.core.statistics import DEFAULT_STATS_SAMPLE_SIZE, IncrementalTableStatistics
 from repro.engine.predicates import Between, Equals, InSet
 from repro.engine.schema import TableSchema
-from repro.engine.table import Table
+from repro.engine.table import Table, sample_selectivity
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskModel
 from repro.storage.page import RID
@@ -371,12 +371,13 @@ class PartitionedTable:
             attributes = [attributes]
         return self.statistics.cardinality(CompositeKeySpec.build(attributes))
 
+    def selectivity(self, predicates: "PredicateSet") -> float:
+        """Whole-table estimated fraction of rows satisfying ``predicates``."""
+        return sample_selectivity(self.statistics, predicates)
+
     def estimate_matching_rows(self, predicates: "PredicateSet") -> float:
         """Whole-table estimated matching rows (sample selectivity x count)."""
-        fraction = self.statistics.match_fraction(
-            predicates.matches, key=tuple(predicates)
-        )
-        return self.num_rows * fraction
+        return self.num_rows * self.selectivity(predicates)
 
     def attribute_range(self, attribute: str) -> tuple[Any, Any] | None:
         return self.statistics.attribute_range(attribute)

@@ -58,7 +58,6 @@ if TYPE_CHECKING:
     from repro.core.correlation_map import CorrelationMap
     from repro.storage.disk import DiskModel
 
-from repro.core.composite import key_matches
 from repro.core.cost import (
     CMCostInputs,
     CostSplit,
@@ -404,10 +403,13 @@ class Planner:
     def _estimate_cm_lookups(self, cm: CorrelationMap, predicates: PredicateSet) -> int:
         """Number of CM keys (buckets) the query's constraints touch.
 
-        The CM is memory resident, so counting its matching keys is cheap and
-        is exactly what the front-end does while rewriting the query; using it
-        keeps the planner's ``n_lookups`` at bucket granularity rather than
-        value granularity for range predicates over bucketed attributes.
+        Counting the CM's matching keys is exactly what the front-end does
+        while rewriting the query, and it keeps the planner's ``n_lookups``
+        at bucket granularity rather than value granularity for range
+        predicates over bucketed attributes.  The count is
+        :meth:`CorrelationMap.matching_keys`' -- for a range on the CM's
+        leading attribute a bisection of its sorted key directory, so the
+        memory-resident CM costs O(log keys) to consult at plan time.
         """
         constraints = {
             attr: constraint
@@ -417,8 +419,7 @@ class Planner:
         if not constraints:
             return 1
         bucket_constraints = cm.key_spec.bucket_constraints(constraints)
-        matching = sum(1 for key in cm.keys() if key_matches(key, bucket_constraints))
-        return max(1, matching)
+        return max(1, len(cm.matching_keys(bucket_constraints)))
 
     def _pages_per_target(self, table: Table, cm: CorrelationMap) -> float:
         """Average heap pages covered by one CM target (bucket or value)."""
@@ -1006,11 +1007,7 @@ class Planner:
                 inner.key_cardinality([inner_column for _outer, inner_column in pairs])
             )
             selectivity = (
-                inner.statistics.match_fraction(
-                    layout.inner_local.matches, key=tuple(layout.inner_local)
-                )
-                if layout.inner_local
-                else 1.0
+                inner.selectivity(layout.inner_local) if layout.inner_local else 1.0
             )
         children: list[PlanNode] = []
         order_kept = True
@@ -1493,11 +1490,7 @@ class Planner:
         here, for a flat join's step and for each co-partitioned pair alike.
         """
         inner_columns = [inner for _outer, inner in join_on]
-        selectivity = (
-            table.statistics.match_fraction(local.matches, key=tuple(local))
-            if local
-            else 1.0
-        )
+        selectivity = table.selectivity(local) if local else 1.0
         return _JoinStep(
             table=table,
             join_on=join_on,

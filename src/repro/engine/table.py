@@ -15,16 +15,14 @@ id so that correlation-map scans still find them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from repro.engine.predicates import PredicateSet
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer, assign_clustered_buckets
 from repro.core.composite import CompositeKeySpec
 from repro.core.correlation_map import CorrelationMap
 from repro.core.model import CorrelationProfile, TableProfile
 from repro.core.statistics import DEFAULT_STATS_SAMPLE_SIZE, IncrementalTableStatistics
+from repro.engine.predicates import Between, PredicateSet
 from repro.engine.schema import TableSchema
 from repro.engine.transactions import XMAX_COLUMN, XMIN_COLUMN
 from repro.index.clustered import ClusteredIndex
@@ -37,6 +35,29 @@ from repro.storage.page import RID
 BUCKET_COLUMN = "_cm_bucket"
 #: Bucket id given to rows appended after the last clustering.
 TAIL_BUCKET = -1
+
+
+def sample_selectivity(
+    statistics: IncrementalTableStatistics, predicates: PredicateSet
+) -> float:
+    """Sample selectivity of a predicate set, by the cheapest exact route.
+
+    A set that is exactly one ``Between`` is answered by order statistics
+    (:meth:`IncrementalTableStatistics.range_fraction`, two bisections);
+    everything else -- and a range over a column that does not order --
+    by the sample sweep, memoised per predicate set until the next
+    insert/delete.  Both routes return the same float.  Shared by
+    :class:`Table` and :class:`~repro.engine.partition.PartitionedTable`.
+    """
+    if len(predicates) == 1:
+        (predicate,) = predicates
+        if type(predicate) is Between:
+            fraction = statistics.range_fraction(
+                predicate.attribute, predicate.low, predicate.high
+            )
+            if fraction is not None:
+                return fraction
+    return statistics.match_fraction(predicates.matches, key=tuple(predicates))
 
 
 class Table:
@@ -436,17 +457,20 @@ class Table:
             attributes = [attributes]
         return self.statistics.cardinality(CompositeKeySpec.build(attributes))
 
+    def selectivity(self, predicates: PredicateSet) -> float:
+        """Estimated fraction of live rows satisfying ``predicates``.
+
+        The one selectivity entry point (see :func:`sample_selectivity`):
+        served entirely from the reservoir sample, never from the heap.
+        """
+        return sample_selectivity(self.statistics, predicates)
+
     def estimate_matching_rows(self, predicates: PredicateSet) -> float:
         """Estimated rows satisfying ``predicates`` (sample selectivity x count).
 
-        Used by LIMIT-aware plan selection and join-cardinality estimation;
-        served entirely from the reservoir sample, never from the heap, and
-        memoised per predicate set until the next insert/delete.
+        Used by LIMIT-aware plan selection and join-cardinality estimation.
         """
-        fraction = self.statistics.match_fraction(
-            predicates.matches, key=tuple(predicates)
-        )
-        return self.num_rows * fraction
+        return self.num_rows * self.selectivity(predicates)
 
     def attribute_range(self, attribute: str) -> tuple[Any, Any] | None:
         """Incrementally-maintained ``(min, max)`` of ``attribute``."""

@@ -42,7 +42,7 @@ class ReservoirSampler:
 
     @property
     def sample(self) -> list[Any]:
-        """The current reservoir contents (a copy)."""
+        """The current reservoir contents (a copy; iterate the sampler to read in place)."""
         return list(self._items)
 
     def __len__(self) -> int:
@@ -51,18 +51,26 @@ class ReservoirSampler:
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items)
 
-    def add(self, item: Any) -> None:
+    def add(self, item: Any) -> tuple[bool, Any]:
+        """Offer one stream item; report what the reservoir did with it.
+
+        Returns ``(admitted, evicted)``: whether ``item`` is now stored, and
+        the stored item it replaced (``None`` when it replaced nothing), so
+        a structure derived from the contents can follow them exactly.
+        """
         self._seen += 1
         if len(self._items) < self.capacity:
             self._slot_of[id(item)] = len(self._items)
             self._items.append(item)
-            return
+            return True, None
         slot = self._rng.randrange(self._seen)
-        if slot < self.capacity:
-            evicted = self._items[slot]
-            self._slot_of.pop(id(evicted), None)
-            self._items[slot] = item
-            self._slot_of[id(item)] = slot
+        if slot >= self.capacity:
+            return False, None
+        evicted = self._items[slot]
+        self._slot_of.pop(id(evicted), None)
+        self._items[slot] = item
+        self._slot_of[id(item)] = slot
+        return True, evicted
 
     def extend(self, items: Iterable[Any]) -> None:
         for item in items:

@@ -41,6 +41,26 @@ def test_from_iterable_equivalent_to_extend():
     assert a.sample == b.sample
 
 
+def test_add_reports_what_the_reservoir_did():
+    """``add`` returns (admitted, evicted): replaying the reports onto a
+    plain multiset reproduces the contents, before and past capacity."""
+    sampler = ReservoirSampler(6, seed=5)
+    mirror = Counter()
+    outcomes = Counter()
+    for item in range(300):
+        admitted, evicted = sampler.add(item)
+        if evicted is not None:
+            assert admitted
+            mirror[evicted] -= 1
+        if admitted:
+            mirror[item] += 1
+        outcomes[admitted, evicted is not None] += 1
+        assert +mirror == Counter(sampler)
+    # Filled (admitted, nothing evicted), replaced, and passed over.
+    assert outcomes[True, False] == 6
+    assert outcomes[True, True] > 0 and outcomes[False, False] > 0
+
+
 def test_uniformity_over_many_runs():
     """Every element should be selected roughly equally often."""
     hits = Counter()
