@@ -1,42 +1,30 @@
-"""Page-parity guard: the batched executor on the Fig. 1 access patterns.
+"""Page-parity guard: every batch size on the Fig. 1 access patterns.
 
 Figure 1 is about *which heap pages* an access method touches -- correlated
 lookups sweep a few sequential runs, uncorrelated ones scatter across the
-file.  The batched executor must not change a single one of those numbers:
-page reads, sequential/random classification, lookups and simulated elapsed
-time have to be bit-identical to the row-at-a-time pipeline on exactly
-these scenarios (the correlated and uncorrelated shipdate/suppkey lookups,
-under every applicable access method).  This is the structural invariant CI
-smoke-checks alongside the planner's zero-heap-read guarantee.
+file.  How rows are handed between operators must not change a single one
+of those numbers: page reads, sequential/random classification, lookups and
+simulated elapsed time have to be bit-identical under every batch size and
+the one-row-at-a-time view on exactly these scenarios (the correlated and
+uncorrelated shipdate/suppkey lookups, under every applicable access
+method), and the rows have to be the ones a plain filter over the loaded
+list selects.  This is the structural invariant CI smoke-checks alongside
+the planner's zero-heap-read guarantee.
 """
 
 import random
 
 import pytest
 
-from repro.engine.executor import DEFAULT_BATCH_SIZE
 from repro.engine.predicates import InSet
 from repro.engine.query import Query
+from tests.engine.model import assert_matches_model
+from tests.engine.runs import assert_batch_size_invariant
 
 
 def _pick_values(rows, attribute, count, seed):
     rng = random.Random(seed)
     return rng.sample(sorted({row[attribute] for row in rows}), count)
-
-
-def _run_both(db, query, force):
-    """Row-at-a-time vs batched execution of one lookup, head reset between."""
-    original = db.batch_size
-    try:
-        db.batch_size = None
-        db.reset_measurements()
-        row_result = db.run_query(query, force=force, cold_cache=True)
-        db.batch_size = DEFAULT_BATCH_SIZE
-        db.reset_measurements()
-        batched_result = db.run_query(query, force=force, cold_cache=True)
-    finally:
-        db.batch_size = original
-    return row_result, batched_result
 
 
 @pytest.mark.parametrize("attribute", ["shipdate", "suppkey"])
@@ -47,21 +35,16 @@ def _run_both(db, query, force):
     "force", ["seq_scan", "sorted_index_scan", "pipelined_index_scan"]
 )
 def test_fig1_lookup_page_parity(request, layout, attribute, force):
-    """Both executors touch identical pages on the Fig. 1 lookup patterns."""
+    """Every batch size touches identical pages on the Fig. 1 lookup patterns."""
     db, rows = request.getfixturevalue(layout)
     values = _pick_values(rows, attribute, 3, seed=1 if attribute == "shipdate" else 2)
     query = Query.select("lineitem", InSet(attribute, values))
-    row_result, batched_result = _run_both(db, query, force)
-
-    assert row_result.rows_matched > 0
-    assert batched_result.rows_matched == row_result.rows_matched
-    assert batched_result.rows == row_result.rows
-    assert batched_result.pages_visited == row_result.pages_visited
-    assert batched_result.rows_examined == row_result.rows_examined
-    assert batched_result.io == row_result.io  # incl. sequential/random split
-    assert batched_result.elapsed_ms == pytest.approx(
-        row_result.elapsed_ms, abs=1e-9
-    )
+    # The digest covers rows, pages, rows examined, the I/O breakdown with
+    # its sequential/random split, and the simulated elapsed time.
+    result = assert_batch_size_invariant(db, query, force=force)
+    assert result.access_method == force
+    assert result.rows_matched > 0
+    assert_matches_model(result, query, {"lineitem": rows})
 
 
 def test_fig1_cm_lookup_page_parity(experiment_scale):
@@ -76,9 +59,8 @@ def test_fig1_cm_lookup_page_parity(experiment_scale):
     db.create_correlation_map("lineitem", ["shipdate"], name="cm_shipdate")
     values = _pick_values(rows, "shipdate", 3, seed=1)
     query = Query.select("lineitem", InSet("shipdate", values))
-    row_result, batched_result = _run_both(db, query, "cm_scan")
-    assert row_result.rows_matched > 0
-    assert batched_result.rows == row_result.rows
-    assert batched_result.pages_visited == row_result.pages_visited
-    assert batched_result.io == row_result.io
-    assert batched_result.rewritten_sql == row_result.rewritten_sql
+    result = assert_batch_size_invariant(db, query, force="cm_scan")
+    assert result.access_method == "cm_scan"
+    assert result.rows_matched > 0
+    assert result.rewritten_sql is not None
+    assert_matches_model(result, query, {"lineitem": rows})

@@ -5,7 +5,9 @@
 smoke runs the default, nightly/soak runs pass a few hundred.
 
 ``--update-plan-goldens`` re-records ``tests/engine/plan_goldens.json``
-instead of comparing against it (``tests/engine/test_plan_goldens.py``).
+instead of comparing against it (``tests/engine/test_plan_goldens.py``);
+``--update-exec-goldens`` does the same for ``tests/engine/exec_goldens.json``
+(``tests/engine/test_exec_goldens.py``).
 """
 
 FUZZ_ITERATIONS_DEFAULT = 24
@@ -26,4 +28,9 @@ def pytest_addoption(parser):
         "--update-plan-goldens",
         action="store_true",
         help="re-record tests/engine/plan_goldens.json instead of comparing",
+    )
+    parser.addoption(
+        "--update-exec-goldens",
+        action="store_true",
+        help="re-record tests/engine/exec_goldens.json before comparing",
     )

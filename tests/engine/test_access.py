@@ -9,11 +9,18 @@ from repro.core.bucketing import WidthBucketer
 from repro.engine.access import (
     ClusteredIndexScan,
     CorrelationMapScan,
+    InnerPathBuilder,
     SeqScan,
     SortedIndexScan,
 )
 from repro.engine.database import Database
-from repro.engine.executor import ExecutionContext
+from repro.engine.executor import (
+    ExecutionContext,
+    HashJoin,
+    IndexNestedLoopJoin,
+    ScanNode,
+)
+from repro.engine.plan import LimitNode
 from repro.engine.predicates import Between, Equals, ExpressionPredicate, InSet, PredicateSet
 from repro.engine.query import Aggregate, Query
 
@@ -322,6 +329,125 @@ class TestEarlyTerminationOracle:
                 heap.logical_page_reads - reads,
                 db.disk.window_since(before).cpu_tuples,
             ) == (rows, pages, examined), (name, k, "stream")
+
+    @pytest.mark.parametrize("force_join", ["index_nested_loop_join", "hash_join"])
+    def test_every_limit_over_a_join(self, versioned_db, force_join):
+        """LIMIT k over a join stops the outer sweep at the row that made
+        the k-th output, having probed once per outer row pulled.
+
+        ``d`` holds one row per ``c`` on 4-tuple pages, clustered -- except
+        ``c = 6``, which sits inside a page's key range: its probes read that
+        page and find nothing, so outputs lag outer rows.  Expectations come
+        from the raw slots of both heaps:
+
+        * the outer sweep is the single-table oracle, stopped at the outer
+          match that produced the k-th output (``pulled`` of them);
+        * ``join_probes == pulled``, whichever operator runs;
+        * the index-nested-loop join reads, per probe, the ``d`` pages whose
+          key range covers the probed ``c``; every probe but the last drains
+          them, the last stops *at* its match (positional charging);
+        * the hash join reads all of ``d`` once, before the first outer page,
+          and charges one CPU tuple per built and per probed row.
+        """
+        db = versioned_db
+        dimension = [{"c": c, "label": f"c{c}"} for c in range(15) if c != 6]
+        db.create_table("d", sample_row=dimension[0], tups_per_page=4)
+        db.load("d", dimension)
+        db.cluster("d", "c")
+        d_heap = db.table("d").heap
+        d_pages = [
+            [row for row in d_heap.read_page(page_no, charge_io=False).slots if row]
+            for page_no in range(d_heap.num_pages)
+        ]
+        d_rows = sum(len(live) for live in d_pages)
+        label_of = {row["c"]: row["label"] for row in dimension}
+        c_of = {(row["id"], row["v"]): row["c"] for row in db.logical_rows}
+        outer_matches = oracle(db, "seq_scan", None)[0]
+        total = sum(1 for match in outer_matches if c_of[match] in label_of)
+        assert 20 < total < len(outer_matches)
+
+        def probe(c, stop_at_match):
+            """(pages, rows examined) of one clustered probe of ``d`` for ``c``."""
+            pages = examined = 0
+            for live in d_pages:
+                if not live[0]["c"] <= c <= live[-1]["c"]:
+                    continue
+                pages += 1
+                keys = [row["c"] for row in live]
+                if stop_at_match and c in keys:
+                    return pages, examined + keys.index(c) + 1
+                examined += len(live)
+            return pages, examined
+
+        def build_plan(k):
+            # Built by hand: the planner is free to drive the join from
+            # ``d``, and this test is about the operators, not its choice.
+            outer = ScanNode(SeqScan(db.table("t"), sweep_query().predicates))
+            if force_join == "hash_join":
+                inner = SeqScan(db.table("d"), PredicateSet())
+                join = HashJoin(outer, inner, [("c", "c")], build_side="inner")
+            else:
+                strategy = "clustered_index_scan"
+                builder = InnerPathBuilder(
+                    db.table("d"), [("c", "c")], PredicateSet(), strategy
+                )
+                join = IndexNestedLoopJoin(outer, builder, strategy)
+            return LimitNode(join, k)
+
+        def pull_batches(plan, context, batch_size):
+            return [
+                row for batch in plan.iter_batches(context, batch_size) for row in batch
+            ]
+
+        surfaces = {
+            "iter_rows": lambda plan, context: list(plan.iter_rows(context)),
+            **{
+                f"batch={size}": lambda plan, context, size=size: pull_batches(
+                    plan, context, size
+                )
+                for size in (1, 7, 256)
+            },
+        }
+        for k in range(1, total + 2):
+            outputs, pulled = [], 0
+            for match in outer_matches:
+                pulled += 1
+                if c_of[match] in label_of:
+                    outputs.append((*match, label_of[c_of[match]]))
+                    if len(outputs) == k:
+                        break
+            stopped = len(outputs) == k
+            # An unsatisfied LIMIT drains the outer sweep to its last page.
+            _matches, pages, examined = oracle(
+                db, "seq_scan", pulled if stopped else None
+            )
+            if force_join == "hash_join":
+                pages += len(d_pages)
+                examined += d_rows
+                cpu = examined + d_rows + pulled
+            else:
+                for position, match in enumerate(outer_matches[:pulled], start=1):
+                    probe_pages, probe_examined = probe(
+                        c_of[match], stop_at_match=stopped and position == pulled
+                    )
+                    pages += probe_pages
+                    examined += probe_examined
+                cpu = examined
+            expected = (outputs, len(outputs), pulled, pages, examined, cpu)
+
+            for surface, pull in surfaces.items():
+                plan = build_plan(k)
+                before = db.disk.snapshot()
+                rows = pull(plan, ExecutionContext(snapshot=db.transactions.snapshot()))
+                totals = plan.total_counters()
+                assert (
+                    [(row["id"], row["v"], row["label"]) for row in rows],
+                    plan.source.actual.rows_out,
+                    totals.join_probes,
+                    totals.pages_visited,
+                    totals.rows_examined,
+                    db.disk.window_since(before).cpu_tuples,
+                ) == expected, (force_join, k, surface)
 
     def test_predicate_raising_after_the_stop_does_not_fail_the_limit(
         self, versioned_db

@@ -1,13 +1,16 @@
-"""Tests for the batch-at-a-time executor.
+"""Tests for the batch protocol (``iter_batches``) on curated shapes.
 
-The batched protocol's contract is *bit-identical simulated statistics*:
-for any query, executing through ``iter_batches`` must produce the same
+The protocol's contract is that the batch size is *invisible*: for any
+query, every batch size and the one-row-at-a-time view report the same
 rows, the same per-node actual counters, the same I/O breakdown and the
-same simulated elapsed time as the row-at-a-time pipeline -- while doing
-far less interpreter work.  These tests pin that contract on every access
-method, every join strategy, the decorator stack, and the batch-boundary
-edge cases (LIMIT/TopK stopping mid-batch, empty batches from selective
-filters, extreme batch sizes).
+same simulated elapsed time (``tests.engine.runs.assert_batch_size_
+invariant``), and those rows are the ones a plain-Python evaluation of the
+query produces (``tests/engine/model.py``).  These tests pin that on every
+access method, every join strategy, the decorator stack, and the
+batch-boundary edge cases (LIMIT/TopK stopping mid-batch, empty batches
+from selective filters, extreme batch sizes).  What the counters *are* is
+pinned elsewhere: ``test_exec_goldens.py`` (recorded) and
+``test_access.py::TestEarlyTerminationOracle`` (derived from page slots).
 """
 
 import pytest
@@ -20,6 +23,8 @@ from repro.engine.executor import (
 from repro.engine.plan import LimitNode, SortNode
 from repro.engine.predicates import Between, Equals
 from repro.engine.query import Aggregate, Query
+from tests.engine.model import assert_matches_model
+from tests.engine.runs import CURATED_SIZES, assert_batch_size_invariant, run_mode
 
 
 ALL_METHODS = [
@@ -38,78 +43,40 @@ JOIN_STRATEGIES = [
 ]
 
 
-def run_both(db, query, **kwargs):
-    """Execute ``query`` row-at-a-time and batched; restore the default.
-
-    The disk head position is reset before each run: the classification of
-    a run's *first* page read depends on wherever the previous query left
-    the head, which would otherwise leak between the two runs and obscure
-    the comparison.
-    """
-    original = db.batch_size
-    try:
-        db.batch_size = None
-        db.reset_measurements()
-        row_result = db.run_query(query, cold_cache=True, **kwargs)
-        db.batch_size = original or DEFAULT_BATCH_SIZE
-        db.reset_measurements()
-        batched_result = db.run_query(query, cold_cache=True, **kwargs)
-    finally:
-        db.batch_size = original
-    return row_result, batched_result
+def check(db, query, tables, **options):
+    """Batch-size invariance, then the rows against the model; the result."""
+    result = assert_batch_size_invariant(db, query, **options)
+    assert_matches_model(result, query, tables, unique_columns=("itemid",))
+    return result
 
 
-def assert_parity(row_result, batched_result):
-    """The full parity contract between the two executors."""
-    assert batched_result.rows == row_result.rows
-    assert batched_result.value == row_result.value
-    assert batched_result.rows_matched == row_result.rows_matched
-    assert batched_result.rows_examined == row_result.rows_examined
-    assert batched_result.pages_visited == row_result.pages_visited
-    assert batched_result.join_probes == row_result.join_probes
-    assert batched_result.rows_emitted == row_result.rows_emitted
-    assert batched_result.io == row_result.io
-    assert batched_result.elapsed_ms == pytest.approx(
-        row_result.elapsed_ms, abs=1e-9
-    )
-    # Per-node actual counters (the EXPLAIN ANALYZE surface) match node by
-    # node, not just in total.
-    row_nodes = list(row_result.plan.walk())
-    batched_nodes = list(batched_result.plan.walk())
-    assert len(row_nodes) == len(batched_nodes)
-    for row_node, batched_node in zip(row_nodes, batched_nodes):
-        assert row_node.label() == batched_node.label()
-        assert batched_node.actual.rows_out == row_node.actual.rows_out
-        assert batched_node.actual.rows_examined == row_node.actual.rows_examined
-        assert batched_node.actual.pages_visited == row_node.actual.pages_visited
-        assert batched_node.actual.lookups == row_node.actual.lookups
-        assert batched_node.actual.join_probes == row_node.actual.join_probes
+@pytest.fixture
+def tables(item_rows):
+    """The loaded rows, as the plain lists the model evaluates over."""
+    return {"items": item_rows}
 
 
 class TestAccessMethodParity:
     @pytest.mark.parametrize("force", ALL_METHODS)
-    def test_filtered_scan_parity(self, indexed_database, force):
+    def test_filtered_scan_parity(self, indexed_database, tables, force):
         if force == "clustered_index_scan":
             query = Query.select("items", Equals("catid", 42))
         else:
             query = Query.select("items", Between("price", 1000, 2500))
-        row_result, batched_result = run_both(indexed_database, query, force=force)
-        assert row_result.rows_matched > 0
-        assert_parity(row_result, batched_result)
+        result = check(indexed_database, query, tables, force=force)
+        assert result.access_method == force
+        assert result.rows_matched > 0
 
-    def test_unfiltered_scan_parity(self, indexed_database):
-        query = Query.select("items")
-        row_result, batched_result = run_both(indexed_database, query)
-        assert batched_result.rows_matched == 5000
-        assert_parity(row_result, batched_result)
+    def test_unfiltered_scan_parity(self, indexed_database, tables):
+        result = check(indexed_database, Query.select("items"), tables)
+        assert result.rows_matched == 5000
 
-    def test_projection_parity(self, indexed_database):
+    def test_projection_parity(self, indexed_database, tables):
         query = Query.select(
             "items", Between("price", 1000, 2500), projection=("itemid", "price")
         )
-        row_result, batched_result = run_both(indexed_database, query)
-        assert all(set(row) == {"itemid", "price"} for row in batched_result.rows)
-        assert_parity(row_result, batched_result)
+        result = check(indexed_database, query, tables)
+        assert all(set(row) == {"itemid", "price"} for row in result.rows)
 
     def test_batched_rows_are_private_copies(self, indexed_database):
         query = Query.select("items", Equals("catid", 42))
@@ -158,9 +125,8 @@ class TestDecoratorParity:
             "group_order_limit",
         ],
     )
-    def test_decorated_query_parity(self, indexed_database, query):
-        row_result, batched_result = run_both(indexed_database, query)
-        assert_parity(row_result, batched_result)
+    def test_decorated_query_parity(self, indexed_database, tables, query):
+        check(indexed_database, query, tables)
 
 
 @pytest.fixture
@@ -174,6 +140,7 @@ def join_database(indexed_database, item_rows):
         "categories", sample_row=categories[0], tups_per_page=50
     )
     indexed_database.load("categories", categories)
+    indexed_database.model_tables = {"items": item_rows, "categories": categories}
     return indexed_database
 
 
@@ -185,52 +152,46 @@ class TestJoinParity:
         )
         if force_join == "index_nested_loop_join":
             join_database.cluster("categories", "catid")
-        row_result, batched_result = run_both(
-            join_database, query, force_join=force_join
+        result = check(
+            join_database, query, join_database.model_tables, force_join=force_join
         )
-        assert row_result.rows_matched > 0
-        assert_parity(row_result, batched_result)
+        assert result.access_method == force_join
+        assert result.rows_matched > 0
 
     @pytest.mark.parametrize("force_join", ["hash_join", "index_nested_loop_join"])
     def test_join_with_limit_parity(self, join_database, force_join):
         join_database.cluster("categories", "catid")
-        query = Query.select("items", Between("price", 0, 5000)).join(
-            "categories", on="catid"
+        query = (
+            Query.select("items", Between("price", 0, 5000))
+            .join("categories", on="catid")
+            .with_limit(9)
         )
-        row_result, batched_result = run_both(
-            join_database, query, force_join=force_join, limit=9
+        result = check(
+            join_database, query, join_database.model_tables, force_join=force_join
         )
-        assert batched_result.rows_matched == 9
-        assert_parity(row_result, batched_result)
+        assert result.rows_matched == 9
 
     def test_join_aggregate_parity(self, join_database):
         query = Query.select(
             "items", Between("price", 0, 5000), aggregate=Aggregate.count()
         ).join("categories", on="catid")
-        row_result, batched_result = run_both(join_database, query)
-        assert batched_result.value == row_result.value
-        assert_parity(row_result, batched_result)
+        check(join_database, query, join_database.model_tables)
 
 
 class TestBatchBoundaries:
     def test_limit_stops_mid_batch_without_extra_page_reads(self, indexed_database):
-        """A LIMIT satisfied mid-batch must not read past the stopping page."""
+        """A LIMIT satisfied mid-batch must not read past the stopping page.
+
+        Every row matches, so the first five rows of page 0 satisfy the
+        LIMIT: exactly one page is read, whatever the batch size.
+        """
         table = indexed_database.table("items")
         query = Query.select("items", Between("price", 0, 10_000), limit=5)
-
-        indexed_database.batch_size = None
-        before = table.heap.logical_page_reads
-        indexed_database.run_query(query, force="seq_scan", cold_cache=True)
-        row_reads = table.heap.logical_page_reads - before
-
-        indexed_database.batch_size = DEFAULT_BATCH_SIZE
-        before = table.heap.logical_page_reads
-        result = indexed_database.run_query(query, force="seq_scan", cold_cache=True)
-        batched_reads = table.heap.logical_page_reads - before
-
-        assert result.rows_matched == 5
-        assert batched_reads == row_reads
-        assert batched_reads < table.num_pages
+        for batch_size in (None, *CURATED_SIZES):
+            before = table.heap.logical_page_reads
+            result = run_mode(indexed_database, query, batch_size, force="seq_scan")
+            assert result.rows_matched == 5
+            assert table.heap.logical_page_reads - before == 1, batch_size
 
     def test_limit_zero_reads_nothing(self, indexed_database):
         query = Query.select("items", Between("price", 0, 10_000), limit=0)
@@ -269,11 +230,13 @@ class TestBatchBoundaries:
         self, indexed_database
     ):
         query = Query.select("items", Equals("price", -1.0))
-        row_result, batched_result = run_both(
+        result = assert_batch_size_invariant(
             indexed_database, query, force="seq_scan"
         )
-        assert batched_result.rows == []
-        assert_parity(row_result, batched_result)
+        table = indexed_database.table("items")
+        assert result.rows == []
+        assert result.pages_visited == table.num_pages
+        assert result.rows_examined == table.num_rows
 
     @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
     def test_batch_size_equivalence_on_joins_and_group_by(
@@ -331,8 +294,8 @@ class TestBatchProtocol:
         assert sum(len(batch) for batch in batches) == 10
         assert plan.actual.rows_out == 10
 
-    def test_limit_over_sort_truncates_blocking_output(self, database):
-        """A blocking Sort under a Limit emits exactly k rows in both modes.
+    def test_limit_over_sort_truncates_blocking_output(self, database, item_rows):
+        """A blocking Sort under a Limit emits exactly k rows, pulled either way.
 
         The planner fuses ORDER BY + LIMIT into a TopK, so the Limit-over-
         Sort shape is exercised on a hand-built tree: the Sort must drain
@@ -349,21 +312,22 @@ class TestBatchProtocol:
             sort = SortNode(scan, (("price", True),))
             return sort, LimitNode(sort, 4)
 
+        cheapest = sorted(row["price"] for row in item_rows)[:4]
+
         sort, limit = build()
         batched_rows = [
-            dict(row)
-            for batch in limit.iter_batches(ExecutionContext(), 32)
-            for row in batch
+            row for batch in limit.iter_batches(ExecutionContext(), 32) for row in batch
         ]
-        assert len(batched_rows) == 4
+        assert [row["price"] for row in batched_rows] == cheapest
         assert limit.actual.rows_out == 4
         assert sort.actual.rows_out == 4
         assert sort.rows_in == table.num_rows
 
-        row_sort, row_limit = build()
-        row_rows = [dict(row) for row in row_limit.iter_rows(ExecutionContext())]
-        assert row_rows == batched_rows
-        assert row_sort.actual.rows_out == 4
+        view_sort, view_limit = build()
+        view_rows = list(view_limit.iter_rows(ExecutionContext()))
+        assert [row["price"] for row in view_rows] == cheapest
+        assert view_sort.actual.rows_out == 4
+        assert view_sort.rows_in == table.num_rows
 
     def test_batches_are_row_batches(self, database):
         plan = database.planner.choose(
@@ -399,18 +363,20 @@ class TestBatchProtocol:
         with pytest.raises(ValueError):
             indexed_database.stream_batches(query)
 
-    def test_add_batch_matches_per_row_adds(self):
-        rows = [{"x": value} for value in (1.5, 2.25, -3.0, 0.125)]
-        for aggregate in (
-            Aggregate.count(),
-            Aggregate.sum("x"),
-            Aggregate.avg("x"),
-            Aggregate.count_distinct("x"),
-        ):
-            per_row = aggregate.make_accumulator()
-            for row in rows:
-                per_row.add(row)
-            batched = aggregate.make_accumulator()
-            batched.add_batch(rows[:2])
-            batched.add_batch(rows[2:])
-            assert batched.result() == per_row.result()
+    def test_add_batch_folds_left_to_right_across_batches(self):
+        values = (1.5, 2.25, -3.0, 0.125, 2.25)
+        rows = [{"x": value} for value in values]
+        total = 0
+        for value in values:
+            total = total + value
+        expected = {
+            Aggregate.count(): 5,
+            Aggregate.sum("x"): total,
+            Aggregate.avg("x"): total / 5,
+            Aggregate.count_distinct("x"): 4,
+        }
+        for aggregate, value in expected.items():
+            accumulator = aggregate.make_accumulator()
+            accumulator.add_batch(rows[:2])
+            accumulator.add_batch(rows[2:])
+            assert accumulator.result() == value

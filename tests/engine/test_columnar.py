@@ -5,11 +5,14 @@ batch kernels: ``PredicateSet.batch_kernel`` (one eval-compiled
 filter+project comprehension), ``columnar_sort`` (multi-pass
 decorate-sort-undecorate), the top-k candidate merge, the grouped
 aggregation kernels of ``GroupedAccumulators``, and the sort-merge join's
-vectorized merge.  These tests pin each kernel against its row-at-a-time
-reference -- same survivors, same order, same values (bit-identical floats)
--- including the edge cases: empty predicate sets, all-rows-filtered
-batches, NULLs in predicate and sort columns, and descending non-negatable
-types.
+vectorized merge.  The unit tests pin each kernel against the per-row
+definition it replaced (``matches``, ``SortKey``, ``_ordering_key_getter``);
+the end-to-end classes pin whole queries against the plain-Python model
+(``tests/engine/model.py``) -- a top-k *is* the prefix of the model's stable
+full sort, a grouped aggregate *is* its dict fold, bit for bit, because an
+unclustered heap streams in load order -- and against batch-size invariance,
+including the edge cases: empty predicate sets, all-rows-filtered batches,
+NULLs in predicate and sort columns, and descending non-negatable types.
 """
 
 import random
@@ -17,7 +20,7 @@ import random
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.executor import DEFAULT_BATCH_SIZE, _ordering_key_getter, _sorted_with_keys
+from repro.engine.executor import _ordering_key_getter, _sorted_with_keys
 from repro.engine.plan import (
     SortKey,
     _encode_sort_column,
@@ -34,7 +37,8 @@ from repro.engine.predicates import (
 )
 from repro.engine.query import Aggregate, Query
 
-from test_batched_executor import assert_parity, run_both
+from tests.engine.model import assert_matches_model, evaluate, user_columns
+from tests.engine.runs import assert_batch_size_invariant
 
 
 def _rows_with_nulls(n=200, seed=3, null_share=0.2):
@@ -178,16 +182,12 @@ class TestColumnarSort:
         assert _sorted_with_keys([], ["price"]) == ([], [])
 
 
-def _database(rows, batch_size=DEFAULT_BATCH_SIZE):
-    db = Database(buffer_pool_pages=200, batch_size=batch_size)
+def _database(rows):
+    db = Database(buffer_pool_pages=200)
     sample = dict(rows[0], price=1.0)  # row 0's price may be NULL or NaN
     db.create_table("t", sample_row=sample, tups_per_page=16)
     db.load("t", rows)
     return db
-
-
-def _null_database(batch_size=DEFAULT_BATCH_SIZE):
-    return _database(_rows_with_nulls(400), batch_size)
 
 
 def _priced(prices):
@@ -242,41 +242,58 @@ TOP_K_PREFILTER_CASES = {
 }
 
 
+#: The two NaN cases, as literal ids: NaN has no place in a total order, so
+#: the model's full sort is no reference for them.  ``nan_newcomers`` -- the
+#: NaNs arrive once 13 better rows are held, pass the prefilter and are cut;
+#: ``nan_threshold`` -- the first row is NaN, nothing ranks below it by ``<``.
+TOP_K_NAN_EXPECTED = {"nan_newcomers": list(range(13)), "nan_threshold": [0]}
+
+
+def check_exact(db, query, rows, **options):
+    """Invariance, then the rows in exactly the model's order.
+
+    ``t`` is unclustered and scanned sequentially, so the engine's input
+    order is the model's (load order) and a stable sort, a first-seen group
+    order or a left-to-right float sum leaves nothing to choose.
+    """
+    result = assert_batch_size_invariant(db, query, force="seq_scan", **options)
+    expected = evaluate(query, {"t": rows})
+    assert [user_columns(row) for row in result.rows] == expected.rows
+    return result
+
+
 class TestEndToEndColumnarParity:
-    """Whole-query parity on shapes the columnar kernels own, with NULLs."""
+    """Whole queries on shapes the columnar kernels own, with NULLs."""
 
     @pytest.mark.parametrize(
         "order_by", [("price",), ("-price",), ("name", "-price"), ("-name", "qty", "id")]
     )
     def test_order_by_with_nulls(self, order_by):
-        db = _null_database()
-        query = Query.select("t").order_by(*order_by)
-        row_result, batched_result = run_both(db, query)
-        assert_parity(row_result, batched_result)
+        rows = _rows_with_nulls(400)
+        check_exact(_database(rows), Query.select("t").order_by(*order_by), rows)
 
     @pytest.mark.parametrize("limit", [1, 7, 100, 1000])
     def test_top_k_with_nulls_and_duplicate_keys(self, limit):
-        db = _null_database()
+        rows = _rows_with_nulls(400)
         query = Query.select("t").order_by("-price", "name").with_limit(limit)
-        row_result, batched_result = run_both(db, query)
-        assert_parity(row_result, batched_result)
+        check_exact(_database(rows), query, rows)
 
-    @pytest.mark.parametrize("batch_size", [1, 7, DEFAULT_BATCH_SIZE])
-    def test_top_k_across_batch_boundaries(self, batch_size):
-        db = _null_database(batch_size=batch_size)
+    def test_top_k_across_batch_boundaries(self):
+        rows = _rows_with_nulls(400)
         query = Query.select("t").order_by("qty", "-id").with_limit(13)
-        row_result, batched_result = run_both(db, query)
-        assert_parity(row_result, batched_result)
+        check_exact(_database(rows), query, rows, batch_sizes=(1, 7, 16, 17, 256))
 
-    @pytest.mark.parametrize("batch_size", [1, DEFAULT_BATCH_SIZE])
     @pytest.mark.parametrize("case", TOP_K_PREFILTER_CASES)
-    def test_top_k_threshold_prefilter(self, case, batch_size):
+    def test_top_k_threshold_prefilter(self, case):
         rows, order_by, limit = TOP_K_PREFILTER_CASES[case]
-        db = _database(rows, batch_size=batch_size)
+        db = _database(rows)
         query = Query.select("t").order_by(*order_by).with_limit(limit)
-        row_result, batched_result = run_both(db, query)
-        assert len(row_result.rows) == min(limit, len(rows))
-        assert_parity(row_result, batched_result)
+        if case in TOP_K_NAN_EXPECTED:
+            result = assert_batch_size_invariant(db, query)
+            assert [row["id"] for row in result.rows] == TOP_K_NAN_EXPECTED[case]
+        else:
+            result = check_exact(db, query, rows)
+        assert len(result.rows) == min(limit, len(rows))
 
     @pytest.mark.parametrize(
         "aggregate",
@@ -288,8 +305,8 @@ class TestEndToEndColumnarParity:
         ],
     )
     def test_grouped_aggregates_bit_identical(self, aggregate):
-        # price has no NULLs here (sum over None raises in both paths);
-        # float sums must come out bit-identical, so == not approx.
+        # price has no NULLs here (sum over None raises); float sums must
+        # equal the model's left-to-right fold bit for bit, so == not approx.
         rows = [
             {"id": i, "g": i % 7, "h": i % 3, "price": (i * 0.17) % 13.0}
             for i in range(500)
@@ -299,86 +316,85 @@ class TestEndToEndColumnarParity:
         db.load("t", rows)
         for grouping in (["g"], ["g", "h"]):
             query = Query.select("t", aggregate=aggregate).group_by(*grouping)
-            row_result, batched_result = run_both(db, query)
-            assert_parity(row_result, batched_result)
-            assert batched_result.rows == row_result.rows
+            check_exact(db, query, rows)
 
-    def test_fused_projection_over_each_scan_shape(self, indexed_database):
+    def test_fused_projection_over_each_scan_shape(self, indexed_database, item_rows):
         for force in ("seq_scan", "sorted_index_scan", "pipelined_index_scan"):
             query = Query.select(
                 "items", Between("price", 1000, 2500), projection=("itemid", "price")
             )
-            row_result, batched_result = run_both(
-                indexed_database, query, force=force
-            )
-            assert row_result.rows_matched > 0
-            assert all(set(row) == {"itemid", "price"} for row in batched_result.rows)
-            assert_parity(row_result, batched_result)
+            result = assert_batch_size_invariant(indexed_database, query, force=force)
+            assert result.rows_matched > 0
+            assert all(set(row) == {"itemid", "price"} for row in result.rows)
+            assert_matches_model(result, query, {"items": item_rows})
 
 
 class TestSortMergeJoinVectorized:
-    def _join_db(self, n_outer=300, n_inner=120, batch_size=DEFAULT_BATCH_SIZE):
-        rng = random.Random(11)
-        outer = [
-            {"okey": rng.randrange(60), "opayload": i} for i in range(n_outer)
-        ]
-        inner = [
-            {"ikey": rng.randrange(60), "ipayload": i} for i in range(n_inner)
-        ]
-        db = Database(buffer_pool_pages=200, batch_size=batch_size)
-        db.create_table("outer_t", sample_row=outer[0], tups_per_page=16)
+    """The columnar merge against the model, and against the lazy merge.
+
+    A sized pull runs the vectorized merge; the one-row-at-a-time view runs
+    the lazy one (``SortMergeJoin._merge``), so batch-size invariance here
+    compares two merge bodies, counters included.
+    """
+
+    def _load(self, outer, inner, samples=(None, None)):
+        db = Database(buffer_pool_pages=200)
+        db.create_table("outer_t", sample_row=samples[0] or outer[0], tups_per_page=16)
         db.load("outer_t", outer)
-        db.create_table("inner_t", sample_row=inner[0], tups_per_page=16)
+        db.create_table("inner_t", sample_row=samples[1] or inner[0], tups_per_page=16)
         db.load("inner_t", inner)
-        return db
+        return db, {"outer_t": outer, "inner_t": inner}
+
+    def _check(self, db, tables, query):
+        result = assert_batch_size_invariant(
+            db, query, force="seq_scan", force_join="sort_merge_join"
+        )
+        assert result.access_method == "sort_merge_join"
+        assert_matches_model(result, query, tables)
+        return result
+
+    def _random_tables(self):
+        rng = random.Random(11)
+        outer = [{"okey": rng.randrange(60), "opayload": i} for i in range(300)]
+        inner = [{"ikey": rng.randrange(60), "ipayload": i} for i in range(120)]
+        return self._load(outer, inner)
 
     def test_duplicate_key_cross_products(self):
-        db = self._join_db()
+        db, tables = self._random_tables()
         query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
-        )
-        assert row_result.rows_matched > 0
-        assert_parity(row_result, batched_result)
+        assert self._check(db, tables, query).rows_matched > 0
 
     def test_inner_exhausted_before_outer(self):
-        # All inner keys sort below the tail of the outer key range, so the
-        # row merge abandons the remaining outer groups mid-stream; the
-        # vectorized merge must charge identically.
+        # Outer keys 0..49 four times each, inner keys 0..9 eight times each:
+        # the merge matches ten groups (10 * 4 * 8 rows), meets the end of
+        # the inner side while skipping towards key 10 -- that group's four
+        # rows are counted as probes -- and never looks at keys 11..49.
         outer = [{"okey": i % 50, "opayload": i} for i in range(200)]
         inner = [{"ikey": i % 10, "ipayload": i} for i in range(80)]
-        db = Database(buffer_pool_pages=200)
-        db.create_table("outer_t", sample_row=outer[0], tups_per_page=16)
-        db.load("outer_t", outer)
-        db.create_table("inner_t", sample_row=inner[0], tups_per_page=16)
-        db.load("inner_t", inner)
+        db, tables = self._load(outer, inner)
         query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
-        )
-        assert_parity(row_result, batched_result)
+        result = self._check(db, tables, query)
+        assert result.rows_matched == 320
+        assert result.join_probes == 44
 
     def test_empty_outer_never_reads_inner(self):
-        db = self._join_db()
+        db, tables = self._random_tables()
         query = Query.select("outer_t", Equals("okey", -1)).join(
             "inner_t", on=("okey", "ikey")
         )
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
-        )
-        assert row_result.rows_matched == 0
-        assert_parity(row_result, batched_result)
+        result = self._check(db, tables, query)
+        assert result.rows_matched == 0
+        # 300 outer rows on 16-row pages; not one inner page.
+        assert result.pages_visited == 19
 
-    def test_null_join_keys_match_like_row_path(self):
+    def test_null_join_keys_match_like_the_model(self):
+        # NULL = NULL matches, as in the hash and nested-loop operators (and
+        # the model's ``==``); NULL keys sort after every value.
         outer = [{"okey": None if i % 4 == 0 else i % 9, "o": i} for i in range(80)]
         inner = [{"ikey": None if i % 5 == 0 else i % 9, "i": i} for i in range(60)]
-        db = Database(buffer_pool_pages=200)
-        db.create_table("outer_t", sample_row={"okey": 0, "o": 0}, tups_per_page=16)
-        db.load("outer_t", outer)
-        db.create_table("inner_t", sample_row={"ikey": 0, "i": 0}, tups_per_page=16)
-        db.load("inner_t", inner)
-        query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
+        db, tables = self._load(
+            outer, inner, samples=({"okey": 0, "o": 0}, {"ikey": 0, "i": 0})
         )
-        assert_parity(row_result, batched_result)
+        query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
+        result = self._check(db, tables, query)
+        assert any(row["okey"] is None for row in result.rows)

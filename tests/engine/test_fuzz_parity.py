@@ -1,15 +1,24 @@
-"""Differential fuzzer: batched execution must be bit-identical to row-at-a-time.
+"""Fuzzer: every batch size reports the same run, and the model agrees with it.
 
 Each seed derives one random query -- conjunctive predicates, an optional
 equi-join, one of three output shapes (plain rows with projection / ORDER BY /
 LIMIT, a scalar aggregate, or a grouped aggregate) -- and executes it under
-row-at-a-time mode (``batch_size=None``) and several batch sizes between 1
-and 4096.  Every mode must produce identical rows (same order), the same
-aggregate value, and *bit-identical* simulated counters: rows examined,
-pages visited, join probes, the full I/O breakdown and the simulated elapsed
-time.  This is the engine's central parity contract (see
-``benchmarks/test_batch_parity.py`` for the curated Figure 1 scenarios); the
-fuzzer guards the long tail of shape combinations no curated test enumerates.
+three sampled batch sizes between 1 and 4096 and the one-row-at-a-time view
+(``batch_size=None``).  Three things are asserted, none of which compares an
+operator body with itself:
+
+* **batch-size invariance**: every run reports the same :func:`digest` --
+  rows (same order), aggregate value, every ``QueryResult`` counter, the full
+  I/O breakdown, the simulated elapsed time and each plan node's own
+  counters, bit for bit;
+* **the recording**: for the seeds ``tests/engine/exec_goldens.json`` covers,
+  that digest equals what the row-at-a-time executor reported before it was
+  removed (``test_exec_goldens.py`` sweeps every batch size over the
+  recorded corpus; here the soak corpus beyond it gets invariance alone);
+* **the model**: rows and value equal a plain-Python evaluation of the query
+  over the loaded row lists (``tests/engine/model.py``) -- exact order under
+  a total ORDER BY, the multiset otherwise, the sort-key prefix and
+  containment under a LIMIT over ties, float sums to the last ulps.
 
 The tier-1 corpus is small (see ``--fuzz-iterations`` in the root
 ``conftest.py``); soak runs widen it::
@@ -17,16 +26,30 @@ The tier-1 corpus is small (see ``--fuzz-iterations`` in the root
     PYTHONPATH=src python -m pytest tests/engine/test_fuzz_parity.py --fuzz-iterations 500
 """
 
-import math
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.engine.predicates import Between, Equals, InSet
 from repro.engine.query import Aggregate, Query
-from tests.engine.conftest import NUM_CATEGORIES, PARTITION_LAYOUTS
+from tests.engine.conftest import (
+    NUM_CATEGORIES,
+    PARTITION_LAYOUTS,
+    build_cat_rows,
+    build_fuzz_rows,
+)
+from tests.engine.model import assert_matches_model, user_columns, values_close
+from tests.engine.runs import (
+    BATCH_SIZES,
+    assert_batch_size_invariant,
+    digest,
+    drift,
+    run_mode,
+)
 
-#: Batch sizes the fuzzer samples from -- degenerate (1-row batches), odd
-#: (never page-aligned), the default-ish, and larger-than-the-table.
-BATCH_SIZES = (1, 2, 3, 7, 32, 64, 256, 1024, 4096)
+EXEC_GOLDENS = Path(__file__).with_name("exec_goldens.json")
 
 # ---------------------------------------------------------------------------
 # Seeded query generation
@@ -111,29 +134,19 @@ def generate_query(seed):
 
 
 # ---------------------------------------------------------------------------
-# Differential execution
+# The three assertions
 # ---------------------------------------------------------------------------
 
-def run_mode(db, query, batch_size, force):
-    """Execute under one batching mode from an identical cold start."""
-    db.batch_size = batch_size
-    db.reset_measurements()
-    return db.run_query(query, force=force, cold_cache=True)
+@pytest.fixture(scope="module")
+def exec_goldens():
+    return json.loads(EXEC_GOLDENS.read_text())
 
 
-def assert_bit_identical(reference, candidate, *, context):
-    """Rows AND every simulated counter must match exactly -- no tolerance."""
-    assert candidate.access_method == reference.access_method, context
-    assert candidate.rows == reference.rows, context
-    assert candidate.value == reference.value, context
-    assert candidate.rows_examined == reference.rows_examined, context
-    assert candidate.rows_matched == reference.rows_matched, context
-    assert candidate.rows_emitted == reference.rows_emitted, context
-    assert candidate.pages_visited == reference.pages_visited, context
-    assert candidate.join_probes == reference.join_probes, context
-    assert candidate.io == reference.io, context  # incl. sequential/random split
-    assert candidate.elapsed_ms == reference.elapsed_ms, context
-    assert candidate.rewritten_sql == reference.rewritten_sql, context
+@pytest.fixture(scope="module")
+def model_tables():
+    """The loaded rows, as the plain lists the model evaluates over."""
+    cats = build_cat_rows()
+    return {"items": build_fuzz_rows(), "cats": cats, "catsf": cats}
 
 
 def pytest_generate_tests(metafunc):
@@ -142,24 +155,21 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("fuzz_seed", range(iterations))
 
 
-def test_fuzz_batch_parity(fuzz_database, fuzz_seed):
-    db = fuzz_database
+def test_fuzz_batch_parity(fuzz_database, fuzz_seed, exec_goldens, model_tables):
     query, force, batch_sizes = generate_query(fuzz_seed)
-    original = db.batch_size
-    try:
-        reference = run_mode(db, query, None, force)
-        for batch_size in batch_sizes:
-            candidate = run_mode(db, query, batch_size, force)
-            assert_bit_identical(
-                reference,
-                candidate,
-                context=(
-                    f"seed={fuzz_seed} batch_size={batch_size} "
-                    f"force={force} query={query.describe()}"
-                ),
-            )
-    finally:
-        db.batch_size = original
+    context = f"seed={fuzz_seed} force={force} query={query.describe()}"
+    recorded = exec_goldens["flat"]
+    result = assert_batch_size_invariant(
+        fuzz_database,
+        query,
+        batch_sizes,
+        recorded=recorded[fuzz_seed] if fuzz_seed < len(recorded) else None,
+        context=context,
+        force=force,
+    )
+    assert_matches_model(
+        result, query, model_tables, unique_columns=("itemid",), context=context
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,146 +222,56 @@ def generate_partition_query(seed):
     return query, label, batch_sizes, workers
 
 
-def _values_close(left, right):
-    """Exact for ints/strings/None; last-ulp tolerance for float sums.
+def assert_parallel_identical(reference, candidate, *, context):
+    """A fork-parallel run of one layout reports what its serial run did.
 
-    Partitioning (and parallel partial merging) reorders float additions,
-    so sums/averages may drift in the last ulps across layouts and
-    execution modes -- every *counter* still matches bit for bit.
+    Everything simulated must match exactly -- counters, per-node actuals,
+    the full I/O breakdown including the sequential/random split, elapsed
+    time.  The single tolerated drift is a float aggregate under parallel
+    partial merging (``(a+b)+c != a+(b+c)``); rows keep their order.
+    ``sort_stats`` is left out: workers ship their nodes' counters but not a
+    per-partition Sort/TopK's ``rows_in``, so a parallel run reports
+    "over 0 rows" (a known gap of ``engine/parallel.py``, see ROADMAP).
     """
-    if isinstance(left, float) and isinstance(right, float):
-        return math.isclose(left, right, rel_tol=1e-9, abs_tol=1e-12)
-    return left == right
+    serial, parallel = digest(reference), digest(candidate)
+    for tolerant in ("rows", "value", "sort_stats"):
+        del serial[tolerant], parallel[tolerant]
+    assert parallel == serial, f"{context}: {drift(serial, parallel)}"
+    assert values_close(candidate.value, reference.value), context
+    for got, want in zip(candidate.rows, reference.rows):
+        got, want = user_columns(got), user_columns(want)
+        assert got.keys() == want.keys(), context
+        assert all(values_close(got[column], want[column]) for column in got), context
 
 
-def _user_columns(row):
-    """Drop internal bookkeeping columns (e.g. the clustering ``_cm_bucket``)."""
-    return {key: value for key, value in row.items() if not key.startswith("_")}
-
-
-def _stable_key(row):
-    """Deterministic sort key over all columns.
-
-    Non-float columns come first so possibly ulp-drifted float aggregates
-    never decide the primary order (grouped rows are already unique on
-    their group keys); the float tiebreaker only matters for plain rows,
-    whose stored float values are bit-exact across layouts.
-    """
-    exact = tuple(
-        (key, value)
-        for key, value in sorted(row.items())
-        if not isinstance(value, float)
-    )
-    floats = tuple(
-        (key, repr(value))
-        for key, value in sorted(row.items())
-        if isinstance(value, float)
-    )
-    return exact, floats
-
-
-def _rows_close(left_rows, right_rows, *, same_order):
-    if len(left_rows) != len(right_rows):
-        return False
-    left_rows = [_user_columns(row) for row in left_rows]
-    right_rows = [_user_columns(row) for row in right_rows]
-    if not same_order:
-        left_rows = sorted(left_rows, key=_stable_key)
-        right_rows = sorted(right_rows, key=_stable_key)
-    for left, right in zip(left_rows, right_rows):
-        if sorted(left) != sorted(right):
-            return False
-        if not all(_values_close(left[column], right[column]) for column in left):
-            return False
-    return True
-
-
-def assert_layouts_equivalent(flat, part, *, context):
-    """Partitioned result content matches the single-heap run.
-
-    Physical page counts legitimately differ (per-partition heaps round up
-    to whole pages; pruning *reduces* rows examined), and row order under a
-    partial ORDER BY or no ORDER BY differs, so this asserts result
-    equivalence: matched-row count, aggregate value (float-tolerant), and
-    the full sorted row multiset.  Under a LIMIT the kept subset is
-    layout-dependent *unless* the ordering is total (it names the unique
-    ``itemid``), in which case the merged partitioned rows must equal the
-    flat rows exactly and in order.
-    """
-    assert part.rows_matched == flat.rows_matched, context
-    assert part.rewritten_sql == flat.rewritten_sql, context
-    if flat.query.aggregate is not None and not flat.query.grouping:
-        assert _values_close(part.value, flat.value), context
-        return
-    if flat.query.limit is not None:
-        total_order = any(
-            column == "itemid" for column, _ascending in flat.query.ordering
-        )
-        if total_order:
-            assert _rows_close(part.rows, flat.rows, same_order=True), context
-        return
-    assert _rows_close(part.rows, flat.rows, same_order=False), context
-
-
-def assert_modes_identical(reference, candidate, *, context):
-    """Serial/batched/parallel runs of one partitioned layout: bit-identical.
-
-    Everything simulated must match exactly -- counters, the full I/O
-    breakdown including the sequential/random split, and elapsed time.
-    The single tolerated drift is float aggregate values under parallel
-    partial merging (see :func:`_values_close`); rows keep their order.
-    """
-    assert candidate.access_method == reference.access_method, context
-    assert candidate.rows_examined == reference.rows_examined, context
-    assert candidate.rows_matched == reference.rows_matched, context
-    assert candidate.rows_emitted == reference.rows_emitted, context
-    assert candidate.pages_visited == reference.pages_visited, context
-    assert candidate.join_probes == reference.join_probes, context
-    assert candidate.io == reference.io, context
-    assert candidate.elapsed_ms == reference.elapsed_ms, context
-    assert candidate.rewritten_sql == reference.rewritten_sql, context
-    assert _values_close(candidate.value, reference.value), context
-    assert _rows_close(candidate.rows, reference.rows, same_order=True), context
-
-
-def run_partitioned(db, query, batch_size, *, parallel=None):
-    """Execute one partitioned mode from an identical cold start."""
-    db.batch_size = batch_size
-    db.reset_measurements()
-    return db.run_query(query, cold_cache=True, parallel=parallel)
-
-
-def test_fuzz_partition_parity(fuzz_database, partitioned_databases, fuzz_seed):
+def test_fuzz_partition_parity(
+    partitioned_databases, fuzz_seed, exec_goldens, model_tables
+):
     query, label, batch_sizes, workers = generate_partition_query(fuzz_seed)
-    flat = fuzz_database
-    part = partitioned_databases[label]
-    flat_original, part_original = flat.batch_size, part.batch_size
-    try:
-        flat_reference = run_mode(flat, query, None, None)
-        reference = run_partitioned(part, query, None)
-        context = (
-            f"seed={fuzz_seed} layout={label} workers={workers} "
-            f"query={query.describe()}"
-        )
-        assert_layouts_equivalent(flat_reference, reference, context=context)
-        for batch_size in batch_sizes:
-            candidate = run_partitioned(part, query, batch_size)
-            assert_modes_identical(
-                reference, candidate, context=f"{context} batch_size={batch_size}"
+    db = partitioned_databases[label]
+    context = (
+        f"seed={fuzz_seed} layout={label} workers={workers} "
+        f"query={query.describe()}"
+    )
+    recorded = exec_goldens["partitioned"]
+    serial = assert_batch_size_invariant(
+        db,
+        query,
+        batch_sizes,
+        recorded=recorded[fuzz_seed] if fuzz_seed < len(recorded) else None,
+        context=context,
+    )
+    assert_matches_model(
+        serial, query, model_tables, unique_columns=("itemid",), context=context
+    )
+    if workers is not None:
+        for batch_size in (None, batch_sizes[0]):
+            candidate = run_mode(db, query, batch_size, parallel=workers)
+            assert_parallel_identical(
+                serial,
+                candidate,
+                context=f"{context} parallel batch_size={batch_size}",
             )
-        if workers is not None:
-            for batch_size in (None, batch_sizes[0]):
-                candidate = run_partitioned(
-                    part, query, batch_size, parallel=workers
-                )
-                assert_modes_identical(
-                    reference,
-                    candidate,
-                    context=f"{context} parallel batch_size={batch_size}",
-                )
-    finally:
-        flat.batch_size = flat_original
-        part.batch_size = part_original
 
 
 def test_partition_corpus_covers_every_shape():

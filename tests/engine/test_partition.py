@@ -4,8 +4,9 @@ The differential fuzzer (``test_fuzz_parity.py::test_fuzz_partition_parity``)
 guards the long tail of random shapes; this suite pins the curated corners:
 the :class:`PartitionSpec` contract, row routing, static pruning decisions,
 the exchange plan (rendering, early termination under LIMIT), DML routing,
-and bit-identical counters across serial / batched / scheduler / parallel
-execution of one partitioned layout.
+and bit-identical counters across every batch size and the serial /
+scheduler / parallel drivers of one partitioned layout, with the rows
+checked against the plain-Python model (``tests/engine/model.py``).
 """
 
 import pytest
@@ -16,6 +17,8 @@ from repro.engine.partition import PartitionSpec, stable_partition_hash
 from repro.engine.plan import SortNode, TopKNode
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.query import Aggregate, Query
+from tests.engine.model import assert_matches_model
+from tests.engine.runs import assert_batch_size_invariant
 
 NUM_ROWS = 1_200
 NUM_CATS = 40
@@ -235,9 +238,13 @@ class TestExchangePlans:
 # Partition-wise joins
 # ---------------------------------------------------------------------------
 
+def build_cats():
+    return [{"catid": c, "label": f"c{c}"} for c in range(NUM_CATS)]
+
+
 def build_join_database(items_spec=None, cats_spec=None):
     db = build_database(items_spec)
-    cats = [{"catid": c, "label": f"c{c}"} for c in range(NUM_CATS)]
+    cats = build_cats()
     db.create_table(
         "cats", sample_row=cats[0], tups_per_page=40, partition_by=cats_spec
     )
@@ -372,16 +379,12 @@ def node_actuals(result):
 
 class TestExecutionParity:
     @pytest.mark.parametrize("query", PARITY_QUERIES, ids=lambda q: q.name)
-    def test_batched_matches_serial(self, query):
+    def test_every_batch_size_reports_the_same_run(self, query):
         db = build_database(PartitionSpec.by_hash("catid", 4))
-        reference = run_cold(db, query, batch_size=None)
-        for batch_size in (1, 7, 256):
-            candidate = run_cold(db, query, batch_size=batch_size)
-            assert_identical_stats(
-                reference, candidate, context=f"{query.name} batch={batch_size}"
-            )
-            assert candidate.rows == reference.rows
-            assert candidate.value == reference.value
+        result = assert_batch_size_invariant(db, query, context=query.name)
+        assert_matches_model(
+            result, query, {"items": build_rows()}, unique_columns=("itemid",)
+        )
 
     @pytest.mark.parametrize("query", PARITY_QUERIES, ids=lambda q: q.name)
     def test_scheduler_matches_serial(self, query):
@@ -416,35 +419,53 @@ class TestExecutionParity:
     @pytest.mark.parametrize("shape", ["scan", "co_partitioned_join"])
     def test_ordered_limit_keeps_sort_subtrees_batched(self, shape, monkeypatch):
         # A LIMIT above the merge exchange limits the merge, not its blocking
-        # Sort/TopK children: in every batched mode they are pulled through
-        # iter_batches, never through the row protocol, and every number
-        # still equals the row-at-a-time run.
+        # Sort/TopK children: whoever drives the plan, they are pulled
+        # through iter_batches with the driver's batch size and no demand
+        # (never one row at a time), and every driver reports the same run.
         spec = PartitionSpec.by_hash("catid", 4)
         query = Query.select("items", order_by=["-price", "itemid"], limit=25)
         if shape == "scan":
             db = build_database(spec)
+            tables = {"items": build_rows()}
         else:
             db = build_join_database(spec, spec)
             query = query.join("cats", on="catid")
-        reference = run_cold(db, query, batch_size=None)
-        assert len(reference.rows) == 25
-        assert "merge_exchange[" in node_actuals(reference)[1][0]
+            tables = {"items": build_rows(), "cats": build_cats()}
+        candidates = {"view": run_cold(db, query, batch_size=None)}
+        pulls = []
 
-        def row_fallback(node, context=None):
+        def no_row_pulls(node, context=None):
             raise AssertionError(f"{node.label()} was entered through iter_rows")
 
-        monkeypatch.setattr(SortNode, "iter_rows", row_fallback)
-        monkeypatch.setattr(TopKNode, "iter_rows", row_fallback)
-        candidates = {
-            f"batch={batch_size}": run_cold(db, query, batch_size=batch_size)
-            for batch_size in (1, 7, 256, 4096)
-        }
+        for node_type in (SortNode, TopKNode):
+            monkeypatch.setattr(node_type, "iter_rows", no_row_pulls)
+            batched = node_type.iter_batches
+
+            def recorded(
+                node, context, batch_size, demand=None, run_reads=True, *, _pull=batched
+            ):
+                pulls.append((batch_size, demand))
+                return _pull(node, context, batch_size, demand, run_reads)
+
+            monkeypatch.setattr(node_type, "iter_batches", recorded)
+
+        for batch_size in (1, 7, 256, 4096):
+            del pulls[:]
+            candidates[f"batch={batch_size}"] = run_cold(
+                db, query, batch_size=batch_size
+            )
+            assert set(pulls) == {(batch_size, None)}, pulls
         db.batch_size = 256
         db.reset_measurements()
         db.drop_caches()
         (candidates["scheduled"],) = db.run_concurrent([query])
         if FORK_AVAILABLE:
             candidates["parallel=2"] = run_cold(db, query, parallel=2)
+        reference = candidates["batch=256"]
+        assert "merge_exchange[" in node_actuals(reference)[1][0]
+        assert len(reference.rows) == 25
+        # A total order (itemid breaks every tie): exactly the model's rows.
+        assert_matches_model(reference, query, tables, unique_columns=("itemid",))
         for mode, candidate in candidates.items():
             context = f"{shape} {mode}"
             assert_identical_stats(reference, candidate, context=context)
