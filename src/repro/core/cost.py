@@ -379,7 +379,7 @@ def top_k_comparison_count(rows: float, k: int) -> float:
 def top_k_cost(est_rows: float, k: int, hw: HardwareParameters) -> CostSplit:
     """Cost of a heap-based top-k (ORDER BY + LIMIT k) over ``est_rows`` rows.
 
-    The k-heap consumes the entire input before anything can be emitted
+    The top-k consumes the entire input before anything can be emitted
     (upfront: one heap operation per input row, ``log2 k`` comparisons each);
     emitting the k survivors streams.  Because only a k-row heap is retained,
     this beats :func:`sort_cost` whenever ``k`` is small -- the reason the

@@ -187,11 +187,3 @@ def iter_orders(config: TPCHConfig | None = None) -> Iterator[dict[str, Any]]:
             "clerk": f"Clerk#{rng.randint(1, max(2, config.num_orders // 1000)):09d}",
             "shippriority": 0,
         }
-
-
-def expected_orders_columns() -> list[str]:
-    """The orders columns generated here, in order."""
-    return [
-        "orderkey", "custkey", "orderstatus", "totalprice",
-        "orderdate", "orderpriority", "clerk", "shippriority",
-    ]

@@ -21,25 +21,29 @@ Four access methods are implemented, mirroring Sections 3 and 5 of the paper:
     clustered bucket ids), sweep those page ranges and re-apply the original
     predicate to drop false positives.
 
-Every path streams: :meth:`AccessPath.iter_rows` is a generator built on one
-shared lazy sweep (:meth:`AccessPath._sweep_pages`) and an
+Every path runs through :meth:`AccessPath.iter_batches` -- the one execution
+protocol of :mod:`repro.engine.executor` -- under an
 :class:`~repro.engine.executor.ExecutionContext` that carries the counters
-and the MVCC snapshot.  Rows are the live heap-page dicts; abandoning the
-generator stops the sweep, so remaining pages are never read.
+and the MVCC snapshot.  Rows are the live heap-page dicts.  An *eager* pull
+(``demand=None``) produces page-aligned
+:class:`~repro.engine.executor.RowBatch` objects through the full-drain
+sweep (:meth:`AccessPath._sweep_pages_batched`), which reads runs of pages
+and hands whole pages on.  A *lazy* pull -- a LIMIT above, a join probing
+per row, :meth:`AccessPath.iter_rows` -- goes through the lazy sweep
+(:meth:`AccessPath._sweep_pages`), the row generator a scan needs because a
+page read sits between two of its output rows: abandoning it stops the
+sweep, so remaining pages are never read.
 
-Each path also speaks the batched protocol: :meth:`AccessPath.iter_batches`
-produces page-aligned :class:`~repro.engine.executor.RowBatch` objects
-through a second shared sweep (:meth:`AccessPath._sweep_pages_batched`) that
-reads runs of pages and hands whole pages on.  The two sweeps consume the
-same per-path page enumeration (:meth:`AccessPath._target_pages`) and apply
-the same per-page filter step (:meth:`AccessPath._page_filter`: MVCC
-visibility, then the compiled predicate kernel, once per page -- neither
-dispatches a predicate per row), so the two protocols cannot drift.  They
-differ in delivery and charging only: the batched sweep drains every page
-and charges ``len(live)`` per page; the lazy sweep yields a page's survivors
-one at a time and charges each by its *position in the unfiltered live
-list*, which makes abandoning it after any row exact -- the counters are
-those of a loop that examined the page row by row and stopped there.
+The two sweeps consume the same per-path page enumeration
+(:meth:`AccessPath._target_pages`) and apply the same per-page filter step
+(:meth:`AccessPath._page_filter`: MVCC visibility, then the compiled
+predicate kernel, once per page -- neither dispatches a predicate per row),
+so they cannot drift.  They differ in delivery and charging only: the
+full-drain sweep charges ``len(live)`` per page; the lazy sweep yields a
+page's survivors one at a time and charges each by its *position in the
+unfiltered live list*, which makes abandoning it after any row exact -- the
+counters are those of a loop that examined the page row by row and stopped
+there.
 
 Join operators reuse the same paths for their inner side:
 :class:`InnerPathBuilder` binds one outer row's join-key values into
@@ -98,10 +102,15 @@ class AccessPath:
     # -- streaming interface ----------------------------------------------------
 
     def iter_rows(self, context: ExecutionContext | None = None) -> Iterator[dict[str, Any]]:
-        """Stream matching rows, charging counters on ``context`` as they flow."""
+        """Matching rows one at a time: the lazy pull, without the batches.
+
+        What a probe join runs per outer row.  Equivalent to flattening
+        ``iter_batches(context, 1, LAZY_UNBOUNDED)``.
+        """
         yield from self._stream(context or ExecutionContext())
 
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
+        """This path's row generator (see :meth:`_sweep_pages`)."""
         yield from self._sweep_pages(self._target_pages(context), context)
 
     def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
@@ -109,7 +118,7 @@ class AccessPath:
 
         The single per-path enumeration both scan kernels consume; any
         upfront work (index probes, CM rewrites, descent charges) happens
-        here, once, whichever protocol drives the sweep.
+        here, once, whichever sweep runs.
         """
         raise NotImplementedError
 
@@ -141,9 +150,9 @@ class AccessPath:
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # A finite demand carries per-row semantics: serve it through the
-        # lazy sweep (rows produced one at a time, delivered in batches),
-        # whose positional charging is exact wherever the consumer stops.
+        # A lazy pull carries per-row semantics: serve it through the lazy
+        # sweep (rows produced one at a time, delivered in batches), whose
+        # positional charging is exact wherever the consumer stops.
         if demand is not None:
             yield from _chunk_rows(self._stream(context), batch_size, demand)
             return
@@ -202,8 +211,8 @@ class AccessPath:
         filter trivially).  The filter is the first half of the shared
         :meth:`_page_filter` step, and both sweeps count examined rows over
         the unfiltered live list: an invisible version costs exactly what a
-        non-matching row costs, in both protocols, keeping the row/batch
-        parity contract intact under MVCC.
+        non-matching row costs, in both sweeps, so a lazy and an eager
+        pull keep reporting the same counters under MVCC.
         """
         snapshot = context.snapshot
         if snapshot is None:
@@ -314,7 +323,7 @@ class AccessPath:
         With ``run_reads=False`` (the consumer interleaves its own I/O, e.g.
         a probe join's inner lookups) the kernel reads and yields one page
         at a time, preserving the exact read order -- and therefore the
-        sequential/random classification -- of the row-at-a-time sweep.
+        sequential/random classification -- of the lazy sweep.
         """
         heap = self.table.heap
         counters = context.counters
@@ -474,62 +483,13 @@ class PipelinedIndexScan(AccessPath):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Per-tuple random fetches have no page runs to exploit; the batched
-        # variant only amortises delivery and counter charging.  Beneath an
-        # I/O-interleaving consumer (run_reads=False) fetches must alternate
-        # with the consumer's reads exactly as in the row pipeline, so fall
-        # back to chunked row production there.
-        if not run_reads or demand is not None:
-            yield from _chunk_rows(self._stream(context), batch_size, demand)
-            return
-        rids, lookups = _probe_index(self.index, self.predicates)
-        context.counters.lookups += lookups
-        counters = context.counters
-        heap = self.table.heap
-        matches = self.predicates.matches
-        visible = self._visibility(context)
-        visited_pages: set[int] = set()
-        batch = RowBatch()
-        examined = 0
-        try:
-            for rid in rids:
-                row = heap.fetch(rid)
-                if rid.page_no not in visited_pages:
-                    visited_pages.add(rid.page_no)
-                    counters.pages_visited += 1
-                if row is None:
-                    continue
-                examined += 1
-                if (visible is None or visible(row)) and matches(row):
-                    batch.append(row)
-                if len(batch) >= batch_size:
-                    counters.rows_examined += examined
-                    self._charge_cpu(examined)
-                    examined = 0
-                    yield batch
-                    batch = RowBatch()
-        finally:
-            if examined:
-                counters.rows_examined += examined
-                self._charge_cpu(examined)
-        if batch:
-            yield batch
+        # Per-tuple random fetches have no page runs to exploit and a heap
+        # fetch between any two output rows: eager or lazy, the one body is
+        # the row generator, delivered in batches.
+        return _chunk_rows(self._stream(context), batch_size, demand)
 
-    def project_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        run_reads: bool,
-        columns: Sequence[str],
-    ) -> Iterator[RowBatch]:
-        """Probe-order fetches have no page sweep to fuse the projection
-        into: project each delivered batch with one comprehension instead
-        (same accounting, still no full-width batch handed upward)."""
-        columns = tuple(columns)
-        for batch in self._stream_batches(context, batch_size, None, run_reads):
-            yield RowBatch(
-                [{column: row[column] for column in columns} for row in batch]
-            )
+    #: Probe-order fetches have no page sweep to fuse a projection into.
+    project_batches = None  # type: ignore[assignment]
 
 
 class ClusteredIndexScan(AccessPath):

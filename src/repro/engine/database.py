@@ -26,6 +26,7 @@ from repro.core.model import HardwareParameters
 from repro.core.statistics import DEFAULT_STATS_SAMPLE_SIZE
 from repro.engine.executor import (
     DEFAULT_BATCH_SIZE,
+    LAZY_UNBOUNDED,
     ExecutionContext,
     PlanNode,
     RowBatch,
@@ -86,13 +87,14 @@ class Database:
         batch_size: int | None = DEFAULT_BATCH_SIZE,
     ) -> None:
         if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive (or None for row-at-a-time)")
+            raise ValueError("batch_size must be positive (or None for one row at a time)")
         self.disk = DiskModel(disk_params)
-        #: Rows per batch pulled through the plan tree by :meth:`run_query`
-        #: (scans align batches to page boundaries).  ``None`` executes
-        #: row-at-a-time through ``iter_rows`` instead -- same results and
-        #: bit-identical simulated I/O statistics, more interpreter overhead
-        #: per row (``executor.row_mode_us_per_row`` in ``perf/``).
+        #: Rows per batch pulled through the plan tree (scans align batches
+        #: to page boundaries); every value reports the same rows and
+        #: bit-identical simulated statistics.  ``None`` selects no code of
+        #: its own: :meth:`_batches` pulls the same protocol one row at a
+        #: time.  It stays accepted only because ``perf/``'s ``analytic_scan``
+        #: probe assigns it (ROADMAP: re-point the probe, remove the value).
         self.batch_size = batch_size
         self.buffer_pool = BufferPool(self.disk, capacity_pages=buffer_pool_pages)
         self.wal = WriteAheadLog(self.disk)
@@ -266,17 +268,20 @@ class Database:
 
         if parallel is not None and parallel < 1:
             raise ValueError("parallel must be a positive worker count")
-        plan = self._prepare(
-            query, force=force, force_join=force_join, limit=limit, projection=projection
+        plan, context = self._open(
+            query,
+            force=force,
+            force_join=force_join,
+            limit=limit,
+            projection=projection,
+            snapshot=snapshot,
+            transaction=transaction,
         )
         if cold_cache:
             self.drop_caches()
         devices = exchange_devices(plan)
         device_snaps = [(device, device.snapshot()) for device in devices]
         before = self.disk.snapshot()
-        context = ExecutionContext(
-            snapshot=self._effective_snapshot(snapshot, transaction, query)
-        )
         rows: list[dict[str, Any]] | None = None
         if parallel is not None and parallel > 1:
             rows = maybe_run_parallel(self, plan, context, workers=parallel)
@@ -287,23 +292,45 @@ class Database:
             io = io.add(device.window_since(snap))
         return self._build_result(query, plan, rows, context, io)
 
-    def _drain(self, plan: PlanNode, context: ExecutionContext) -> list[dict[str, Any]]:
-        """Pull every output row of ``plan``, batched or row-at-a-time.
+    def _open(
+        self,
+        query: Query,
+        *,
+        snapshot: Snapshot | None = None,
+        transaction: Transaction | None = None,
+        **planning: Any,
+    ) -> tuple[PlanNode, ExecutionContext]:
+        """Plan ``query`` and pin what it will see: the one open step.
+
+        Every way of running a query -- :meth:`run_query`, :meth:`stream`,
+        :meth:`stream_batches`, the scheduler's admission -- builds its plan
+        (``planning``: the arguments of :meth:`_prepare`), snapshot and
+        context here, then pulls :meth:`_batches`.
+        """
+        plan = self._prepare(query, **planning)
+        visible = self._effective_snapshot(snapshot, transaction, query)
+        return plan, ExecutionContext(snapshot=visible)
+
+    def _batches(
+        self, plan: PlanNode, context: ExecutionContext, batch_size: int | None
+    ) -> Iterator[RowBatch]:
+        """The plan's output as batches of rows the caller owns.
 
         Rows leaving a scan-rooted plan are live heap-page dicts, so they
-        are copied here before reaching callers.
+        are copied here.  ``batch_size=None`` is the ``PlanNode.iter_rows``
+        view: one-row batches under the lazy, unbounded demand.
         """
-        if self.batch_size is None:
-            stream = plan.iter_rows(context)
-            return list(stream if plan.produces_fresh_rows else map(dict, stream))
-        rows: list[dict[str, Any]] = []
-        extend = rows.extend
+        size, demand = (1, LAZY_UNBOUNDED) if batch_size is None else (batch_size, None)
+        batches = plan.iter_batches(context, size, demand)
         if plan.produces_fresh_rows:
-            for batch in plan.iter_batches(context, self.batch_size):
-                extend(batch)
-        else:
-            for batch in plan.iter_batches(context, self.batch_size):
-                extend(map(dict, batch))
+            return batches
+        return (RowBatch(map(dict, batch)) for batch in batches)
+
+    def _drain(self, plan: PlanNode, context: ExecutionContext) -> list[dict[str, Any]]:
+        """Pull every output row of ``plan`` at the database's batch size."""
+        rows: list[dict[str, Any]] = []
+        for batch in self._batches(plan, context, self.batch_size):
+            rows.extend(batch)
         return rows
 
     def _prepare(
@@ -315,7 +342,7 @@ class Database:
         limit: int | None,
         projection: Sequence[str] | None,
     ) -> PlanNode:
-        """Shared run_query/stream preamble: coalesce overrides, validate, plan."""
+        """The planning half of :meth:`_open`: coalesce overrides, validate, plan."""
         limit = query.limit if limit is None else limit
         projection = query.projection if projection is None else tuple(projection)
         scalar_aggregate = query.aggregate is not None and not query.grouping
@@ -409,27 +436,25 @@ class Database:
     ) -> Iterator[dict[str, Any]]:
         """Plan a query and yield matching rows as they are produced.
 
-        Nothing is materialised: rows flow straight out of the plan's
-        generator pipeline -- for joins, merged rows are produced as the
-        outer scan and the inner probes interleave -- and abandoning the
-        iterator stops every stage (pages past the last consumed row are
-        never read).  A Sort/TopK in the plan buffers internally, but the
-        surface stays the same generator.  Rows of scan-rooted plans are
-        copied before they leave, so callers may keep or mutate them freely.
-        Aggregating queries are rejected -- an aggregate needs the whole
-        stream; use :meth:`run_query`.
+        The one-row-at-a-time view of :meth:`stream_batches`: nothing is
+        materialised -- for joins, merged rows are produced as the outer
+        scan and the inner probes interleave -- and abandoning the iterator
+        after any row stops every stage (pages past the last consumed row
+        are never read).  A Sort/TopK/GroupBy in the plan buffers
+        internally, but the surface stays the same generator.
         """
-        if query.aggregate is not None:
-            raise ValueError("stream() does not support aggregating queries")
-        plan = self._prepare(
-            query, force=force, force_join=force_join, limit=limit, projection=projection
+        batches = self._stream(
+            "stream",
+            query,
+            None,
+            force=force,
+            force_join=force_join,
+            limit=limit,
+            projection=projection,
+            snapshot=snapshot,
+            transaction=transaction,
         )
-        rows = plan.iter_rows(
-            ExecutionContext(
-                snapshot=self._effective_snapshot(snapshot, transaction, query)
-            )
-        )
-        return rows if plan.produces_fresh_rows else (dict(row) for row in rows)
+        return (row for batch in batches for row in batch)
 
     def stream_batches(
         self,
@@ -443,34 +468,38 @@ class Database:
         snapshot: Snapshot | None = None,
         transaction: Transaction | None = None,
     ) -> Iterator[RowBatch]:
-        """Like :meth:`stream`, but yield :class:`RowBatch` objects.
+        """Plan a query and yield its output as :class:`RowBatch` objects.
 
-        The batch-at-a-time twin of :meth:`stream`: batches flow straight
-        out of the plan's ``iter_batches`` pipeline and abandoning the
-        iterator stops every stage.  Rows of scan-rooted plans are copied
-        before they leave, so callers may keep or mutate them freely.
-        ``batch_size`` overrides the database default for this stream.
+        Batches flow straight out of the plan's ``iter_batches`` pipeline
+        and abandoning the iterator stops every stage.  Rows of scan-rooted
+        plans are copied before they leave, so callers may keep or mutate
+        them freely.  ``batch_size`` overrides the database default for this
+        stream.  A grouped aggregate streams its group rows; a *scalar*
+        aggregate is rejected -- it reduces the whole matching stream to one
+        value; use :meth:`run_query`.
         """
-        if query.aggregate is not None and not query.grouping:
-            raise ValueError("stream_batches() does not support scalar aggregates")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive")
-        size = batch_size if batch_size is not None else self.batch_size
-        if size is None:
-            size = DEFAULT_BATCH_SIZE
-        plan = self._prepare(
-            query, force=force, force_join=force_join, limit=limit, projection=projection
-        )
-        fresh = plan.produces_fresh_rows
-        context = ExecutionContext(
-            snapshot=self._effective_snapshot(snapshot, transaction, query)
+        return self._stream(
+            "stream_batches",
+            query,
+            batch_size or self.batch_size or DEFAULT_BATCH_SIZE,
+            force=force,
+            force_join=force_join,
+            limit=limit,
+            projection=projection,
+            snapshot=snapshot,
+            transaction=transaction,
         )
 
-        def batches() -> Iterator[RowBatch]:
-            for batch in plan.iter_batches(context, size):
-                yield batch if fresh else RowBatch(map(dict, batch))
-
-        return batches()
+    def _stream(
+        self, surface: str, query: Query, batch_size: int | None, **options: Any
+    ) -> Iterator[RowBatch]:
+        """Open ``query`` for one of the two streaming surfaces."""
+        if query.aggregate is not None and not query.grouping:
+            raise ValueError(f"{surface}() does not support scalar aggregates")
+        plan, context = self._open(query, **options)
+        return self._batches(plan, context, batch_size)
 
     def _planner_route(
         self, query: Query

@@ -49,7 +49,7 @@ from repro.engine.executor import (
     PlanNode,
     RowBatch,
     _chunk_rows,
-    iter_batches_of,
+    _sliced,
 )
 from repro.engine.plan import ExchangeNode, _ordering_text, sort_key_function
 
@@ -115,10 +115,7 @@ class MergeExchangeNode(ExchangeNode):
         self.partitions_scanned = len(self.sources)
 
     def _gather_parts(
-        self,
-        context: ExecutionContext,
-        batch_size: int | None = None,
-        run_reads: bool = True,
+        self, context: ExecutionContext, batch_size: int, run_reads: bool
     ) -> list[list[dict[str, Any]]]:
         """The per-partition ordered row lists: the replayed ones, else
         every child drained fully, in ascending partition order."""
@@ -128,15 +125,12 @@ class MergeExchangeNode(ExchangeNode):
         self.partitions_scanned = 0
         for source in self.sources:
             self.partitions_scanned += 1
-            if batch_size is None:
-                parts.append(list(source.iter_rows(context.child())))
-            else:
-                rows: list[dict[str, Any]] = []
-                for batch in iter_batches_of(
-                    source, context.child(), batch_size, None, run_reads
-                ):
-                    rows.extend(batch)
-                parts.append(rows)
+            rows: list[dict[str, Any]] = []
+            for batch in source.iter_batches(
+                context.child(), batch_size, None, run_reads
+            ):
+                rows.extend(batch)
+            parts.append(rows)
         return parts
 
     def _merged(
@@ -154,9 +148,6 @@ class MergeExchangeNode(ExchangeNode):
                     int(merge_comparison_count(emitted, len(parts)))
                 )
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        yield from self._merged(self._gather_parts(context))
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -165,10 +156,9 @@ class MergeExchangeNode(ExchangeNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # The children are blocking Sort/TopK subtrees, drained in full
-        # before the first merged row whatever the consumer wants: they get
-        # ``demand=None`` and the batched protocol.  Only the lazy merge
-        # above them is demand-limited (closing it early charges the merge
-        # CPU for the rows emitted so far, as abandoning ``_stream`` does).
+        # before the first merged row whatever the consumer wants: an eager
+        # pull.  Only the merge above them is demand-limited (closing it
+        # early charges the merge CPU for the rows emitted so far).
         parts = self._gather_parts(context, batch_size, run_reads)
         yield from _chunk_rows(self._merged(parts), batch_size, demand)
 
@@ -227,10 +217,18 @@ class BroadcastNode(PlanNode):
         """Fill the shared cache by draining the held source plan once."""
         if self._cache.rows is None and self.source is not None:
             self._cache.rows = [
-                dict(row) for row in self.source.iter_rows(context.child())
+                dict(row)
+                for batch in self.source.iter_batches(context.child())
+                for row in batch
             ]
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
+    def _stream_batches(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        demand: int | None,
+        run_reads: bool,
+    ) -> Iterator[RowBatch]:
         self.prepare(context)
         rows = self._cache.rows
         if rows is None:
@@ -238,7 +236,7 @@ class BroadcastNode(PlanNode):
                 "broadcast cache was never filled: the source-holding node "
                 "must run (or be prepared) first"
             )
-        yield from rows
+        return _sliced(rows, batch_size)
 
     def describe_detail(self) -> str:
         return f"{self.table_name} to all partitions"
@@ -323,9 +321,10 @@ class RepartitionNode(PlanNode):
             [] for _ in range(spec.num_partitions)
         ]
         count = 0
-        for row in self.source.iter_rows(context.child()):
-            buckets[spec.partition_of(row[column])].append(dict(row))
-            count += 1
+        for batch in self.source.iter_batches(context.child()):
+            count += len(batch)
+            for row in batch:
+                buckets[spec.partition_of(row[column])].append(dict(row))
         if self.disk is not None:
             self.disk.charge_cpu_tuples(count)
             self.disk.charge_spill(
@@ -334,7 +333,13 @@ class RepartitionNode(PlanNode):
             )
         self._cache.buckets = buckets
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
+    def _stream_batches(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        demand: int | None,
+        run_reads: bool,
+    ) -> Iterator[RowBatch]:
         self.prepare(context)
         buckets = self._cache.buckets
         if buckets is None:
@@ -342,7 +347,7 @@ class RepartitionNode(PlanNode):
                 "repartition buckets were never filled: the source-holding "
                 "node must run (or be prepared) first"
             )
-        yield from buckets[self.partition_index]
+        return _sliced(buckets[self.partition_index], batch_size)
 
     def describe_detail(self) -> str:
         return (

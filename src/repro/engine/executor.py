@@ -1,82 +1,74 @@
-"""The streaming execution layer: plan nodes, contexts, counters, joins.
+"""The execution layer: plan nodes, contexts, counters, joins.
 
-Query execution runs a tree of :class:`PlanNode` operators (Volcano-style):
-leaf ``Scan`` nodes wrap access paths, join operators compose them into
-left-deep chains, and the pipeline decorators of :mod:`repro.engine.plan`
-(Sort, TopK, GroupBy, Aggregate, Limit, Project) sit on top.  Every node is
-a row source -- rows flow through generator-based ``iter_rows`` pipelines --
-and every node owns its *own* :class:`ExecutionCounters`, so an executed
-plan reports per-node actual rows and pages (the EXPLAIN ANALYZE surface)
-while :meth:`PlanNode.total_counters` folds the tree back into whole-query
-totals.
+Query execution runs a tree of :class:`PlanNode` operators: leaf ``Scan``
+nodes wrap access paths, join operators compose them into left-deep chains,
+and the pipeline decorators of :mod:`repro.engine.plan` (Sort, TopK,
+GroupBy, Aggregate, Limit, Project) sit on top.  Every node owns its *own*
+:class:`ExecutionCounters`, so an executed plan reports per-node actual rows
+and pages (the EXPLAIN ANALYZE surface) while
+:meth:`PlanNode.total_counters` folds the tree back into whole-query totals.
 
-An :class:`ExecutionContext` travels down the pipeline carrying the
-counters to charge, the MVCC snapshot and the per-query shared state.  Two
-composition rules keep the accounting straight:
+**One protocol.**  A node runs in exactly one way:
+:meth:`PlanNode.iter_batches` ``(context, batch_size, demand, run_reads)``
+pulls :class:`RowBatch` objects (plain lists of row dicts) through the tree.
+Batching amortises interpreter overhead and changes no number: every batch
+size reports bit-identical rows, per-node counters, I/O breakdown and
+simulated time.  Three rules make that hold:
 
-* pulling from a *child node* goes through :meth:`PlanNode.iter_rows`,
-  which re-homes the context onto that node's counters
-  (:meth:`PlanNode.adopt`) -- the child's physical work lands on the child;
-* *intra-node* sub-pipelines (the per-outer-row probe paths of a nested-
-  loop join, a hash join's build scan) run under
-  :meth:`ExecutionContext.child` contexts that share the operator's
-  counters -- work that has no node of its own lands on the operator that
-  caused it (probe work is routed to the join's ``inner_probe`` leaf).
-
-Two join operator families exist:
-
-* *tuple-at-a-time* probes (:class:`NestedLoopJoin`,
-  :class:`IndexNestedLoopJoin`) pull rows from the outer source and bind
-  each outer row's join-key values into a fresh inner access path;
-* *set-at-a-time* operators (:class:`HashJoin`, :class:`SortMergeJoin`)
-  read the inner input once -- a hash-table build, or an ordered merge --
-  and stream the other input through it, turning the quadratic unindexed
-  fallback into O(N + M) page reads.
-
-**Batched dataflow.**  Besides the row-at-a-time ``iter_rows`` pipelines,
-every node speaks a batch-at-a-time protocol: :meth:`PlanNode.iter_batches`
-pulls :class:`RowBatch` objects (plain lists of row dicts, default
-``batch_size`` :data:`DEFAULT_BATCH_SIZE`) through the tree, which is what
-``Database(batch_size=...)`` executes by default.  Batching amortises the
-dominant interpreter overheads -- generator frame switches, per-row counter
-calls -- while keeping every simulated-disk number *bit-identical*
-to the row-at-a-time path.  Three rules make that parity hold:
-
-* **demand**: a ``demand`` row budget flows down from :class:`repro.engine.
-  plan.LimitNode`.  A streaming operator receiving a finite demand degrades
-  to lazy row-at-a-time production (chunking its own ``_stream``), so early
-  termination stops at exactly the same row, page and CPU charge as the
-  row pipeline -- lazy *production*, not per-row predicate dispatch: at the
-  leaves the lazy sweep (:meth:`repro.engine.access.AccessPath._sweep_pages`)
-  filters each page once through the compiled kernel and charges survivors
-  by their position in the unfiltered live list; a node that drains its inputs fully before its first output
-  (Sort/TopK/Aggregate/GroupBy, the merge exchange) forwards
-  ``demand=None`` and the batched protocol to them, exactly as it drains
-  them fully either way -- only its lazy merge/emit above is demand-limited.
+* **demand** says how the consumer pulls.  ``None`` is an *eager* pull: the
+  consumer takes everything, so the operator may read ahead and vectorise.
+  An integer is a *lazy* pull: the consumer may stop after any row (at the
+  latest after ``demand`` of them -- a ``LimitNode`` budget, or
+  :data:`LAZY_UNBOUNDED`), and wherever it stops, the counters must be those
+  of a loop that produced exactly the rows taken.  A node that drains its
+  inputs before its first output (Sort/TopK/Aggregate/GroupBy, the merge
+  exchange, a hash build) pulls them eagerly whatever its own demand; the
+  ``iter_batches`` wrapper truncates, so ``rows_out`` is what was consumed.
 * **run_reads**: scans may read several consecutive heap pages back-to-back
   (charged as one sequential run) only while no operator between them and
   the consumer issues per-row I/O.  A :class:`ProbeJoin` pulls its outer
   side with ``run_reads=False``, which keeps the simulated head position --
-  and with it every sequential/random classification -- identical to the
-  interleaved row-at-a-time order.
-* **batched charging**: per-page/per-batch counter increments replace
-  per-row ones, but only where the totals are provably equal (the counters
-  are purely additive).
+  and with it every sequential/random classification -- in probe order.
+* **additive charging**: per-page/per-batch counter increments replace
+  per-row ones only where the totals are provably equal.
 
-``iter_rows`` remains as the lazy row surface (``Database.stream``, bare
-access paths, ``Database(batch_size=None)``) and as the reference semantics
-the batched path is tested against.
+**Where a row generator lives.**  Only where stopping between two output
+rows must leave different counters than stopping a batch later -- where I/O
+or fan-out happens *between* consecutive output rows -- and then as the lazy
+branch *inside* the operator's ``_stream_batches`` (delivered through
+:func:`_chunk_rows`), never as a second protocol.  There are five: the page
+sweep (:meth:`repro.engine.access.AccessPath._sweep_pages`, and the
+pipelined index scan's per-tuple fetch), :class:`ProbeJoin`,
+:class:`SortMergeJoin`'s merge, :class:`HashJoin`'s lazy probe and the merge
+exchange's heap merge.  Everything else has one body serving both pulls.
+:meth:`PlanNode.iter_rows` is a *view*, defined once: the flattening of
+``iter_batches(context, 1, LAZY_UNBOUNDED)``.  ARCHITECTURE.md ("One
+execution protocol") has the long form; ``repro-lint`` REPRO102 keeps a
+``_stream`` method or an ``iter_rows`` override off plan nodes.
 
-LIMIT and projection live in the plan tree only: :class:`repro.engine.plan.
-LimitNode` stops pulling once its budget is spent, which abandons every
-upstream generator mid-sweep so the remaining pages are never read.  Rows
-leaving a scan are live heap-page dicts (:attr:`PlanNode.
-produces_fresh_rows`); ``Database`` copies them at the plan root before they
-reach a caller.
+An :class:`ExecutionContext` travels down the pipeline carrying the
+counters to charge, the MVCC snapshot and the per-query shared state:
+
+* pulling from a *child node* re-homes the context onto that node's
+  counters (:meth:`PlanNode.adopt`) -- the child's work lands on the child;
+* *intra-node* sub-pipelines (the per-outer-row probe paths of a nested-
+  loop join, a hash join's build scan) run under
+  :meth:`ExecutionContext.child` contexts that share the operator's
+  counters (probe work is routed to the join's ``inner_probe`` leaf).
+
+Two join families exist: *tuple-at-a-time* probes (:class:`NestedLoopJoin`,
+:class:`IndexNestedLoopJoin`) bind each outer row's join-key values into a
+fresh inner access path; *set-at-a-time* operators (:class:`HashJoin`,
+:class:`SortMergeJoin`) read the inner input once -- a hash-table build, or
+an ordered merge -- turning the quadratic unindexed fallback into O(N + M)
+page reads.  LIMIT and projection live in the plan tree only.  Rows leaving
+a scan are live heap-page dicts (:attr:`PlanNode.produces_fresh_rows`);
+``Database`` copies them at the plan root before they reach a caller.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
@@ -94,10 +86,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cost import CostSplit
     from repro.engine.transactions import Snapshot
 
-#: Default number of rows per :class:`RowBatch` pulled through the batched
-#: executor (the ``Database(batch_size=...)`` default).  Scans align batches
-#: to page boundaries, so actual batches round up to whole pages.
+#: Default number of rows per :class:`RowBatch` pulled through a plan (the
+#: ``Database(batch_size=...)`` default).  Scans align batches to page
+#: boundaries, so actual batches round up to whole pages.
 DEFAULT_BATCH_SIZE = 256
+
+#: The ``demand`` of a consumer that may stop after any row and names no
+#: bound: a lazy pull without a LIMIT (see the module docstring).
+LAZY_UNBOUNDED = sys.maxsize
 
 
 class RowBatch(list):
@@ -105,9 +101,8 @@ class RowBatch(list):
 
     A plain ``list`` subclass (C-speed append/extend/iteration, no wrapper
     indirection on the hot path) whose type marks the batch boundary of the
-    set-at-a-time protocol.  Scan batches hold *live* heap-page dicts --
-    consumers that keep or mutate rows must copy them, exactly as with the
-    rows of the row-at-a-time pipeline (``Database`` copies at the plan root
+    protocol.  Scan batches hold *live* heap-page dicts -- consumers that
+    keep or mutate rows must copy them (``Database`` copies at the plan root
     before handing rows to callers).
 
     The row-dict view is the source of truth; per-column vectors are
@@ -149,7 +144,7 @@ class ExecutionCounters:
     #: join step).
     join_probes: int = 0
     #: Rows this node produced to its consumer (the EXPLAIN ANALYZE
-    #: ``actual rows``); maintained by :meth:`PlanNode.iter_rows`.
+    #: ``actual rows``); maintained by :meth:`PlanNode.iter_batches`.
     rows_out: int = 0
 
 
@@ -206,15 +201,14 @@ def _chunk_rows(
     batch_size: int,
     demand: int | None = None,
 ) -> Iterator[RowBatch]:
-    """Deliver a row iterator as batches, pulling at most ``demand`` rows.
+    """Deliver a row generator as batches, pulling at most ``demand`` rows.
 
-    The compatibility bridge between the two protocols: rows are produced
-    lazily by the underlying generator (so its accounting -- page reads, CPU
-    charges, early-termination points -- is exactly the row-at-a-time
-    pipeline's) and only *delivered* in batches.  The source generator is
-    closed deterministically when the budget is met or the consumer stops,
-    which runs the upstream ``finally`` charges just as abandoning an
-    ``iter_rows`` pipeline does.
+    How a lazy branch hands its rows on: they are produced one at a time by
+    the underlying generator (so its accounting -- page reads, CPU charges,
+    early-termination points -- is exact wherever the consumer stops) and
+    only *delivered* in batches.  The source generator is closed
+    deterministically when the budget is met or the consumer stops, which
+    runs the upstream ``finally`` charges.
     """
     remaining = demand
     close = getattr(rows, "close", None)
@@ -247,9 +241,8 @@ def _truncated_batches(
 
     Central enforcement point shared by every ``iter_batches`` wrapper: a
     blocking node (Sort, TopK, GroupBy) can ignore its demand entirely --
-    its full internal work matches the row-at-a-time pipeline anyway -- and
-    still never over-produce, so per-node ``rows_out`` stays identical to
-    what a row-at-a-time consumer would have pulled.
+    its internal work is the same full drain either way -- and still never
+    over-produce, so per-node ``rows_out`` equals what the consumer took.
     """
     produced = 0
     try:
@@ -268,33 +261,28 @@ def _truncated_batches(
             close()
 
 
-def iter_batches_of(
-    source: "RowSource",
-    context: ExecutionContext,
-    batch_size: int,
-    demand: int | None = None,
-    run_reads: bool = True,
-) -> Iterator[RowBatch]:
-    """Pull batches from any row source, falling back to chunked rows.
-
-    Plan nodes and access paths implement ``iter_batches`` natively; any
-    other :class:`RowSource` is served through :func:`_chunk_rows` over its
-    ``iter_rows`` pipeline.
-    """
-    method = getattr(source, "iter_batches", None)
-    if method is not None:
-        return method(context, batch_size, demand, run_reads)
-    return _chunk_rows(source.iter_rows(context), batch_size, demand)
+def _sliced(rows: Sequence[dict[str, Any]], batch_size: int) -> Iterator[RowBatch]:
+    """Deliver an already-materialised row list as batches."""
+    for start in range(0, len(rows), batch_size):
+        yield RowBatch(rows[start : start + batch_size])
 
 
 class RowSource(Protocol):
-    """Anything that can stream rows under an :class:`ExecutionContext`.
+    """Anything that produces rows under an :class:`ExecutionContext`.
 
     Access paths and plan nodes both satisfy this protocol, which is what
     lets join operators nest into left-deep chains.
     """
 
     name: str
+
+    def iter_batches(
+        self,
+        context: ExecutionContext | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        demand: int | None = None,
+        run_reads: bool = True,
+    ) -> Iterator[RowBatch]: ...  # pragma: no cover - protocol
 
     def iter_rows(
         self, context: ExecutionContext | None = None
@@ -306,7 +294,7 @@ class PlanNode:
 
     Every node is a row source with two faces:
 
-    * an *execution* face: :meth:`iter_rows` streams the node's output rows,
+    * an *execution* face: :meth:`iter_batches` streams the node's output,
       charging physical work to the node's own :attr:`actual` counters (the
       context is re-homed via :meth:`adopt`, so a parent pulling from a
       child automatically attributes the child's work to the child);
@@ -355,18 +343,6 @@ class PlanNode:
 
     # -- streaming interface --------------------------------------------------
 
-    def iter_rows(
-        self, context: ExecutionContext | None = None
-    ) -> Iterator[dict[str, Any]]:
-        """Stream output rows, charging this node's :attr:`actual` counters."""
-        context = self.adopt(context or ExecutionContext())
-        for row in self._stream(context):
-            self.actual.rows_out += 1
-            yield row
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        raise NotImplementedError
-
     def iter_batches(
         self,
         context: ExecutionContext | None = None,
@@ -374,7 +350,7 @@ class PlanNode:
         demand: int | None = None,
         run_reads: bool = True,
     ) -> Iterator[RowBatch]:
-        """Stream output as :class:`RowBatch` objects (the batched protocol).
+        """Stream output as :class:`RowBatch` objects: how a plan node runs.
 
         Parameters
         ----------
@@ -382,16 +358,17 @@ class PlanNode:
             Target rows per batch.  Page-producing scans align batches to
             page boundaries, so batches may round up to whole pages.
         demand:
-            Upper bound on the total rows the consumer will take (set by
-            ``LimitNode``).  A finite demand makes streaming operators
-            degrade to lazy row-at-a-time production so early termination
-            charges exactly what the row pipeline would; the wrapper also
-            hard-truncates, so no node ever over-reports ``rows_out``.
+            ``None`` for an eager pull (the consumer drains everything), or
+            an upper bound on the rows a lazy consumer will take (a
+            ``LimitNode`` budget, or :data:`LAZY_UNBOUNDED`).  A lazy pull
+            makes streaming operators produce row by row, so that stopping
+            anywhere leaves exact counters; the wrapper also hard-truncates,
+            so no node ever over-reports ``rows_out``.
         run_reads:
             Whether multi-page read-ahead runs are allowed beneath this
             pull.  Operators that interleave their own I/O with the pull
             (tuple-at-a-time probe joins) pass ``False`` so the simulated
-            head position stays identical to the row-at-a-time order.
+            head position follows the probe order.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -411,17 +388,20 @@ class PlanNode:
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        """Default batch production: chunk this node's row pipeline.
+        """This operator's batches (the one body every subclass provides)."""
+        raise NotImplementedError(f"{type(self).__name__} produces no batches")
 
-        Exact row-at-a-time accounting by construction -- rows are produced
-        lazily by ``_stream`` and only delivered in batches.  Hot
-        operators override this with vectorized implementations gated to
-        the cases whose accounting they reproduce; everything else -- and
-        a demand-limited pull of a *streaming* operator (scans, joins) --
-        lands here.  Nodes that drain their inputs before their first
-        output never do: they pull those inputs with ``demand=None``.
+    def iter_rows(
+        self, context: ExecutionContext | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """The one-row-at-a-time view of :meth:`iter_batches`.
+
+        Defined here and nowhere else: one-row batches under the lazy,
+        unbounded demand, flattened.  Abandoning it after any row leaves the
+        counters of a pipeline that produced exactly the rows taken.
         """
-        yield from _chunk_rows(self._stream(context), batch_size, demand)
+        for batch in self.iter_batches(context, 1, LAZY_UNBOUNDED):
+            yield from batch
 
     def adopt(self, context: ExecutionContext) -> ExecutionContext:
         """``context`` re-homed onto this node's counters (same flags)."""
@@ -515,9 +495,6 @@ class ScanNode(PlanNode):
         """The scanned table (lets shared CPU-charging helpers reach the disk)."""
         return self.path.table  # type: ignore[attr-defined]
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        yield from self.path.iter_rows(context)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -525,14 +502,12 @@ class ScanNode(PlanNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Delegate to the access path's own batch production (bypassing its
-        # public wrapper: truncation and rows_out accounting happen once, in
-        # this node's iter_batches).
-        inner = getattr(self.path, "_stream_batches", None)
-        if inner is None:
-            yield from _chunk_rows(self.path.iter_rows(context), batch_size, demand)
-        else:
-            yield from inner(context, batch_size, demand, run_reads)
+        # The access path's own batch production, bypassing its public
+        # wrapper: truncation and rows_out accounting happen once, in this
+        # node's iter_batches.
+        return self.path._stream_batches(  # type: ignore[attr-defined]
+            context, batch_size, demand, run_reads
+        )
 
     def label(self) -> str:
         table = getattr(self.path, "table", None)
@@ -544,9 +519,9 @@ class ScanNode(PlanNode):
 class ProbeNode(PlanNode):
     """The repeatedly re-bound inner side of a tuple-at-a-time join.
 
-    Not independently streamable: the owning :class:`ProbeJoin` binds a
-    fresh inner access path per outer row and runs it under this node's
-    counters, so per-probe pages and rows show up as this leaf's actuals in
+    Not independently streamable (it has no ``_stream_batches``): the owning
+    :class:`ProbeJoin` binds a fresh inner access path per outer row and
+    runs it under this node's counters, so per-probe pages and rows show up as this leaf's actuals in
     EXPLAIN ANALYZE.
     """
 
@@ -559,11 +534,6 @@ class ProbeNode(PlanNode):
         super().__init__()
         self.probe = probe
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        raise RuntimeError(
-            "probe nodes are driven per outer row by their join operator"
-        )
-
     def label(self) -> str:
         return f"{self.name}({self.probe.describe()})"
 
@@ -572,8 +542,8 @@ class JoinOperator(PlanNode):
     """Base streaming equi-join operator: a plan node over an outer input.
 
     ``source`` is the outer input (a plan node, or a bare access path when
-    composed by hand).  Subclasses implement :meth:`_stream`, pulling from
-    the outer source -- whose work, when it is a node, lands on its own
+    composed by hand).  Subclasses implement ``_stream_batches``, pulling
+    from the outer source -- whose work, when it is a node, lands on its own
     counters -- and from whatever inner input they own; intra-operator
     pipelines run under :meth:`ExecutionContext.child` contexts, so their
     work lands on this operator (or on its inner leaf node).
@@ -641,16 +611,6 @@ class ProbeJoin(JoinOperator):
         #: Leaf node accumulating the per-probe inner-path work.
         self.inner = ProbeNode(probe)
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        for outer_row in self.source.iter_rows(context.child()):
-            context.counters.join_probes += 1
-            inner_path = self.probe.bind(outer_row)
-            inner_context = self.inner.adopt(context.child())
-            inner_context.report_rewritten_sql = False
-            for inner_row in inner_path.iter_rows(inner_context):
-                self.inner.actual.rows_out += 1
-                yield {**outer_row, **inner_row}
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -659,18 +619,16 @@ class ProbeJoin(JoinOperator):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # Probing issues inner-path I/O per outer row, so this operator is
-        # itself an interleaver: with a finite demand the chunked row
-        # pipeline preserves the exact early-termination point, and beneath
-        # *another* probe join (run_reads=False) it preserves the exact
-        # outer/inner read interleaving.  The full-drain top-level case --
-        # the hot one -- runs vectorized: outer rows arrive in page-aligned
-        # batches (pulled with run_reads=False, because this operator's
-        # probes interleave with the outer sweep), each probe reuses one
-        # inner context, and merged rows leave in batches.
+        # itself an interleaver: under a lazy pull the row generator keeps
+        # the exact early-termination point, and beneath *another* probe
+        # join (run_reads=False) it keeps the exact outer/inner read
+        # interleaving.  The eager top-level case -- the hot one -- runs
+        # vectorized: outer rows arrive in page-aligned batches (pulled with
+        # run_reads=False, because this operator's probes interleave with
+        # the outer sweep), each probe reuses one inner context, and merged
+        # rows leave in batches.
         if not run_reads or demand is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
+            yield from _chunk_rows(self._probe_lazily(context), batch_size, demand)
             return
         counters = context.counters
         inner_node = self.inner
@@ -679,8 +637,8 @@ class ProbeJoin(JoinOperator):
         inner_context.report_rewritten_sql = False
         bind = self.probe.bind
         out = RowBatch()
-        for outer_batch in iter_batches_of(
-            self.source, context.child(), batch_size, None, False
+        for outer_batch in self.source.iter_batches(
+            context.child(), batch_size, None, False
         ):
             counters.join_probes += len(outer_batch)
             for outer_row in outer_batch:
@@ -695,6 +653,17 @@ class ProbeJoin(JoinOperator):
                 out = RowBatch()
         if out:
             yield out
+
+    def _probe_lazily(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
+        """One outer row, one probe, its matches -- and only then the next."""
+        for outer_row in self.source.iter_rows(context.child()):
+            context.counters.join_probes += 1
+            inner_path = self.probe.bind(outer_row)
+            inner_context = self.inner.adopt(context.child())
+            inner_context.report_rewritten_sql = False
+            for inner_row in inner_path.iter_rows(inner_context):
+                self.inner.actual.rows_out += 1
+                yield {**outer_row, **inner_row}
 
     def describe_detail(self) -> str:
         return self.probe.describe()
@@ -874,47 +843,6 @@ class HashJoin(JoinOperator):
         self._outer_key = _key_getter([outer for outer, _inner in self.join_on])
         self._inner_key = _key_getter([inner for _outer, inner in self.join_on])
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        # One implementation for both orientations: only which input builds,
-        # which key extracts, and the outer/inner roles of the merged dict
-        # depend on the build side.  Per-probe rewritten SQL is suppressed on
-        # whichever role the inner path plays (nobody reads it there).
-        build_inner = self.build_side == "inner"
-        build_source = self.inner_path if build_inner else self.source
-        probe_source = self.source if build_inner else self.inner_path
-        build_key = self._inner_key if build_inner else self._outer_key
-        probe_key = self._outer_key if build_inner else self._inner_key
-
-        build_context = context.child()
-        if build_inner:
-            build_context.report_rewritten_sql = False
-        table: dict[tuple[Any, ...], list[Mapping[str, Any]]] = {}
-        build_rows = 0
-        try:
-            for row in build_source.iter_rows(build_context):
-                table.setdefault(build_key(row), []).append(row)
-                build_rows += 1
-        finally:
-            _charge_cpu(self.inner_path, build_rows)
-        if not table:
-            return  # empty build side: never pull a single probe row
-
-        probe_context = context.child()
-        if not build_inner:
-            probe_context.report_rewritten_sql = False
-        probe_rows = 0
-        try:
-            for probe_row in probe_source.iter_rows(probe_context):
-                context.counters.join_probes += 1
-                probe_rows += 1
-                for matched in table.get(probe_key(probe_row), ()):
-                    outer_row, inner_row = (
-                        (probe_row, matched) if build_inner else (matched, probe_row)
-                    )
-                    yield {**outer_row, **inner_row}
-        finally:
-            _charge_cpu(self.inner_path, probe_rows)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -922,18 +850,17 @@ class HashJoin(JoinOperator):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
+        # One implementation for both orientations: only which input builds,
+        # which key extracts, and the outer/inner roles of the merged dict
+        # depend on the build side.  Per-probe rewritten SQL is suppressed on
+        # whichever role the inner path plays (nobody reads it there).
+        #
         # The hash table itself issues no I/O, so batching reorders nothing:
-        # the build side drains fully before the first probe in both
-        # protocols, and probe-side page reads interleave only with memory
-        # work.  run_reads is forwarded unchanged -- beneath a probe join the
-        # inputs degrade to page-at-a-time reads, keeping the simulated head
-        # movement identical.  A finite demand (LIMIT above) falls back to
-        # the chunked row pipeline for its exact mid-probe stop.
-        if demand is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
+        # the build side drains fully -- an eager pull, whatever this
+        # operator's own demand -- before the first probe, and probe-side
+        # page reads interleave only with memory work.  run_reads is
+        # forwarded unchanged: beneath a probe join the inputs degrade to
+        # page-at-a-time reads, keeping the simulated head movement.
         build_inner = self.build_side == "inner"
         build_source = self.inner_path if build_inner else self.source
         probe_source = self.source if build_inner else self.inner_path
@@ -947,8 +874,8 @@ class HashJoin(JoinOperator):
         setdefault = table.setdefault
         build_rows = 0
         try:
-            for batch in iter_batches_of(
-                build_source, build_context, batch_size, None, run_reads
+            for batch in build_source.iter_batches(
+                build_context, batch_size, None, run_reads
             ):
                 build_rows += len(batch)
                 # Keys for the whole batch come from one C-level map pass;
@@ -964,13 +891,18 @@ class HashJoin(JoinOperator):
         if not build_inner:
             probe_context.report_rewritten_sql = False
         counters = context.counters
+        if demand is not None:
+            # A lazy pull stops mid-probe: produce row by row.
+            probe = self._probe_lazily(table, probe_source, probe_context, counters)
+            yield from _chunk_rows(probe, batch_size, demand)
+            return
         get = table.get
         empty: tuple = ()
         probe_rows = 0
         out = RowBatch()
         try:
-            for batch in iter_batches_of(
-                probe_source, probe_context, batch_size, None, run_reads
+            for batch in probe_source.iter_batches(
+                probe_context, batch_size, None, run_reads
             ):
                 probe_rows += len(batch)
                 counters.join_probes += len(batch)
@@ -1001,6 +933,29 @@ class HashJoin(JoinOperator):
         if out:
             yield out
 
+    def _probe_lazily(
+        self,
+        table: Mapping[Any, list[Mapping[str, Any]]],
+        probe_source: "RowSource",
+        probe_context: ExecutionContext,
+        counters: ExecutionCounters,
+    ) -> Iterator[dict[str, Any]]:
+        """One probe-side row, its matches -- and only then the next pull."""
+        build_inner = self.build_side == "inner"
+        probe_key = self._outer_key if build_inner else self._inner_key
+        probe_rows = 0
+        try:
+            for probe_row in probe_source.iter_rows(probe_context):
+                counters.join_probes += 1
+                probe_rows += 1
+                for matched in table.get(probe_key(probe_row), ()):
+                    outer_row, inner_row = (
+                        (probe_row, matched) if build_inner else (matched, probe_row)
+                    )
+                    yield {**outer_row, **inner_row}
+        finally:
+            _charge_cpu(self.inner_path, probe_rows)
+
     def describe_detail(self) -> str:
         keys = ", ".join(inner for _outer, inner in self.join_on)
         label = self.inner_label or self.inner_path.__class__.__name__
@@ -1024,16 +979,17 @@ class SortMergeJoin(JoinOperator):
     Duplicate keys merge as group cross-products, so all-duplicate inputs
     degrade gracefully to the full cartesian block rather than losing rows.
 
-    Under the batched protocol the common both-sides-materialised case runs
-    a columnar merge (:meth:`_stream_batches`): all I/O happens in two full
-    upfront drains -- outer first, inner only once the outer proved
-    non-empty, exactly as in the row pipeline -- so the merge interior is
-    pure memory work, free to run over sorted key vectors with ``groupby``
-    and ``bisect`` instead of per-row key construction.  A *pre-sorted*
-    (lazy) side keeps the chunked row production instead: a lazy merge
-    interleaves outer and inner page reads row by row, and may abandon the
-    outer sweep the moment the inner side is exhausted -- both behaviours a
-    vectorized read-ahead could not reproduce bit-identically.
+    An eager pull of the common both-sides-materialised case runs a
+    columnar merge: all I/O happens in two full upfront drains -- outer
+    first, inner only once the outer proved non-empty -- so the merge
+    interior is pure memory work, free to run over sorted key vectors with
+    ``groupby`` and ``bisect`` instead of per-row key construction.  A
+    *pre-sorted* side, or a lazy pull, runs the row-at-a-time merge
+    (:meth:`_merge_lazily`) instead: it interleaves outer and inner page
+    reads row by row, and may abandon the outer sweep the moment the inner
+    side is exhausted -- both behaviours a vectorized read-ahead could not
+    reproduce.  The two merges charge identically on a full drain
+    (``tests/engine/test_columnar.py::TestSortMergeJoinVectorized``).
     """
 
     name = "sort_merge_join"
@@ -1072,36 +1028,6 @@ class SortMergeJoin(JoinOperator):
             [inner for _outer, inner in self.join_on]
         )
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        outer_rows: Iterable[Mapping[str, Any]]
-        if self.outer_sorted:
-            # Lazy: the outer already streams in key order, so the merge
-            # pulls outer rows on demand and a satisfied LIMIT stops the
-            # outer sweep exactly as the probe joins do.
-            outer_rows = self.source.iter_rows(context.child())
-        else:
-            outer_rows = sorted(
-                self.source.iter_rows(context.child()), key=self._outer_key
-            )
-            if not outer_rows:
-                return  # nothing to merge: the inner is never read
-            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(outer_rows)))
-        inner_context = context.child()
-        inner_context.report_rewritten_sql = False
-
-        def inner_in_key_order() -> Iterator[Mapping[str, Any]]:
-            if self.inner_sorted:
-                # Heap order is key order: pull inner pages on demand,
-                # so early termination leaves the rest unread.
-                return self.inner_path.iter_rows(inner_context)
-            rows = sorted(
-                self.inner_path.iter_rows(inner_context), key=self._inner_key
-            )
-            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(rows)))
-            return iter(rows)
-
-        yield from self._merge(outer_rows, inner_in_key_order, context)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -1110,22 +1036,20 @@ class SortMergeJoin(JoinOperator):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # Vectorized only when both inputs get materialised and sorted in
-        # memory: the I/O then happens in two full upfront drains with
-        # nothing interleaved, so batching the reads and running the merge
-        # columnar changes no simulated number.  A lazy pre-sorted side or
-        # a finite demand keeps the chunked row pipeline (see the class
-        # docstring).
+        # memory and the consumer drains the result: the I/O then happens in
+        # two full upfront drains with nothing interleaved, so batching the
+        # reads and running the merge columnar changes no simulated number.
+        # A pre-sorted side or a lazy pull takes the row-at-a-time merge
+        # (see the class docstring).
         if self.inner_sorted or self.outer_sorted or demand is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
+            yield from _chunk_rows(self._merge_lazily(context), batch_size, demand)
             return
         from bisect import bisect_left, bisect_right
         from itertools import groupby
 
         outer_rows: list[Mapping[str, Any]] = []
-        for batch in iter_batches_of(
-            self.source, context.child(), batch_size, None, run_reads
+        for batch in self.source.iter_batches(
+            context.child(), batch_size, None, run_reads
         ):
             outer_rows.extend(batch)
         if not outer_rows:
@@ -1138,8 +1062,8 @@ class SortMergeJoin(JoinOperator):
         inner_context = context.child()
         inner_context.report_rewritten_sql = False
         inner_rows: list[Mapping[str, Any]] = []
-        for batch in iter_batches_of(
-            self.inner_path, inner_context, batch_size, None, run_reads
+        for batch in self.inner_path.iter_batches(
+            inner_context, batch_size, None, run_reads
         ):
             inner_rows.extend(batch)
         inner_keys, inner_rows = _sorted_with_keys(inner_rows, inner_columns)
@@ -1148,9 +1072,9 @@ class SortMergeJoin(JoinOperator):
         # The merge interior, columnar: outer groups come from groupby over
         # the sorted key vector, the matching inner run from two bisects.
         # ``parked`` is the index of the inner row the row-at-a-time merge
-        # would have fetched and parked; the charged fetch count below
-        # reproduces its per-advance counting exactly (each fetched row
-        # counts once; discovering exhaustion counts nothing).
+        # (:meth:`_merge`) would have fetched and parked; the charged fetch
+        # count below reproduces its per-advance counting exactly (each
+        # fetched row counts once; discovering exhaustion counts nothing).
         counters = context.counters
         n_inner = len(inner_rows)
         parked = 0
@@ -1191,6 +1115,37 @@ class SortMergeJoin(JoinOperator):
         finally:
             inner_fetched = min(parked + 1, n_inner)
             _charge_cpu(self.inner_path, outer_consumed + inner_fetched)
+
+    def _merge_lazily(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
+        """The row-at-a-time merge: pre-sorted sides are pulled on demand."""
+        outer_rows: Iterable[Mapping[str, Any]]
+        if self.outer_sorted:
+            # Lazy: the outer already streams in key order, so the merge
+            # pulls outer rows on demand and a satisfied LIMIT stops the
+            # outer sweep exactly as the probe joins do.
+            outer_rows = self.source.iter_rows(context.child())
+        else:
+            outer_rows = sorted(
+                self.source.iter_rows(context.child()), key=self._outer_key
+            )
+            if not outer_rows:
+                return  # nothing to merge: the inner is never read
+            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(outer_rows)))
+        inner_context = context.child()
+        inner_context.report_rewritten_sql = False
+
+        def inner_in_key_order() -> Iterator[Mapping[str, Any]]:
+            if self.inner_sorted:
+                # Heap order is key order: pull inner pages on demand,
+                # so early termination leaves the rest unread.
+                return self.inner_path.iter_rows(inner_context)
+            rows = sorted(
+                self.inner_path.iter_rows(inner_context), key=self._inner_key
+            )
+            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(rows)))
+            return iter(rows)
+
+        yield from self._merge(outer_rows, inner_in_key_order, context)
 
     def _merge(
         self,

@@ -71,11 +71,12 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.exchange import MergeExchangeNode, prepare_plan
-from repro.engine.executor import ExecutionContext, PlanNode
+from repro.engine.executor import DEFAULT_BATCH_SIZE, ExecutionContext, PlanNode
 from repro.engine.plan import (
     AggregateNode,
     ExchangeNode,
@@ -154,21 +155,6 @@ def _fanout_mode(plan: PlanNode, exchange: ExchangeNode) -> str:
     return "rows"
 
 
-def _child_rows(
-    child: PlanNode, context: ExecutionContext, batch_size: int | None
-) -> Iterator[dict[str, Any]]:
-    """One partition subtree's output rows, pulled as the serial drain would.
-
-    Live heap-page dicts flow out unchanged; callers that keep rows must
-    copy them (exactly the contract of the serial pipelines).
-    """
-    if batch_size is None:
-        yield from child.iter_rows(context)
-    else:
-        for batch in child.iter_batches(context, batch_size):
-            yield from batch
-
-
 def _extract_values(rows: Iterator[dict[str, Any]], expression: Any) -> list[Any]:
     if callable(expression):
         return [expression(row) for row in rows]
@@ -185,7 +171,9 @@ def _run_child(index: int) -> _ChildPayload:
     mode: str = state["mode"]
     context = ExecutionContext(snapshot=snapshot)
     befores = [device.snapshot() for device in devices]
-    rows = _child_rows(child, context, state["batch_size"])
+    # A full, eager drain.  Live heap-page dicts flow out unchanged: what
+    # keeps rows below copies them, as at a serial plan root.
+    rows = chain.from_iterable(child.iter_batches(context, state["batch_size"]))
 
     data: Any
     if mode == "aggregate":
@@ -368,7 +356,10 @@ def maybe_run_parallel(
     _WORKER_STATE.update(
         exchange=exchange,
         snapshot=context.snapshot,
-        batch_size=database.batch_size,
+        # A worker drains its subtree in full, so any batch size reports
+        # the serial run's counters: a database pulling one row at a time
+        # (``batch_size=None``) still lets its workers pull whole batches.
+        batch_size=database.batch_size or DEFAULT_BATCH_SIZE,
         mode=mode,
         aggregate=getattr(plan, "aggregate", None),
         group_columns=getattr(plan, "group_columns", ()),

@@ -13,10 +13,11 @@ top, bottom-up in this order:
 
 ``SortNode`` / ``TopKNode``
     Explicit ORDER BY.  A full sort buffers and sorts the input; combined
-    with a LIMIT the planner fuses both into a TopK node that keeps a
-    bounded k-heap instead -- the input is still read exactly once and only
-    k rows are ever retained.  When the chosen input already streams in the
-    requested order the planner plans the sort away entirely.
+    with a LIMIT the planner fuses both into a TopK node that keeps only the
+    best k rows seen so far instead -- the input is still read exactly once
+    and only k rows (plus one batch) are ever retained.  When the chosen
+    input already streams in the requested order the planner plans the sort
+    away entirely.
 
 ``LimitNode`` / ``ProjectNode``
     LIMIT stops pulling from its child once the budget is spent, which
@@ -26,7 +27,8 @@ top, bottom-up in this order:
 
 NULL ordering follows PostgreSQL: NULLs sort last ascending and first
 descending.  Ties under a LIMIT resolve by input order (the sort is stable;
-the k-heap keeps the first-seen row of a tied key).
+the top-k keeps the first-seen row of a tied key), so a top-k is exactly the
+prefix of the stable full sort.
 
 :func:`render_plan` walks an executed tree and prints one line per node with
 the planner's estimates next to the node's actual counters -- the
@@ -35,7 +37,6 @@ the planner's estimates next to the node's actual counters -- the
 
 from __future__ import annotations
 
-import heapq
 from itertools import compress
 from operator import itemgetter
 from typing import (
@@ -57,7 +58,7 @@ from repro.engine.executor import (
     PlanNode,
     RowBatch,
     ScanNode,
-    iter_batches_of,
+    _sliced,
 )
 from repro.engine.query import Aggregate
 
@@ -69,7 +70,7 @@ from repro.engine.query import Aggregate
 class SortKey:
     """One row's value under one ORDER BY column, totally ordered.
 
-    Wraps the raw value so that ``sorted``/``heapq`` never compare ``None``
+    Wraps the raw value so that a sort or merge never compares ``None``
     with a real value: NULLs rank last ascending, first descending (the
     PostgreSQL defaults), and a descending column simply inverts the
     comparison -- which keeps multi-column keys with mixed directions a
@@ -189,18 +190,6 @@ def _not_worse_mask(
         return [True] * len(batch)
 
 
-class _MaxHeapEntry:
-    """Inverts comparisons so ``heapq``'s min-heap keeps the k *smallest*."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_MaxHeapEntry") -> bool:
-        return other.key < self.key
-
-
 def _ordering_text(ordering: Sequence[tuple[str, bool]]) -> str:
     return ", ".join(
         column if ascending else f"{column} DESC" for column, ascending in ordering
@@ -245,15 +234,9 @@ class DecoratorNode(PlanNode):
         run_reads: bool = True,
     ) -> Iterator[RowBatch]:
         """Pull batches from the child under a child context."""
-        return iter_batches_of(
-            self.source, context.child(), batch_size, demand, run_reads
+        return self.source.iter_batches(
+            context.child(), batch_size, demand, run_reads
         )
-
-    @staticmethod
-    def _chunks(rows: Sequence[dict[str, Any]], batch_size: int) -> Iterator[RowBatch]:
-        """Slice an already-materialised row list into batches."""
-        for start in range(0, len(rows), batch_size):
-            yield RowBatch(rows[start : start + batch_size])
 
 
 class SortNode(DecoratorNode):
@@ -284,13 +267,6 @@ class SortNode(DecoratorNode):
     def produces_fresh_rows(self) -> bool:  # type: ignore[override]
         return self.source_fresh
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        rows = list(self.source.iter_rows(context.child()))
-        self.rows_in = len(rows)
-        self._charge_cpu(sort_comparison_count(len(rows)))
-        rows.sort(key=sort_key_function(self.ordering))
-        yield from rows
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -299,16 +275,15 @@ class SortNode(DecoratorNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # Blocking: the input is drained and sorted in full whatever the
-        # consumer's demand (exactly as in the row pipeline), so demand only
-        # caps the output -- which the iter_batches wrapper enforces.
+        # consumer's demand, so demand only caps the output -- which the
+        # iter_batches wrapper enforces.
         rows: list[dict[str, Any]] = []
         for batch in self._source_batches(context, batch_size, None, run_reads):
             rows.extend(batch)
         self.rows_in = len(rows)
         self._charge_cpu(sort_comparison_count(len(rows)))
         columnar_sort(rows, self.ordering)
-        for chunk in self._chunks(rows, batch_size):
-            yield chunk
+        yield from _sliced(rows, batch_size)
 
     def describe_detail(self) -> str:
         return _ordering_text(self.ordering)
@@ -318,13 +293,14 @@ class SortNode(DecoratorNode):
 
 
 class TopKNode(DecoratorNode):
-    """ORDER BY + LIMIT k fused into a bounded k-heap (no full sort).
+    """ORDER BY + LIMIT k fused into a bounded top-k (no full sort).
 
-    The input streams through a max-heap of at most ``k`` entries: a row
-    enters only when it beats the current k-th best, so memory stays O(k)
-    and the comparison work is ``n log2 k`` -- while the input is still read
-    exactly once (a TopK adds zero page reads over its child).  Ties keep
-    the first-seen row, matching the stable full sort.
+    The input streams through a candidate list of at most ``k`` rows: a row
+    stays only while it ranks among the k best seen so far, so memory stays
+    O(k + batch) and the charged comparison work is the ``n log2 k`` of a
+    bounded heap -- while the input is still read exactly once (a TopK adds
+    zero page reads over its child).  Ties keep the first-seen row, so the
+    output is exactly the first k rows of the stable full sort.
     """
 
     name = "topk"
@@ -350,26 +326,6 @@ class TopKNode(DecoratorNode):
     def produces_fresh_rows(self) -> bool:  # type: ignore[override]
         return self.source_fresh
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self.k == 0:
-            return
-        key_of = sort_key_function(self.ordering)
-        heap: list[tuple[_MaxHeapEntry, dict[str, Any]]] = []
-        seq = 0
-        for row in self.source.iter_rows(context.child()):
-            # seq breaks key ties deterministically (first-seen wins: a tied
-            # newcomer has a larger seq, so it never displaces the holder).
-            entry_key = (key_of(row), seq)
-            seq += 1
-            if len(heap) < self.k:
-                heapq.heappush(heap, (_MaxHeapEntry(entry_key), row))
-            elif entry_key < heap[0][0].key:
-                heapq.heapreplace(heap, (_MaxHeapEntry(entry_key), row))
-        self.rows_in = seq
-        self._charge_cpu(top_k_comparison_count(seq, self.k))
-        for entry in sorted(heap, key=lambda item: item[0].key):
-            yield entry[1]
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -377,18 +333,17 @@ class TopKNode(DecoratorNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Blocking: the whole input flows through the k-heap either way.
+        # Blocking: the whole input flows through whatever the demand.
         if self.k == 0:
             return
-        # Columnar top-k: instead of feeding the k-heap row by row, merge
-        # each batch with the current top-k candidates through one C-driven
-        # sort over decorated (*encoded_keys, seq, row) tuples.  The unique
-        # seq breaks key ties by arrival order -- first-seen wins, exactly
-        # the heap's tie rule -- and guarantees the row dicts themselves are
-        # never compared.  Key columns are re-encoded per merge
+        # Columnar top-k: merge each batch with the current top-k candidates
+        # through one C-driven sort over decorated (*encoded_keys, seq, row)
+        # tuples, keeping the k smallest (key, seq) pairs seen so far.  The
+        # unique seq breaks key ties by arrival order -- first-seen wins, the
+        # stable sort's tie rule -- and guarantees the row dicts themselves
+        # are never compared.  Key columns are re-encoded per merge
         # (:func:`_encode_sort_column`), so mixed encodings never meet in
-        # one comparison.  The same rows survive as with the heap: both
-        # keep the k smallest (key, seq) pairs seen so far.
+        # one comparison.
         #
         # Once k rows are held, a newcomer whose leading ORDER BY value is
         # strictly worse than the k-th row's can never enter, whatever its
@@ -429,8 +384,7 @@ class TopKNode(DecoratorNode):
             top_rows = [entry[-1] for entry in decorated]
         self.rows_in = seq
         self._charge_cpu(top_k_comparison_count(seq, self.k))
-        for chunk in self._chunks(top_rows, batch_size):
-            yield chunk
+        yield from _sliced(top_rows, batch_size)
 
     def describe_detail(self) -> str:
         return f"{_ordering_text(self.ordering)}, k={self.k}"
@@ -463,17 +417,6 @@ class AggregateNode(DecoratorNode):
         self.aggregate = aggregate
         self.rows_in = 0
         self.value: Any = None
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        accumulator = self.aggregate.make_accumulator()
-        rows_in = 0
-        for row in self.source.iter_rows(context.child()):
-            accumulator.add(row)
-            rows_in += 1
-        self.rows_in = rows_in
-        self._charge_cpu(rows_in)
-        self.value = accumulator.result()
-        yield {self.aggregate.output_name: self.value}
 
     def _stream_batches(
         self,
@@ -523,26 +466,6 @@ class GroupByNode(DecoratorNode):
         self.aggregate = aggregate
         self.rows_in = 0
         self.groups_out = 0
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        groups: dict[tuple[Any, ...], Any] = {}
-        columns = self.group_columns
-        rows_in = 0
-        for row in self.source.iter_rows(context.child()):
-            key = tuple(row[column] for column in columns)
-            accumulator = groups.get(key)
-            if accumulator is None:
-                accumulator = groups[key] = self.aggregate.make_accumulator()
-            accumulator.add(row)
-            rows_in += 1
-        self.rows_in = rows_in
-        self.groups_out = len(groups)
-        self._charge_cpu(rows_in)
-        output_name = self.aggregate.output_name
-        for key, accumulator in groups.items():
-            merged = dict(zip(columns, key))
-            merged[output_name] = accumulator.result()
-            yield merged
 
     def _stream_batches(
         self,
@@ -612,16 +535,6 @@ class LimitNode(DecoratorNode):
     def produces_fresh_rows(self) -> bool:  # type: ignore[override]
         return self.source_fresh
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self.k == 0:
-            return
-        produced = 0
-        for row in self.source.iter_rows(context.child()):
-            yield row
-            produced += 1
-            if produced >= self.k:
-                return
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -630,7 +543,7 @@ class LimitNode(DecoratorNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # The origin of the demand budget: the child receives k (or less) as
-        # its demand.  Streaming children degrade to exact lazy production;
+        # its demand.  Streaming children produce lazily, stopping exactly;
         # blocking children ignore the budget, as they must.
         if self.k == 0:
             return
@@ -657,11 +570,6 @@ class ProjectNode(DecoratorNode):
     ) -> None:
         super().__init__(source, disk=disk)
         self.columns = tuple(columns)
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        columns = self.columns
-        for row in self.source.iter_rows(context.child()):
-            yield {column: row[column] for column in columns}
 
     def _stream_batches(
         self,
@@ -793,15 +701,6 @@ class ExchangeNode(PlanNode):
         self._replay = rows
         self.partitions_scanned = len(self.sources)
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self._replay is not None:
-            yield from self._replay
-            return
-        self.partitions_scanned = 0
-        for source in self.sources:
-            self.partitions_scanned += 1
-            yield from source.iter_rows(context.child())
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -810,9 +709,7 @@ class ExchangeNode(PlanNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         if self._replay is not None:
-            rows = self._replay
-            for start in range(0, len(rows), batch_size):
-                yield RowBatch(rows[start : start + batch_size])
+            yield from _sliced(self._replay, batch_size)
             return
         self.partitions_scanned = 0
         remaining = demand
@@ -820,10 +717,9 @@ class ExchangeNode(PlanNode):
             self.partitions_scanned += 1
             # Each child receives the *remaining* demand, so across the
             # concatenation exactly as many rows are produced -- and exactly
-            # as many pages swept -- as the row-at-a-time pipeline under the
-            # same LIMIT.
-            for batch in iter_batches_of(
-                source, context.child(), batch_size, remaining, run_reads
+            # as many pages swept -- as the consumer's LIMIT allows.
+            for batch in source.iter_batches(
+                context.child(), batch_size, remaining, run_reads
             ):
                 yield batch
                 if remaining is not None:

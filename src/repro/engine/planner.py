@@ -31,7 +31,7 @@ reservoir samples (:func:`repro.core.statistics.join_fanout`).
 
 On top of the scan/join input tree the planner stacks the pipeline
 decorators of :mod:`repro.engine.plan`, bottom-up: GroupBy/Aggregate, then
-Sort -- fused with a LIMIT into a bounded k-heap TopK -- then Limit and
+Sort -- fused with a LIMIT into a bounded TopK -- then Limit and
 Project.  Two ordering-aware rules matter:
 
 * **free ORDER BY**: when the chosen input already streams in the requested

@@ -36,10 +36,10 @@ from repro.storage.disk import IOBreakdown
 class AggregateAccumulator:
     """Running state of one streaming aggregate computation.
 
-    The executor's aggregation nodes feed rows in one at a time and read the
-    result once the input is exhausted -- nothing but the accumulator state
-    (a counter, a running sum, or the distinct-value set for
-    ``count_distinct``) is ever buffered.
+    The executor's aggregation node folds its input in batch by batch and
+    reads the result once the input is exhausted -- nothing but the
+    accumulator state (a counter, a running sum, or the distinct-value set
+    for ``count_distinct``) is ever buffered.
     """
 
     def __init__(self, aggregate: "Aggregate") -> None:
@@ -50,27 +50,14 @@ class AggregateAccumulator:
             set() if aggregate.kind == "count_distinct" else None
         )
 
-    def add(self, row: Mapping[str, Any]) -> None:
-        kind = self._aggregate.kind
-        self._count += 1
-        if kind == "count":
-            return
-        value = self._aggregate._value(row)
-        if self._distinct is not None:
-            self._distinct.add(value)
-        else:
-            self._sum = self._sum + value
-
     def add_batch(self, rows: Sequence[Mapping[str, Any]]) -> None:
         """Fold a whole batch into the running state.
 
-        Equivalent to calling :meth:`add` once per row, with the per-row
-        dispatch hoisted out of the loop: ``count`` reduces to one integer
-        addition per batch, value extraction runs through a C-level
-        ``map``/comprehension, and ``count_distinct`` updates its set in one
-        call.  Sums accumulate left to right exactly as repeated :meth:`add`
-        calls would, so floating-point results stay bit-identical between
-        the row-at-a-time and batched executors.
+        ``count`` reduces to one integer addition per batch, value
+        extraction runs through a C-level ``map``, and ``count_distinct``
+        updates its set in one call.  Sums accumulate value by value, left
+        to right, so a floating-point result does not depend on where the
+        batch boundaries fall.
         """
         aggregate = self._aggregate
         kind = aggregate.kind
@@ -107,15 +94,14 @@ class AggregateAccumulator:
 class GroupedAccumulators:
     """Columnar hash-aggregation state: one running value per group key.
 
-    The batched twin of a ``dict`` of per-group
-    :class:`AggregateAccumulator` objects, with the per-row dispatch hoisted
-    into per-kind batch kernels: ``count`` folds a whole batch through one
-    ``Counter``; ``sum``/``avg`` add each value into its group's running
-    total in stream order (value-at-a-time, so floating-point results stay
-    bit-identical to per-row accumulation); ``count_distinct`` grows
-    per-group value sets.  Group output order is first-seen input order --
-    every kernel inserts keys into its dict in stream order, matching the
-    per-accumulator dict of the row-at-a-time path.
+    What a ``dict`` of per-group :class:`AggregateAccumulator` objects
+    would compute, with the per-row dispatch hoisted into per-kind batch
+    kernels: ``count`` folds a whole batch through one ``Counter``;
+    ``sum``/``avg`` add each value into its group's running total in stream
+    order (value-at-a-time, so a floating-point result does not depend on
+    the batch boundaries); ``count_distinct`` grows per-group value sets.
+    Group output order is first-seen input order -- every kernel inserts
+    keys into its dict in stream order.
     """
 
     __slots__ = ("_aggregate", "_kind", "_counts", "_sums", "_distinct")
@@ -249,11 +235,6 @@ class Aggregate:
             return f"{self.kind}_{self.expression}"
         return self.kind
 
-    def _value(self, row: Mapping[str, Any]) -> Any:
-        if callable(self.expression):
-            return self.expression(row)
-        return row[self.expression]
-
     def make_accumulator(self) -> AggregateAccumulator:
         """Fresh running state for one streaming computation of this aggregate."""
         return AggregateAccumulator(self)
@@ -265,13 +246,11 @@ class Aggregate:
     def compute(self, rows: Sequence[Mapping[str, Any]]) -> Any:
         """Evaluate the aggregate over already-materialised rows.
 
-        Kept as the reference implementation (and for callers holding a row
-        list); query execution streams through :meth:`make_accumulator`
-        instead of materialising the input.
+        For callers holding a row list; query execution streams through
+        :meth:`make_accumulator` instead of materialising the input.
         """
         accumulator = self.make_accumulator()
-        for row in rows:
-            accumulator.add(row)
+        accumulator.add_batch(rows)
         return accumulator.result()
 
     @classmethod
@@ -397,10 +376,6 @@ class JoinSpec:
     def left_columns(self) -> tuple[str, ...]:
         return tuple(left for left, _right in self.on)
 
-    @property
-    def right_columns(self) -> tuple[str, ...]:
-        return tuple(right for _left, right in self.on)
-
     def describe(self) -> str:
         """The SQL rendering of this join step (``USING`` when names agree)."""
         if all(left == right for left, right in self.on):
@@ -421,7 +396,7 @@ class Query:
     rows -- under a join they may come from any table in the chain (residual
     predicates still see every column).  ``ordering`` (built with
     :meth:`order_by`) sorts the output; combined with ``limit`` it executes
-    as a bounded k-heap top-k instead of a full sort.  ``grouping`` (built
+    as a bounded top-k instead of a full sort.  ``grouping`` (built
     with :meth:`group_by`) turns the aggregate into a hash aggregation with
     one output row per group; grouped queries may carry a LIMIT (it caps the
     number of groups) and a projection over the group columns and the
@@ -540,7 +515,7 @@ class Query:
         (descending), or an explicit ``(column, ascending)`` pair.  NULLs
         sort last ascending and first descending, as in PostgreSQL.
         Combined with a LIMIT (see :meth:`with_limit`) the plan uses a
-        bounded k-heap top-k instead of a full sort; when the chosen stream
+        bounded top-k instead of a full sort; when the chosen stream
         already flows in the requested order (a scan of a table clustered on
         the sort column, a merge join on it) the sort is planned away
         entirely.

@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.engine.executor import DEFAULT_BATCH_SIZE, ExecutionContext, RowBatch
+from repro.engine.executor import ExecutionContext, RowBatch
 from repro.engine.plan import exchange_devices
 from repro.engine.query import Query, QueryResult
 from repro.engine.transactions import Snapshot, Transaction
@@ -143,7 +143,6 @@ class ScheduledQuery:
         self.admitted_ms: float | None = None
         self.finished_ms: float | None = None
         self._iterator: Iterator[RowBatch] | None = None
-        self._fresh_rows = False
 
     @property
     def finished(self) -> bool:
@@ -201,8 +200,7 @@ class QueryScheduler:
         self.database = database
         self.max_concurrent = max_concurrent
         self.policy = policy
-        size = batch_size if batch_size is not None else database.batch_size
-        self.batch_size = size if size is not None else DEFAULT_BATCH_SIZE
+        self.batch_size = batch_size if batch_size is not None else database.batch_size
         self._waiting: deque[ScheduledQuery] = deque()
         self._runnable: deque[ScheduledQuery] = deque()
         self._all: list[ScheduledQuery] = []
@@ -270,7 +268,9 @@ class QueryScheduler:
                 else:
                     entry.snapshot = db.transactions.snapshot()
             try:
-                entry.plan = db._prepare(entry.query, **entry.run_kwargs)
+                entry.plan, entry.context = db._open(
+                    entry.query, snapshot=entry.snapshot, **entry.run_kwargs
+                )
             except Exception as exc:  # noqa: BLE001 - reported on the entry
                 # A query that cannot be planned fails like one that cannot
                 # run: recorded on the entry, its slot goes to the next one.
@@ -278,9 +278,7 @@ class QueryScheduler:
                 entry.state = FAILED
                 entry.finished_ms = db.elapsed_ms()
                 continue
-            entry.context = ExecutionContext(snapshot=entry.snapshot)
-            entry._iterator = entry.plan.iter_batches(entry.context, self.batch_size)
-            entry._fresh_rows = entry.plan.produces_fresh_rows
+            entry._iterator = db._batches(entry.plan, entry.context, self.batch_size)
             entry.admitted_ms = db.elapsed_ms()
             entry.state = RUNNING
             self._runnable.append(entry)
@@ -368,7 +366,7 @@ class QueryScheduler:
             entry.batches += 1
             batches += 1
             rows += len(batch)
-            collect(batch if entry._fresh_rows else map(dict, batch))
+            collect(batch)
             pages += entry.plan.total_counters().pages_visited - pages_before
             cpu_ms += window.elapsed_ms(db.disk.params)
             if entry.page_budget is None and entry.cpu_ms_budget is None:

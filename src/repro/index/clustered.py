@@ -80,9 +80,6 @@ class ClusteredIndex:
     def bucket_ids(self) -> list[Any]:
         return sorted(self._bucket_pages)
 
-    def bucket_page_range(self, bucket_id: Any) -> tuple[int, int]:
-        return self._bucket_pages[bucket_id]
-
     def bucket_key_range(self, bucket_id: Any) -> tuple[Any, Any]:
         return self._bucket_keys[bucket_id]
 

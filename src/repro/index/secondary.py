@@ -220,7 +220,3 @@ class SecondaryIndex:
     def size_pages(self) -> int:
         page_size = self.buffer_pool.disk.params.page_size_bytes
         return max(1, -(-self.size_bytes() // page_size))
-
-    def num_leaf_pages(self) -> int:
-        """Number of leaf node pages (what competes for the buffer pool)."""
-        return self.tree.num_leaf_nodes

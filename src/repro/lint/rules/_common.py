@@ -66,19 +66,6 @@ def walk_functions(
             yield node
 
 
-def is_generator(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """Whether ``function`` contains a yield of its own (not in a nested def)."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # nested defs own their yields; walk visits them later
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 def walk_own_nodes(
     function: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> Iterator[ast.AST]:
@@ -90,11 +77,6 @@ def walk_own_nodes(
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue  # nested defs are visited on their own
         stack.extend(ast.iter_child_nodes(node))
-
-
-def in_directory(relpath: str, directory: str) -> bool:
-    """Whether ``relpath`` has ``directory`` as one of its path segments."""
-    return directory in relpath.split("/")[:-1]
 
 
 def terminal_attribute(node: ast.AST) -> str | None:

@@ -1,13 +1,13 @@
-"""REPRO102: examined rows are counted over the unfiltered live list, and
-only the two shared kernels read heap pages.
+"""REPRO102: every batch size and the lazy view report bit-identical
+counters.
 
-The lazy and the full-drain sweeps must report identical ``rows_examined``
-for the same snapshot, which only holds if the count is taken over the
-page's *unfiltered* live list -- never over what MVCC visibility or the
-predicate kernel let through.  The dynamic twin is the differential fuzzer
-(``tests/engine/test_fuzz_parity.py``) plus the parity assertions in
-``benchmarks/test_batch_parity.py``; this checker pins the two code shapes
-the fuzzer relies on:
+There is one execution protocol (``PlanNode.iter_batches``); its eager and
+lazy pulls, at any batch size, must report identical counters for the same
+snapshot.  The dynamic twins are the execution goldens
+(``tests/engine/test_exec_goldens.py``), the model oracle
+(``tests/engine/model.py``, behind ``test_fuzz_parity.py``) and the
+page-slot oracle in ``tests/engine/test_access.py``; this checker pins the
+code shapes they rely on:
 
 * ``HeapFile.read_page``/``read_pages``/``read_page_run`` may only be
   called from the two shared kernels in ``engine/access.py``
@@ -20,12 +20,18 @@ the fuzzer relies on:
   after a filter-guarded ``continue``.  ``examined += len(live)`` before
   the filter and the lazy sweep's positional charge (the survivor's index
   in the live list, found by walking that list) both pass: they derive
-  from the pre-filter list.
+  from the pre-filter list;
+* the second protocol cannot come back: in ``engine/``, a plan node (a class
+  deriving from ``PlanNode``, ``JoinOperator`` or any ``*Node``/``*Join``)
+  may neither define ``_stream`` nor override ``iter_rows``.  A row
+  generator lives inside ``_stream_batches`` under its own name; access
+  paths are not plan nodes (their ``_stream`` *is* the lazy sweep).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
 from repro.lint.engine import ModuleSource
@@ -50,6 +56,11 @@ CHARGE_NAMES = frozenset({"examined", "rows_examined"})
 #: Calls that drop rows: MVCC visibility, predicate evaluation, the compiled
 #: batch kernel, the sweeps' shared per-page filter step.
 FILTER_CALLS = frozenset({"visible", "matches", "kernel", "page_filter"})
+
+#: Base-class names that make a class a plan node, and the methods of the
+#: deleted row-at-a-time protocol such a class may not carry.
+PLAN_NODE_BASE = re.compile(r"(Node|Join|JoinOperator)$")
+SECOND_PROTOCOL = frozenset({"_stream", "iter_rows"})
 
 _Function = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -143,13 +154,30 @@ def _survivor_counted(function: _Function) -> Iterator[tuple[int, int]]:
     yield from visit(function.body, None)
 
 
+def _second_protocol(tree: ast.Module) -> Iterator[tuple[str, _Function]]:
+    """``(class name, method)`` of every row-protocol method on a plan node."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+            PLAN_NODE_BASE.search(terminal_attribute(base) or "")
+            for base in node.bases
+        ):
+            continue
+        for item in node.body:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name in SECOND_PROTOCOL
+            ):
+                yield node.name, item
+
+
 @register_rule
 class ParityAccountingRule(Rule):
     rule_id = "REPRO102"
     name = "parity-accounting"
     description = (
-        "heap page reads only inside the shared scan kernels, and examined "
-        "counters taken over the unfiltered live list, never over survivors"
+        "heap page reads only inside the shared scan kernels, examined "
+        "counters taken over the unfiltered live list, never over survivors, "
+        "and no second execution protocol on a plan node"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -159,6 +187,17 @@ class ParityAccountingRule(Rule):
         return "storage" not in parts
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
+        if "engine" in module.relpath.split("/")[:-1]:
+            for class_name, method in _second_protocol(module.tree):
+                yield self.violation(
+                    module,
+                    method.lineno,
+                    method.col_offset + 1,
+                    f"plan node {class_name!r} defines {method.name!r}: a "
+                    "node runs through iter_batches only -- keep a row "
+                    "generator as the lazy branch inside _stream_batches, "
+                    "and iter_rows as the one view on PlanNode",
+                )
         in_kernel_module = module.relpath.endswith(KERNEL_MODULE)
         for function in walk_functions(module.tree):
             allowed = in_kernel_module and function.name in SHARED_KERNELS

@@ -9,9 +9,9 @@ break that:
   operator stalls every other query sharing the scheduler (and in tests
   it hides ordering bugs behind wall-clock waits);
 * draining an entire row source eagerly inside scheduler code
-  (``list(op.iter_rows())``, ``sorted(...iter_batches())``) -- one
-  quantum would then materialize an unbounded intermediate, defeating
-  batch-at-a-time admission control.  Operators that legitimately
+  (``list(plan.iter_batches(...))``, ``sorted(...iter_rows())``, the same
+  over a held ``_iterator``) -- one quantum would then materialize an
+  unbounded intermediate, defeating batch-at-a-time admission control.  Operators that legitimately
   materialize (sort, hash build) do it behind their own operators, not
   in the scheduler loop.
 """

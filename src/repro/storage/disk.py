@@ -34,14 +34,6 @@ class DiskParameters:
     cpu_tuple_cost_ms: float = 0.0002
     page_size_bytes: int = 8192
 
-    def random_read_cost(self, pages: int = 1) -> float:
-        """Cost of ``pages`` page reads, each preceded by a seek."""
-        return pages * self.seek_cost_ms
-
-    def sequential_read_cost(self, pages: int) -> float:
-        """Cost of reading ``pages`` consecutive pages with no seek."""
-        return pages * self.seq_page_cost_ms
-
 
 @dataclass(slots=True)
 class IOBreakdown:
@@ -159,9 +151,9 @@ class IOTracker:
         ``start_page .. start_page + count - 1``: only the first page can be
         a seek (it is classified against the head position exactly as a
         single read would be), every following page of the run is sequential
-        by construction.  The batched executor uses this to charge a page
-        run it read back-to-back without paying ``count`` Python calls into
-        the tracker.
+        by construction.  The full-drain scan kernel uses this to charge a
+        page run it read back-to-back without paying ``count`` Python calls
+        into the tracker.
         """
         if count <= 0:
             return
@@ -286,9 +278,6 @@ class DiskModel:
     def window_since(self, snapshot: IOBreakdown) -> IOBreakdown:
         """I/O performed since ``snapshot`` was taken."""
         return self.tracker.counters.subtract(snapshot)
-
-    def elapsed_since(self, snapshot: IOBreakdown) -> float:
-        return self.window_since(snapshot).elapsed_ms(self.params)
 
     def absorb(
         self, window: IOBreakdown, head: tuple[str | None, int | None]

@@ -165,7 +165,8 @@ def _exact_part(row):
     )
 
 
-def _same_row(left, right):
+def same_row(left, right):
+    """Same columns, every value equal up to :func:`values_close`."""
     return left.keys() == right.keys() and all(
         values_close(left[column], right[column]) for column in left
     )
@@ -183,7 +184,7 @@ def first_missing(rows, pool):
     for row in rows:
         candidates = by_exact.get(_exact_part(row), [])
         for position, candidate in enumerate(candidates):
-            if _same_row(row, candidate):
+            if same_row(row, candidate):
                 del candidates[position]
                 break
         else:
@@ -224,7 +225,7 @@ def assert_matches_model(result, query, tables, *, unique_columns=(), context=""
     )
     if query.ordering and order_is_total(query, unique_columns):
         for position, (row, want) in enumerate(zip(got, expected.rows)):
-            assert _same_row(row, want), (
+            assert same_row(row, want), (
                 f"{context}: row {position} is {row!r}, model {want!r}"
             )
         return

@@ -15,11 +15,7 @@ pinned elsewhere: ``test_exec_goldens.py`` (recorded) and
 
 import pytest
 
-from repro.engine.executor import (
-    DEFAULT_BATCH_SIZE,
-    ExecutionContext,
-    RowBatch,
-)
+from repro.engine.executor import ExecutionContext, RowBatch
 from repro.engine.plan import LimitNode, SortNode
 from repro.engine.predicates import Between, Equals
 from repro.engine.query import Aggregate, Query
@@ -130,52 +126,53 @@ class TestDecoratorParity:
 
 
 @pytest.fixture
-def join_database(indexed_database, item_rows):
-    """items plus a categories table joinable on catid."""
+def join_tables(item_rows):
+    """items plus a categories table joinable on catid, as plain lists."""
     categories = [
         {"catid": catid, "label": f"cat-{catid}", "floor": catid * 100.0}
         for catid in range(101)
     ]
+    return {"items": item_rows, "categories": categories}
+
+
+@pytest.fixture
+def join_database(indexed_database, join_tables):
+    categories = join_tables["categories"]
     indexed_database.create_table(
         "categories", sample_row=categories[0], tups_per_page=50
     )
     indexed_database.load("categories", categories)
-    indexed_database.model_tables = {"items": item_rows, "categories": categories}
     return indexed_database
 
 
 class TestJoinParity:
     @pytest.mark.parametrize("force_join", JOIN_STRATEGIES)
-    def test_join_strategy_parity(self, join_database, force_join):
+    def test_join_strategy_parity(self, join_database, join_tables, force_join):
         query = Query.select("items", Between("price", 1000, 2500)).join(
             "categories", on="catid"
         )
         if force_join == "index_nested_loop_join":
             join_database.cluster("categories", "catid")
-        result = check(
-            join_database, query, join_database.model_tables, force_join=force_join
-        )
+        result = check(join_database, query, join_tables, force_join=force_join)
         assert result.access_method == force_join
         assert result.rows_matched > 0
 
     @pytest.mark.parametrize("force_join", ["hash_join", "index_nested_loop_join"])
-    def test_join_with_limit_parity(self, join_database, force_join):
+    def test_join_with_limit_parity(self, join_database, join_tables, force_join):
         join_database.cluster("categories", "catid")
         query = (
             Query.select("items", Between("price", 0, 5000))
             .join("categories", on="catid")
             .with_limit(9)
         )
-        result = check(
-            join_database, query, join_database.model_tables, force_join=force_join
-        )
+        result = check(join_database, query, join_tables, force_join=force_join)
         assert result.rows_matched == 9
 
-    def test_join_aggregate_parity(self, join_database):
+    def test_join_aggregate_parity(self, join_database, join_tables):
         query = Query.select(
             "items", Between("price", 0, 5000), aggregate=Aggregate.count()
         ).join("categories", on="catid")
-        check(join_database, query, join_database.model_tables)
+        check(join_database, query, join_tables)
 
 
 class TestBatchBoundaries:
@@ -200,7 +197,7 @@ class TestBatchBoundaries:
         assert result.pages_visited == 0
 
     def test_topk_reads_no_extra_pages_over_plain_scan(self, indexed_database):
-        """The k-heap consumes batched input without extra page reads."""
+        """The top-k consumes batched input without extra page reads."""
         plain = indexed_database.run_query(
             Query.select("items", Between("price", 0, 10_000)),
             force="seq_scan",
@@ -238,9 +235,8 @@ class TestBatchBoundaries:
         assert result.pages_visited == table.num_pages
         assert result.rows_examined == table.num_rows
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
     def test_batch_size_equivalence_on_joins_and_group_by(
-        self, join_database, batch_size
+        self, join_database, join_tables
     ):
         """Batch size 1 vs 10k: same rows, same counters, same simulated I/O."""
         join_query = Query.select("items", Between("price", 1000, 2500)).join(
@@ -250,16 +246,7 @@ class TestBatchBoundaries:
             "items", Between("price", 0, 3000), aggregate=Aggregate.count(alias="n")
         ).group_by("catid")
         for query in (join_query, grouped):
-            join_database.batch_size = DEFAULT_BATCH_SIZE
-            reference = join_database.run_query(query, cold_cache=True)
-            join_database.batch_size = batch_size
-            result = join_database.run_query(query, cold_cache=True)
-            join_database.batch_size = DEFAULT_BATCH_SIZE
-            assert result.rows == reference.rows
-            assert result.pages_visited == reference.pages_visited
-            assert result.rows_examined == reference.rows_examined
-            assert result.io == reference.io
-            assert result.elapsed_ms == pytest.approx(reference.elapsed_ms)
+            check(join_database, query, join_tables, batch_sizes=(1, 7, 10_000))
 
     def test_scan_batches_are_page_aligned(self, database):
         """Unfiltered scan batches cover whole pages (50 tuples each here)."""

@@ -146,7 +146,22 @@ class TestStream:
         window = db.disk.window_since(before)
         assert window.cpu_tuples >= 3
 
-    def test_stream_rejects_aggregates(self, indexed_database):
-        query = Query.select("items", Equals("catid", 1), aggregate=Aggregate.count())
-        with pytest.raises(ValueError):
-            indexed_database.stream(query)
+    def test_both_streams_reject_scalar_aggregates_only(self, indexed_database, item_rows):
+        """One rule for ``stream`` and ``stream_batches``: a scalar aggregate
+        reduces the whole stream to one value and is refused; a grouped one
+        streams its group rows (``stream`` used to refuse those too)."""
+        db = indexed_database
+        scalar = Query.select("items", Equals("catid", 1), aggregate=Aggregate.count())
+        for surface in (db.stream, db.stream_batches):
+            with pytest.raises(ValueError, match="does not support scalar aggregates"):
+                surface(scalar)
+        grouped = Query.select(
+            "items", Between("catid", 1, 3), aggregate=Aggregate.count(alias="n")
+        ).group_by("catid")
+        expected = {
+            catid: sum(1 for row in item_rows if row["catid"] == catid)
+            for catid in (1, 2, 3)
+        }
+        assert {row["catid"]: row["n"] for row in db.stream(grouped)} == expected
+        batches = db.stream_batches(grouped)
+        assert {row["catid"]: row["n"] for batch in batches for row in batch} == expected

@@ -40,7 +40,7 @@ from tests.engine.conftest import (
     build_cat_rows,
     build_fuzz_rows,
 )
-from tests.engine.model import assert_matches_model, user_columns, values_close
+from tests.engine.model import assert_matches_model, same_row, values_close
 from tests.engine.runs import (
     BATCH_SIZES,
     assert_batch_size_invariant,
@@ -239,9 +239,7 @@ def assert_parallel_identical(reference, candidate, *, context):
     assert parallel == serial, f"{context}: {drift(serial, parallel)}"
     assert values_close(candidate.value, reference.value), context
     for got, want in zip(candidate.rows, reference.rows):
-        got, want = user_columns(got), user_columns(want)
-        assert got.keys() == want.keys(), context
-        assert all(values_close(got[column], want[column]) for column in got), context
+        assert same_row(got, want), context
 
 
 def test_fuzz_partition_parity(

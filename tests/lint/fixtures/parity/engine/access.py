@@ -28,3 +28,18 @@ def fetch_rows(rows, predicates, counters, visible):
         counters.rows_examined += 1  # charged first, then filtered
         if visible(row) and predicates.matches(row):
             yield row
+
+
+class SeqScan(AccessPath):
+    def _stream(self, context):  # an access path's _stream *is* the lazy sweep
+        yield from self._sweep_pages(self._target_pages(context), context)
+
+
+class ProbeJoin(JoinOperator):
+    def _stream_batches(self, context, batch_size, demand, run_reads):
+        # The row generator lives inside the one body, under its own name.
+        yield from _chunk_rows(self._probe_lazily(context), batch_size, demand)
+
+    def _probe_lazily(self, context):
+        for outer_row in self.source.iter_rows(context.child()):
+            yield outer_row

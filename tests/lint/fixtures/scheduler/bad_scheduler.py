@@ -10,3 +10,7 @@ def quantum(entry) -> list:
 
 def drain_iterator(entry) -> list:
     return sorted(entry._iterator)  # line 12: REPRO104 (iterator operand)
+
+
+def drain_batches(entry, context) -> tuple:
+    return tuple(entry.plan.iter_batches(context, 256))  # line 16: REPRO104

@@ -57,8 +57,15 @@ class TestParityAccounting:
             ("parity/engine/bad_survivor_count.py", 19),  # += 1 past the guard
         ]
 
+    def test_second_protocol_on_a_plan_node_flagged(self):
+        assert findings("REPRO102", "parity/engine/bad_second_protocol.py") == [
+            ("parity/engine/bad_second_protocol.py", 5),  # _stream on a node
+            ("parity/engine/bad_second_protocol.py", 13),  # iter_rows override
+        ]
+
     def test_shared_kernel_shape_clean(self):
-        # Positional charging, len(live) before the filter, charge-then-test.
+        # Positional charging, len(live) before the filter, charge-then-test;
+        # an access path's _stream and a node's named lazy generator.
         assert findings("REPRO102", "parity/engine/access.py") == []
 
 
@@ -85,6 +92,7 @@ class TestSchedulerSafety:
             ("scheduler/bad_scheduler.py", 7),  # time.sleep
             ("scheduler/bad_scheduler.py", 8),  # list(iter_rows())
             ("scheduler/bad_scheduler.py", 12),  # sorted(entry._iterator)
+            ("scheduler/bad_scheduler.py", 16),  # tuple(iter_batches())
         ]
 
     def test_one_batch_per_quantum_clean(self):
