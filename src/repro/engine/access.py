@@ -36,9 +36,11 @@ sweep, so remaining pages are never read.
 
 The two sweeps consume the same per-path page enumeration
 (:meth:`AccessPath._target_pages`) and apply the same per-page filter step
-(:meth:`AccessPath._page_filter`: MVCC visibility, then the compiled
-predicate kernel, once per page -- neither dispatches a predicate per row),
-so they cannot drift.  They differ in delivery and charging only: the
+(:meth:`AccessPath._page_filter`: under a snapshot the page rule over the
+page's version summary, then -- only where that rule does not settle the
+page -- the per-row visibility filter; then the compiled predicate kernel,
+once per page -- neither sweep dispatches a predicate per row), so they
+cannot drift.  They differ in delivery and charging only: the
 full-drain sweep charges ``len(live)`` per page; the lazy sweep yields a
 page's survivors one at a time and charges each by its *position in the
 unfiltered live list*, which makes abandoning it after any row exact -- the
@@ -68,9 +70,10 @@ from repro.engine.executor import (
 )
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.table import BUCKET_COLUMN, Table
+from repro.engine.transactions import Snapshot
 from repro.index.bitmap import PageBitmap
 from repro.index.secondary import SecondaryIndex
-from repro.storage.page import RID
+from repro.storage.page import RID, Page
 
 
 #: One page's rows: the live list a sweep reads, or what a filter keeps of it.
@@ -83,11 +86,11 @@ def _keep_all(live: _Rows) -> _Rows:
 
 
 def _one_by_one(
-    page_filter: Callable[[_Rows], _Rows], live: _Rows
+    page_filter: Callable[..., _Rows], live: _Rows, page: Page | None
 ) -> Iterator[dict[str, Any]]:
     """``page_filter`` applied lazily, one live row per pull."""
     for row in live:
-        yield from page_filter([row])
+        yield from page_filter([row]) if page is None else page_filter([row], page)
 
 
 class AccessPath:
@@ -208,11 +211,13 @@ class AccessPath:
         only attaches a snapshot once a table holds versioned rows; the
         scheduler always attaches one, because versions may first appear
         *mid-scan* under concurrent writers, and unversioned rows pass the
-        filter trivially).  The filter is the first half of the shared
-        :meth:`_page_filter` step, and both sweeps count examined rows over
-        the unfiltered live list: an invisible version costs exactly what a
-        non-matching row costs, in both sweeps, so a lazy and an eager
-        pull keep reporting the same counters under MVCC.
+        filter trivially).  The sweeps apply the same filter inside
+        :meth:`_page_filter`, and only on a page whose version summary the
+        snapshot does not see whole; the per-tuple fetch path applies it to
+        every row it fetches.  All of them count examined rows over the
+        unfiltered rows: an invisible version costs exactly what a
+        non-matching row costs, so a lazy and an eager pull keep reporting
+        the same counters under MVCC.
         """
         snapshot = context.snapshot
         if snapshot is None:
@@ -221,27 +226,41 @@ class AccessPath:
 
     def _page_filter(
         self, context: ExecutionContext, project: tuple[str, ...] | None = None
-    ) -> Callable[[_Rows], _Rows]:
+    ) -> Callable[..., _Rows]:
         """The one per-page filter step both sweeps apply to a live list.
 
-        MVCC visibility first (see :meth:`_visibility`), then the compiled
+        Three stages, cheapest first.  The *page rule*
+        (:meth:`~repro.engine.transactions.Snapshot.sees_page` over the
+        page's version summary): a page the snapshot sees whole -- every
+        bulk-loaded page, for every snapshot -- skips the next stage.  The
+        *per-row filter* (``Snapshot.visible``, see :meth:`_visibility`)
+        on any other page.  Then the compiled
         :meth:`~repro.engine.predicates.PredicateSet.batch_kernel` -- one
-        C-driven pass over the page, no per-row predicate dispatch.  Without
-        ``project`` the survivors are the *same dict objects*, in live-list
-        order, which is what lets :meth:`_sweep_pages` charge them by
-        position.  The sweeps count ``rows_examined`` over the list they
-        pass in, never over what comes back (REPRO102).
+        C-driven pass over the page, no per-row predicate dispatch.
+
+        Without a snapshot there is nothing to decide per page and the
+        result *is* the kernel, called as ``page_filter(live)``; with one it
+        is called as ``page_filter(live, page)``.  Without ``project`` the
+        survivors are the *same dict objects*, in live-list order, which is
+        what lets :meth:`_sweep_pages` charge them by position.  The sweeps
+        count ``rows_examined`` over the list they pass in, never over what
+        comes back (REPRO102).
         """
-        visible = self._visibility(context)
         if self.predicates or project is not None:
             kernel = self.predicates.batch_kernel(project)
         else:
-            kernel = None
-        if visible is None:
-            return kernel if kernel is not None else _keep_all
-        if kernel is None:
-            return lambda live: [row for row in live if visible(row)]
-        return lambda live: kernel([row for row in live if visible(row)])
+            kernel = _keep_all
+        snapshot = context.snapshot
+        if snapshot is None:
+            return kernel
+        sees_page, visible = snapshot.sees_page, snapshot.visible
+
+        def filter_page(live: _Rows, page: Page) -> _Rows:
+            if not sees_page(page.creators, page.deleters):
+                live = [row for row in live if visible(row)]
+            return kernel(live)
+
+        return filter_page
 
     def _sweep_pages(
         self, pages: Iterable[int], context: ExecutionContext
@@ -271,15 +290,16 @@ class AccessPath:
         heap = self.table.heap
         counters = context.counters
         page_filter = self._page_filter(context)
+        by_page = context.snapshot is not None
         for page_no in pages:
             page = heap.read_page(page_no)
             counters.pages_visited += 1
             live = [row for row in page.slots if row is not None]
             survivors: Iterable[dict[str, Any]]
             try:
-                survivors = page_filter(live)
+                survivors = page_filter(live, page) if by_page else page_filter(live)
             except Exception:
-                survivors = _one_by_one(page_filter, live)
+                survivors = _one_by_one(page_filter, live, page if by_page else None)
             position = charged = 0
             try:
                 for row in survivors:
@@ -328,6 +348,7 @@ class AccessPath:
         heap = self.table.heap
         counters = context.counters
         page_filter = self._page_filter(context, project)
+        by_page = context.snapshot is not None
         if run_reads:
             pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
         else:
@@ -344,7 +365,9 @@ class AccessPath:
                     counters.pages_visited += 1
                     live = [row for row in page.slots if row is not None]
                     examined += len(live)
-                    batch.extend(page_filter(live))
+                    batch.extend(
+                        page_filter(live, page) if by_page else page_filter(live)
+                    )
             finally:
                 if examined:
                     counters.rows_examined += examined
@@ -366,6 +389,31 @@ class SeqScan(AccessPath):
 
     def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
         return range(self.table.heap.num_pages)
+
+
+def visible_matches(
+    table: Table, predicates: PredicateSet, snapshot: Snapshot
+) -> Iterator[tuple[RID, dict[str, Any]]]:
+    """``(RID, row)`` of every version ``snapshot`` sees that matches.
+
+    The writers' victim search.  It walks the whole heap on the heap's own
+    iteration -- :meth:`~repro.storage.heap.HeapFile.scan`'s accounting: one
+    buffer-pool access per page, no counters and no CPU-tuple charge, a
+    write being priced by its page traffic and its log -- and filters each
+    page through the sweeps' own :meth:`AccessPath._page_filter`.  The
+    survivors are the page's own dicts, so their identity in its slot list
+    gives the RID.
+    """
+    page_filter = SeqScan(table, predicates)._page_filter(
+        ExecutionContext(snapshot=snapshot)
+    )
+    for page in table.heap.iter_pages():
+        slots = page.slots
+        slot = 0
+        for row in page_filter([row for row in slots if row is not None], page):
+            while slots[slot] is not row:
+                slot += 1
+            yield RID(page.page_no, slot), row
 
 
 def _lookup_values_for_index(

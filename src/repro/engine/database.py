@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.core.bucketing import Bucketer
 from repro.core.model import HardwareParameters
 from repro.core.statistics import DEFAULT_STATS_SAMPLE_SIZE
+from repro.engine.access import visible_matches
 from repro.engine.executor import (
     DEFAULT_BATCH_SIZE,
     LAZY_UNBOUNDED,
@@ -876,14 +877,7 @@ class Database:
         errors instead of silently vanishing).
         """
         target = self._versioned_table(table)
-        if not isinstance(predicates, PredicateSet):
-            predicates = PredicateSet(predicates)
-        snapshot = transaction.snapshot
-        victims: list[tuple[RID, dict[str, Any]]] = []
-        for rid, row in target.heap.scan():
-            if snapshot.visible(row) and predicates.matches(row):
-                self._check_write_conflict(row, transaction, table)
-                victims.append((rid, row))
+        victims = self._victims(transaction, target, predicates)
         for rid, _row in victims:
             target.mark_deleted(rid, transaction.xid)
             transaction.log(
@@ -909,14 +903,7 @@ class Database:
         nothing.
         """
         target = self._versioned_table(table)
-        if not isinstance(predicates, PredicateSet):
-            predicates = PredicateSet(predicates)
-        snapshot = transaction.snapshot
-        victims: list[tuple[RID, dict[str, Any]]] = []
-        for rid, row in target.heap.scan():
-            if snapshot.visible(row) and predicates.matches(row):
-                self._check_write_conflict(row, transaction, table)
-                victims.append((rid, row))
+        victims = self._victims(transaction, target, predicates)
         hidden = (XMIN_COLUMN, XMAX_COLUMN, BUCKET_COLUMN)
         for rid, row in victims:
             fresh = {
@@ -936,6 +923,27 @@ class Database:
             for cm in target.correlation_maps.values():
                 transaction.log("cm_update", {"cm": cm.name}, size_bytes=32)
         return len(victims)
+
+    def _victims(
+        self,
+        transaction: Transaction,
+        target: Table,
+        predicates: PredicateSet | Sequence[Predicate],
+    ) -> list[tuple[RID, dict[str, Any]]]:
+        """The versions a write targets, each conflict-checked as it is found.
+
+        Visible to the writer's snapshot and matching, located a page at a
+        time (:func:`~repro.engine.access.visible_matches`).  The list is
+        complete before the caller stamps anything, so a conflicting write
+        changes nothing and a write never chases its own new versions.
+        """
+        if not isinstance(predicates, PredicateSet):
+            predicates = PredicateSet(predicates)
+        victims = []
+        for rid, row in visible_matches(target, predicates, transaction.snapshot):
+            self._check_write_conflict(row, transaction, target.name)
+            victims.append((rid, row))
+        return victims
 
     def _check_write_conflict(
         self, row: Mapping[str, Any], transaction: Transaction, table: str

@@ -169,6 +169,8 @@ class Table:
         if not self.schema.has_column(attribute):
             raise KeyError(f"unknown column {attribute!r} in table {self.name!r}")
         placed = self.heap.rebuild_clustered(lambda row: row[attribute])
+        if self.mvcc_versioned:
+            self._note_versions(placed)
         self.clustered_attribute = attribute
         self.clustered_index = ClusteredIndex(
             f"{self.name}__clustered", attribute, self.buffer_pool
@@ -190,6 +192,16 @@ class Table:
         # Clustering already rewrites the whole heap (and may add the bucket
         # column), so this is the one place statistics rebuild from a scan.
         self.statistics.rebuild(self.heap.all_rows())
+
+    def _note_versions(self, placed: Sequence[tuple[RID, dict[str, Any]]]) -> None:
+        """Tell freshly built pages the stamps their re-placed rows carry."""
+        pages = self.heap.pages
+        for rid, row in placed:
+            xmin, xmax = row.get(XMIN_COLUMN), row.get(XMAX_COLUMN)
+            if xmin is not None:
+                pages[rid.page_no].note_creator(xmin)
+            if xmax is not None:
+                pages[rid.page_no].note_deleter(xmax)
 
     def _assign_buckets(
         self,
@@ -349,11 +361,25 @@ class Table:
     # -- maintenance -----------------------------------------------------------------------------
 
     def insert_row(self, row: Mapping[str, Any], *, charge_io: bool = True) -> RID:
-        """Insert one tuple, maintaining every index and CM."""
-        row = dict(row)
+        """Insert one tuple, maintaining every index and CM.
+
+        The heap stores a copy: the caller's mapping is never kept or mutated.
+        """
+        return self._place(dict(row), charge_io=charge_io)
+
+    def _place(
+        self, row: dict[str, Any], *, charge_io: bool, creator: int | None = None
+    ) -> RID:
+        """Put ``row`` -- a dict this table owns from here on -- in the heap.
+
+        ``creator`` is the xid a version was stamped with; its page is told
+        as soon as the row sits on it, before any other structure is touched.
+        """
         if self.has_clustered_buckets:
             row[BUCKET_COLUMN] = TAIL_BUCKET
         rid = self.heap.append(row, charge_io=charge_io)
+        if creator is not None:
+            self.heap.pages[rid.page_no].note_creator(creator)
         for index in self.secondary_indexes.values():
             index.insert(rid, row, charge_io=charge_io)
         for cm in self.correlation_maps.values():
@@ -381,16 +407,18 @@ class Table:
     def insert_version(self, row: Mapping[str, Any], xid: int, *, charge_io: bool = True) -> RID:
         """Insert a new row *version* stamped with its creating transaction.
 
-        The row gains a hidden ``_xmin`` column and flows through
-        :meth:`insert_row`, so secondary indexes, CMs and statistics all see
+        The row gains a hidden ``_xmin`` column and is placed like any
+        inserted row, so secondary indexes, CMs and statistics all see
         it immediately -- index probes may surface versions invisible to a
         given snapshot, and the scan kernels' visibility filter drops them,
-        exactly as residual predicates drop CM false positives.
+        exactly as residual predicates drop CM false positives.  The page
+        it lands on records ``xid`` among its creators (the version summary
+        ``Snapshot.sees_page`` reads).
         """
         versioned = dict(row)
         versioned[XMIN_COLUMN] = xid
         self.mvcc_versioned = True
-        return self.insert_row(versioned, charge_io=charge_io)
+        return self._place(versioned, charge_io=charge_io, creator=xid)
 
     def mark_deleted(self, rid: RID, xid: int, *, charge_io: bool = True) -> dict[str, Any] | None:
         """MVCC delete: stamp the version at ``rid`` with a deleting xid.
@@ -398,15 +426,19 @@ class Table:
         Nothing is physically removed -- the version stays in the heap (and
         in every index and CM) so concurrent snapshots that predate the
         deleting transaction keep seeing it; readers past it filter it out.
-        The page is dirtied like any in-place write.  Statistics are *not*
-        adjusted here: the physical row count is unchanged until a future
-        vacuum reclaims dead versions.
+        The page is dirtied like any in-place write and records ``xid``
+        among its deleters -- before the stamp lands, and for good: an
+        aborted deleter stays in the summary, which no snapshot sees and so
+        costs readers nothing.  Statistics are *not* adjusted here: the
+        physical row count is unchanged until a future vacuum reclaims dead
+        versions.
         """
         row = self.heap.fetch(rid, charge_io=False)
         if row is None:
             return None
         if charge_io:
             self.buffer_pool.access(self.heap.name, rid.page_no, dirty=True)
+        self.heap.pages[rid.page_no].note_deleter(xid)
         row[XMAX_COLUMN] = xid
         self.mvcc_versioned = True
         return row

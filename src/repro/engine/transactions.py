@@ -21,6 +21,11 @@ isolation without any read locks:
   before the snapshot was taken (allocated before the snapshot's horizon,
   not in-flight at snapshot time, and not aborted).
 
+Every heap page carries a summary of the xids stamped on its slots, and one
+page-level rule (:meth:`Snapshot.sees_page`) follows from the two above: a
+snapshot that sees every creator on a page and no deleter sees every live
+row on it, so the scan kernels skip the per-row check there.
+
 Nothing is ever undone in place: an aborted transaction's versions simply
 stay invisible to everyone, exactly as in PostgreSQL's MVCC.  Write-write
 conflicts are detected eagerly (first-updater-wins): touching a version that
@@ -31,7 +36,7 @@ a live or committed concurrent transaction already deleted raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.storage.wal import WriteAheadLog
 
@@ -111,6 +116,28 @@ class Snapshot:
             return False
         xmax = row.get(XMAX_COLUMN)
         return xmax is None or not self.sees_xid(xmax)
+
+    def sees_page(self, creators: Iterable[int], deleters: Iterable[int]) -> bool:
+        """The page rule: whether every live row of a page is visible.
+
+        ``creators`` / ``deleters`` are a page's version summary
+        (:class:`~repro.storage.page.Page`): a superset of the ``_xmin`` /
+        ``_xmax`` stamps on its live slots.  A snapshot that sees every
+        creator and no deleter would pass :meth:`visible` on each of those
+        rows, so the per-row check can be skipped for the page; any other
+        answer only means "check row by row" -- a stale-large summary costs
+        time, never correctness.  A bulk-loaded page (both empty) is seen
+        whole by every snapshot; a transaction sees its own xid, so its own
+        inserts keep a page whole and its own deletes do not.
+        """
+        sees_xid = self.sees_xid
+        for xid in creators:
+            if not sees_xid(xid):
+                return False
+        for xid in deleters:
+            if sees_xid(xid):
+                return False
+        return True
 
 
 class Transaction:

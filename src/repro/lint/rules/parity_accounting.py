@@ -25,7 +25,14 @@ code shapes they rely on:
   deriving from ``PlanNode``, ``JoinOperator`` or any ``*Node``/``*Join``)
   may neither define ``_stream`` nor override ``iter_rows``.  A row
   generator lives inside ``_stream_batches`` under its own name; access
-  paths are not plan nodes (their ``_stream`` *is* the lazy sweep).
+  paths are not plan nodes (their ``_stream`` *is* the lazy sweep);
+* MVCC stamps have two homes: a subscript store (or ``del``) keyed by
+  ``XMIN_COLUMN`` / ``XMAX_COLUMN`` or their literals is allowed only in
+  ``Table.insert_version`` and ``Table.mark_deleted`` (``engine/table.py``,
+  storage included in this check).  Those two keep each page's version
+  summary in step with the stamps on its slots; the page filter skips the
+  per-row visibility check on the summary's word, so a stamp written
+  anywhere else is a row some snapshot reads wrongly.
 """
 
 from __future__ import annotations
@@ -56,6 +63,12 @@ CHARGE_NAMES = frozenset({"examined", "rows_examined"})
 #: Calls that drop rows: MVCC visibility, predicate evaluation, the compiled
 #: batch kernel, the sweeps' shared per-page filter step.
 FILTER_CALLS = frozenset({"visible", "matches", "kernel", "page_filter"})
+
+#: The MVCC stamp columns, by constant name and by literal, and the only
+#: functions that may store under them (they keep the page version summary).
+STAMP_KEYS = frozenset({"XMIN_COLUMN", "XMAX_COLUMN", "_xmin", "_xmax"})
+STAMPING_SITES = frozenset({"insert_version", "mark_deleted"})
+STAMPING_MODULE = "engine/table.py"
 
 #: Base-class names that make a class a plan node, and the methods of the
 #: deleted row-at-a-time protocol such a class may not carry.
@@ -170,6 +183,25 @@ def _second_protocol(tree: ast.Module) -> Iterator[tuple[str, _Function]]:
                 yield node.name, item
 
 
+def _stamp_stores(tree: ast.Module, in_stamping_module: bool) -> Iterator[ast.Subscript]:
+    """Every ``row[<stamp column>] = ...`` / ``del`` outside the stamping sites."""
+    allowed: set[int] = set()
+    if in_stamping_module:
+        for function in walk_functions(tree):
+            if function.name in STAMPING_SITES:
+                allowed.update(id(node) for node in walk_own_nodes(function))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and id(node) not in allowed
+        ):
+            key = node.slice
+            name = key.value if isinstance(key, ast.Constant) else terminal_attribute(key)
+            if name in STAMP_KEYS:
+                yield node
+
+
 @register_rule
 class ParityAccountingRule(Rule):
     rule_id = "REPRO102"
@@ -177,17 +209,26 @@ class ParityAccountingRule(Rule):
     description = (
         "heap page reads only inside the shared scan kernels, examined "
         "counters taken over the unfiltered live list, never over survivors, "
-        "and no second execution protocol on a plan node"
+        "no second execution protocol on a plan node, and MVCC stamps "
+        "written only where the page version summary is kept"
     )
 
-    def applies_to(self, path: str) -> bool:
-        # Storage owns the read APIs themselves; everything else in the
-        # engine tree is in scope.
-        parts = path.split("/")[:-1]
-        return "storage" not in parts
-
     def check(self, module: ModuleSource) -> Iterator[Violation]:
-        if "engine" in module.relpath.split("/")[:-1]:
+        parts = module.relpath.split("/")[:-1]
+        for store in _stamp_stores(
+            module.tree, module.relpath.endswith(STAMPING_MODULE)
+        ):
+            yield self.violation(
+                module,
+                store.lineno,
+                store.col_offset + 1,
+                "MVCC stamp written outside Table.insert_version / "
+                "Table.mark_deleted -- only those keep the page version "
+                "summary that lets a sweep skip the per-row visibility check",
+            )
+        if "storage" in parts:
+            return  # storage owns the read APIs themselves
+        if "engine" in parts:
             for class_name, method in _second_protocol(module.tree):
                 yield self.violation(
                     module,

@@ -143,12 +143,23 @@ class HeapFile:
             self.buffer_pool.access(self.name, page_no)
         return page
 
-    def scan(self, *, charge_io: bool = True) -> Iterator[tuple[RID, dict[str, Any]]]:
-        """Full sequential scan in physical order."""
+    def iter_pages(self, *, charge_io: bool = True) -> Iterator[Page]:
+        """Every page in physical order, each read as the consumer reaches it.
+
+        The page-at-a-time form of :meth:`scan`, with its accounting: one
+        buffer-pool access per page, no CPU-tuple charge.  For consumers
+        that decide a page at once (the writers' victim search) instead of
+        pulling ``(RID, row)`` pairs.
+        """
         for page in self.pages:
             self.logical_page_reads += 1
             if charge_io:
                 self.buffer_pool.access(self.name, page.page_no)
+            yield page
+
+    def scan(self, *, charge_io: bool = True) -> Iterator[tuple[RID, dict[str, Any]]]:
+        """Full sequential scan in physical order."""
+        for page in self.iter_pages(charge_io=charge_io):
             for slot, row in page.live_rows():
                 yield RID(page.page_no, slot), row
 

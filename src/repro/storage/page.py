@@ -38,11 +38,22 @@ class Page:
     slots are set to ``None`` so that RIDs of surviving tuples stay valid.
     ``slots=True`` keeps the per-page object slim and its attribute reads
     cheap -- the batched scan kernel touches ``page.slots`` once per page.
+
+    ``creators`` / ``deleters`` are the page's *version summary*: the
+    transaction ids its slots were stamped with, as told by whoever placed
+    a stamped row here or stamped a placed one (:meth:`note_creator`,
+    :meth:`note_deleter`; the page itself never looks inside a row).  Both
+    only grow -- a physical :meth:`delete` leaves them alone -- so they are
+    a superset of the stamps on the live slots, which is all a reader needs
+    to decide a whole page at once (``Snapshot.sees_page``).  A page that
+    was only ever bulk-loaded shares the one empty ``frozenset``.
     """
 
     page_no: int
     capacity: int
     slots: list[dict[str, Any] | None] = field(default_factory=list)
+    creators: frozenset[int] = frozenset()
+    deleters: frozenset[int] = frozenset()
 
     @property
     def num_tuples(self) -> int:
@@ -74,6 +85,16 @@ class Page:
         row = self.get(slot)
         self.slots[slot] = None
         return row
+
+    def note_creator(self, xid: int) -> None:
+        """Record that a slot here holds a version created by ``xid``."""
+        if xid not in self.creators:
+            self.creators |= {xid}
+
+    def note_deleter(self, xid: int) -> None:
+        """Record that a slot here holds a version delete-stamped by ``xid``."""
+        if xid not in self.deleters:
+            self.deleters |= {xid}
 
     def live_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Yield ``(slot, row)`` pairs for live tuples, in slot order."""

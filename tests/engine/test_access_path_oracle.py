@@ -10,10 +10,14 @@ The machine drives one flat clustered table and, next to it, a plain-dict
 model of what is visible: the committed rows, and per open transaction its
 snapshot plus its own writes.  After **every** step it asks, for an
 ``Equals``, a ``Between``, an ``InSet`` and a conjunction, every reader (a
-fresh snapshot and each open transaction) through every applicable
-``force=`` access method at batch sizes 1 and 256 and through ``stream()``,
-and every applicable correlation map directly -- each must return exactly
-the model's visible rows.
+fresh snapshot, each open transaction, and a pure reader pinned just before
+each recent ``commit`` / ``abort`` -- the one a page-level visibility
+decision can wrong when that commit lands on an otherwise clean page)
+through every applicable ``force=`` access method at batch sizes 1 and 256
+and through ``stream()``, and every applicable correlation map directly --
+each must return exactly the model's visible rows.  A second invariant
+holds the page version summaries to their contract: every ``_xmin`` /
+``_xmax`` on a live slot is in its page's summary.
 
 Two deliberate limits.  Non-transactional DML (``Database.insert`` /
 ``delete``) and open transactions never overlap: the engine documents no
@@ -38,10 +42,12 @@ from repro.engine.executor import ExecutionContext
 from repro.engine.planner import FORCE_METHODS
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.query import Query
-from repro.engine.transactions import SerializationError
+from repro.engine.transactions import XMAX_COLUMN, XMIN_COLUMN, SerializationError
 from tests.engine.model import holds, user_columns
 
 NUM_C = 10
+#: Steps a reader pinned before a commit / abort stays among the readers.
+PINNED_FOR_STEPS = 3
 
 
 def make_row(row_id, c, jitter, w):
@@ -109,6 +115,9 @@ class AccessPathMachine(RuleBasedStateMachine):
         #: ``id -> (version, row)`` as a fresh snapshot sees the table.
         self.committed = {row["id"]: (row["id"], row) for row in rows}
         self.open = []
+        #: ``[snapshot, the committed rows at that instant, steps left]`` per
+        #: pure reader pinned just before a commit or an abort.
+        self.pinned = []
 
     # -- the model -----------------------------------------------------------
 
@@ -118,6 +127,10 @@ class AccessPathMachine(RuleBasedStateMachine):
             rows.append(make_row(self.next_id, c, jitter, w))
             self.next_id += 1
         return rows
+
+    def pin_reader(self):
+        snapshot = self.db.transactions.snapshot()
+        self.pinned.append([snapshot, dict(self.committed), PINNED_FOR_STEPS])
 
     def stamp(self, row):
         self.next_version += 1
@@ -166,6 +179,7 @@ class AccessPathMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.open)
     @rule(drawn=new_rows)
     def insert(self, drawn):
+        self.pinned.clear()  # unversioned rows are visible to every snapshot
         rows = self.fresh_rows(drawn)
         assert self.db.insert("t", rows).rows_affected == len(rows)
         for row in rows:
@@ -174,6 +188,7 @@ class AccessPathMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.open)
     @rule(predicate=victims)
     def delete(self, predicate):
+        self.pinned.clear()  # a physical delete is gone for every snapshot
         self.db.delete("t", [predicate])
         self.committed = {
             row_id: entry
@@ -213,6 +228,7 @@ class AccessPathMachine(RuleBasedStateMachine):
     @rule(index=st.integers(0, 1))
     def commit(self, index):
         writer = self.open.pop(index % len(self.open))
+        self.pin_reader()
         writer.handle.commit()
         for version, row_id in writer.deleted.items():
             if row_id in self.committed and self.committed[row_id][0] == version:
@@ -224,6 +240,7 @@ class AccessPathMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.open)
     @rule(index=st.integers(0, 1))
     def abort(self, index):
+        self.pin_reader()
         self.open.pop(index % len(self.open)).handle.abort()
 
     # -- rules: physical design and housekeeping ------------------------------
@@ -254,11 +271,22 @@ class AccessPathMachine(RuleBasedStateMachine):
     @invariant()
     def every_access_path_returns_the_visible_rows(self):
         db, table = self.db, self.db.table("t")
-        readers = [(None, self.committed)]
-        readers += [(writer.handle, writer.view) for writer in self.open]
+        #: ``(who, run_query options, the snapshot they read under, the model)``
+        readers = [("latest committed", {}, db.transactions.snapshot(), self.committed)]
+        readers += [
+            (f"xid {w.handle.xid}", {"transaction": w.handle}, w.handle.snapshot, w.view)
+            for w in self.open
+        ]
+        readers += [
+            (f"pinned before xid {snapshot.horizon}", {"snapshot": snapshot}, snapshot, view)
+            for snapshot, view, _steps in self.pinned
+        ]
+        self.pinned = [
+            [snapshot, view, steps - 1] for snapshot, view, steps in self.pinned if steps > 1
+        ]
         for predicates in PROBES:
             query = Query(table="t", predicates=predicates)
-            for transaction, view in readers:
+            for who, reader_options, snapshot, view in readers:
                 expected = sorted(
                     (
                         row
@@ -271,14 +299,13 @@ class AccessPathMachine(RuleBasedStateMachine):
                 def check(rows, how):
                     got = sorted(map(user_columns, rows), key=lambda row: row["id"])
                     assert got == expected, (
-                        f"{how} on {predicates.describe()} "
-                        f"(reader: {transaction and transaction.xid}): "
+                        f"{how} on {predicates.describe()} (reader: {who}): "
                         f"missing {[r for r in expected if r not in got]}, "
                         f"extra {[r for r in got if r not in expected]}"
                     )
 
                 for force in FORCE_METHODS:
-                    options = {"force": force, "transaction": transaction}
+                    options = {"force": force, **reader_options}
                     try:
                         for batch_size in (1, 256):
                             db.batch_size = batch_size
@@ -292,15 +319,22 @@ class AccessPathMachine(RuleBasedStateMachine):
                         ), error
                         continue
                     check(db.stream(query, **options), f"{force} stream()")
-                snapshot = (
-                    transaction.snapshot if transaction else db.transactions.snapshot()
-                )
                 attributes = {predicate.attribute for predicate in predicates}
                 for name, cm in table.correlation_maps.items():
                     if attributes & set(cm.attributes):
                         scan = CorrelationMapScan(table, cm, predicates)
                         batches = scan.iter_batches(ExecutionContext(snapshot=snapshot))
                         check([row for batch in batches for row in batch], name)
+
+    @invariant()
+    def every_page_summary_covers_the_stamps_on_its_live_slots(self):
+        """Superset, always: a missing creator is a dirty read, a missing
+        deleter resurrects a deleted row (or hides a live one)."""
+        for page in self.db.table("t").heap.pages:
+            for slot, row in page.live_rows():
+                where = f"page {page.page_no} slot {slot}: {row}"
+                assert row.get(XMIN_COLUMN) in {None, *page.creators}, where
+                assert row.get(XMAX_COLUMN) in {None, *page.deleters}, where
 
     def teardown(self):
         for writer in self.open:

@@ -13,11 +13,14 @@ import random
 
 import pytest
 
+from repro.engine.access import SeqScan, visible_matches
 from repro.engine.database import Database
-from repro.engine.predicates import Between
+from repro.engine.executor import ExecutionContext
+from repro.engine.predicates import Between, PredicateSet
 from repro.engine.query import Aggregate, Query
 from repro.engine.scheduler import QueryScheduler
 from repro.engine.transactions import SerializationError
+from repro.storage.page import RID
 
 
 def make_database(num_rows=120, *, tups_per_page=10):
@@ -292,3 +295,138 @@ def test_scenarios_replay_bit_identically_from_their_seed():
         first = run_random_scenario(seed)
         second = run_random_scenario(seed)
         assert first == second  # results, expectations, and the full trace
+
+
+# ---------------------------------------------------------------------------
+# The page rule: visibility decided per page wherever no snapshot can disagree
+# ---------------------------------------------------------------------------
+
+def page_of(db, itemid):
+    """The heap page holding the (first) version of ``itemid``."""
+    heap = db.table("items").heap
+    for rid, row in heap.scan(charge_io=False):
+        if row["itemid"] == itemid:
+            return heap.pages[rid.page_no]
+    raise AssertionError(f"no version of item {itemid}")
+
+
+def sees_whole(snapshot, page):
+    return snapshot.sees_page(page.creators, page.deleters)
+
+
+def assert_page_rule_matches_row_rule(db, snapshots):
+    """Page rule, then per-row filter == the row rule alone, on every page."""
+    heap = db.table("items").heap
+    for label, snapshot in snapshots.items():
+        page_filter = SeqScan(db.table("items"), PredicateSet())._page_filter(
+            ExecutionContext(snapshot=snapshot)
+        )
+        for page in heap.pages:
+            live = [row for row in page.slots if row is not None]
+            by_row = [row for row in live if snapshot.visible(row)]
+            assert page_filter(list(live), page) == by_row, (label, page.page_no)
+            if sees_whole(snapshot, page):
+                assert by_row == live, (label, page.page_no)
+        # The writers' victim search is the same step plus the RID of each
+        # survivor, found by identity among the page's slots (holes included).
+        wanted = PredicateSet.of(Between("itemid", 2, 2500))
+        assert list(visible_matches(db.table("items"), wanted, snapshot)) == [
+            (rid, row)
+            for rid, row in heap.scan(charge_io=False)
+            if snapshot.visible(row) and wanted.matches(row)
+        ], label
+
+
+def test_page_rule_agrees_with_the_row_rule_for_every_snapshot():
+    db = make_database(40, tups_per_page=5)
+    snapshots = {"before any writer": db.transactions.snapshot()}
+
+    def fresh(itemid):
+        return {"itemid": itemid, "catid": 0, "price": 1.0}
+
+    def check():
+        assert_page_rule_matches_row_rule(db, snapshots)
+
+    check()
+
+    committer = db.begin_transaction()
+    db.tx_insert(committer, "items", [fresh(1000), fresh(1001)])
+    db.tx_delete(committer, "items", [Between("itemid", 3, 6)])
+    db.tx_update(committer, "items", [Between("itemid", 12, 12)], {"price": -1.0})
+    snapshots["committer in flight"] = db.transactions.snapshot()
+    snapshots["committer's own"] = committer.snapshot
+    check()
+    committer.commit()
+    snapshots["after the commit"] = db.transactions.snapshot()
+    check()
+
+    aborter = db.begin_transaction()
+    db.tx_insert(aborter, "items", [fresh(2000)])
+    db.tx_delete(aborter, "items", [Between("itemid", 20, 27)])
+    snapshots["aborter's own"] = aborter.snapshot
+    check()
+    aborter.abort()
+    snapshots["after the abort"] = db.transactions.snapshot()
+    check()
+
+    # An open writer over rows both earlier writers touched, a physical
+    # delete (stale-large summary) and a re-cluster (summary re-derived).
+    writer = db.begin_transaction()
+    db.tx_insert(writer, "items", [fresh(3000)])
+    db.tx_delete(writer, "items", [Between("itemid", 24, 31)])
+    snapshots["open writer's own"] = writer.snapshot
+    snapshots["open writer in flight"] = db.transactions.snapshot()
+    check()
+    db.table("items").delete_row(RID(0, 0))
+    check()
+    db.cluster("items", "catid")
+    check()
+    # What each reader counts, by the model: 40 rows, -4 +2 by the
+    # committer, one physically deleted, the open writer's +1 -8.
+    assert count_rows(db, snapshot=snapshots["before any writer"]) == 39
+    assert count_rows(db, snapshot=snapshots["committer in flight"]) == 39
+    assert count_rows(db, snapshot=snapshots["after the abort"]) == 37
+    assert count_rows(db, transaction=writer) == 30
+
+
+def test_own_inserts_keep_a_page_whole_and_own_deletes_do_not():
+    db = make_database(40, tups_per_page=5)
+    writer = db.begin_transaction()
+    db.tx_insert(writer, "items", [{"itemid": 1000, "catid": 0, "price": 1.0}])
+    inserted, clean = page_of(db, 1000), page_of(db, 0)
+    # The writer reads its own insert without a per-row check; nobody else
+    # may skip the check on that page.
+    assert sees_whole(writer.snapshot, inserted)
+    assert not sees_whole(db.transactions.snapshot(), inserted)
+    assert sees_whole(db.transactions.snapshot(), clean)
+
+    db.tx_delete(writer, "items", [Between("itemid", 0, 0)])
+    # Its own delete must be filtered row by row; for everyone else the
+    # delete has not happened, so the page is still whole.
+    assert not sees_whole(writer.snapshot, clean)
+    assert sees_whole(db.transactions.snapshot(), clean)
+    pinned = db.transactions.snapshot()
+    writer.commit()
+    assert sees_whole(pinned, clean) and not sees_whole(pinned, inserted)
+    assert sees_whole(db.transactions.snapshot(), inserted)
+    assert not sees_whole(db.transactions.snapshot(), clean)  # a dead version
+    assert count_rows(db, snapshot=pinned) == 40
+    assert count_rows(db) == 40
+
+
+def test_aborted_writer_leaves_its_page_on_the_per_row_path():
+    db = make_database(40, tups_per_page=5)
+    writer = db.begin_transaction()
+    db.tx_insert(writer, "items", [{"itemid": 1000, "catid": 0, "price": 1.0}])
+    db.tx_delete(writer, "items", [Between("itemid", 0, 0)])
+    writer.abort()
+    reader = db.transactions.snapshot()
+    # The aborted creator is seen by no snapshot, ever: that page is checked
+    # row by row (there is no vacuum to shrink its summary) and the row
+    # stays invisible.  The aborted deleter is seen by no snapshot either,
+    # which is exactly "no deleter": its page is whole again.
+    assert not sees_whole(reader, page_of(db, 1000))
+    assert sees_whole(reader, page_of(db, 0))
+    assert count_rows(db) == 40
+    rows = db.run_query(ALL_ROWS, force="seq_scan", snapshot=reader).rows
+    assert sorted(row["itemid"] for row in rows) == list(range(40))

@@ -5,6 +5,7 @@ import pytest
 from repro.core.bucketing import WidthBucketer
 from repro.engine.database import Database
 from repro.engine.table import BUCKET_COLUMN, TAIL_BUCKET
+from repro.engine.transactions import XMAX_COLUMN, XMIN_COLUMN
 from tests.engine.conftest import make_rows
 
 
@@ -213,3 +214,74 @@ def test_pages_for_targets_value_mode_includes_tail(database):
     )
     pages = table.pages_for_targets([7], uses_buckets=False)
     assert set(table.tail_pages()) <= set(pages)
+
+
+# -- the page version summary (what Snapshot.sees_page reads) ---------------------
+
+
+def live_stamps(page):
+    """The ``_xmin`` / ``_xmax`` values on a page's live slots."""
+    rows = [row for _slot, row in page.live_rows()]
+    return (
+        {row[XMIN_COLUMN] for row in rows if XMIN_COLUMN in row},
+        {row[XMAX_COLUMN] for row in rows if XMAX_COLUMN in row},
+    )
+
+
+def test_bulk_loaded_pages_have_an_empty_version_summary(database):
+    table = database.table("items")
+    table.insert_row({"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1})
+    assert all(
+        page.creators == page.deleters == frozenset() for page in table.heap.pages
+    )
+
+
+def test_stamping_sites_keep_the_page_summary(database):
+    table = database.table("items")
+    row = {"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1}
+    created = table.insert_version(row, 7)
+    page = table.heap.pages[created.page_no]
+    assert page.creators == {7} and page.deleters == frozenset()
+    # A delete stamp lands on the victim's page, not the writer's last one.
+    victim, _row = next(iter(table.heap.scan(charge_io=False)))
+    table.mark_deleted(victim, 8)
+    assert table.heap.pages[victim.page_no].deleters == {8}
+    assert table.heap.pages[victim.page_no].creators == frozenset()
+    assert page.deleters == frozenset()
+    # Re-stamping (the first deleter aborted) and a physical delete only
+    # ever leave a superset of what the live slots carry.
+    table.mark_deleted(victim, 9)
+    assert table.heap.pages[victim.page_no].deleters == {8, 9}
+    table.delete_row(created)
+    assert page.creators == {7}
+    for heap_page in table.heap.pages:
+        xmins, xmaxes = live_stamps(heap_page)
+        assert xmins <= heap_page.creators and xmaxes <= heap_page.deleters
+
+
+def test_reclustering_carries_the_summary_to_the_new_pages(database):
+    table = database.table("items")
+    row = {"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1}
+    table.insert_version(row, 7)
+    victim, _row = next(iter(table.heap.scan(charge_io=False)))
+    table.mark_deleted(victim, 8)
+    table.cluster_on("catid", pages_per_bucket=4)
+    stamped = [page for page in table.heap.pages if page.creators or page.deleters]
+    assert 1 <= len(stamped) <= 2
+    for page in table.heap.pages:
+        # Fresh pages: exactly the stamps of the rows re-placed on them.
+        assert (set(page.creators), set(page.deleters)) == live_stamps(page)
+    assert {xid for page in stamped for xid in page.creators} == {7}
+    assert {xid for page in stamped for xid in page.deleters} == {8}
+
+
+def test_insert_row_never_keeps_or_mutates_the_callers_mapping(database):
+    table = database.table("items")
+    row = {"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1}
+    for rid in (table.insert_row(row), table.insert_version(row, 7)):
+        stored = table.heap.fetch(rid, charge_io=False)
+        assert stored is not row
+        assert stored[BUCKET_COLUMN] == TAIL_BUCKET
+    assert row == {"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1}
+    row["price"] = 2.0
+    assert table.heap.fetch(rid, charge_io=False)["price"] == 1.0

@@ -1,10 +1,10 @@
 """Good fixture: the shared-kernel shapes (examined counted pre-filter)."""
 
 
-def _sweep_pages(heap, page_filter, counters):
+def _sweep_pages(heap, page_filter, counters, by_page):
     for page in heap.read_pages(range(heap.num_pages)):  # allowed here
         live = [row for row in page.slots if row is not None]
-        survivors = page_filter(live)
+        survivors = page_filter(live, page) if by_page else page_filter(live)
         position = charged = 0
         for row in survivors:
             while live[position] is not row:
@@ -16,11 +16,11 @@ def _sweep_pages(heap, page_filter, counters):
         counters.rows_examined += len(live) - charged
 
 
-def _sweep_pages_batched(heap, page_filter, counters):
+def _sweep_pages_batched(heap, page_filter, counters, by_page):
     for page in heap.read_pages(range(heap.num_pages)):  # allowed here
         live = [row for row in page.slots if row is not None]
         counters.rows_examined += len(live)  # the unfiltered list
-        yield page_filter(live)
+        yield page_filter(live, page) if by_page else page_filter(live)
 
 
 def fetch_rows(rows, predicates, counters, visible):

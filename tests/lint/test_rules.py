@@ -63,10 +63,25 @@ class TestParityAccounting:
             ("parity/engine/bad_second_protocol.py", 13),  # iter_rows override
         ]
 
+    def test_stamps_outside_the_two_stamping_sites_flagged(self):
+        assert findings("REPRO102", "parity/engine/bad_stamp.py") == [
+            ("parity/engine/bad_stamp.py", 8),  # del row[XMAX_COLUMN]
+            ("parity/engine/bad_stamp.py", 13),  # row[XMIN_COLUMN] = ...
+            ("parity/engine/bad_stamp.py", 14),  # the literal "_xmax"
+            ("parity/engine/bad_stamp.py", 15),  # module-qualified constant
+            ("parity/engine/bad_stamp.py", 19),  # insert_version, wrong module
+        ]
+
     def test_shared_kernel_shape_clean(self):
-        # Positional charging, len(live) before the filter, charge-then-test;
+        # Positional charging, len(live) before the filter -- called with
+        # the page under a snapshot, without it otherwise -- charge-then-test;
         # an access path's _stream and a node's named lazy generator.
         assert findings("REPRO102", "parity/engine/access.py") == []
+
+    def test_stamping_sites_clean(self):
+        # Table.insert_version / Table.mark_deleted store the stamps; the
+        # re-placement after a cluster only reads them.
+        assert findings("REPRO102", "parity/engine/table.py") == []
 
 
 class TestDeterminism:

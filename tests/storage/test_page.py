@@ -52,3 +52,22 @@ def test_rids_are_ordered_and_hashable():
     assert RID(0, 1) < RID(1, 0)
     assert RID(2, 3) < RID(2, 4)
     assert len({RID(0, 0), RID(0, 0), RID(0, 1)}) == 2
+
+
+def test_version_summary_starts_empty_and_only_grows():
+    page = Page(page_no=0, capacity=3)
+    page.append({"a": 1})
+    # A page nobody stamped shares the one empty frozenset: no per-page cost.
+    assert page.creators == page.deleters == frozenset()
+    assert page.creators is Page(page_no=1, capacity=3).creators
+    page.note_creator(7)
+    page.note_creator(7)
+    page.note_creator(9)
+    page.note_deleter(8)
+    assert page.creators == {7, 9}
+    assert page.deleters == {8}
+    # A physical delete leaves the summary a superset of the live stamps.
+    page.delete(0)
+    assert page.creators == {7, 9} and page.deleters == {8}
+    # One page's summary is its own.
+    assert Page(page_no=2, capacity=3).creators == frozenset()
