@@ -12,12 +12,18 @@ no wall clock):
   estimation are served from the catalog and the reservoir samples);
 * a free ORDER BY (the sort key is the clustered attribute, so every sweep
   path already streams in order) plans the Sort away entirely, letting the
-  LIMIT terminate the scan early -- fewer pages than the full matching sweep.
+  LIMIT terminate the scan early -- fewer pages than the full matching sweep;
+* a top-k over a hash join, ordered by probe-side columns, merges only the
+  rows it keeps: at most k probe rows' match lists, not the whole join.
 """
 
 import pytest
 
 from repro.bench.harness import ExperimentScale, build_tpch_database
+from repro.datasets.ebay import EbayConfig, generate_items
+from repro.engine.database import Database
+from repro.engine.executor import HashJoin
+from repro.engine.partition import PartitionSpec
 from repro.engine.predicates import Between
 from repro.engine.query import Aggregate, Query
 
@@ -109,3 +115,49 @@ def test_free_order_by_on_the_clustered_key_terminates_early(topk_database):
     assert limited.pages_visited < full.pages_visited
     dates = [row["receiptdate"] for row in limited.rows]
     assert dates == sorted(dates)
+
+
+@pytest.mark.parametrize("partitions", [None, 4])
+def test_topk_over_a_hash_join_merges_only_its_winners(partitions, monkeypatch):
+    """Top-10 by item price over a 3 000-row item probe joined to 1-3 label
+    rows per category: the one merge step (``HashJoin._merge``) produces at
+    most k x (longest match list) rows per top-k, flat or partition-wise --
+    against 6 000 for the join drained.  Counted calls, no timer."""
+    items = generate_items(
+        EbayConfig(num_categories=15, items_per_category=(200, 200), seed=3)
+    )
+    labels = [
+        {"catid": catid, "label": f"l{catid}.{n}"}
+        for catid in range(15)
+        for n in range(1 + catid % 3)
+    ]
+    longest = 3
+    db = Database(buffer_pool_pages=200)
+    spec = None if partitions is None else PartitionSpec.by_hash("catid", partitions)
+    for name, rows in (("items", items), ("labels", labels)):
+        db.create_table(name, sample_row=rows[0], tups_per_page=50, partition_by=spec)
+        db.load(name, rows)
+    join = Query.select("items").join("labels", "catid")
+    drained = db.run_query(join, force_join="hash_join")
+    assert len(items) == 3_000 and drained.rows_matched == 6_000
+
+    merged: list[int] = []
+    merge = HashJoin._merge
+
+    def counted(self, probed):
+        rows = merge(self, probed)
+        merged.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(HashJoin, "_merge", counted)
+    ordered = join.order_by("-price", "itemid")
+    result = db.run_query(ordered.with_limit(K), force_join="hash_join")
+    joins = [node for node in result.plan.walk() if isinstance(node, HashJoin)]
+    assert len(merged) == len(joins) == (partitions or 1)
+    assert all(count <= K * longest for count in merged)
+    assert sum(node.actual.rows_out for node in joins) == 6_000
+    assert result.join_probes == drained.join_probes == 3_000
+
+    monkeypatch.undo()
+    full = db.run_query(ordered, force_join="hash_join")
+    assert result.rows == full.rows[:K]

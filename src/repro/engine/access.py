@@ -47,6 +47,14 @@ unfiltered live list*, which makes abandoning it after any row exact -- the
 counters are those of a loop that examined the page row by row and stopped
 there.
 
+The live list both sweeps (and the writers' :func:`visible_matches`) read
+is the page's own :attr:`~repro.storage.page.Page.live`: built on the first
+read of the page, shared by every later one until a write.  No sweep copies
+it and nothing mutates it -- ``Page.append`` / ``Page.delete`` drop it and
+the next read builds a fresh one -- so a lazy sweep holding a page's list
+while its consumer deletes from that page still walks, yields and charges
+the rows it was handed, and its identity walk stays exact.
+
 Join operators reuse the same paths for their inner side:
 :class:`InnerPathBuilder` binds one outer row's join-key values into
 ``Equals`` predicates and instantiates a fresh access path per probe, so an
@@ -294,7 +302,7 @@ class AccessPath:
         for page_no in pages:
             page = heap.read_page(page_no)
             counters.pages_visited += 1
-            live = [row for row in page.slots if row is not None]
+            live = page.live
             survivors: Iterable[dict[str, Any]]
             try:
                 survivors = page_filter(live, page) if by_page else page_filter(live)
@@ -363,7 +371,7 @@ class AccessPath:
             try:
                 for page in heap.read_pages(chunk):
                     counters.pages_visited += 1
-                    live = [row for row in page.slots if row is not None]
+                    live = page.live
                     examined += len(live)
                     batch.extend(
                         page_filter(live, page) if by_page else page_filter(live)
@@ -410,7 +418,7 @@ def visible_matches(
     for page in table.heap.iter_pages():
         slots = page.slots
         slot = 0
-        for row in page_filter([row for row in slots if row is not None], page):
+        for row in page_filter(page.live, page):
             while slots[slot] is not row:
                 slot += 1
             yield RID(page.page_no, slot), row

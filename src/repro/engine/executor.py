@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -810,6 +811,10 @@ class HashJoin(JoinOperator):
     Either way each input is read exactly once -- O(N + M) page reads,
     versus the nested-loop rescan's O(N*M).  An empty build side short-
     circuits: the probe side is never read at all.
+
+    Beneath a top-k ranking on probe-side columns, :meth:`top_k` joins only
+    the rows the top-k keeps (late materialisation); everything it reports
+    is what draining the join would report.
     """
 
     name = "hash_join"
@@ -820,8 +825,8 @@ class HashJoin(JoinOperator):
         "join_on",
         "build_side",
         "inner_label",
-        "_outer_key",
-        "_inner_key",
+        "_build_key",
+        "_probe_key",
     )
 
     def __init__(
@@ -840,8 +845,73 @@ class HashJoin(JoinOperator):
         self.join_on = tuple(join_on)
         self.build_side = build_side
         self.inner_label = inner_label
-        self._outer_key = _key_getter([outer for outer, _inner in self.join_on])
-        self._inner_key = _key_getter([inner for _outer, inner in self.join_on])
+        outer_key = _key_getter([outer for outer, _inner in self.join_on])
+        inner_key = _key_getter([inner for _outer, inner in self.join_on])
+        build_inner = build_side == "inner"
+        self._build_key = inner_key if build_inner else outer_key
+        self._probe_key = outer_key if build_inner else inner_key
+
+    def _build(
+        self, context: ExecutionContext, batch_size: int, run_reads: bool
+    ) -> dict[Any, list[Mapping[str, Any]]]:
+        """The one build step: the build input drained into a hash table.
+
+        Keys map to their build rows in arrival order (the *build-list
+        order* every merge follows).  Charges one CPU tuple per build row,
+        even when the drain fails part-way.
+        """
+        build_inner = self.build_side == "inner"
+        build_source = self.inner_path if build_inner else self.source
+        build_context = context.child()
+        build_context.report_rewritten_sql = not build_inner
+        build_key = self._build_key
+        table: dict[Any, list[Mapping[str, Any]]] = {}
+        setdefault = table.setdefault
+        build_rows = 0
+        try:
+            for batch in build_source.iter_batches(
+                build_context, batch_size, None, run_reads
+            ):
+                build_rows += len(batch)
+                # Keys for the whole batch come from one C-level map pass;
+                # the remaining per-row work is the table insert itself.
+                for key, row in zip(map(build_key, batch), batch):
+                    setdefault(key, []).append(row)
+        finally:
+            _charge_cpu(self.inner_path, build_rows)
+        return table
+
+    def _probe_input(
+        self, context: ExecutionContext
+    ) -> tuple["RowSource", ExecutionContext]:
+        """The probe input and the context it runs under."""
+        probe_context = context.child()
+        if self.build_side == "inner":
+            return self.source, probe_context
+        probe_context.report_rewritten_sql = False
+        return self.inner_path, probe_context
+
+    def _merge(
+        self, probed: Iterable[tuple[Mapping[str, Any], Sequence[Mapping[str, Any]]]]
+    ) -> list[dict[str, Any]]:
+        """The one merge step: each probe row joined with each of its matches.
+
+        ``probed`` pairs a probe row with its build rows; the output follows
+        probe order, then build-list order.  The merged dict is
+        ``{**outer, **inner}``, so with ``build=inner`` a build row's columns
+        shadow the probe row's, and with ``build=outer`` the probe row wins.
+        """
+        if self.build_side == "inner":
+            return [
+                {**probe_row, **inner_row}
+                for probe_row, inner_rows in probed
+                for inner_row in inner_rows
+            ]
+        return [
+            {**outer_row, **probe_row}
+            for probe_row, outer_rows in probed
+            for outer_row in outer_rows
+        ]
 
     def _stream_batches(
         self,
@@ -861,43 +931,38 @@ class HashJoin(JoinOperator):
         # page reads interleave only with memory work.  run_reads is
         # forwarded unchanged: beneath a probe join the inputs degrade to
         # page-at-a-time reads, keeping the simulated head movement.
-        build_inner = self.build_side == "inner"
-        build_source = self.inner_path if build_inner else self.source
-        probe_source = self.source if build_inner else self.inner_path
-        build_key = self._inner_key if build_inner else self._outer_key
-        probe_key = self._outer_key if build_inner else self._inner_key
-
-        build_context = context.child()
-        if build_inner:
-            build_context.report_rewritten_sql = False
-        table: dict[Any, list[Mapping[str, Any]]] = {}
-        setdefault = table.setdefault
-        build_rows = 0
-        try:
-            for batch in build_source.iter_batches(
-                build_context, batch_size, None, run_reads
-            ):
-                build_rows += len(batch)
-                # Keys for the whole batch come from one C-level map pass;
-                # the remaining per-row work is the table insert itself.
-                for key, row in zip(map(build_key, batch), batch):
-                    setdefault(key, []).append(row)
-        finally:
-            _charge_cpu(self.inner_path, build_rows)
+        table = self._build(context, batch_size, run_reads)
         if not table:
             return  # empty build side: never pull a single probe row
-
-        probe_context = context.child()
-        if not build_inner:
-            probe_context.report_rewritten_sql = False
-        counters = context.counters
         if demand is not None:
             # A lazy pull stops mid-probe: produce row by row.
-            probe = self._probe_lazily(table, probe_source, probe_context, counters)
+            probe = self._probe_lazily(table, context)
             yield from _chunk_rows(probe, batch_size, demand)
             return
+        yield from self._probe(table, context, batch_size, run_reads, False)
+
+    def _probe(
+        self,
+        table: Mapping[Any, list[Mapping[str, Any]]],
+        context: ExecutionContext,
+        batch_size: int,
+        run_reads: bool,
+        matched_only: bool,
+    ) -> Iterator[RowBatch]:
+        """The eager probe: every probe batch through one key lookup.
+
+        Yields the merged rows -- or, with ``matched_only``, just the probe
+        rows that have a match, unmerged, while counting on this node's
+        ``rows_out`` the merged rows they stand for (the sum of their match
+        lists' lengths).  Either way each probe batch costs one C-driven
+        pass: key extraction (itemgetter), hash lookup and merge or
+        selection, with no per-row interpreter frame.
+        """
+        probe_source, probe_context = self._probe_input(context)
+        counters = context.counters
+        probe_key = self._probe_key
         get = table.get
-        empty: tuple = ()
+        empty: tuple[()] = ()
         probe_rows = 0
         out = RowBatch()
         try:
@@ -906,24 +971,15 @@ class HashJoin(JoinOperator):
             ):
                 probe_rows += len(batch)
                 counters.join_probes += len(batch)
-                # One C-driven comprehension per probe batch: key extraction
-                # (itemgetter), hash lookup and dict merge all run without a
-                # per-row interpreter frame.
-                if build_inner:
-                    out.extend(
-                        [
-                            {**probe_row, **inner_row}
-                            for probe_row, key in zip(batch, map(probe_key, batch))
-                            for inner_row in get(key, empty)
-                        ]
-                    )
+                if matched_only:
+                    matches = list(map(get, map(probe_key, batch)))
+                    counters.rows_out += sum(map(len, filter(None, matches)))
+                    out.extend(compress(batch, matches))
                 else:
                     out.extend(
-                        [
-                            {**outer_row, **probe_row}
-                            for probe_row, key in zip(batch, map(probe_key, batch))
-                            for outer_row in get(key, empty)
-                        ]
+                        self._merge(
+                            zip(batch, map(get, map(probe_key, batch), repeat(empty)))
+                        )
                     )
                 if len(out) >= batch_size:
                     yield out
@@ -936,25 +992,77 @@ class HashJoin(JoinOperator):
     def _probe_lazily(
         self,
         table: Mapping[Any, list[Mapping[str, Any]]],
-        probe_source: "RowSource",
-        probe_context: ExecutionContext,
-        counters: ExecutionCounters,
+        context: ExecutionContext,
     ) -> Iterator[dict[str, Any]]:
         """One probe-side row, its matches -- and only then the next pull."""
-        build_inner = self.build_side == "inner"
-        probe_key = self._outer_key if build_inner else self._inner_key
+        probe_source, probe_context = self._probe_input(context)
+        counters = context.counters
+        probe_key = self._probe_key
         probe_rows = 0
         try:
             for probe_row in probe_source.iter_rows(probe_context):
                 counters.join_probes += 1
                 probe_rows += 1
-                for matched in table.get(probe_key(probe_row), ()):
-                    outer_row, inner_row = (
-                        (probe_row, matched) if build_inner else (matched, probe_row)
-                    )
-                    yield {**outer_row, **inner_row}
+                matches = table.get(probe_key(probe_row))
+                if matches:
+                    yield from self._merge(((probe_row, matches),))
         finally:
             _charge_cpu(self.inner_path, probe_rows)
+
+    def top_k(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        run_reads: bool,
+        ordering: Sequence[tuple[str, bool]],
+        k: int,
+        rank: Callable[[Iterable[RowBatch]], tuple[list[dict[str, Any]], int]],
+    ) -> tuple[list[dict[str, Any]], int]:
+        """The first ``k`` joined rows under ``ordering``, and the join's size.
+
+        ``rank`` is a top-k's ranking loop: it takes a batch stream and
+        returns its first ``k`` rows under ``ordering`` (ties in arrival
+        order) plus how many rows it saw.  Runs on this node's counters, as
+        a pull through :meth:`iter_batches` would.
+
+        When no build row carries an ORDER BY column, every ORDER BY value of
+        a merged row is its probe row's -- the probe row wins the merge, or
+        nothing shadows it -- so ``rank`` ranks the *matched probe rows*
+        instead.  A probe row's merged rows share its sort key and arrive
+        next to each other, so the first ``k`` joined rows come from at most
+        the first ``k`` ranked probe rows: only those are merged, in
+        build-list order, and the result is cut to ``k``.  Otherwise (a
+        build row carries the column, checked on the built table) ``rank``
+        ranks the merged rows, as a drained join would feed it.
+
+        Either way the build runs once, ``join_probes`` and the CPU charges
+        are the drain's, ``rows_out`` becomes the join cardinality, and that
+        cardinality is returned for the top-k's own accounting.
+        """
+        context = self.adopt(context)
+        counters = context.counters
+        table = self._build(context, batch_size, run_reads)
+        if not table:
+            return [], 0
+        columns = [column for column, _ascending in ordering]
+        if any(
+            column in row
+            for rows in table.values()
+            for row in rows
+            for column in columns
+        ):
+            top_rows, joined = rank(
+                self._probe(table, context, batch_size, run_reads, False)
+            )
+            counters.rows_out += joined
+            return top_rows, joined
+        rows_out = counters.rows_out
+        winners, _matched = rank(
+            self._probe(table, context, batch_size, run_reads, True)
+        )
+        probe_key = self._probe_key
+        top_rows = self._merge((row, table[probe_key(row)]) for row in winners)
+        return top_rows[:k], counters.rows_out - rows_out
 
     def describe_detail(self) -> str:
         keys = ", ".join(inner for _outer, inner in self.join_on)

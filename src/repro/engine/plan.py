@@ -55,6 +55,7 @@ if TYPE_CHECKING:
 from repro.core.cost import sort_comparison_count, top_k_comparison_count
 from repro.engine.executor import (
     ExecutionContext,
+    HashJoin,
     PlanNode,
     RowBatch,
     ScanNode,
@@ -301,6 +302,12 @@ class TopKNode(DecoratorNode):
     bounded heap -- while the input is still read exactly once (a TopK adds
     zero page reads over its child).  Ties keep the first-seen row, so the
     output is exactly the first k rows of the stable full sort.
+
+    Over a :class:`~repro.engine.executor.HashJoin` the same ranking loop
+    (:meth:`_rank`) runs inside :meth:`HashJoin.top_k
+    <repro.engine.executor.HashJoin.top_k>`, which feeds it the matched
+    probe rows whenever the ORDER BY columns are the probe side's and joins
+    only the winners; ``rows_in`` is the join cardinality either way.
     """
 
     name = "topk"
@@ -333,9 +340,35 @@ class TopKNode(DecoratorNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Blocking: the whole input flows through whatever the demand.
+        # Blocking: the whole input flows through whatever the demand, pulled
+        # eagerly.  Over a hash join the join feeds the ranking loop itself
+        # and merges only what it keeps (HashJoin.top_k); the rows and every
+        # counter are those of ranking the drained join.
         if self.k == 0:
             return
+        source = self.source
+        if isinstance(source, HashJoin):
+            top_rows, rows_in = source.top_k(
+                context.child(),
+                batch_size,
+                run_reads,
+                self.ordering,
+                self.k,
+                self._rank,
+            )
+        else:
+            top_rows, rows_in = self._rank(
+                self._source_batches(context, batch_size, None, run_reads)
+            )
+        self.rows_in = rows_in
+        self._charge_cpu(top_k_comparison_count(rows_in, self.k))
+        yield from _sliced(top_rows, batch_size)
+
+    def _rank(
+        self, batches: Iterable[RowBatch]
+    ) -> tuple[list[dict[str, Any]], int]:
+        """The ranking loop: the first k rows of ``batches`` under the
+        ordering (ties in arrival order), and how many rows it saw."""
         # Columnar top-k: merge each batch with the current top-k candidates
         # through one C-driven sort over decorated (*encoded_keys, seq, row)
         # tuples, keeping the k smallest (key, seq) pairs seen so far.  The
@@ -356,7 +389,7 @@ class TopKNode(DecoratorNode):
         top_rows: list[dict[str, Any]] = []
         top_seqs: list[int] = []
         seq = 0
-        for batch in self._source_batches(context, batch_size, None, run_reads):
+        for batch in batches:
             rows: list[dict[str, Any]] = batch
             seqs: Iterable[int] = range(seq, seq + len(batch))
             seq += len(batch)
@@ -382,9 +415,7 @@ class TopKNode(DecoratorNode):
             del decorated[k:]
             top_seqs = [entry[-2] for entry in decorated]
             top_rows = [entry[-1] for entry in decorated]
-        self.rows_in = seq
-        self._charge_cpu(top_k_comparison_count(seq, self.k))
-        yield from _sliced(top_rows, batch_size)
+        return top_rows, seq
 
     def describe_detail(self) -> str:
         return f"{_ordering_text(self.ordering)}, k={self.k}"

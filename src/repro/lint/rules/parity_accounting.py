@@ -32,7 +32,14 @@ code shapes they rely on:
   storage included in this check).  Those two keep each page's version
   summary in step with the stamps on its slots; the page filter skips the
   per-row visibility check on the summary's word, so a stamp written
-  anywhere else is a row some snapshot reads wrongly.
+  anywhere else is a row some snapshot reads wrongly;
+* a page's slot list has one writer: a store to ``.slots`` (plain,
+  augmented, subscript or slice), a ``del`` of it or of its items, or a
+  mutating list method on it (``.slots.append(...)``) is allowed only in
+  ``storage/page.py`` (storage included in this check).  ``Page.append`` /
+  ``Page.delete`` drop the page's cached live list, which both sweeps read
+  instead of the slots; a slot written anywhere else leaves that list
+  stale, and a sweep yields a deleted row or misses an inserted one.
 """
 
 from __future__ import annotations
@@ -69,6 +76,13 @@ FILTER_CALLS = frozenset({"visible", "matches", "kernel", "page_filter"})
 STAMP_KEYS = frozenset({"XMIN_COLUMN", "XMAX_COLUMN", "_xmin", "_xmax"})
 STAMPING_SITES = frozenset({"insert_version", "mark_deleted"})
 STAMPING_MODULE = "engine/table.py"
+
+#: The one module that may write a page's slot list, and the list methods
+#: that count as a write.
+SLOTS_MODULE = "storage/page.py"
+LIST_MUTATORS = frozenset(
+    {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+)
 
 #: Base-class names that make a class a plan node, and the methods of the
 #: deleted row-at-a-time protocol such a class may not carry.
@@ -202,6 +216,27 @@ def _stamp_stores(tree: ast.Module, in_stamping_module: bool) -> Iterator[ast.Su
                 yield node
 
 
+def _is_slots(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "slots"
+
+
+def _slot_writes(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every write to a ``.slots`` attribute or through it."""
+    for node in ast.walk(tree):
+        writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if writes and _is_slots(node):
+            yield node  # x.slots = ..., x.slots += ..., del x.slots
+        elif writes and isinstance(node, ast.Subscript) and _is_slots(node.value):
+            yield node  # x.slots[i] = ..., x.slots[a:b] = ..., del x.slots[i]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LIST_MUTATORS
+            and _is_slots(node.func.value)
+        ):
+            yield node  # x.slots.append(...)
+
+
 @register_rule
 class ParityAccountingRule(Rule):
     rule_id = "REPRO102"
@@ -209,8 +244,9 @@ class ParityAccountingRule(Rule):
     description = (
         "heap page reads only inside the shared scan kernels, examined "
         "counters taken over the unfiltered live list, never over survivors, "
-        "no second execution protocol on a plan node, and MVCC stamps "
-        "written only where the page version summary is kept"
+        "no second execution protocol on a plan node, MVCC stamps "
+        "written only where the page version summary is kept, and page "
+        "slots written only by the page itself"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
@@ -226,6 +262,16 @@ class ParityAccountingRule(Rule):
                 "Table.mark_deleted -- only those keep the page version "
                 "summary that lets a sweep skip the per-row visibility check",
             )
+        if not module.relpath.endswith(SLOTS_MODULE):
+            for write in _slot_writes(module.tree):
+                yield self.violation(
+                    module,
+                    write.lineno,
+                    write.col_offset + 1,
+                    "page slots written outside storage/page.py -- only "
+                    "Page.append / Page.delete drop the cached live list "
+                    "the sweeps read, so any other write leaves it stale",
+                )
         if "storage" in parts:
             return  # storage owns the read APIs themselves
         if "engine" in parts:

@@ -17,7 +17,7 @@ This rule extends REPRO102 inside the partition fan-out modules
 operators in ``engine/exchange.py`` -- the k-way merge, broadcast and
 repartition nodes move rows between partition subtrees but never read
 pages) with the *full* heap read surface -- including
-``fetch``/``scan``/``scan_pages``, which maintenance code elsewhere may
+``fetch``/``scan``/``iter_pages``, which maintenance code elsewhere may
 use -- plus direct buffer-pool page access (``access``/``access_run``).
 """
 
@@ -42,7 +42,7 @@ FANOUT_MODULES = (
 
 #: Every page-pulling heap API, a superset of REPRO102's ``PAGE_READS``.
 HEAP_READS = frozenset(
-    {"read_page", "read_pages", "read_page_run", "fetch", "scan", "scan_pages"}
+    {"read_page", "read_pages", "read_page_run", "fetch", "scan", "iter_pages"}
 )
 
 #: Direct buffer-pool page access -- physical I/O accounting lives behind

@@ -40,7 +40,7 @@ READ_APIS = frozenset(
         "access_run",
         "fetch",
         "scan",
-        "scan_pages",
+        "iter_pages",
         "all_rows",
         "live_rows",
         "iter_rows",

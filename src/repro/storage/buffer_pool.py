@@ -103,26 +103,28 @@ class BufferPool:
         same hits/misses, same evictions in the same order, same
         sequential/random classification -- but misses of consecutive pages
         reach the disk tracker through a single
-        :meth:`~repro.storage.disk.DiskModel.read_page_run` call.  A pending
-        run is flushed before any eviction, so a dirty write-back lands
-        between the same reads it would under per-page access (the simulated
-        head position, and with it every later classification, is
-        preserved).  Returns the number of buffer hits.
+        :meth:`~repro.storage.disk.DiskModel.read_page_run` call -- in a
+        full pool too.  Only a *dirty* eviction flushes the pending run
+        first: its write-back is the one thing that moves the simulated head,
+        so it must land between the same reads it would under per-page
+        access, while a clean eviction touches no disk and leaves the run
+        open.  Returns the number of buffer hits.
         """
         frames = self._frames
         stats = self.stats
         disk = self.disk
-        hits = 0
+        capacity = self.capacity_pages
+        hits = misses = clean_evictions = 0
         run_start = 0
         run_len = 0
         for page_no in page_nos:
             key = (file_name, page_no)
             if key in frames:
-                stats.hits += 1
-                self._touch(key, False)
+                # A hit never dirties: only its LRU position changes.
+                frames.move_to_end(key)
                 hits += 1
                 continue
-            stats.misses += 1
+            misses += 1
             if run_len and page_no == run_start + run_len:
                 run_len += 1
             else:
@@ -130,12 +132,21 @@ class BufferPool:
                     disk.read_page_run(file_name, run_start, run_len)
                 run_start, run_len = page_no, 1
             frames[key] = False
-            if len(frames) > self.capacity_pages:
-                disk.read_page_run(file_name, run_start, run_len)
-                run_len = 0
-                self._evict_if_needed()
+            while len(frames) > capacity:
+                victim, dirty = frames.popitem(last=False)
+                if not dirty:
+                    clean_evictions += 1
+                    continue
+                if run_len:
+                    disk.read_page_run(file_name, run_start, run_len)
+                    run_len = 0
+                stats.dirty_evictions += 1
+                disk.write_page(*victim)
         if run_len:
             disk.read_page_run(file_name, run_start, run_len)
+        stats.hits += hits
+        stats.misses += misses
+        stats.clean_evictions += clean_evictions
         return hits
 
     def create(self, file_name: str, page_no: int) -> None:

@@ -179,22 +179,6 @@ class HeapFile:
             self.buffer_pool.access_run(self.name, [page.page_no for page in pages])
         return pages
 
-    def scan_pages(
-        self, page_numbers: Iterator[int] | list[int], *, charge_io: bool = True
-    ) -> Iterator[tuple[RID, dict[str, Any]]]:
-        """Scan only the given pages, in the order provided.
-
-        Used by sorted (bitmap) index scans and CM scans; the disk tracker
-        decides which of these accesses are sequential.
-        """
-        for page_no in page_numbers:
-            page = self._page(page_no)
-            self.logical_page_reads += 1
-            if charge_io:
-                self.buffer_pool.access(self.name, page_no)
-            for slot, row in page.live_rows():
-                yield RID(page_no, slot), row
-
     def all_rows(self) -> Iterator[dict[str, Any]]:
         """Iterate every live row without any I/O accounting (internal use)."""
         for page in self.pages:

@@ -37,7 +37,7 @@ class Page:
     Tuples are stored as plain dictionaries keyed by column name.  Deleted
     slots are set to ``None`` so that RIDs of surviving tuples stay valid.
     ``slots=True`` keeps the per-page object slim and its attribute reads
-    cheap -- the batched scan kernel touches ``page.slots`` once per page.
+    cheap -- both scan kernels touch ``page.live`` once per page.
 
     ``creators`` / ``deleters`` are the page's *version summary*: the
     transaction ids its slots were stamped with, as told by whoever placed
@@ -47,6 +47,13 @@ class Page:
     a superset of the stamps on the live slots, which is all a reader needs
     to decide a whole page at once (``Snapshot.sees_page``).  A page that
     was only ever bulk-loaded shares the one empty ``frozenset``.
+
+    :attr:`live` is the page's live-row list, built on first read and kept
+    until the next write.  A list that was handed out is never mutated:
+    :meth:`append` and :meth:`delete` drop it (the next read builds a new
+    one), so a lazy sweep still holding the old list while its consumer
+    deletes from the page walks exactly the rows it was given.  ``slots``
+    is written only here, which is what keeps the cached list honest.
     """
 
     page_no: int
@@ -54,11 +61,22 @@ class Page:
     slots: list[dict[str, Any] | None] = field(default_factory=list)
     creators: frozenset[int] = frozenset()
     deleters: frozenset[int] = frozenset()
+    _live: list[dict[str, Any]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def live(self) -> list[dict[str, Any]]:
+        """The live (non-deleted) rows in slot order; treat as read-only."""
+        live = self._live
+        if live is None:
+            live = self._live = [row for row in self.slots if row is not None]
+        return live
 
     @property
     def num_tuples(self) -> int:
         """Number of live (non-deleted) tuples on the page."""
-        return sum(1 for slot in self.slots if slot is not None)
+        return len(self.live)
 
     @property
     def is_full(self) -> bool:
@@ -73,6 +91,7 @@ class Page:
         if self.is_full:
             raise ValueError(f"page {self.page_no} is full ({self.capacity} slots)")
         self.slots.append(row)
+        self._live = None
         return len(self.slots) - 1
 
     def get(self, slot: int) -> dict[str, Any] | None:
@@ -84,6 +103,7 @@ class Page:
         """Mark ``slot`` deleted and return the tuple it held (if any)."""
         row = self.get(slot)
         self.slots[slot] = None
+        self._live = None
         return row
 
     def note_creator(self, xid: int) -> None:

@@ -72,6 +72,21 @@ class TestParityAccounting:
             ("parity/engine/bad_stamp.py", 19),  # insert_version, wrong module
         ]
 
+    def test_slot_writes_outside_the_page_flagged(self):
+        assert findings("REPRO102", "parity/storage/bad_slots.py") == [
+            ("parity/storage/bad_slots.py", 5),  # page.slots[slot] = None
+            ("parity/storage/bad_slots.py", 6),  # del page.slots[slot]
+            ("parity/storage/bad_slots.py", 7),  # page.slots[1:3] = []
+            ("parity/storage/bad_slots.py", 12),  # page.slots.append(...)
+            ("parity/storage/bad_slots.py", 13),  # page.slots += ...
+            ("parity/storage/bad_slots.py", 14),  # .slots = list(rows)
+        ]
+
+    def test_the_page_writes_its_own_slots_clean(self):
+        # storage/page.py: append / delete write the slots and drop the
+        # cached live list together.
+        assert findings("REPRO102", "parity/storage/page.py") == []
+
     def test_shared_kernel_shape_clean(self):
         # Positional charging, len(live) before the filter -- called with
         # the page under a snapshot, without it otherwise -- charge-then-test;

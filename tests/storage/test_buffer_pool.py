@@ -1,6 +1,8 @@
 """Tests for the LRU buffer pool with dirty write-back."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskModel
@@ -159,3 +161,59 @@ class TestAccessRun:
         self._compare(
             [("a", [0, 1, 2]), ("b", [0, 1]), ("a", [3, 4])], capacity=20
         )
+
+    def test_full_pool_charges_a_clean_chunk_as_one_run(self, monkeypatch):
+        # A pool far smaller than the chunk evicts on every miss; clean
+        # evictions touch no disk, so the whole chunk is one tracker call.
+        disk, pool = make_pool(capacity=2)
+        calls = []
+        record = DiskModel.read_page_run
+
+        def counted(self, *args):
+            calls.append(args)
+            record(self, *args)
+
+        monkeypatch.setattr(DiskModel, "read_page_run", counted)
+        pool.access_run("f", range(10))
+        assert calls == [("f", 0, 10)]
+        assert pool.stats.clean_evictions == 8
+        assert disk.counters.random_reads == 1
+        assert disk.counters.sequential_reads == 9
+
+
+_FILES = ("f", "g")
+
+
+@st.composite
+def _access_histories(draw):
+    """A pool size, pages to dirty first, then a list of access_run chunks."""
+    page = st.tuples(st.sampled_from(_FILES), st.integers(0, 11))
+    chunk = st.tuples(
+        st.sampled_from(_FILES), st.lists(st.integers(0, 11), max_size=12)
+    )
+    return (
+        draw(st.integers(1, 8)),
+        draw(st.lists(page, max_size=6)),
+        draw(st.lists(chunk, min_size=1, max_size=5)),
+    )
+
+
+@given(_access_histories())
+@settings(max_examples=300, deadline=None)
+def test_access_run_equals_per_page_access(history):
+    """One access_run per chunk leaves what one access() per page leaves:
+    the same stats, I/O counters, head position and LRU order (with dirty
+    flags) -- whatever mix of repeats, hits, clean and dirty evictions."""
+    capacity, pre_dirty, chunks = history
+    per_disk, per_pool = make_pool(capacity)
+    run_disk, run_pool = make_pool(capacity)
+    for file_name, page_no in pre_dirty:
+        per_pool.access(file_name, page_no, dirty=True)
+        run_pool.access(file_name, page_no, dirty=True)
+    for file_name, pages in chunks:
+        hits = sum(per_pool.access(file_name, page_no) for page_no in pages)
+        assert run_pool.access_run(file_name, pages) == hits
+        assert run_pool.stats == per_pool.stats
+        assert run_disk.counters == per_disk.counters
+        assert run_disk.tracker.head_position() == per_disk.tracker.head_position()
+        assert list(run_pool._frames.items()) == list(per_pool._frames.items())

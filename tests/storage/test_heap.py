@@ -61,14 +61,6 @@ def test_scan_charges_sequential_io():
     assert disk.counters.random_reads == 1
 
 
-def test_scan_pages_only_touches_requested_pages():
-    disk, _pool, heap = make_heap(tups_per_page=2)
-    heap.bulk_load([{"x": i} for i in range(10)])
-    rows = [row["x"] for _rid, row in heap.scan_pages([1, 3])]
-    assert rows == [2, 3, 6, 7]
-    assert disk.counters.pages_read == 2
-
-
 def test_delete_marks_slot_and_updates_count():
     _disk, _pool, heap = make_heap()
     rid = heap.append({"x": 1})
