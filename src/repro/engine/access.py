@@ -28,11 +28,12 @@ and the MVCC snapshot.  Rows are the live heap-page dicts.  An *eager* pull
 (``demand=None``) produces page-aligned
 :class:`~repro.engine.executor.RowBatch` objects through the full-drain
 sweep (:meth:`AccessPath._sweep_pages_batched`), which reads runs of pages
-and hands whole pages on.  A *lazy* pull -- a LIMIT above, a join probing
-per row, :meth:`AccessPath.iter_rows` -- goes through the lazy sweep
+and hands whole pages on.  A *lazy* pull -- a LIMIT above, either side of a
+probe join, :meth:`AccessPath.iter_rows` -- goes through the lazy sweep
 (:meth:`AccessPath._sweep_pages`), the row generator a scan needs because a
 page read sits between two of its output rows: abandoning it stops the
-sweep, so remaining pages are never read.
+sweep, so remaining pages are never read.  The demand alone picks the
+sweep; nothing else changes how a scan reads.
 
 The two sweeps consume the same per-path page enumeration
 (:meth:`AccessPath._target_pages`) and apply the same per-page filter step
@@ -138,28 +139,25 @@ class AccessPath:
         context: ExecutionContext | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         demand: int | None = None,
-        run_reads: bool = True,
     ) -> Iterator[RowBatch]:
         """Stream matching rows as page-aligned batches.
 
-        Semantics of ``demand`` and ``run_reads`` follow
-        :meth:`repro.engine.executor.PlanNode.iter_batches`.  Scan batches
-        hold the live heap-page dicts; copy before mutating.
+        Semantics of ``demand`` follow
+        :meth:`repro.engine.executor.PlanNode.iter_batches`: an eager pull
+        reads pages in runs of up to ``batch_size`` rows' worth, a lazy pull
+        one page at a time.  Scan batches hold the live heap-page dicts; copy
+        before mutating.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         context = context or ExecutionContext()
         if demand is not None and demand <= 0:
             return
-        stream = self._stream_batches(context, batch_size, demand, run_reads)
+        stream = self._stream_batches(context, batch_size, demand)
         yield from _truncated_batches(stream, demand)
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # A lazy pull carries per-row semantics: serve it through the lazy
         # sweep (rows produced one at a time, delivered in batches), whose
@@ -168,15 +166,11 @@ class AccessPath:
             yield from _chunk_rows(self._stream(context), batch_size, demand)
             return
         yield from self._sweep_pages_batched(
-            self._target_pages(context), context, batch_size, run_reads
+            self._target_pages(context), context, batch_size
         )
 
     def project_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        run_reads: bool,
-        columns: Sequence[str],
+        self, context: ExecutionContext, batch_size: int, columns: Sequence[str]
     ) -> Iterator[RowBatch]:
         """Fused scan→filter→project batch production.
 
@@ -187,11 +181,7 @@ class AccessPath:
         full-width batch.
         """
         yield from self._sweep_pages_batched(
-            self._target_pages(context),
-            context,
-            batch_size,
-            run_reads,
-            project=tuple(columns),
+            self._target_pages(context), context, batch_size, project=tuple(columns)
         )
 
     def output_ordering(self) -> tuple[tuple[str, bool], ...]:
@@ -331,7 +321,6 @@ class AccessPath:
         pages: Iterable[int],
         context: ExecutionContext,
         batch_size: int,
-        run_reads: bool,
         project: tuple[str, ...] | None = None,
     ) -> Iterator[RowBatch]:
         """Full-drain twin of :meth:`_sweep_pages`: whole pages per batch.
@@ -342,25 +331,20 @@ class AccessPath:
         run, each page's live list goes through the same
         :meth:`_page_filter` step as the lazy sweep, and -- since every page
         is swept to its end -- the counters are bumped by ``len(live)`` once
-        per page/chunk: the total the lazy sweep reaches when drained.
+        per page/chunk: the total the lazy sweep reaches when drained.  A
+        batch leaves once it holds ``batch_size`` rows.  Reading ahead is
+        safe because nothing pulls eagerly from beneath an operator that
+        issues I/O between two rows: a probe join pulls its outer lazily.
 
         With ``project`` the filter's output element is a fresh dict of just
         those columns (the scan→filter→project fusion entry point,
         :meth:`project_batches`); predicates still see the full rows.
-
-        With ``run_reads=False`` (the consumer interleaves its own I/O, e.g.
-        a probe join's inner lookups) the kernel reads and yields one page
-        at a time, preserving the exact read order -- and therefore the
-        sequential/random classification -- of the lazy sweep.
         """
         heap = self.table.heap
         counters = context.counters
         page_filter = self._page_filter(context, project)
         by_page = context.snapshot is not None
-        if run_reads:
-            pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
-        else:
-            pages_per_chunk = 1
+        pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
         page_numbers = iter(pages)
         batch = RowBatch()
         while True:
@@ -380,7 +364,7 @@ class AccessPath:
                 if examined:
                     counters.rows_examined += examined
                     self._charge_cpu(examined)
-            if len(batch) >= batch_size or (batch and not run_reads):
+            if len(batch) >= batch_size:
                 yield batch
                 batch = RowBatch()
         if batch:
@@ -533,11 +517,7 @@ class PipelinedIndexScan(AccessPath):
                 yield row
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # Per-tuple random fetches have no page runs to exploit and a heap
         # fetch between any two output rows: eager or lazy, the one body is

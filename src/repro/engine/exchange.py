@@ -115,7 +115,7 @@ class MergeExchangeNode(ExchangeNode):
         self.partitions_scanned = len(self.sources)
 
     def _gather_parts(
-        self, context: ExecutionContext, batch_size: int, run_reads: bool
+        self, context: ExecutionContext, batch_size: int
     ) -> list[list[dict[str, Any]]]:
         """The per-partition ordered row lists: the replayed ones, else
         every child drained fully, in ascending partition order."""
@@ -126,9 +126,7 @@ class MergeExchangeNode(ExchangeNode):
         for source in self.sources:
             self.partitions_scanned += 1
             rows: list[dict[str, Any]] = []
-            for batch in source.iter_batches(
-                context.child(), batch_size, None, run_reads
-            ):
+            for batch in source.iter_batches(context.child(), batch_size):
                 rows.extend(batch)
             parts.append(rows)
         return parts
@@ -149,17 +147,13 @@ class MergeExchangeNode(ExchangeNode):
                 )
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # The children are blocking Sort/TopK subtrees, drained in full
         # before the first merged row whatever the consumer wants: an eager
         # pull.  Only the merge above them is demand-limited (closing it
         # early charges the merge CPU for the rows emitted so far).
-        parts = self._gather_parts(context, batch_size, run_reads)
+        parts = self._gather_parts(context, batch_size)
         yield from _chunk_rows(self._merged(parts), batch_size, demand)
 
     def describe_detail(self) -> str:
@@ -223,11 +217,7 @@ class BroadcastNode(PlanNode):
             ]
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         self.prepare(context)
         rows = self._cache.rows
@@ -334,11 +324,7 @@ class RepartitionNode(PlanNode):
         self._cache.buckets = buckets
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         self.prepare(context)
         buckets = self._cache.buckets

@@ -9,11 +9,11 @@ and pages (the EXPLAIN ANALYZE surface) while
 :meth:`PlanNode.total_counters` folds the tree back into whole-query totals.
 
 **One protocol.**  A node runs in exactly one way:
-:meth:`PlanNode.iter_batches` ``(context, batch_size, demand, run_reads)``
+:meth:`PlanNode.iter_batches` ``(context, batch_size, demand)``
 pulls :class:`RowBatch` objects (plain lists of row dicts) through the tree.
 Batching amortises interpreter overhead and changes no number: every batch
 size reports bit-identical rows, per-node counters, I/O breakdown and
-simulated time.  Three rules make that hold:
+simulated time.  Two rules make that hold:
 
 * **demand** says how the consumer pulls.  ``None`` is an *eager* pull: the
   consumer takes everything, so the operator may read ahead and vectorise.
@@ -24,11 +24,8 @@ simulated time.  Three rules make that hold:
   inputs before its first output (Sort/TopK/Aggregate/GroupBy, the merge
   exchange, a hash build) pulls them eagerly whatever its own demand; the
   ``iter_batches`` wrapper truncates, so ``rows_out`` is what was consumed.
-* **run_reads**: scans may read several consecutive heap pages back-to-back
-  (charged as one sequential run) only while no operator between them and
-  the consumer issues per-row I/O.  A :class:`ProbeJoin` pulls its outer
-  side with ``run_reads=False``, which keeps the simulated head position --
-  and with it every sequential/random classification -- in probe order.
+  A :class:`ProbeJoin` issues I/O per outer row, so it always pulls its
+  outer lazily: no page is read ahead of the probe that follows it.
 * **additive charging**: per-page/per-batch counter increments replace
   per-row ones only where the totals are provably equal.
 
@@ -38,9 +35,10 @@ or fan-out happens *between* consecutive output rows -- and then as the lazy
 branch *inside* the operator's ``_stream_batches`` (delivered through
 :func:`_chunk_rows`), never as a second protocol.  There are five: the page
 sweep (:meth:`repro.engine.access.AccessPath._sweep_pages`, and the
-pipelined index scan's per-tuple fetch), :class:`ProbeJoin`,
-:class:`SortMergeJoin`'s merge, :class:`HashJoin`'s lazy probe and the merge
-exchange's heap merge.  Everything else has one body serving both pulls.
+pipelined index scan's per-tuple fetch), :class:`ProbeJoin` (its only
+body), :class:`SortMergeJoin`'s merge, :class:`HashJoin`'s lazy probe and
+the merge exchange's heap merge.  Everything else has one body serving both
+pulls.
 :meth:`PlanNode.iter_rows` is a *view*, defined once: the flattening of
 ``iter_batches(context, 1, LAZY_UNBOUNDED)``.  ARCHITECTURE.md ("One
 execution protocol") has the long form; ``repro-lint`` REPRO102 keeps a
@@ -282,7 +280,6 @@ class RowSource(Protocol):
         context: ExecutionContext | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         demand: int | None = None,
-        run_reads: bool = True,
     ) -> Iterator[RowBatch]: ...  # pragma: no cover - protocol
 
     def iter_rows(
@@ -349,7 +346,6 @@ class PlanNode:
         context: ExecutionContext | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         demand: int | None = None,
-        run_reads: bool = True,
     ) -> Iterator[RowBatch]:
         """Stream output as :class:`RowBatch` objects: how a plan node runs.
 
@@ -365,11 +361,6 @@ class PlanNode:
             makes streaming operators produce row by row, so that stopping
             anywhere leaves exact counters; the wrapper also hard-truncates,
             so no node ever over-reports ``rows_out``.
-        run_reads:
-            Whether multi-page read-ahead runs are allowed beneath this
-            pull.  Operators that interleave their own I/O with the pull
-            (tuple-at-a-time probe joins) pass ``False`` so the simulated
-            head position follows the probe order.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -377,17 +368,13 @@ class PlanNode:
         if demand is not None and demand <= 0:
             return
         actual = self.actual
-        stream = self._stream_batches(context, batch_size, demand, run_reads)
+        stream = self._stream_batches(context, batch_size, demand)
         for batch in _truncated_batches(stream, demand):
             actual.rows_out += len(batch)
             yield batch
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         """This operator's batches (the one body every subclass provides)."""
         raise NotImplementedError(f"{type(self).__name__} produces no batches")
@@ -497,17 +484,13 @@ class ScanNode(PlanNode):
         return self.path.table  # type: ignore[attr-defined]
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # The access path's own batch production, bypassing its public
         # wrapper: truncation and rows_out accounting happen once, in this
         # node's iter_batches.
         return self.path._stream_batches(  # type: ignore[attr-defined]
-            context, batch_size, demand, run_reads
+            context, batch_size, demand
         )
 
     def label(self) -> str:
@@ -613,57 +596,25 @@ class ProbeJoin(JoinOperator):
         self.inner = ProbeNode(probe)
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
-        # Probing issues inner-path I/O per outer row, so this operator is
-        # itself an interleaver: under a lazy pull the row generator keeps
-        # the exact early-termination point, and beneath *another* probe
-        # join (run_reads=False) it keeps the exact outer/inner read
-        # interleaving.  The eager top-level case -- the hot one -- runs
-        # vectorized: outer rows arrive in page-aligned batches (pulled with
-        # run_reads=False, because this operator's probes interleave with
-        # the outer sweep), each probe reuses one inner context, and merged
-        # rows leave in batches.
-        if not run_reads or demand is not None:
-            yield from _chunk_rows(self._probe_lazily(context), batch_size, demand)
-            return
-        counters = context.counters
-        inner_node = self.inner
-        inner_counters = inner_node.actual
-        inner_context = inner_node.adopt(context.child())
-        inner_context.report_rewritten_sql = False
-        bind = self.probe.bind
-        out = RowBatch()
-        for outer_batch in self.source.iter_batches(
-            context.child(), batch_size, None, False
-        ):
-            counters.join_probes += len(outer_batch)
-            for outer_row in outer_batch:
-                matched = 0
-                for inner_row in bind(outer_row).iter_rows(inner_context):
-                    matched += 1
-                    out.append({**outer_row, **inner_row})
-                if matched:
-                    inner_counters.rows_out += matched
-            if len(out) >= batch_size:
-                yield out
-                out = RowBatch()
-        if out:
-            yield out
+        # Probing issues inner-path I/O between two outer rows, so every
+        # pull runs the row generator: the outer is pulled one row per
+        # probe, whatever it is, and no page is read ahead of a probe.
+        # Merged rows are only delivered in batches.
+        return _chunk_rows(self._probe_lazily(context), batch_size, demand)
 
     def _probe_lazily(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
         """One outer row, one probe, its matches -- and only then the next."""
+        counters = context.counters
+        inner_counters = self.inner.actual
+        inner_context = self.inner.adopt(context.child())
+        inner_context.report_rewritten_sql = False
+        bind = self.probe.bind
         for outer_row in self.source.iter_rows(context.child()):
-            context.counters.join_probes += 1
-            inner_path = self.probe.bind(outer_row)
-            inner_context = self.inner.adopt(context.child())
-            inner_context.report_rewritten_sql = False
-            for inner_row in inner_path.iter_rows(inner_context):
-                self.inner.actual.rows_out += 1
+            counters.join_probes += 1
+            for inner_row in bind(outer_row).iter_rows(inner_context):
+                inner_counters.rows_out += 1
                 yield {**outer_row, **inner_row}
 
     def describe_detail(self) -> str:
@@ -852,7 +803,7 @@ class HashJoin(JoinOperator):
         self._probe_key = outer_key if build_inner else inner_key
 
     def _build(
-        self, context: ExecutionContext, batch_size: int, run_reads: bool
+        self, context: ExecutionContext, batch_size: int
     ) -> dict[Any, list[Mapping[str, Any]]]:
         """The one build step: the build input drained into a hash table.
 
@@ -869,9 +820,7 @@ class HashJoin(JoinOperator):
         setdefault = table.setdefault
         build_rows = 0
         try:
-            for batch in build_source.iter_batches(
-                build_context, batch_size, None, run_reads
-            ):
+            for batch in build_source.iter_batches(build_context, batch_size):
                 build_rows += len(batch)
                 # Keys for the whole batch come from one C-level map pass;
                 # the remaining per-row work is the table insert itself.
@@ -914,11 +863,7 @@ class HashJoin(JoinOperator):
         ]
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # One implementation for both orientations: only which input builds,
         # which key extracts, and the outer/inner roles of the merged dict
@@ -928,10 +873,8 @@ class HashJoin(JoinOperator):
         # The hash table itself issues no I/O, so batching reorders nothing:
         # the build side drains fully -- an eager pull, whatever this
         # operator's own demand -- before the first probe, and probe-side
-        # page reads interleave only with memory work.  run_reads is
-        # forwarded unchanged: beneath a probe join the inputs degrade to
-        # page-at-a-time reads, keeping the simulated head movement.
-        table = self._build(context, batch_size, run_reads)
+        # page reads interleave only with memory work.
+        table = self._build(context, batch_size)
         if not table:
             return  # empty build side: never pull a single probe row
         if demand is not None:
@@ -939,14 +882,13 @@ class HashJoin(JoinOperator):
             probe = self._probe_lazily(table, context)
             yield from _chunk_rows(probe, batch_size, demand)
             return
-        yield from self._probe(table, context, batch_size, run_reads, False)
+        yield from self._probe(table, context, batch_size, False)
 
     def _probe(
         self,
         table: Mapping[Any, list[Mapping[str, Any]]],
         context: ExecutionContext,
         batch_size: int,
-        run_reads: bool,
         matched_only: bool,
     ) -> Iterator[RowBatch]:
         """The eager probe: every probe batch through one key lookup.
@@ -966,9 +908,7 @@ class HashJoin(JoinOperator):
         probe_rows = 0
         out = RowBatch()
         try:
-            for batch in probe_source.iter_batches(
-                probe_context, batch_size, None, run_reads
-            ):
+            for batch in probe_source.iter_batches(probe_context, batch_size):
                 probe_rows += len(batch)
                 counters.join_probes += len(batch)
                 if matched_only:
@@ -1013,7 +953,6 @@ class HashJoin(JoinOperator):
         self,
         context: ExecutionContext,
         batch_size: int,
-        run_reads: bool,
         ordering: Sequence[tuple[str, bool]],
         k: int,
         rank: Callable[[Iterable[RowBatch]], tuple[list[dict[str, Any]], int]],
@@ -1041,7 +980,7 @@ class HashJoin(JoinOperator):
         """
         context = self.adopt(context)
         counters = context.counters
-        table = self._build(context, batch_size, run_reads)
+        table = self._build(context, batch_size)
         if not table:
             return [], 0
         columns = [column for column, _ascending in ordering]
@@ -1051,15 +990,11 @@ class HashJoin(JoinOperator):
             for row in rows
             for column in columns
         ):
-            top_rows, joined = rank(
-                self._probe(table, context, batch_size, run_reads, False)
-            )
+            top_rows, joined = rank(self._probe(table, context, batch_size, False))
             counters.rows_out += joined
             return top_rows, joined
         rows_out = counters.rows_out
-        winners, _matched = rank(
-            self._probe(table, context, batch_size, run_reads, True)
-        )
+        winners, _matched = rank(self._probe(table, context, batch_size, True))
         probe_key = self._probe_key
         top_rows = self._merge((row, table[probe_key(row)]) for row in winners)
         return top_rows[:k], counters.rows_out - rows_out
@@ -1137,11 +1072,7 @@ class SortMergeJoin(JoinOperator):
         )
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # Vectorized only when both inputs get materialised and sorted in
         # memory and the consumer drains the result: the I/O then happens in
@@ -1156,9 +1087,7 @@ class SortMergeJoin(JoinOperator):
         from itertools import groupby
 
         outer_rows: list[Mapping[str, Any]] = []
-        for batch in self.source.iter_batches(
-            context.child(), batch_size, None, run_reads
-        ):
+        for batch in self.source.iter_batches(context.child(), batch_size):
             outer_rows.extend(batch)
         if not outer_rows:
             return  # nothing to merge: the inner is never read
@@ -1170,9 +1099,7 @@ class SortMergeJoin(JoinOperator):
         inner_context = context.child()
         inner_context.report_rewritten_sql = False
         inner_rows: list[Mapping[str, Any]] = []
-        for batch in self.inner_path.iter_batches(
-            inner_context, batch_size, None, run_reads
-        ):
+        for batch in self.inner_path.iter_batches(inner_context, batch_size):
             inner_rows.extend(batch)
         inner_keys, inner_rows = _sorted_with_keys(inner_rows, inner_columns)
         _charge_cpu(self.inner_path, _sort_cpu_tuples(len(inner_rows)))

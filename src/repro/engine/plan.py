@@ -228,16 +228,10 @@ class DecoratorNode(PlanNode):
             self.disk.charge_cpu_tuples(int(tuples))
 
     def _source_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None = None,
-        run_reads: bool = True,
+        self, context: ExecutionContext, batch_size: int, demand: int | None = None
     ) -> Iterator[RowBatch]:
         """Pull batches from the child under a child context."""
-        return self.source.iter_batches(
-            context.child(), batch_size, demand, run_reads
-        )
+        return self.source.iter_batches(context.child(), batch_size, demand)
 
 
 class SortNode(DecoratorNode):
@@ -269,17 +263,13 @@ class SortNode(DecoratorNode):
         return self.source_fresh
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # Blocking: the input is drained and sorted in full whatever the
         # consumer's demand, so demand only caps the output -- which the
         # iter_batches wrapper enforces.
         rows: list[dict[str, Any]] = []
-        for batch in self._source_batches(context, batch_size, None, run_reads):
+        for batch in self._source_batches(context, batch_size):
             rows.extend(batch)
         self.rows_in = len(rows)
         self._charge_cpu(sort_comparison_count(len(rows)))
@@ -334,11 +324,7 @@ class TopKNode(DecoratorNode):
         return self.source_fresh
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # Blocking: the whole input flows through whatever the demand, pulled
         # eagerly.  Over a hash join the join feeds the ranking loop itself
@@ -349,17 +335,10 @@ class TopKNode(DecoratorNode):
         source = self.source
         if isinstance(source, HashJoin):
             top_rows, rows_in = source.top_k(
-                context.child(),
-                batch_size,
-                run_reads,
-                self.ordering,
-                self.k,
-                self._rank,
+                context.child(), batch_size, self.ordering, self.k, self._rank
             )
         else:
-            top_rows, rows_in = self._rank(
-                self._source_batches(context, batch_size, None, run_reads)
-            )
+            top_rows, rows_in = self._rank(self._source_batches(context, batch_size))
         self.rows_in = rows_in
         self._charge_cpu(top_k_comparison_count(rows_in, self.k))
         yield from _sliced(top_rows, batch_size)
@@ -450,16 +429,12 @@ class AggregateNode(DecoratorNode):
         self.value: Any = None
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         accumulator = self.aggregate.make_accumulator()
         add_batch = accumulator.add_batch
         rows_in = 0
-        for batch in self._source_batches(context, batch_size, None, run_reads):
+        for batch in self._source_batches(context, batch_size):
             add_batch(batch)
             rows_in += len(batch)
         self.rows_in = rows_in
@@ -499,11 +474,7 @@ class GroupByNode(DecoratorNode):
         self.groups_out = 0
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # Blocking: every input row lands in an accumulator whatever the
         # demand; a LIMIT above only caps how many *group* rows leave.
@@ -517,7 +488,7 @@ class GroupByNode(DecoratorNode):
         grouped = self.aggregate.make_grouped()
         add_batch = grouped.add_batch
         rows_in = 0
-        for batch in self._source_batches(context, batch_size, None, run_reads):
+        for batch in self._source_batches(context, batch_size):
             rows_in += len(batch)
             add_batch(list(map(key_of, batch)), batch)
         self.rows_in = rows_in
@@ -567,11 +538,7 @@ class LimitNode(DecoratorNode):
         return self.source_fresh
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # The origin of the demand budget: the child receives k (or less) as
         # its demand.  Streaming children produce lazily, stopping exactly;
@@ -579,10 +546,7 @@ class LimitNode(DecoratorNode):
         if self.k == 0:
             return
         child_demand = self.k if demand is None else min(self.k, demand)
-        for batch in self._source_batches(
-            context, batch_size, child_demand, run_reads
-        ):
-            yield batch
+        yield from self._source_batches(context, batch_size, child_demand)
 
     def describe_detail(self) -> str:
         return str(self.k)
@@ -603,11 +567,7 @@ class ProjectNode(DecoratorNode):
         self.columns = tuple(columns)
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # Row-count preserving and free of I/O/charging, so a finite demand
         # forwards to the child unchanged and the projection stays a
@@ -626,11 +586,11 @@ class ProjectNode(DecoratorNode):
             if fused is not None:
                 scan_actual = source.actual
                 scan_context = source.adopt(context.child())
-                for batch in fused(scan_context, batch_size, run_reads, columns):
+                for batch in fused(scan_context, batch_size, columns):
                     scan_actual.rows_out += len(batch)
                     yield batch
                 return
-        for batch in self._source_batches(context, batch_size, demand, run_reads):
+        for batch in self._source_batches(context, batch_size, demand):
             yield RowBatch(
                 [{column: row[column] for column in columns} for row in batch]
             )
@@ -733,11 +693,7 @@ class ExchangeNode(PlanNode):
         self.partitions_scanned = len(self.sources)
 
     def _stream_batches(
-        self,
-        context: ExecutionContext,
-        batch_size: int,
-        demand: int | None,
-        run_reads: bool,
+        self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         if self._replay is not None:
             yield from _sliced(self._replay, batch_size)
@@ -749,9 +705,7 @@ class ExchangeNode(PlanNode):
             # Each child receives the *remaining* demand, so across the
             # concatenation exactly as many rows are produced -- and exactly
             # as many pages swept -- as the consumer's LIMIT allows.
-            for batch in source.iter_batches(
-                context.child(), batch_size, remaining, run_reads
-            ):
+            for batch in source.iter_batches(context.child(), batch_size, remaining):
                 yield batch
                 if remaining is not None:
                     remaining -= len(batch)

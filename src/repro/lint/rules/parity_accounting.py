@@ -26,6 +26,12 @@ code shapes they rely on:
   may neither define ``_stream`` nor override ``iter_rows``.  A row
   generator lives inside ``_stream_batches`` under its own name; access
   paths are not plan nodes (their ``_stream`` *is* the lazy sweep);
+* the protocol keeps three parameters: in ``engine/``, an ``iter_batches``
+  or ``_stream_batches`` method -- a plan node's, an access path's, the
+  ``RowSource`` protocol's -- may take nothing beyond ``(context,
+  batch_size, demand)``.  The demand alone says how a pull reads; a read
+  policy threaded beside it once let one batch size read pages ahead of a
+  probe that another did not;
 * MVCC stamps have two homes: a subscript store (or ``del``) keyed by
   ``XMIN_COLUMN`` / ``XMAX_COLUMN`` or their literals is allowed only in
   ``Table.insert_version`` and ``Table.mark_deleted`` (``engine/table.py``,
@@ -88,6 +94,11 @@ LIST_MUTATORS = frozenset(
 #: deleted row-at-a-time protocol such a class may not carry.
 PLAN_NODE_BASE = re.compile(r"(Node|Join|JoinOperator)$")
 SECOND_PROTOCOL = frozenset({"_stream", "iter_rows"})
+
+#: The execution protocol's methods and the only parameters they may take
+#: after ``self``.
+PROTOCOL_METHODS = frozenset({"iter_batches", "_stream_batches"})
+PROTOCOL_PARAMETERS = ("context", "batch_size", "demand")
 
 _Function = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -197,6 +208,26 @@ def _second_protocol(tree: ast.Module) -> Iterator[tuple[str, _Function]]:
                 yield node.name, item
 
 
+def _protocol_extras(tree: ast.Module) -> Iterator[tuple[str, _Function, ast.arg]]:
+    """``(class name, method, first extra parameter)`` of every protocol
+    method taking more than :data:`PROTOCOL_PARAMETERS`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (
+                not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or item.name not in PROTOCOL_METHODS
+            ):
+                continue
+            args = item.args
+            positional = [*args.posonlyargs, *args.args][1 + len(PROTOCOL_PARAMETERS) :]
+            extras = [*positional, args.vararg, *args.kwonlyargs, args.kwarg]
+            extra = next((arg for arg in extras if arg is not None), None)
+            if extra is not None:
+                yield node.name, item, extra
+
+
 def _stamp_stores(tree: ast.Module, in_stamping_module: bool) -> Iterator[ast.Subscript]:
     """Every ``row[<stamp column>] = ...`` / ``del`` outside the stamping sites."""
     allowed: set[int] = set()
@@ -244,7 +275,8 @@ class ParityAccountingRule(Rule):
     description = (
         "heap page reads only inside the shared scan kernels, examined "
         "counters taken over the unfiltered live list, never over survivors, "
-        "no second execution protocol on a plan node, MVCC stamps "
+        "no second execution protocol on a plan node, no protocol parameter "
+        "beyond (context, batch_size, demand), MVCC stamps "
         "written only where the page version summary is kept, and page "
         "slots written only by the page itself"
     )
@@ -284,6 +316,15 @@ class ParityAccountingRule(Rule):
                     "node runs through iter_batches only -- keep a row "
                     "generator as the lazy branch inside _stream_batches, "
                     "and iter_rows as the one view on PlanNode",
+                )
+            for class_name, method, extra in _protocol_extras(module.tree):
+                yield self.violation(
+                    module,
+                    extra.lineno,
+                    extra.col_offset + 1,
+                    f"{class_name}.{method.name} takes {extra.arg!r} beyond "
+                    "(context, batch_size, demand) -- the demand alone says "
+                    "how a pull reads, so every batch size reads alike",
                 )
         in_kernel_module = module.relpath.endswith(KERNEL_MODULE)
         for function in walk_functions(module.tree):

@@ -13,11 +13,23 @@ pinned elsewhere: ``test_exec_goldens.py`` (recorded) and
 ``test_access.py::TestEarlyTerminationOracle`` (derived from page slots).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.engine.executor import ExecutionContext, RowBatch
+from repro.engine.access import InnerPathBuilder, SeqScan
+from repro.engine.database import Database
+from repro.engine.executor import (
+    ExecutionContext,
+    HashJoin,
+    IndexNestedLoopJoin,
+    NestedLoopJoin,
+    RowBatch,
+    ScanNode,
+    SortMergeJoin,
+)
 from repro.engine.plan import LimitNode, SortNode
-from repro.engine.predicates import Between, Equals
+from repro.engine.predicates import Between, Equals, PredicateSet
 from repro.engine.query import Aggregate, Query
 from tests.engine.model import assert_matches_model
 from tests.engine.runs import CURATED_SIZES, assert_batch_size_invariant, run_mode
@@ -174,6 +186,82 @@ class TestJoinParity:
         ).join("categories", on="catid")
         check(join_database, query, join_tables)
 
+    @pytest.mark.parametrize(
+        "outer_join",
+        ["hash_build_inner", "hash_build_outer", "sort_merge", "nested_loop"],
+    )
+    def test_probe_join_over_a_join_is_batch_size_invariant(self, outer_join):
+        """An index-nested-loop join whose outer is itself a join.
+
+        The probe join reads ``c`` between two outer rows, so where the
+        head sits when it does depends on how far the outer join has read
+        ahead.  Every pull must read the outer's pages in the same order
+        relative to the probes: same rows, per-node counters, I/O breakdown
+        and simulated time at every batch size and through ``iter_rows``,
+        under a pool small enough that every probe evicts.  The flat planner
+        does not pick this shape, so the tree is built by hand.
+        """
+        tables = {
+            "a": [{"aid": i, "bid": i % 12, "cid": (i * 7) % 40} for i in range(240)],
+            "b": [{"bid": j, "tag": f"b{j}"} for j in range(12)],
+            "c": [{"cid": k, "label": f"c{k}"} for k in range(40)],
+        }
+        db = Database(buffer_pool_pages=4)
+        for name, rows in tables.items():
+            db.create_table(name, sample_row=rows[0], tups_per_page=8)
+            db.load(name, rows)
+        db.cluster("c", "cid")
+
+        def scan(name):
+            return ScanNode(SeqScan(db.table(name), PredicateSet()))
+
+        def build():
+            on = [("bid", "bid")]
+            if outer_join == "sort_merge":
+                outer = SortMergeJoin(scan("a"), scan("b"), on)
+            elif outer_join == "nested_loop":
+                probe = InnerPathBuilder(db.table("b"), on, PredicateSet(), "seq_scan")
+                outer = NestedLoopJoin(scan("a"), probe)
+            else:
+                side = outer_join.rsplit("_", 1)[1]
+                outer = HashJoin(scan("a"), scan("b"), on, build_side=side)
+            probe = InnerPathBuilder(
+                db.table("c"), [("cid", "cid")], PredicateSet(), "clustered_index_scan"
+            )
+            return IndexNestedLoopJoin(outer, probe, "clustered_index_scan")
+
+        def execute(batch_size):
+            root = build()
+            db.reset_measurements()
+            db.drop_caches()
+            if batch_size is None:
+                rows = list(root.iter_rows(ExecutionContext()))
+            else:
+                batches = root.iter_batches(ExecutionContext(), batch_size)
+                rows = [row for batch in batches for row in batch]
+            return {
+                "rows": [dict(row) for row in rows],
+                "nodes": [
+                    (node.label(), node.total_counters()) for node in root.walk()
+                ],
+                "io": db.disk.snapshot(),
+                "elapsed_ms": db.elapsed_ms(),
+            }
+
+        runs = {size: execute(size) for size in (*CURATED_SIZES, None)}
+        reference = runs[CURATED_SIZES[0]]
+        for size, run in runs.items():
+            for field, value in run.items():
+                assert value == reference[field], (size, field)
+        query = Query.select("a").join("b", on="bid").join("c", on="cid")
+        rows = reference["rows"]
+        assert rows and reference["io"].random_reads > 0
+        assert_matches_model(
+            SimpleNamespace(rows=rows, value=None, rows_matched=len(rows)),
+            query,
+            tables,
+        )
+
 
 class TestBatchBoundaries:
     def test_limit_stops_mid_batch_without_extra_page_reads(self, indexed_database):
@@ -268,8 +356,6 @@ class TestBatchProtocol:
             next(plan.iter_batches(ExecutionContext(), 0))
 
     def test_database_rejects_bad_batch_size(self):
-        from repro.engine.database import Database
-
         with pytest.raises(ValueError):
             Database(batch_size=0)
 
@@ -288,10 +374,6 @@ class TestBatchProtocol:
         Sort shape is exercised on a hand-built tree: the Sort must drain
         and sort its whole input, yet report only the consumed rows out.
         """
-        from repro.engine.access import SeqScan
-        from repro.engine.executor import ScanNode
-        from repro.engine.predicates import PredicateSet
-
         table = database.table("items")
 
         def build():

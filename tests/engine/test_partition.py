@@ -441,11 +441,9 @@ class TestExecutionParity:
             monkeypatch.setattr(node_type, "iter_rows", no_row_pulls)
             batched = node_type.iter_batches
 
-            def recorded(
-                node, context, batch_size, demand=None, run_reads=True, *, _pull=batched
-            ):
+            def recorded(node, context, batch_size, demand=None, *, _pull=batched):
                 pulls.append((batch_size, demand))
-                return _pull(node, context, batch_size, demand, run_reads)
+                return _pull(node, context, batch_size, demand)
 
             monkeypatch.setattr(node_type, "iter_batches", recorded)
 

@@ -36,7 +36,7 @@ class SeqScan(AccessPath):
 
 
 class ProbeJoin(JoinOperator):
-    def _stream_batches(self, context, batch_size, demand, run_reads):
+    def _stream_batches(self, context, batch_size, demand):
         # The row generator lives inside the one body, under its own name.
         yield from _chunk_rows(self._probe_lazily(context), batch_size, demand)
 

@@ -5,8 +5,8 @@ class LimitNode(DecoratorNode):  # noqa: fixtures skip typed-defs
     def _stream(self, context):  # line 5: REPRO102 (a second operator body)
         yield from self.source.iter_rows(context)
 
-    def _stream_batches(self, context, batch_size, demand, run_reads):
-        yield from self.source.iter_batches(context, batch_size, demand, run_reads)
+    def _stream_batches(self, context, batch_size, demand):
+        yield from self.source.iter_batches(context, batch_size, demand)
 
 
 class CachedJoin(JoinOperator):

@@ -63,6 +63,13 @@ class TestParityAccounting:
             ("parity/engine/bad_second_protocol.py", 13),  # iter_rows override
         ]
 
+    def test_protocol_parameter_beyond_the_demand_flagged(self):
+        assert findings("REPRO102", "parity/engine/bad_read_policy.py") == [
+            ("parity/engine/bad_read_policy.py", 5),  # a fourth positional
+            ("parity/engine/bad_read_policy.py", 16),  # a keyword-only one
+            ("parity/engine/bad_read_policy.py", 20),  # **policy
+        ]
+
     def test_stamps_outside_the_two_stamping_sites_flagged(self):
         assert findings("REPRO102", "parity/engine/bad_stamp.py") == [
             ("parity/engine/bad_stamp.py", 8),  # del row[XMAX_COLUMN]
