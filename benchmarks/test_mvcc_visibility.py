@@ -14,7 +14,9 @@ one ``Snapshot.visible`` call.
 import pytest
 
 from repro.bench.harness import ExperimentScale, build_ebay_database
-from repro.engine.predicates import Between, PredicateSet
+from repro.engine.database import Database
+from repro.engine.partition import PartitionSpec
+from repro.engine.predicates import Between, Equals, PredicateSet
 from repro.engine.query import Query
 from repro.engine.scheduler import QueryScheduler
 from repro.engine.transactions import Snapshot
@@ -155,8 +157,8 @@ def test_a_write_over_clean_pages_dispatches_nothing_per_row(visible_calls, monk
     assert db.tx_update(writer, "items", [Between("itemid", low, high)], {"price": 1.0}) == 3
     assert visible_calls == {}
     assert matches_calls == []
-    # HeapFile.scan()'s accounting: every page of the search read once (and
-    # one accounting-free fetch per victim as it is stamped), as at the parent.
+    # Every page of the search read once (and one accounting-free fetch per
+    # victim as it is stamped), as at the parent.
     assert table.heap.logical_page_reads - reads_before == pages + 3
 
     # The update stamped pages; its own second write still finds its own
@@ -166,3 +168,83 @@ def test_a_write_over_clean_pages_dispatches_nothing_per_row(visible_calls, monk
     writer.commit()
     updated = db.run_query(Query.select("items", Between("itemid", low, high)))
     assert sorted(row["price"] for row in updated.rows) == [2.0, 2.0, 2.0]
+
+
+def _io(result, window):
+    return (
+        result.rows_affected,
+        result.elapsed_ms,
+        result.pages_written,
+        result.log_flushes,
+        window.sequential_reads,
+        window.random_reads,
+        window.random_writes,
+        window.cpu_tuples,
+    )
+
+
+def test_a_plain_delete_dispatches_nothing_per_row(monkeypatch):
+    """``Database.delete`` finds its victims through the writers' page walk:
+    the compiled kernel once per page, zero ``PredicateSet.matches`` -- on a
+    flat table and on a pruned hash-partitioned one -- with the maintenance
+    result and the simulated I/O of the per-row search it replaced, which
+    paid one ``matches`` call per row of every searched page."""
+    matches_calls = []
+    original = PredicateSet.matches
+
+    def spy(predicates, row):
+        matches_calls.append(row)
+        return original(predicates, row)
+
+    monkeypatch.setattr(PredicateSet, "matches", spy)
+
+    db, rows = build_ebay_database(
+        ExperimentScale(1.0), num_categories=75, buffer_pool_pages=100, seed=11
+    )
+    table = db.table("items")
+    itemids = sorted(row["itemid"] for row in rows)
+    reads_before = table.heap.logical_page_reads
+    pages = table.num_pages
+    before = db.disk.snapshot()
+    result = db.delete("items", [Between("itemid", itemids[5000], itemids[5002])])
+    assert matches_calls == []
+    # Every page of the search read once, plus one accounting-free fetch per
+    # victim as it is deleted.
+    assert table.heap.logical_page_reads - reads_before == pages + 3
+    assert _io(result, db.disk.window_since(before)) == (
+        3, 24.601333333333333, 0, 2, 304, 2, 0, 0
+    )
+
+    part_rows = [
+        {"itemid": i, "catid": (i * 11) % 64, "price": float((i * 37) % 10_000)}
+        for i in range(4000)
+    ]
+    part = Database(buffer_pool_pages=600)
+    partitioned = part.create_table(
+        "items",
+        sample_row=part_rows[0],
+        tups_per_page=50,
+        partition_by=PartitionSpec.by_hash("catid", 8),
+    )
+    part.load("items", part_rows)
+    predicates = [Equals("catid", 7), Between("price", 0.0, 5000.0)]
+    (searched,) = partitioned.prune(PredicateSet(predicates))
+    reads_before = [p.heap.logical_page_reads for p in partitioned.partitions]
+    pages = partitioned.partitions[searched].num_pages
+    device_snaps = [(device, device.snapshot()) for device in partitioned.devices]
+    before = part.disk.snapshot()
+    result = part.delete("items", predicates)
+    window = part.disk.window_since(before)
+    for device, snap in device_snaps:
+        window = window.add(device.window_since(snap))
+    assert matches_calls == []
+    assert [
+        p.heap.logical_page_reads - reads
+        for p, reads in zip(partitioned.partitions, reads_before)
+    ] == [pages + 31 if i == searched else 0 for i in range(8)]
+    assert _io(result, window) == (31, 17.28, 0, 2, 8, 1, 0, 0)
+    assert partitioned.num_rows == partitioned.statistics.total_rows == 4000 - 31
+    assert partitioned.num_rows == sum(
+        p.statistics.total_rows for p in partitioned.partitions
+    )
+    assert part.run_query(Query.select("items", *predicates)).rows_matched == 0

@@ -24,37 +24,36 @@ Four access methods are implemented, mirroring Sections 3 and 5 of the paper:
 Every path runs through :meth:`AccessPath.iter_batches` -- the one execution
 protocol of :mod:`repro.engine.executor` -- under an
 :class:`~repro.engine.executor.ExecutionContext` that carries the counters
-and the MVCC snapshot.  Rows are the live heap-page dicts.  An *eager* pull
-(``demand=None``) produces page-aligned
-:class:`~repro.engine.executor.RowBatch` objects through the full-drain
-sweep (:meth:`AccessPath._sweep_pages_batched`), which reads runs of pages
-and hands whole pages on.  A *lazy* pull -- a LIMIT above, either side of a
-probe join, :meth:`AccessPath.iter_rows` -- goes through the lazy sweep
-(:meth:`AccessPath._sweep_pages`), the row generator a scan needs because a
-page read sits between two of its output rows: abandoning it stops the
-sweep, so remaining pages are never read.  The demand alone picks the
-sweep; nothing else changes how a scan reads.
+and the MVCC snapshot.  Rows are the live heap-page dicts.
 
-The two sweeps consume the same per-path page enumeration
-(:meth:`AccessPath._target_pages`) and apply the same per-page filter step
-(:meth:`AccessPath._page_filter`: under a snapshot the page rule over the
-page's version summary, then -- only where that rule does not settle the
-page -- the per-row visibility filter; then the compiled predicate kernel,
-once per page -- neither sweep dispatches a predicate per row), so they
-cannot drift.  They differ in delivery and charging only: the
-full-drain sweep charges ``len(live)`` per page; the lazy sweep yields a
-page's survivors one at a time and charges each by its *position in the
-unfiltered live list*, which makes abandoning it after any row exact -- the
-counters are those of a loop that examined the page row by row and stopped
-there.
+**One page sweep.**  Every charged heap walk -- a query's scan and a
+writer's victim search alike -- reads pages through one kernel,
+:meth:`AccessPath._sweep`: the path's pages
+(:meth:`AccessPath._target_pages`), read in runs through
+:meth:`~repro.storage.heap.HeapFile.read_pages`, each counted in
+``pages_visited`` and its live list filtered once through
+:meth:`AccessPath._page_filter` (under a snapshot the page rule over the
+page's version summary, the per-row visibility filter only where that rule
+does not settle the page, then the compiled predicate kernel: no predicate
+dispatch per row).  It yields ``(page, live, survivors)`` and charges no
+row.  Its consumers differ in delivery and charging only, and the demand
+alone picks one: an eager pull (``demand=None``) and the fused projection
+take runs of whole pages and charge each page's ``len(live)``, once per
+run (:meth:`AccessPath._page_batches`); a lazy pull -- a LIMIT above, either
+side of a probe join, :meth:`AccessPath.iter_rows` -- takes one page per
+read and charges each survivor by its *position in the unfiltered live
+list* (:meth:`AccessPath._stream`), so abandoning it after any row leaves
+the counters of a row-by-row loop stopped there, and later pages are never
+read.  The writers' victim search (:func:`visible_matches`) turns
+survivors into RIDs and charges no row.
 
-The live list both sweeps (and the writers' :func:`visible_matches`) read
-is the page's own :attr:`~repro.storage.page.Page.live`: built on the first
-read of the page, shared by every later one until a write.  No sweep copies
-it and nothing mutates it -- ``Page.append`` / ``Page.delete`` drop it and
-the next read builds a fresh one -- so a lazy sweep holding a page's list
-while its consumer deletes from that page still walks, yields and charges
-the rows it was handed, and its identity walk stays exact.
+The live list every consumer reads is the page's own
+:attr:`~repro.storage.page.Page.live`: built on the first read of the
+page, shared by every later one until a write.  No sweep copies it and
+nothing mutates it -- ``Page.append`` / ``Page.delete`` drop it and the
+next read builds a fresh one -- so a lazy sweep holding a page's list while
+its consumer deletes from that page still walks, yields and charges the
+rows it was handed, and its identity walk stays exact.
 
 Join operators reuse the same paths for their inner side:
 :class:`InnerPathBuilder` binds one outer row's join-key values into
@@ -65,7 +64,7 @@ queries against the inner table.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.correlation_map import CorrelationMap
@@ -122,15 +121,45 @@ class AccessPath:
         yield from self._stream(context or ExecutionContext())
 
     def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        """This path's row generator (see :meth:`_sweep_pages`)."""
-        yield from self._sweep_pages(self._target_pages(context), context)
+        """This path's row generator: the lazy delivery of :meth:`_sweep`.
 
-    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
+        One page per read; each page's survivors leave one at a time, and
+        each is charged on its way out by its position in the **unfiltered**
+        live list: yielding the row at live position ``p`` brings the page's
+        ``rows_examined`` share to ``p + 1``, and a page swept to its end
+        charges ``len(live)``.  A consumer that abandons the generator after
+        its k-th match (a LimitNode, a probe join under a demand) therefore
+        leaves exactly the counters a row-at-a-time loop would have left --
+        every live row up to and including that match examined, later pages
+        never read.  Position is by *identity* (the survivors are the live
+        list's own dicts), never by dict equality.
+        """
+        counters = context.counters
+        for _page, live, survivors in self._sweep(context, 1):
+            position = charged = 0
+            try:
+                for row in survivors:
+                    while live[position] is not row:
+                        position += 1
+                    position += 1
+                    counters.rows_examined += position - charged
+                    charged = position
+                    yield row
+                counters.rows_examined += len(live) - charged
+                charged = len(live)
+            finally:
+                # CPU is charged once per page (the counter is purely additive
+                # so the total matches per-tuple charging); the finally makes
+                # the charge land even when the consumer abandons the stream
+                # mid-page.
+                self._charge_cpu(charged)
+
+    def _target_pages(self, context: ExecutionContext) -> Sequence[int]:
         """The heap pages this path sweeps, in sweep order.
 
-        The single per-path enumeration both scan kernels consume; any
-        upfront work (index probes, CM rewrites, descent charges) happens
-        here, once, whichever sweep runs.
+        The single per-path enumeration :meth:`_sweep` reads; any upfront
+        work (index probes, CM rewrites, descent charges) happens here,
+        once, whichever delivery runs.
         """
         raise NotImplementedError
 
@@ -160,29 +189,66 @@ class AccessPath:
         self, context: ExecutionContext, batch_size: int, demand: int | None
     ) -> Iterator[RowBatch]:
         # A lazy pull carries per-row semantics: serve it through the lazy
-        # sweep (rows produced one at a time, delivered in batches), whose
-        # positional charging is exact wherever the consumer stops.
+        # delivery (rows produced one at a time, delivered in batches),
+        # whose positional charging is exact wherever the consumer stops.
         if demand is not None:
             yield from _chunk_rows(self._stream(context), batch_size, demand)
             return
-        yield from self._sweep_pages_batched(
-            self._target_pages(context), context, batch_size
-        )
+        yield from self._page_batches(context, batch_size)
 
     def project_batches(
         self, context: ExecutionContext, batch_size: int, columns: Sequence[str]
     ) -> Iterator[RowBatch]:
         """Fused scan→filter→project batch production.
 
-        Drives the batched sweep kernel with the projection folded into the
-        compiled per-page kernel (see
+        The eager delivery with the projection folded into the compiled
+        per-page kernel (see
         :meth:`~repro.engine.predicates.PredicateSet.batch_kernel`), so a
         ProjectNode sitting directly on a scan materialises no intermediate
-        full-width batch.
+        full-width batch; predicates still see the full rows.
         """
-        yield from self._sweep_pages_batched(
-            self._target_pages(context), context, batch_size, project=tuple(columns)
-        )
+        yield from self._page_batches(context, batch_size, tuple(columns))
+
+    def _page_batches(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        project: tuple[str, ...] | None = None,
+    ) -> Iterator[RowBatch]:
+        """The eager delivery of :meth:`_sweep`: whole pages per batch.
+
+        Pages are read in runs sized to round ``batch_size`` up to whole
+        pages; each run is charged the sum of its pages' ``len(live)`` (every
+        page is swept to its end, so that is the total the lazy delivery
+        reaches when drained), also when a filter raises mid-run, and a batch
+        leaves between runs once it holds ``batch_size`` rows.  Reading ahead
+        is safe because nothing pulls eagerly from beneath an operator that
+        issues I/O between two rows: a probe join pulls its outer lazily.
+        """
+        counters = context.counters
+        pages_per_read = max(1, -(-batch_size // max(1, self.table.heap.tups_per_page)))
+        batch = RowBatch()
+        examined = 0
+        swept = self._sweep(context, pages_per_read, project)
+        try:
+            for count, (_page, live, survivors) in enumerate(swept, 1):
+                examined += len(live)
+                batch.extend(survivors)
+                # Every run but the last holds exactly ``pages_per_read`` pages.
+                if count % pages_per_read:
+                    continue
+                counters.rows_examined += examined
+                self._charge_cpu(examined)
+                examined = 0
+                if len(batch) >= batch_size:
+                    yield batch
+                    batch = RowBatch()
+        finally:
+            if examined:
+                counters.rows_examined += examined
+                self._charge_cpu(examined)
+        if batch:
+            yield batch
 
     def output_ordering(self) -> tuple[tuple[str, bool], ...]:
         """Columns the emitted stream is sorted by, as ``(column, ascending)``.
@@ -197,7 +263,7 @@ class AccessPath:
         """
         return self.table.stream_ordering()
 
-    # -- the shared scan kernel -------------------------------------------------
+    # -- the one page sweep -----------------------------------------------------
 
     def _visibility(
         self, context: ExecutionContext
@@ -209,7 +275,7 @@ class AccessPath:
         only attaches a snapshot once a table holds versioned rows; the
         scheduler always attaches one, because versions may first appear
         *mid-scan* under concurrent writers, and unversioned rows pass the
-        filter trivially).  The sweeps apply the same filter inside
+        filter trivially).  The sweep applies the same filter inside
         :meth:`_page_filter`, and only on a page whose version summary the
         snapshot does not see whole; the per-tuple fetch path applies it to
         every row it fetches.  All of them count examined rows over the
@@ -225,7 +291,7 @@ class AccessPath:
     def _page_filter(
         self, context: ExecutionContext, project: tuple[str, ...] | None = None
     ) -> Callable[..., _Rows]:
-        """The one per-page filter step both sweeps apply to a live list.
+        """The one per-page filter step :meth:`_sweep` applies to a live list.
 
         Three stages, cheapest first.  The *page rule*
         (:meth:`~repro.engine.transactions.Snapshot.sees_page` over the
@@ -240,9 +306,9 @@ class AccessPath:
         result *is* the kernel, called as ``page_filter(live)``; with one it
         is called as ``page_filter(live, page)``.  Without ``project`` the
         survivors are the *same dict objects*, in live-list order, which is
-        what lets :meth:`_sweep_pages` charge them by position.  The sweeps
-        count ``rows_examined`` over the list they pass in, never over what
-        comes back (REPRO102).
+        what lets the lazy delivery charge them by position and the victim
+        search find their slots.  Consumers count ``rows_examined`` over the
+        list passed in, never over what comes back (REPRO102).
         """
         if self.predicates or project is not None:
             kernel = self.predicates.batch_kernel(project)
@@ -260,115 +326,42 @@ class AccessPath:
 
         return filter_page
 
-    def _sweep_pages(
-        self, pages: Iterable[int], context: ExecutionContext
-    ) -> Iterator[dict[str, Any]]:
-        """Lazy page sweep with positional charging (all sweep paths).
+    def _sweep(
+        self,
+        context: ExecutionContext,
+        pages_per_read: int,
+        project: tuple[str, ...] | None = None,
+    ) -> Iterator[tuple[Page, _Rows, Iterable[dict[str, Any]]]]:
+        """The one page sweep: ``(page, live, survivors)`` per page read.
 
-        Pages are read through the buffer pool in the order given.  Each
-        page's live list is taken when the page is read and filtered *once*
-        through :meth:`_page_filter`; the survivors are then yielded one at
-        a time, and each is charged on its way out by its position in the
-        **unfiltered** live list: yielding the row at live position ``p``
-        brings the page's ``rows_examined`` share to ``p + 1``, and a page
-        swept to its end charges ``len(live)``.  A consumer that abandons
-        the generator after its k-th match (a LimitNode, a probe join under
-        a demand) therefore leaves exactly the counters a row-at-a-time
-        loop would have left -- every live row up to and including that
-        match examined, later pages never read -- while the filtering itself
-        costs what the batched sweep pays.  Position is by *identity* (the
-        survivors are the live list's own dicts), never by dict equality.
+        Reads this path's pages (:meth:`_target_pages`) in runs of up to
+        ``pages_per_read`` through one
+        :meth:`~repro.storage.heap.HeapFile.read_pages` call per run, counts
+        each page in ``pages_visited`` and filters its live list *once*
+        through :meth:`_page_filter`.  It charges no row and no CPU: the
+        consumer charges over ``live`` -- the unfiltered list -- as its
+        delivery requires.
 
         A predicate that raises somewhere on a page would, evaluated page at
         a time, fail a consumer that never needed that row; on a filter
         exception the page is re-run one row at a time, lazily, so the error
-        surfaces only if the consumer actually pulls past the offending row
-        (having charged the rows up to its last survivor).
-        """
-        heap = self.table.heap
-        counters = context.counters
-        page_filter = self._page_filter(context)
-        by_page = context.snapshot is not None
-        for page_no in pages:
-            page = heap.read_page(page_no)
-            counters.pages_visited += 1
-            live = page.live
-            survivors: Iterable[dict[str, Any]]
-            try:
-                survivors = page_filter(live, page) if by_page else page_filter(live)
-            except Exception:
-                survivors = _one_by_one(page_filter, live, page if by_page else None)
-            position = charged = 0
-            try:
-                for row in survivors:
-                    while live[position] is not row:
-                        position += 1
-                    position += 1
-                    counters.rows_examined += position - charged
-                    charged = position
-                    yield row
-                counters.rows_examined += len(live) - charged
-                charged = len(live)
-            finally:
-                # CPU is charged once per page (the counter is purely additive
-                # so the total matches per-tuple charging); the finally makes
-                # the charge land even when the consumer abandons the stream
-                # mid-page.
-                self._charge_cpu(charged)
-
-    def _sweep_pages_batched(
-        self,
-        pages: Iterable[int],
-        context: ExecutionContext,
-        batch_size: int,
-        project: tuple[str, ...] | None = None,
-    ) -> Iterator[RowBatch]:
-        """Full-drain twin of :meth:`_sweep_pages`: whole pages per batch.
-
-        Pages are read in chunks sized to round ``batch_size`` up to whole
-        pages (page-aligned batches); each chunk of consecutive pages is
-        charged through one :meth:`~repro.storage.heap.HeapFile.read_pages`
-        run, each page's live list goes through the same
-        :meth:`_page_filter` step as the lazy sweep, and -- since every page
-        is swept to its end -- the counters are bumped by ``len(live)`` once
-        per page/chunk: the total the lazy sweep reaches when drained.  A
-        batch leaves once it holds ``batch_size`` rows.  Reading ahead is
-        safe because nothing pulls eagerly from beneath an operator that
-        issues I/O between two rows: a probe join pulls its outer lazily.
-
-        With ``project`` the filter's output element is a fresh dict of just
-        those columns (the scan→filter→project fusion entry point,
-        :meth:`project_batches`); predicates still see the full rows.
+        surfaces only if the consumer actually pulls past the offending row.
         """
         heap = self.table.heap
         counters = context.counters
         page_filter = self._page_filter(context, project)
         by_page = context.snapshot is not None
-        pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
-        page_numbers = iter(pages)
-        batch = RowBatch()
-        while True:
-            chunk = list(islice(page_numbers, pages_per_chunk))
-            if not chunk:
-                break
-            examined = 0
-            try:
-                for page in heap.read_pages(chunk):
-                    counters.pages_visited += 1
-                    live = page.live
-                    examined += len(live)
-                    batch.extend(
-                        page_filter(live, page) if by_page else page_filter(live)
-                    )
-            finally:
-                if examined:
-                    counters.rows_examined += examined
-                    self._charge_cpu(examined)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = RowBatch()
-        if batch:
-            yield batch
+        pages = self._target_pages(context)
+        for start in range(0, len(pages), pages_per_read):
+            for page in heap.read_pages(pages[start : start + pages_per_read]):
+                counters.pages_visited += 1
+                live = page.live
+                survivors: Iterable[dict[str, Any]]
+                try:
+                    survivors = page_filter(live, page) if by_page else page_filter(live)
+                except Exception:
+                    survivors = _one_by_one(page_filter, live, page if by_page else None)
+                yield page, live, survivors
 
     def _charge_cpu(self, rows_examined: int) -> None:
         self.table.buffer_pool.disk.charge_cpu_tuples(rows_examined)
@@ -379,30 +372,28 @@ class SeqScan(AccessPath):
 
     name = "seq_scan"
 
-    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
+    def _target_pages(self, context: ExecutionContext) -> Sequence[int]:
         return range(self.table.heap.num_pages)
 
 
 def visible_matches(
-    table: Table, predicates: PredicateSet, snapshot: Snapshot
+    table: Table, predicates: PredicateSet, snapshot: Snapshot | None
 ) -> Iterator[tuple[RID, dict[str, Any]]]:
-    """``(RID, row)`` of every version ``snapshot`` sees that matches.
+    """``(RID, row)`` of every matching version ``snapshot`` sees.
 
-    The writers' victim search.  It walks the whole heap on the heap's own
-    iteration -- :meth:`~repro.storage.heap.HeapFile.scan`'s accounting: one
-    buffer-pool access per page, no counters and no CPU-tuple charge, a
-    write being priced by its page traffic and its log -- and filters each
-    page through the sweeps' own :meth:`AccessPath._page_filter`.  The
-    survivors are the page's own dicts, so their identity in its slot list
-    gives the RID.
+    The writers' victim search, and with ``snapshot=None`` (every live row)
+    a plain delete's.  It is a consumer of the one sweep
+    (:meth:`AccessPath._sweep`) over the whole heap, one page per read, so
+    a caller that stops early -- a write conflict -- leaves the rest
+    unread.  A write is priced by its page traffic and its log, so it
+    charges no row counter and no CPU tuple.  The survivors are the page's
+    own dicts, so their identity in its slot list gives the RID.
     """
-    page_filter = SeqScan(table, predicates)._page_filter(
-        ExecutionContext(snapshot=snapshot)
-    )
-    for page in table.heap.iter_pages():
+    sweep = SeqScan(table, predicates)._sweep(ExecutionContext(snapshot=snapshot), 1)
+    for page, _live, survivors in sweep:
         slots = page.slots
         slot = 0
-        for row in page_filter(page.live, page):
+        for row in survivors:
             while slots[slot] is not row:
                 slot += 1
             yield RID(page.page_no, slot), row
@@ -475,7 +466,7 @@ class SortedIndexScan(AccessPath):
         super().__init__(table, predicates)
         self.index = index
 
-    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
+    def _target_pages(self, context: ExecutionContext) -> Sequence[int]:
         rids, lookups = _probe_index(self.index, self.predicates)
         context.counters.lookups += lookups
         bitmap = PageBitmap(rid.page_no for rid in rids)
@@ -533,7 +524,7 @@ class ClusteredIndexScan(AccessPath):
 
     name = "clustered_index_scan"
 
-    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
+    def _target_pages(self, context: ExecutionContext) -> Sequence[int]:
         clustered_attr = self.table.clustered_attribute
         index = self.table.clustered_index
         if clustered_attr is None or index is None:
@@ -563,7 +554,7 @@ class CorrelationMapScan(AccessPath):
         self.cm = cm
         self.uses_buckets = table.cm_uses_buckets(cm.name)
 
-    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
+    def _target_pages(self, context: ExecutionContext) -> Sequence[int]:
         clustered_column = BUCKET_COLUMN if self.uses_buckets else None
         rewriter = QueryRewriter(self.cm, clustered_column=clustered_column)
         constraints = self.predicates.constraints()

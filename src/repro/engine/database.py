@@ -19,6 +19,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer
@@ -766,11 +767,15 @@ class Database:
         *,
         two_phase_commit: bool = True,
     ) -> MaintenanceResult:
-        """Delete every row matching ``predicates`` (found with a seq scan).
+        """Delete every row matching ``predicates``.
 
-        On a partitioned table the search runs one partition heap at a time
-        (static pruning narrows it to the partitions the partition-key
-        predicate allows) and each victim is deleted through its partition.
+        Victims are found by the writers' page walk
+        (:func:`~repro.engine.access.visible_matches` without a snapshot):
+        one charged read per searched page and the compiled predicate
+        kernel once per page.  On a partitioned table the walk runs one
+        partition heap at a time (static pruning narrows it to the
+        partitions the partition-key predicate allows) and each victim is
+        deleted through its partition, which keeps the global statistics.
         """
         target = self.table(table)
         if not isinstance(predicates, PredicateSet):
@@ -778,39 +783,24 @@ class Database:
         before = self.disk.snapshot()
         device_snaps = self._device_snapshots(target)
         transaction = self.transactions.begin()
-        affected = 0
+        sources: list[tuple[Table, Callable[[RID], dict[str, Any] | None]]]
         if isinstance(target, PartitionedTable):
-            for index in target.prune(predicates):
-                partition = target.partitions[index]
-                victims = [
-                    rid
-                    for rid, row in partition.heap.scan()
-                    if predicates.matches(row)
-                ]
-                for rid in victims:
-                    row = target.delete_in_partition(index, rid)
-                    if row is None:
-                        continue
-                    transaction.log(
-                        "delete", {"table": table, "rid": (rid.page_no, rid.slot)}
-                    )
-                    for cm in partition.correlation_maps.values():
-                        transaction.log("cm_update", {"cm": cm.name}, size_bytes=32)
-                    affected += 1
-        else:
-            victims = [
-                rid
-                for rid, row in target.heap.scan()
-                if predicates.matches(row)
+            sources = [
+                (target.partitions[index], partial(target.delete_in_partition, index))
+                for index in target.prune(predicates)
             ]
+        else:
+            sources = [(target, target.delete_row)]
+        affected = 0
+        for source, delete in sources:
+            victims = [rid for rid, _row in visible_matches(source, predicates, None)]
             for rid in victims:
-                row = target.delete_row(rid)
-                if row is None:
+                if delete(rid) is None:
                     continue
                 transaction.log(
                     "delete", {"table": table, "rid": (rid.page_no, rid.slot)}
                 )
-                for cm in target.correlation_maps.values():
+                for cm in source.correlation_maps.values():
                     transaction.log("cm_update", {"cm": cm.name}, size_bytes=32)
                 affected += 1
         transaction.commit(two_phase=two_phase_commit)

@@ -33,9 +33,10 @@ simulated time.  Two rules make that hold:
 rows must leave different counters than stopping a batch later -- where I/O
 or fan-out happens *between* consecutive output rows -- and then as the lazy
 branch *inside* the operator's ``_stream_batches`` (delivered through
-:func:`_chunk_rows`), never as a second protocol.  There are five: the page
-sweep (:meth:`repro.engine.access.AccessPath._sweep_pages`, and the
-pipelined index scan's per-tuple fetch), :class:`ProbeJoin` (its only
+:func:`_chunk_rows`), never as a second protocol.  There are five: the
+page sweep's lazy delivery (:meth:`repro.engine.access.AccessPath._stream`
+over the one sweep, and the pipelined index scan's per-tuple fetch),
+:class:`ProbeJoin` (its only
 body), :class:`SortMergeJoin`'s merge, :class:`HashJoin`'s lazy probe and
 the merge exchange's heap merge.  Everything else has one body serving both
 pulls.

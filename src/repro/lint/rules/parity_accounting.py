@@ -9,10 +9,13 @@ snapshot.  The dynamic twins are the execution goldens
 page-slot oracle in ``tests/engine/test_access.py``; this checker pins the
 code shapes they rely on:
 
-* ``HeapFile.read_page``/``read_pages``/``read_page_run`` may only be
-  called from the two shared kernels in ``engine/access.py``
-  (``_sweep_pages`` and ``_sweep_pages_batched``) -- every other operator
-  goes through them, so accounting lives in exactly one place per path;
+* heap pages are read in one place: ``read_pages`` (and the
+  ``read_page``/``read_page_run`` of the layers below) may only be called
+  from the one page sweep in ``engine/access.py`` (``AccessPath._sweep``),
+  and nothing else under ``engine/`` may walk a heap charged -- no
+  ``.iter_pages(...)``, no ``.scan(...)`` without ``charge_io=False`` (the
+  uncharged index and CM builds).  Every scan and every write's victim
+  search consumes the sweep, so accounting lives in exactly one place;
 * a charge to an examined counter must not be *survivor-counted*: its
   amount may not mention a name bound to filter output (``len(survivors)``),
   and a bare constant may not be charged where only survivors reach it --
@@ -43,7 +46,7 @@ code shapes they rely on:
   augmented, subscript or slice), a ``del`` of it or of its items, or a
   mutating list method on it (``.slots.append(...)``) is allowed only in
   ``storage/page.py`` (storage included in this check).  ``Page.append`` /
-  ``Page.delete`` drop the page's cached live list, which both sweeps read
+  ``Page.delete`` drop the page's cached live list, which the sweep reads
   instead of the slots; a slot written anywhere else leaves that list
   stale, and a sweep yields a deleted row or misses an inserted one.
 """
@@ -63,18 +66,21 @@ from repro.lint.rules._common import (
 )
 from repro.lint.violations import Violation
 
-#: The only functions allowed to pull heap pages.
-SHARED_KERNELS = frozenset({"_sweep_pages", "_sweep_pages_batched"})
+#: The only function allowed to pull heap pages.
+SHARED_KERNELS = frozenset({"_sweep"})
 KERNEL_MODULE = "engine/access.py"
 
-#: Page-pulling heap APIs owned by the shared kernels.
+#: Page-pulling heap APIs owned by the sweep.
 PAGE_READS = frozenset({"read_page", "read_pages", "read_page_run"})
+
+#: Whole-heap walks; under ``engine/`` only an uncharged ``scan`` is allowed.
+HEAP_WALKS = frozenset({"iter_pages", "scan"})
 
 #: Counter names whose ``+=`` constitutes "charging" an examined row.
 CHARGE_NAMES = frozenset({"examined", "rows_examined"})
 
 #: Calls that drop rows: MVCC visibility, predicate evaluation, the compiled
-#: batch kernel, the sweeps' shared per-page filter step.
+#: batch kernel, the sweep's per-page filter step.
 FILTER_CALLS = frozenset({"visible", "matches", "kernel", "page_filter"})
 
 #: The MVCC stamp columns, by constant name and by literal, and the only
@@ -126,6 +132,19 @@ def _names(node: ast.AST) -> set[str]:
                 name.id for name in ast.walk(child.target) if isinstance(name, ast.Name)
             }
     return names - bound
+
+
+def _charged_walk(call: ast.Call) -> bool:
+    """Whether ``call`` walks a whole heap on its charged scan."""
+    name = terminal_attribute(call.func)
+    if not isinstance(call.func, ast.Attribute) or name not in HEAP_WALKS:
+        return False
+    return name == "iter_pages" or not any(
+        keyword.arg == "charge_io"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is False
+        for keyword in call.keywords
+    )
 
 
 def _survivor_names(function: _Function) -> set[str]:
@@ -273,8 +292,9 @@ class ParityAccountingRule(Rule):
     rule_id = "REPRO102"
     name = "parity-accounting"
     description = (
-        "heap page reads only inside the shared scan kernels, examined "
-        "counters taken over the unfiltered live list, never over survivors, "
+        "heap page reads and charged heap walks only inside the one page "
+        "sweep, examined counters taken over the unfiltered live list, never "
+        "over survivors, "
         "no second execution protocol on a plan node, no protocol parameter "
         "beyond (context, batch_size, demand), MVCC stamps "
         "written only where the page version summary is kept, and page "
@@ -302,7 +322,7 @@ class ParityAccountingRule(Rule):
                     write.col_offset + 1,
                     "page slots written outside storage/page.py -- only "
                     "Page.append / Page.delete drop the cached live list "
-                    "the sweeps read, so any other write leaves it stale",
+                    "the sweep reads, so any other write leaves it stale",
                 )
         if "storage" in parts:
             return  # storage owns the read APIs themselves
@@ -339,10 +359,19 @@ class ParityAccountingRule(Rule):
                             module,
                             node.lineno,
                             node.col_offset + 1,
-                            f".{name}() outside the shared scan kernels -- "
-                            "route page access through _sweep_pages / "
-                            "_sweep_pages_batched so parity accounting stays "
-                            "in one place",
+                            f".{name}() outside the one page sweep -- consume "
+                            "AccessPath._sweep so parity accounting stays in "
+                            "one place",
+                        )
+                    elif "engine" in parts and _charged_walk(node):
+                        yield self.violation(
+                            module,
+                            node.lineno,
+                            node.col_offset + 1,
+                            f"charged .{name}() walk outside the one page "
+                            "sweep -- find rows through AccessPath._sweep "
+                            "(visible_matches for a write), or pass "
+                            "charge_io=False for an uncharged build",
                         )
             for filter_line, charge_line in _survivor_counted(function):
                 yield self.violation(

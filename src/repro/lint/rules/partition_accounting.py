@@ -3,11 +3,11 @@
 The bit-identical parity contract between single-heap, partitioned-serial
 and partitioned-parallel execution (``tests/engine/test_fuzz_parity.py``)
 holds because every physical page a partitioned plan reads flows through
-the same two shared scan kernels as an unpartitioned plan
-(``_sweep_pages`` / ``_sweep_pages_batched`` in ``engine/access.py``,
-pinned by REPRO102).  The partition layer itself -- partition routing,
-pruning, the exchange fan-out and the process-parallel worker protocol --
-must therefore stay *accounting-free*: it may hand devices and child scan
+the same page sweep as an unpartitioned plan (``AccessPath._sweep`` in
+``engine/access.py``, pinned by REPRO102).  The partition layer itself --
+partition routing, pruning, the exchange fan-out and the process-parallel
+worker protocol -- must therefore stay *accounting-free*: it may hand
+devices and child scan
 nodes around, but it may not pull heap pages or poke the buffer pool
 itself, or partitioned counters would drift from the single-heap baseline
 in ways the differential fuzzer can only detect after the fact.
@@ -16,9 +16,9 @@ This rule extends REPRO102 inside the partition fan-out modules
 (``engine/partition.py``, ``engine/parallel.py`` and the exchange
 operators in ``engine/exchange.py`` -- the k-way merge, broadcast and
 repartition nodes move rows between partition subtrees but never read
-pages) with the *full* heap read surface -- including
-``fetch``/``scan``/``iter_pages``, which maintenance code elsewhere may
-use -- plus direct buffer-pool page access (``access``/``access_run``).
+pages) with the *full* heap read surface -- including ``fetch`` and an
+uncharged ``scan``, which maintenance code elsewhere may use -- plus direct
+buffer-pool page access (``access``/``access_run``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ HEAP_READS = frozenset(
 )
 
 #: Direct buffer-pool page access -- physical I/O accounting lives behind
-#: the scan kernels, never in fan-out code.
+#: the page sweep, never in fan-out code.
 POOL_ACCESS = frozenset({"access", "access_run"})
 
 
@@ -56,8 +56,8 @@ class PartitionAccountingRule(Rule):
     name = "partition-accounting"
     description = (
         "partition fan-out modules must not read heap pages or touch the "
-        "buffer pool directly; all physical access goes through the shared "
-        "scan kernels"
+        "buffer pool directly; all physical access goes through the one "
+        "page sweep"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -77,7 +77,7 @@ class PartitionAccountingRule(Rule):
                         node.lineno,
                         node.col_offset + 1,
                         f".{name}() in partition fan-out code -- heap pages "
-                        "are read only by the shared scan kernels in "
+                        "are read only by the one page sweep in "
                         "engine/access.py so partitioned counters stay "
                         "bit-identical to the single-heap plan",
                     )
@@ -87,6 +87,6 @@ class PartitionAccountingRule(Rule):
                         node.lineno,
                         node.col_offset + 1,
                         f".{name}() in partition fan-out code -- buffer-pool "
-                        "page access belongs to the scan kernels, not the "
+                        "page access belongs to the page sweep, not the "
                         "exchange/worker layer",
                     )

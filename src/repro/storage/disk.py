@@ -151,7 +151,7 @@ class IOTracker:
         ``start_page .. start_page + count - 1``: only the first page can be
         a seek (it is classified against the head position exactly as a
         single read would be), every following page of the run is sequential
-        by construction.  The full-drain scan kernel uses this to charge a
+        by construction.  The page sweep uses this to charge a
         page run it read back-to-back without paying ``count`` Python calls
         into the tracker.
         """

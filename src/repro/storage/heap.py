@@ -9,7 +9,7 @@ co-located -- the property the correlation-aware access methods exploit.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import Page, RID
@@ -135,48 +135,30 @@ class HeapFile:
             self.buffer_pool.access(self.name, rid.page_no)
         return self._page(rid.page_no).get(rid.slot)
 
-    def read_page(self, page_no: int, *, charge_io: bool = True) -> Page:
-        """Read one page (through the buffer pool) and return it."""
-        page = self._page(page_no)
-        self.logical_page_reads += 1
-        if charge_io:
-            self.buffer_pool.access(self.name, page_no)
-        return page
-
-    def iter_pages(self, *, charge_io: bool = True) -> Iterator[Page]:
-        """Every page in physical order, each read as the consumer reaches it.
-
-        The page-at-a-time form of :meth:`scan`, with its accounting: one
-        buffer-pool access per page, no CPU-tuple charge.  For consumers
-        that decide a page at once (the writers' victim search) instead of
-        pulling ``(RID, row)`` pairs.
-        """
+    def scan(self, *, charge_io: bool = True) -> Iterator[tuple[RID, dict[str, Any]]]:
+        """Every live ``(RID, row)`` in physical order (index and CM builds)."""
         for page in self.pages:
             self.logical_page_reads += 1
             if charge_io:
                 self.buffer_pool.access(self.name, page.page_no)
-            yield page
-
-    def scan(self, *, charge_io: bool = True) -> Iterator[tuple[RID, dict[str, Any]]]:
-        """Full sequential scan in physical order."""
-        for page in self.iter_pages(charge_io=charge_io):
             for slot, row in page.live_rows():
                 yield RID(page.page_no, slot), row
 
     def read_pages(
-        self, page_numbers: Iterable[int], *, charge_io: bool = True
+        self, page_numbers: Sequence[int], *, charge_io: bool = True
     ) -> list[Page]:
-        """Read a batch of pages and return them, charging runs in one call.
+        """Read a run of pages and return them, charging the run in one call.
 
-        The batched scan kernel reads its next chunk of pages back-to-back
-        before filtering any of their tuples, so consecutive misses are
-        charged through :meth:`BufferPool.access_run` -- identical counters
-        to per-page :meth:`read_page` calls, fewer accounting calls.
+        The one way a query or a write reads heap pages
+        (:meth:`repro.engine.access.AccessPath._sweep` reads each run it
+        sweeps through here): consecutive misses are charged through
+        :meth:`BufferPool.access_run` -- identical counters to one
+        buffer-pool access per page, fewer accounting calls.
         """
         pages = [self._page(page_no) for page_no in page_numbers]
         self.logical_page_reads += len(pages)
         if charge_io:
-            self.buffer_pool.access_run(self.name, [page.page_no for page in pages])
+            self.buffer_pool.access_run(self.name, page_numbers)
         return pages
 
     def all_rows(self) -> Iterator[dict[str, Any]]:

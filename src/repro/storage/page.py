@@ -37,7 +37,7 @@ class Page:
     Tuples are stored as plain dictionaries keyed by column name.  Deleted
     slots are set to ``None`` so that RIDs of surviving tuples stay valid.
     ``slots=True`` keeps the per-page object slim and its attribute reads
-    cheap -- both scan kernels touch ``page.live`` once per page.
+    cheap -- the page sweep touches ``page.live`` once per page.
 
     ``creators`` / ``deleters`` are the page's *version summary*: the
     transaction ids its slots were stamped with, as told by whoever placed

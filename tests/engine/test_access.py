@@ -261,7 +261,7 @@ def oracle(db, name, k, keep=wanted):
     matches, visited, examined = [], 0, 0
     for page_no in pages:
         visited += 1
-        for row in heap.read_page(page_no, charge_io=False).slots:
+        for row in heap.read_pages([page_no], charge_io=False)[0].slots:
             if row is None:
                 continue
             examined += 1
@@ -356,7 +356,7 @@ class TestEarlyTerminationOracle:
         db.cluster("d", "c")
         d_heap = db.table("d").heap
         d_pages = [
-            [row for row in d_heap.read_page(page_no, charge_io=False).slots if row]
+            [row for row in d_heap.read_pages([page_no], charge_io=False)[0].slots if row]
             for page_no in range(d_heap.num_pages)
         ]
         d_rows = sum(len(live) for live in d_pages)

@@ -1,10 +1,22 @@
-"""Good fixture: the shared-kernel shapes (examined counted pre-filter)."""
+"""Good fixture: the one-sweep shapes (examined counted pre-filter)."""
 
 
-def _sweep_pages(heap, page_filter, counters, by_page):
-    for page in heap.read_pages(range(heap.num_pages)):  # allowed here
-        live = [row for row in page.slots if row is not None]
-        survivors = page_filter(live, page) if by_page else page_filter(live)
+def _sweep(self, context, pages_per_read, project=None):
+    heap = self.table.heap
+    page_filter = self._page_filter(context, project)
+    by_page = context.snapshot is not None
+    pages = self._target_pages(context)
+    for start in range(0, len(pages), pages_per_read):
+        for page in heap.read_pages(pages[start : start + pages_per_read]):  # allowed
+            context.counters.pages_visited += 1
+            live = page.live
+            survivors = page_filter(live, page) if by_page else page_filter(live)
+            yield page, live, survivors
+
+
+def _stream(self, context):
+    counters = context.counters
+    for _page, live, survivors in self._sweep(context, 1):
         position = charged = 0
         for row in survivors:
             while live[position] is not row:
@@ -16,11 +28,21 @@ def _sweep_pages(heap, page_filter, counters, by_page):
         counters.rows_examined += len(live) - charged
 
 
-def _sweep_pages_batched(heap, page_filter, counters, by_page):
-    for page in heap.read_pages(range(heap.num_pages)):  # allowed here
-        live = [row for row in page.slots if row is not None]
-        counters.rows_examined += len(live)  # the unfiltered list
-        yield page_filter(live, page) if by_page else page_filter(live)
+def _drain(self, context, batch_size, project=None):
+    batch = []
+    for _page, live, survivors in self._sweep(context, 4, project):
+        context.counters.rows_examined += len(live)  # the unfiltered list
+        batch.extend(survivors)
+    yield batch
+
+
+def visible_matches(table, predicates, snapshot):
+    for page, _live, survivors in SeqScan(table, predicates)._sweep(snapshot, 1):
+        yield from ((page.page_no, row) for row in survivors)
+
+
+def build_index(index, heap):
+    index.build(heap.scan(charge_io=False))  # an uncharged build
 
 
 def fetch_rows(rows, predicates, counters, visible):
@@ -32,7 +54,7 @@ def fetch_rows(rows, predicates, counters, visible):
 
 class SeqScan(AccessPath):
     def _stream(self, context):  # an access path's _stream *is* the lazy sweep
-        yield from self._sweep_pages(self._target_pages(context), context)
+        yield from _stream(self, context)
 
 
 class ProbeJoin(JoinOperator):

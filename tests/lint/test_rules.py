@@ -50,6 +50,13 @@ class TestParityAccounting:
             ("parity/engine/bad_kernel.py", 7),  # filter before charge
         ]
 
+    def test_charged_heap_walks_outside_the_sweep_flagged(self):
+        assert findings("REPRO102", "parity/engine/bad_heap_walk.py") == [
+            ("parity/engine/bad_heap_walk.py", 5),  # heap.scan()
+            ("parity/engine/bad_heap_walk.py", 6),  # heap.iter_pages()
+            ("parity/engine/bad_heap_walk.py", 8),  # scan(charge_io=True)
+        ]
+
     def test_survivor_counted_charges_flagged(self):
         assert findings("REPRO102", "parity/engine/bad_survivor_count.py") == [
             ("parity/engine/bad_survivor_count.py", 6),  # += len(survivors)
@@ -95,9 +102,10 @@ class TestParityAccounting:
         assert findings("REPRO102", "parity/storage/page.py") == []
 
     def test_shared_kernel_shape_clean(self):
-        # Positional charging, len(live) before the filter -- called with
-        # the page under a snapshot, without it otherwise -- charge-then-test;
-        # an access path's _stream and a node's named lazy generator.
+        # One sweep reading runs of pages, and its consumers: positional
+        # charging, len(live) per page, the victim search; an uncharged
+        # scan for a build, charge-then-test, an access path's _stream and
+        # a node's named lazy generator.
         assert findings("REPRO102", "parity/engine/access.py") == []
 
     def test_stamping_sites_clean(self):
