@@ -8,7 +8,8 @@ code example, and the (ra, dec) -> objID correlation of Experiment 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer, IdentityBucketer
 
@@ -69,6 +70,16 @@ class CompositeKeySpec:
     def key_of(self, row: Mapping[str, Any]) -> tuple[Any, ...]:
         """The (bucketed) CM key of a row."""
         return tuple(part.bucket(row[part.attribute]) for part in self.parts)
+
+    def keys_of(self, rows: Iterable[Mapping[str, Any]]) -> Iterator[tuple[Any, ...]]:
+        """:meth:`key_of` of every row, streamed: one pass for many rows."""
+        if len(self.parts) > 1:
+            return map(self.key_of, rows)
+        (part,) = self.parts
+        values = map(itemgetter(part.attribute), rows)
+        if type(part.bucketer) is IdentityBucketer:
+            return zip(values)
+        return zip(map(part.bucketer.bucket, values))
 
     def key_of_values(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """The CM key of a full assignment of predicate values."""

@@ -38,10 +38,11 @@ A CM is a plain in-memory structure that can also be used standalone::
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, tee
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer
 from repro.core.composite import (
@@ -151,6 +152,14 @@ class CorrelationMap:
     def key_of(self, row: Mapping[str, Any]) -> tuple[Any, ...]:
         return self.key_spec.key_of(row)
 
+    def _targets_of(self, rows: Iterable[Mapping[str, Any]]) -> Iterator[Any]:
+        """:meth:`target_of` of every row, streamed: one pass for many rows."""
+        if self._target_of is not None:
+            return map(self._target_of, rows)
+        if self.clustered_bucketer is None:
+            return map(itemgetter(self.clustered_attribute), rows)
+        return map(self.target_of, rows)
+
     def target_of(self, row: Mapping[str, Any]) -> Any:
         if self._target_of is not None:
             return self._target_of(row)
@@ -162,28 +171,40 @@ class CorrelationMap:
     # -- construction and maintenance (Algorithm 1) -----------------------------
 
     def build(self, rows: Iterable[Mapping[str, Any]]) -> "CorrelationMap":
-        """Build the CM with one scan of the table (Algorithm 1)."""
-        for row in rows:
-            self.insert(row)
+        """Build the CM with one scan of the table (Algorithm 1).
+
+        The scan counts each ``(key, target)`` pair as it streams by; the
+        counts then enter the map in the order their pairs first appeared.
+        The result -- mapping and its dict order, counters, key directory --
+        is the one an :meth:`insert` per row would leave.
+        """
+        key_rows, target_rows = tee(rows)
+        pairs = Counter(
+            zip(self.key_spec.keys_of(key_rows), self._targets_of(target_rows))
+        )
+        for (key, target), count in pairs.items():
+            self._add(key, target, count)
         return self
 
     def insert(self, row: Mapping[str, Any]) -> None:
         """Maintain the CM for one inserted tuple."""
-        key = self.key_of(row)
-        target = self.target_of(row)
+        self._add(self.key_of(row), self.target_of(row), 1)
+
+    def _add(self, key: tuple[Any, ...], target: Any, count: int) -> None:
+        """Count ``count`` more rows with ``key`` that map to ``target``."""
         targets = self._mapping.get(key)
         if targets is None:
             targets = self._mapping[key] = {}
             self._key_bytes += _value_bytes(key) + _KEY_OVERHEAD_BYTES
             if self._directory is not None and not self._directory.add(key):
                 self._directory, self._keys_order = None, False
-        count = targets.get(target)
-        if count is None:
-            targets[target] = 1
+        previous = targets.get(target)
+        if previous is None:
+            targets[target] = count
             self._entries += 1
         else:
-            targets[target] = count + 1
-        self._total_rows += 1
+            targets[target] = previous + count
+        self._total_rows += count
 
     def delete(self, row: Mapping[str, Any]) -> bool:
         """Maintain the CM for one deleted tuple.

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from datetime import date, datetime
-from typing import Any, Callable, Iterable
+from operator import ne
+from typing import Any, Callable, Iterable, Sequence
 
 #: Exact type -> the family whose members compare totally with one another.
 #: Exact types only: a subclass may override its comparisons.
@@ -41,6 +42,19 @@ def order_family(value: Any) -> type | None:
     if family is float and value != value:  # NaN
         return None
     return family
+
+
+def orders_totally(values: Sequence[Any]) -> bool:
+    """Whether every value belongs to one ordered family (vacuously for none).
+
+    Over such values ``<`` is a total order, so ``sorted``, ``bisect``,
+    ``min`` and ``max`` agree with a comparison of every value against every
+    other -- and none of them raises.
+    """
+    families = {_FAMILY_OF_TYPE.get(kind) for kind in set(map(type, values))}
+    if None in families or len(families) > 1:
+        return False
+    return float not in families or not any(map(ne, values, values))  # NaN
 
 
 class SortedRun:
@@ -72,10 +86,7 @@ class SortedRun:
         """The sorted run of ``entries``; ``None`` when they do not order."""
         items = list(entries)
         ordered = items if key is None else list(map(key, items))
-        families = {_FAMILY_OF_TYPE.get(kind) for kind in set(map(type, ordered))}
-        if None in families or len(families) > 1:
-            return None
-        if float in families and any(value != value for value in ordered):
+        if not orders_totally(ordered):
             return None
         items.sort(key=key)
         return cls(items, key)

@@ -18,12 +18,14 @@ either exactly (one pass over the rows) or from estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import IdentityBucketer
 from repro.core.composite import CompositeKeySpec
 from repro.core.model import CorrelationProfile
-from repro.core.ordering import SortedRun
+from repro.core.ordering import SortedRun, orders_totally
 from repro.sampling.adaptive import adaptive_estimate
 from repro.sampling.distinct import DistinctSampler
 from repro.sampling.reservoir import ReservoirSampler
@@ -286,6 +288,83 @@ class IncrementalTableStatistics:
             self._observe_value(attribute, value)
         self._invalidate()
 
+    def observe_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Observe a batch of inserted rows: one bulk load.
+
+        The state equals :meth:`observe_insert` applied to each row in
+        order -- reservoir contents, random stream, bounds and their order --
+        reached in one pass per structure instead of one call per row, with
+        the derived-statistics caches cleared once.
+        """
+        if not rows:
+            return
+        self._ops_since_refresh += len(rows)
+        self._fold(rows)
+        self._invalidate()
+
+    def _fold(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Count, sample and bound ``rows`` (the state part of an insert)."""
+        self._total_rows += len(rows)
+        if self._sorted_columns:
+            for row in rows:
+                admitted, evicted = self._reservoir.add(row)
+                self._follow_reservoir(row if admitted else None, evicted)
+        else:
+            self._reservoir.extend(rows)
+        self._observe_columns(rows)
+
+    def _observe_columns(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Fold every row's values into the bounds, a column at a time.
+
+        Equal to :meth:`_observe_value` over each row's items in order: a
+        column whose values (with its current bounds) order totally takes
+        ``min`` / ``max``, which keep the first of equal extremes exactly as
+        the fold does, and new attributes enter the bounds in the first
+        row's column order.  Any other column -- a ``None``, a NaN, mixed
+        families -- is folded value by value; rows that do not all carry
+        the first row's attributes are folded row by row.  Every column is
+        read before any bound moves, so a ragged batch changes nothing
+        until the row-by-row fold.
+        """
+        if not rows:
+            return
+        columns = list(rows[0])
+        outcomes: list[tuple[str, tuple[Any, Any] | None]] | None = None
+        if all(map(eq, repeat(len(columns)), map(len, rows))):
+            outcomes = []
+            try:
+                for attribute in columns:
+                    values = list(map(itemgetter(attribute), rows))
+                    if attribute not in self._untracked:
+                        outcomes.append((attribute, self._column_bounds(attribute, values)))
+            except KeyError:  # a row lacks one of the first row's columns
+                outcomes = None
+        if outcomes is None:
+            for row in rows:
+                for attribute, value in row.items():
+                    self._observe_value(attribute, value)
+            return
+        for attribute, bounds in outcomes:
+            if bounds is not None:
+                self._minmax[attribute] = bounds
+                continue
+            for value in map(itemgetter(attribute), rows):
+                self._observe_value(attribute, value)
+
+    def _column_bounds(
+        self, attribute: str, values: list[Any]
+    ) -> tuple[Any, Any] | None:
+        """``attribute``'s bounds after folding ``values``; ``None`` unless exact."""
+        bounds = self._minmax.get(attribute)
+        if not orders_totally(values) or not (
+            bounds is None or orders_totally((*bounds, values[0]))
+        ):
+            return None
+        low, high = min(values), max(values)
+        if bounds is None:
+            return low, high
+        return min(bounds[0], low), max(bounds[1], high)
+
     def observe_delete(self, row: Mapping[str, Any]) -> None:
         self._total_rows = max(0, self._total_rows - 1)
         self._ops_since_refresh += 1
@@ -366,11 +445,7 @@ class IncrementalTableStatistics:
         periodic :attr:`refresh_due` policy; also resets the refresh clock.
         """
         self._reset()
-        for row in rows:
-            self._total_rows += 1
-            self._reservoir.add(row)
-            for attribute, value in row.items():
-                self._observe_value(attribute, value)
+        self._fold(list(rows))
 
     def _observe_value(self, attribute: str, value: Any) -> None:
         if attribute in self._untracked:

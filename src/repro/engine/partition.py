@@ -258,18 +258,16 @@ class PartitionedTable:
 
     def load(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Bulk load rows, routing each to its partition by the key."""
-        key = self.spec.key
+        key, partition_of = self.spec.key, self.spec.partition_of
+        stored = [dict(row) for row in rows]
         grouped: list[list[dict[str, Any]]] = [[] for _ in self.partitions]
-        count = 0
-        for row in rows:
-            stored = dict(row)
-            grouped[self.spec.partition_of(stored[key])].append(stored)
-            self.statistics.observe_insert(stored)
-            count += 1
+        for row in stored:
+            grouped[partition_of(row[key])].append(row)
+        self.statistics.observe_rows(stored)
         for partition, chunk in zip(self.partitions, grouped):
             if chunk:
                 partition.load(chunk)
-        return count
+        return len(stored)
 
     def cluster_on(
         self, attribute: str, *, pages_per_bucket: int | None = None

@@ -15,6 +15,7 @@ id so that correlation-map scans still find them.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer, assign_clustered_buckets
@@ -149,13 +150,10 @@ class Table:
 
     def load(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Bulk load rows (initial population; no buffer-pool traffic)."""
-        count = 0
-        for row in rows:
-            stored = dict(row)
-            self.heap.append(stored, charge_io=False)
-            self.statistics.observe_insert(stored)
-            count += 1
-        return count
+        stored = [dict(row) for row in rows]
+        self.heap.bulk_load(stored)
+        self.statistics.observe_rows(stored)
+        return len(stored)
 
     def cluster_on(
         self, attribute: str, *, pages_per_bucket: int | None = None
@@ -177,7 +175,7 @@ class Table:
         )
         page_bounds = []
         for page in self.heap.pages:
-            keys = [row[attribute] for _slot, row in page.live_rows()]
+            keys = [row[attribute] for row in page.slots]
             page_bounds.append((min(keys), max(keys)))
         self.clustered_index.build(page_bounds)
         self.heap.seal()
@@ -188,10 +186,10 @@ class Table:
         if pages_per_bucket is not None:
             self._assign_buckets(placed, attribute, pages_per_bucket)
 
-        self._rebuild_secondary_structures()
+        self._rebuild_secondary_structures(placed)
         # Clustering already rewrites the whole heap (and may add the bucket
-        # column), so this is the one place statistics rebuild from a scan.
-        self.statistics.rebuild(self.heap.all_rows())
+        # column), so this is the one place statistics rebuild from the rows.
+        self.statistics.rebuild(row for _rid, row in placed)
 
     def _note_versions(self, placed: Sequence[tuple[RID, dict[str, Any]]]) -> None:
         """Tell freshly built pages the stamps their re-placed rows carry."""
@@ -228,18 +226,26 @@ class Table:
                 (bucket.min_key, bucket.max_key, bucket.bucket_id)
             )
 
-    def _rebuild_secondary_structures(self) -> None:
-        """Rebuild secondary indexes and CMs after a physical reorganisation."""
-        rows_with_rids = list(self.heap.scan(charge_io=False))
+    def _rebuild_secondary_structures(
+        self, placed: Sequence[tuple[RID, dict[str, Any]]]
+    ) -> None:
+        """Rebuild secondary indexes and CMs over a fresh physical layout.
+
+        ``placed`` is every live ``(RID, row)`` in physical order -- what a
+        heap scan of the rebuilt file would yield -- so no structure rescans.
+        """
         for name, index in list(self.secondary_indexes.items()):
             rebuilt = SecondaryIndex(
                 name, index.attributes, self.buffer_pool, order=index.tree.order
             )
-            rebuilt.build(rows_with_rids)
+            rebuilt.build(placed)
             self.secondary_indexes[name] = rebuilt
         for name, cm in list(self.correlation_maps.items()):
             self.correlation_maps[name] = self._build_cm(
-                name, cm.key_spec, uses_buckets=self._cm_uses_buckets[name]
+                name,
+                cm.key_spec,
+                uses_buckets=self._cm_uses_buckets[name],
+                rows=(row for _rid, row in placed),
             )
 
     # -- bucket helpers -----------------------------------------------------------------
@@ -336,7 +342,12 @@ class Table:
         return cm
 
     def _build_cm(
-        self, name: str, key_spec: CompositeKeySpec, *, uses_buckets: bool
+        self,
+        name: str,
+        key_spec: CompositeKeySpec,
+        *,
+        uses_buckets: bool,
+        rows: Iterable[Mapping[str, Any]] | None = None,
     ) -> CorrelationMap:
         assert self.clustered_attribute is not None
         if uses_buckets:
@@ -344,11 +355,11 @@ class Table:
                 name,
                 key_spec,
                 self.clustered_attribute,
-                target_of=lambda row: row.get(BUCKET_COLUMN, TAIL_BUCKET),
+                target_of=methodcaller("get", BUCKET_COLUMN, TAIL_BUCKET),
             )
         else:
             cm = CorrelationMap(name, key_spec, self.clustered_attribute)
-        cm.build(self.heap.all_rows())
+        cm.build(self.heap.all_rows() if rows is None else rows)
         return cm
 
     def drop_correlation_map(self, name: str) -> None:

@@ -16,6 +16,7 @@ pages in place, and preserves all search invariants.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -116,10 +117,21 @@ class BPlusTree:
 
     @staticmethod
     def _child_index(node: _Node, key: Any) -> int:
-        idx = 0
-        while idx < len(node.keys) and key >= node.keys[idx]:
-            idx += 1
-        return idx
+        """The child of an internal node that covers ``key``.
+
+        The number of separators ``<= key``: ``bisect_right`` over the
+        sorted separators, the very child a left-to-right scan for the
+        first separator above ``key`` stops at, in log2(fanout) compares.
+
+        The one key the two differ on is one that compares false with every
+        separator -- a NaN, or a tuple led by a NaN no separator shares:
+        ``bisect_right`` sends it right of every separator where the scan
+        sent it left of every one.  A NaN key is found again by neither --
+        :meth:`search` and :meth:`delete` test equality, which NaN fails --
+        so its entry is stored and counted, never returned by
+        :meth:`search` and never removed by :meth:`delete`, as before.
+        """
+        return bisect.bisect_right(node.keys, key)
 
     def search(self, key: Any) -> list[Any]:
         """Return the payload list for ``key`` (empty if absent)."""
@@ -140,8 +152,6 @@ class BPlusTree:
 
     @staticmethod
     def _leaf_index(leaf: _Node, key: Any) -> int | None:
-        import bisect
-
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return idx
@@ -164,8 +174,6 @@ class BPlusTree:
 
         ``None`` bounds are open (scan from the first / to the last key).
         """
-        import bisect
-
         if low is None:
             leaf = self._leftmost_leaf()
             idx = 0
@@ -208,8 +216,6 @@ class BPlusTree:
         Duplicate keys accumulate payloads.  Node splits propagate upward and
         may grow the tree by one level.
         """
-        import bisect
-
         leaf, path = self._find_leaf(key)
         modified = [node.page_no for node in path]
         idx = bisect.bisect_left(leaf.keys, key)
@@ -293,13 +299,6 @@ class BPlusTree:
             leaf.values.pop(idx)
             self._num_keys -= 1
         return [node.page_no for node in path]
-
-    # -- bulk operations ------------------------------------------------------------
-
-    def bulk_load(self, items: list[tuple[Any, Any]]) -> None:
-        """Build the tree from ``(key, payload)`` pairs (faster than inserts)."""
-        for key, payload in sorted(items, key=lambda item: item[0]):
-            self.insert(key, payload)
 
     # -- size accounting --------------------------------------------------------------
 

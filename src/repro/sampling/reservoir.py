@@ -9,6 +9,7 @@ the standard single-pass way to do that.
 from __future__ import annotations
 
 import random
+from itertools import count, islice
 from typing import Any, Iterable, Iterator
 
 
@@ -73,7 +74,20 @@ class ReservoirSampler:
         return True, evicted
 
     def extend(self, items: Iterable[Any]) -> None:
-        for item in items:
+        """Offer every item in turn: the state of one :meth:`add` per item.
+
+        While the reservoir has room every item is admitted and nothing is
+        drawn, so those items are stored -- and indexed -- in one step;
+        past capacity each goes through :meth:`add`, which keeps the random
+        stream, and so every later decision, exactly the per-item one.
+        """
+        stream = iter(items)
+        stored = self._items
+        start = len(stored)
+        stored.extend(islice(stream, max(0, self.capacity - start)))
+        self._slot_of.update(zip(map(id, islice(stored, start, None)), count(start)))
+        self._seen += len(stored) - start
+        for item in stream:
             self.add(item)
 
     def discard(self, item: Any) -> bool:

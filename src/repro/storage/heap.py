@@ -9,10 +9,16 @@ co-located -- the property the correlation-aware access methods exploit.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import is_not
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import Page, RID
+
+
+#: Whether a slot holds a row (deleted slots hold ``None``).
+_is_row = partial(is_not, None)
 
 
 class HeapFile:
@@ -91,17 +97,25 @@ class HeapFile:
         self._num_tuples += 1
         return RID(page.page_no, slot)
 
-    def bulk_load(self, rows: Iterator[dict[str, Any]] | list[dict[str, Any]]) -> list[RID]:
+    def bulk_load(self, rows: list[dict[str, Any]]) -> None:
         """Load many rows without charging per-row buffer traffic.
 
         Bulk loads model the initial population of a table (the paper builds
         its data sets before measuring), so they bypass the buffer pool; the
-        file simply exists on disk afterwards.
+        file simply exists on disk afterwards.  Every row lands where
+        :meth:`append` with ``charge_io=False`` would put it: the open last
+        page is topped up, then fresh pages take ``tups_per_page`` rows each.
         """
-        rids = []
-        for row in rows:
-            rids.append(self.append(row, charge_io=False))
-        return rids
+        pages, per = self.pages, self.tups_per_page
+        start = 0
+        if pages and len(pages) - 1 >= self._min_append_page:
+            last = pages[-1]
+            start = min(len(rows), last.capacity - len(last.slots))
+            for row in rows[:start]:
+                last.append(row)
+        for offset in range(start, len(rows), per):
+            pages.append(Page.filled(len(pages), per, rows[offset : offset + per]))
+        self._num_tuples += len(rows)
 
     def seal(self) -> None:
         """Freeze the current pages: future appends start on a fresh page.
@@ -165,8 +179,7 @@ class HeapFile:
         """Iterate every live row without any I/O accounting (internal use)."""
         for page in self.pages:
             self.logical_page_reads += 1
-            for _slot, row in page.live_rows():
-                yield row
+            yield from filter(_is_row, page.slots)
 
     # -- clustering ------------------------------------------------------------
 
@@ -184,8 +197,9 @@ class HeapFile:
         self.pages = []
         self._num_tuples = 0
         self._min_append_page = 0
-        placed: list[tuple[RID, dict[str, Any]]] = []
-        for row in rows:
-            rid = self.append(row, charge_io=False)
-            placed.append((rid, row))
-        return placed
+        self.bulk_load(rows)
+        return [
+            (RID(page.page_no, slot), row)
+            for page in self.pages
+            for slot, row in enumerate(page.slots)
+        ]

@@ -65,6 +65,20 @@ class Page:
         default=None, init=False, repr=False, compare=False
     )
 
+    @classmethod
+    def filled(
+        cls, page_no: int, capacity: int, rows: list[dict[str, Any]]
+    ) -> "Page":
+        """A page holding ``rows`` in slots ``0..len(rows) - 1``.
+
+        The page takes ``rows`` as its slot list (pass a list nobody else
+        writes); the result equals a fresh page given each row through
+        :meth:`append`.
+        """
+        if len(rows) > capacity:
+            raise ValueError(f"{len(rows)} rows do not fit a {capacity}-slot page")
+        return cls(page_no, capacity, rows)
+
     @property
     def live(self) -> list[dict[str, Any]]:
         """The live (non-deleted) rows in slot order; treat as read-only."""

@@ -1,12 +1,13 @@
 """Unit and property-based tests for the B+Tree."""
 
-import random
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.btree import BPlusTree
+from repro.storage.page import RID
 
 
 def test_order_minimum_enforced():
@@ -122,18 +123,6 @@ def test_insert_reports_modified_pages():
     assert modified  # at least the root/leaf page
 
 
-def test_bulk_load_matches_individual_inserts():
-    items = [(random.Random(0).randint(0, 1000), i) for i in range(200)]
-    loaded = BPlusTree(order=8)
-    loaded.bulk_load(items)
-    inserted = BPlusTree(order=8)
-    for key, payload in items:
-        inserted.insert(key, payload)
-    assert sorted(
-        (k, sorted(v)) for k, v in loaded.items()
-    ) == sorted((k, sorted(v)) for k, v in inserted.items())
-
-
 def test_string_keys():
     tree = BPlusTree(order=4)
     for word in ["delta", "alpha", "charlie", "bravo", "echo"]:
@@ -207,3 +196,82 @@ def test_property_range_scan_matches_filter(values, bound_a, bound_b):
     scanned = [key for key, _ in tree.range_scan(low, high)]
     expected = sorted({v for v in values if low <= v <= high})
     assert scanned == expected
+
+
+class ScanRoutedTree(BPlusTree):
+    """The descent the tree had before bisection: a left-to-right separator scan."""
+
+    @staticmethod
+    def _child_index(node, key):
+        idx = 0
+        while idx < len(node.keys) and key >= node.keys[idx]:
+            idx += 1
+        return idx
+
+
+def node_dump(node):
+    """A node and its subtree: page numbers, keys, payloads, children, leaf links."""
+    return (
+        node.leaf,
+        node.page_no,
+        list(node.keys),
+        [list(values) for values in node.values],
+        [node_dump(child) for child in node.children],
+        None if node.next_leaf is None else node.next_leaf.page_no,
+    )
+
+
+@given(
+    order=st.integers(4, 9),
+    operations=st.lists(
+        st.tuples(st.sampled_from(["insert", "insert", "delete"]), st.integers(-60, 60)),
+        max_size=300,
+    ),
+    tuples=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_bisect_descent_builds_the_scan_routed_tree_node_for_node(order, operations, tuples):
+    """Same splits, same page numbers, same modified-page lists, per operation."""
+    bisected, scanned = BPlusTree(order=order), ScanRoutedTree(order=order)
+    for position, (operation, value) in enumerate(operations):
+        # ``tuples``: a dense secondary-index key, ``(value, RID)``.
+        key = (value // 8, RID(value % 8, value % 3)) if tuples else value
+        if operation == "insert":
+            assert bisected.insert(key, position) == scanned.insert(key, position)
+        else:
+            assert bisected.delete(key) == scanned.delete(key)
+        assert bisected.search(key) == scanned.search(key)
+    assert node_dump(bisected.root) == node_dump(scanned.root)
+    assert bisected.num_keys == scanned.num_keys
+    assert bisected.num_entries == scanned.num_entries
+    bisected.check_invariants()
+
+
+def test_nan_keyed_entries_fare_as_under_the_scan_routing():
+    """NaN compares false with every separator: bisection sends it right of
+    all of them where the scan sent it left.  Either way a NaN-keyed entry is
+    stored and counted, a full scan still yields it, and neither ``search``
+    nor ``delete`` can find it (both test equality, which NaN fails)."""
+    outcomes = []
+    for tree in (BPlusTree(order=4), ScanRoutedTree(order=4)):
+        nans = []
+        for i in range(60):
+            tree.insert(float(i), i)
+            if i % 6 == 0:
+                nans.append(math.nan if i % 12 else float("nan"))
+                tree.insert(nans[-1], -i)
+        entries = tree.num_entries
+        outcomes.append(
+            (
+                entries,
+                sum(len(values) for _key, values in tree.items()),
+                [tree.search(nan) for nan in nans],
+                [tree.delete(nan) for nan in nans],
+                tree.num_entries,
+            )
+        )
+    bisected, scanned = outcomes
+    assert bisected == scanned
+    entries, scanned_entries, searches, deletes, after = bisected
+    assert entries == scanned_entries == after == 70
+    assert searches == [[]] * 10 and deletes == [[]] * 10
