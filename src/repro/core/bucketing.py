@@ -23,6 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
+from repro.core.ordering import order_key
+
 #: The advisor considers bucketings that produce between 2**2 and 2**16
 #: buckets (Section 6.1.2).  Both limits are configurable per call.
 MIN_BUCKETS = 2 ** 2
@@ -30,7 +32,12 @@ MAX_BUCKETS = 2 ** 16
 
 
 class Bucketer(ABC):
-    """Maps attribute values to bucket keys (the value stored in the CM)."""
+    """Maps attribute values to bucket keys (the value stored in the CM).
+
+    A NULL or a NaN buckets to its own order key
+    (:func:`~repro.core.ordering.order_key`), which sorts above every bucket
+    of a value, so a range lookup finds a NaN only when open above.
+    """
 
     @abstractmethod
     def bucket(self, value: Any) -> Any:
@@ -52,7 +59,7 @@ class IdentityBucketer(Bucketer):
     """No bucketing: every distinct value is its own bucket."""
 
     def bucket(self, value: Any) -> Any:
-        return value
+        return order_key(value)
 
     def describe(self) -> str:
         return "none"
@@ -78,7 +85,9 @@ class WidthBucketer(Bucketer):
         self.width = width
         self.origin = origin
 
-    def bucket(self, value: Any) -> float:
+    def bucket(self, value: Any) -> Any:
+        if value is None or value != value:
+            return order_key(value)
         index = math.floor((value - self.origin) / self.width)
         return self.origin + index * self.width
 
@@ -117,7 +126,7 @@ class QuantileBucketer(Bucketer):
     def from_sample(cls, values: Iterable[Any], num_buckets: int) -> "QuantileBucketer":
         if num_buckets <= 0:
             raise ValueError("num_buckets must be positive")
-        ordered = sorted(values)
+        ordered = sorted(v for v in values if v is not None and v == v)
         if not ordered:
             return cls([])
         boundaries = []
@@ -127,7 +136,9 @@ class QuantileBucketer(Bucketer):
             boundaries.append(ordered[index])
         return cls(sorted(set(boundaries)))
 
-    def bucket(self, value: Any) -> int:
+    def bucket(self, value: Any) -> Any:
+        if value is None or value != value:
+            return order_key(value)
         return bisect_right(self.boundaries, value)
 
     @property

@@ -12,6 +12,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.bucketing import Bucketer, IdentityBucketer
+from repro.core.ordering import NULL_KEY, order_key, order_keys
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,9 @@ class CompositeKeySpec:
         if len(self.parts) > 1:
             return map(self.key_of, rows)
         (part,) = self.parts
-        values = map(itemgetter(part.attribute), rows)
         if type(part.bucketer) is IdentityBucketer:
-            return zip(values)
-        return zip(map(part.bucketer.bucket, values))
+            return zip(order_keys(list(map(itemgetter(part.attribute), rows))))
+        return zip(map(part.bucketer.bucket, map(itemgetter(part.attribute), rows)))
 
     def key_of_values(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """The CM key of a full assignment of predicate values."""
@@ -90,7 +90,8 @@ class CompositeKeySpec:
     ) -> list["BucketConstraint"]:
         """Translate per-attribute predicate constraints to bucket level.
 
-        Attributes without a constraint are unconstrained (match anything).
+        Attributes without a constraint are unconstrained (match anything);
+        NULL, matching no comparison, is no value to look up.
         """
         result = []
         for position, part in enumerate(self.parts):
@@ -99,7 +100,7 @@ class CompositeKeySpec:
                 result.append(BucketConstraint(position, None, None, None))
                 continue
             if constraint.values is not None:
-                bucketed = {part.bucket(v) for v in constraint.values}
+                bucketed = {part.bucket(v) for v in constraint.values if v is not None}
                 result.append(BucketConstraint(position, bucketed, None, None))
             else:
                 low = part.bucket(constraint.low) if constraint.low is not None else None
@@ -139,13 +140,11 @@ class ValueConstraint:
         return cls(low=low, high=high)
 
     def matches(self, value: Any) -> bool:
+        """Whether ``value`` satisfies the constraint, by the value order's rule."""
+        key = order_key(value)
         if self.values is not None:
-            return value in self.values
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
+            return key is not NULL_KEY and key in map(order_key, self.values)
+        return BucketConstraint(0, None, self.low, self.high).matches(key)
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,16 @@ class BucketConstraint:
         )
 
     def matches(self, bucket_key: Any) -> bool:
+        """Whether a stored key position (an order key) satisfies the constraint."""
         if self.buckets is not None:
             return bucket_key in self.buckets
-        if self.low is not None and bucket_key < self.low:
-            return False
-        if self.high is not None and bucket_key > self.high:
-            return False
-        return True
+        if not self.constrains:
+            return True
+        return (
+            bucket_key is not NULL_KEY
+            and (self.low is None or not bucket_key < self.low)
+            and (self.high is None or bucket_key <= self.high)
+        )
 
 
 def key_matches(key: tuple[Any, ...], constraints: Sequence[BucketConstraint]) -> bool:

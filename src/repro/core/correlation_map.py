@@ -51,7 +51,7 @@ from repro.core.composite import (
     ValueConstraint,
     key_matches,
 )
-from repro.core.ordering import SortedRun
+from repro.core.ordering import SortedRun, order_key, order_keys
 
 #: Byte estimates used for size reporting.  A CM entry stores one clustered
 #: target and its co-occurrence count under an already-stored key.
@@ -109,8 +109,8 @@ class CorrelationMap:
         the bucket id as the target directly via ``target_of``.
     target_of:
         Optional callable ``row -> target`` overriding how the clustered
-        target of a row is derived.  Defaults to (bucketed) row value of
-        ``clustered_attribute``.
+        target of a row is derived.  Defaults to the (bucketed) order key of
+        the row's ``clustered_attribute`` value.
     """
 
     def __init__(
@@ -139,9 +139,6 @@ class CorrelationMap:
         #: the first one; from then on :meth:`insert` / :meth:`delete` touch
         #: it only when a key appears or disappears.
         self._directory: SortedRun | None = None
-        #: Cleared for good once the leading values proved not to order
-        #: (a ``None``, a NaN, mixed types): range lookups then walk the keys.
-        self._keys_order = True
 
     # -- derivation of keys and targets ---------------------------------------
 
@@ -157,7 +154,7 @@ class CorrelationMap:
         if self._target_of is not None:
             return map(self._target_of, rows)
         if self.clustered_bucketer is None:
-            return map(itemgetter(self.clustered_attribute), rows)
+            return iter(order_keys(list(map(itemgetter(self.clustered_attribute), rows))))
         return map(self.target_of, rows)
 
     def target_of(self, row: Mapping[str, Any]) -> Any:
@@ -166,7 +163,7 @@ class CorrelationMap:
         value = row[self.clustered_attribute]
         if self.clustered_bucketer is not None:
             return self.clustered_bucketer.bucket(value)
-        return value
+        return order_key(value)
 
     # -- construction and maintenance (Algorithm 1) -----------------------------
 
@@ -196,8 +193,8 @@ class CorrelationMap:
         if targets is None:
             targets = self._mapping[key] = {}
             self._key_bytes += _value_bytes(key) + _KEY_OVERHEAD_BYTES
-            if self._directory is not None and not self._directory.add(key):
-                self._directory, self._keys_order = None, False
+            if self._directory is not None:
+                self._directory.add(key)
         previous = targets.get(target)
         if previous is None:
             targets[target] = count
@@ -225,8 +222,8 @@ class CorrelationMap:
             if not targets:
                 del self._mapping[key]
                 self._key_bytes -= _value_bytes(key) + _KEY_OVERHEAD_BYTES
-                if self._directory is not None and not self._directory.remove(key):
-                    self._directory, self._keys_order = None, False
+                if self._directory is not None:
+                    self._directory.remove(key)
         self._total_rows -= 1
         return True
 
@@ -282,26 +279,25 @@ class CorrelationMap:
         leading key position is answered from the key directory -- the
         stored keys sorted by that position, bisected for the range, the
         remaining positions filtered over the slice alone.  Without such a
-        range, with a bound outside the keys' ordered family, or over keys
-        that do not order at all, every stored key is tested, as before.
+        range every stored key is tested.  Keys hold order keys
+        (:mod:`repro.core.ordering`), so both routes place NULL and NaN
+        alike: a NULL key in no range, a NaN key only in one open above.
         """
         leading = next((c for c in bucket_constraints if c.position == 0), None)
         if leading is not None and leading.buckets is None and leading.constrains:
             directory = self._key_directory()
-            span = None if directory is None else directory.span(leading.low, leading.high)
-            if directory is not None and span is not None:
-                keys = directory.items[span[0] : span[1]]
-                rest = [c for c in bucket_constraints if c is not leading and c.constrains]
-                if rest:
-                    keys = [key for key in keys if key_matches(key, rest)]
-                return keys
+            start, stop = directory.span(leading.low, leading.high)
+            keys = directory.items[start:stop]
+            rest = [c for c in bucket_constraints if c is not leading and c.constrains]
+            if rest:
+                keys = [key for key in keys if key_matches(key, rest)]
+            return keys
         return [key for key in self._mapping if key_matches(key, bucket_constraints)]
 
-    def _key_directory(self) -> SortedRun | None:
-        """The sorted key directory, built on first use; ``None`` if keys do not order."""
-        if self._directory is None and self._keys_order:
+    def _key_directory(self) -> SortedRun:
+        """The sorted key directory, built on first use."""
+        if self._directory is None:
             self._directory = SortedRun.build(self._mapping, key=_LEADING)
-            self._keys_order = self._directory is not None
         return self._directory
 
     @staticmethod

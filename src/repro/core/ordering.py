@@ -1,27 +1,39 @@
-"""Sorted runs: the ``bisect`` behind plan-time range questions.
+"""One value order: where NULL and NaN sit in every comparison of column values.
 
-Two structures answer "which entries fall inside ``[low, high]``" at plan
-time -- a sorted column of the statistics sample (range selectivity) and the
-sorted key directory of a correlation map (range lookups).  Both are a
-:class:`SortedRun`: a sorted list that is only ever built over values from
-one *totally ordered family*, so that ``bisect`` over it counts exactly what
-a comparison of every entry against the bounds would count.
+Every structure that compares column values -- predicate kernels, sorts and
+top-k, CLUSTER and the clustered page bounds, B+Tree keys, sorted sample
+columns, CM key directories, min/max bounds, bucketers, range partitioning --
+orders them by one rule, with PostgreSQL's semantics:
 
-The family rule is what makes that equality hold.  ``None`` and mixed types
-raise on comparison; NaN compares false with everything, so a range
-predicate *accepts* it (``not value < low and not value > high``) while no
-position in a sorted list represents it; sets and other partial orders sort
-without complaint into an order ``bisect`` cannot use.  A run therefore
-admits only the builtin scalars whose ``<`` is a total order, all from the
-same family, and its owner falls back to the linear pass for anything else.
+* NULL matches no comparison (``=``, ``IN``, ``BETWEEN``, either open
+  range); a row that lacks a column reads as NULL;
+* NaN equals NaN and sorts above every number, so ``BETWEEN lo AND hi``
+  excludes it while ``>= lo``, ``= NaN`` and ``IN (..., NaN)`` match it;
+* ascending order is numbers, then NaN, then NULL; descending reverses it.
+
+A structure keeps :func:`order_key` of each value.  Only a NULL or a NaN is
+ever replaced, by one of two singleton sentinels, :data:`NAN_KEY` and
+:data:`NULL_KEY`, which rank above every value (a value compared with one
+falls back to the sentinel's reflected comparison) and equal only
+themselves -- except that :data:`NAN_KEY` also equals a raw NaN, so a
+predicate bound to it matches NaN rows.  Every other value is its own key,
+so a column without NULL or NaN runs on raw values throughout.
+
+The rule needs a column's values to compare with one another, so a column
+holds one *family* (:data:`_FAMILY_OF_TYPE`), fixed by its first non-NULL
+value and checked on every write (:func:`claim_families`).  A
+:class:`SortedRun` is the sorted list behind plan-time range questions: a
+sorted sample column (range selectivity) and a CM key directory.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from datetime import date, datetime
-from operator import ne
-from typing import Any, Callable, Iterable, Sequence
+from functools import total_ordering
+from itertools import chain
+from operator import itemgetter, ne
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 #: Exact type -> the family whose members compare totally with one another.
 #: Exact types only: a subclass may override its comparisons.
@@ -36,29 +48,98 @@ _FAMILY_OF_TYPE: dict[type, type] = {
 }
 
 
-def order_family(value: Any) -> type | None:
-    """The totally ordered family ``value`` belongs to; ``None`` for none."""
-    family = _FAMILY_OF_TYPE.get(type(value))
-    if family is float and value != value:  # NaN
-        return None
-    return family
+@total_ordering
+class _Sentinel:
+    """The order key of a NULL (rank 2) or a NaN (rank 1): above every value."""
+
+    __slots__ = ("_rank", "_name")
+
+    def __init__(self, rank: int, name: str) -> None:
+        self._rank = rank
+        self._name = name
+
+    def __eq__(self, other: object) -> bool:
+        return other is self or (self._rank == 1 and other != other)
+
+    __hash__ = object.__hash__
+
+    def __lt__(self, other: Any) -> bool:
+        # A raw NaN ranks as NAN_KEY: the top-k prefilter compares with one.
+        rank = other._rank if type(other) is _Sentinel else int(other != other)
+        return self._rank < rank
+
+    def __reduce__(self) -> str:
+        return self._name
+
+    def __repr__(self) -> str:
+        return self._name
 
 
-def orders_totally(values: Sequence[Any]) -> bool:
-    """Whether every value belongs to one ordered family (vacuously for none).
+#: The order key of NaN: above every number, equal to any NaN.
+NAN_KEY = _Sentinel(1, "NAN_KEY")
+#: The order key of NULL: above everything, NaN included.
+NULL_KEY = _Sentinel(2, "NULL_KEY")
 
-    Over such values ``<`` is a total order, so ``sorted``, ``bisect``,
-    ``min`` and ``max`` agree with a comparison of every value against every
-    other -- and none of them raises.
+
+def order_key(value: Any) -> Any:
+    """``value``'s place in the value order: itself, or a NULL/NaN sentinel."""
+    if value is None:
+        return NULL_KEY
+    if value != value:
+        return NAN_KEY
+    return value
+
+
+def order_keys(values: list[Any]) -> list[Any]:
+    """:func:`order_key` of every value; ``values`` itself when it holds neither
+    a NULL nor a NaN (only a ``float`` can be one)."""
+    kinds = set(map(type, values))
+    if type(None) in kinds or float in kinds and any(map(ne, values, values)):
+        return list(map(order_key, values))
+    return values
+
+
+def columns(rows: Sequence[Mapping[str, Any]]) -> dict[str, list[Any]]:
+    """column -> its value in every row, for every column of ``rows`` in
+    order of first appearance; a row that lacks a column reads as NULL."""
+    if rows and all(map(len(rows[0]).__eq__, map(len, rows))):
+        try:
+            return {column: list(map(itemgetter(column), rows)) for column in rows[0]}
+        except KeyError:  # equally long rows with other columns
+            pass
+    names = dict.fromkeys(chain.from_iterable(rows))
+    return {column: [row.get(column) for row in rows] for column in names}
+
+
+def claim_families(
+    families: dict[str, type], values_of: Mapping[str, list[Any]], table: str
+) -> None:
+    """Check a batch of rows, read as :func:`columns`, against ``table``'s
+    column ``families``; record new ones.
+
+    Every non-NULL value must belong to its column's family, which the
+    column's first non-NULL value fixes.  A value of another family, or of a
+    type with none, raises ``TypeError`` naming the table and the column;
+    ``families`` changes only once every row has passed.
     """
-    families = {_FAMILY_OF_TYPE.get(kind) for kind in set(map(type, values))}
-    if None in families or len(families) > 1:
-        return False
-    return float not in families or not any(map(ne, values, values))  # NaN
+    known = dict(families)
+    for column, values in values_of.items():
+        kinds = set(map(type, values)) - {type(None)}
+        if not kinds:
+            continue
+        first = next(value for value in values if value is not None)
+        family = known.setdefault(column, _FAMILY_OF_TYPE.get(type(first)))
+        for kind in kinds:
+            if family is None or _FAMILY_OF_TYPE.get(kind) is not family:
+                raise TypeError(
+                    f"table {table!r}, column {column!r}: a {kind.__name__} value "
+                    "is not of the column's value family"
+                )
+    families.update(known)
 
 
 class SortedRun:
-    """A sorted list over one ordered family, kept sorted under add/remove.
+    """A sorted list of order keys, kept sorted under add/remove.
 
     ``key`` extracts the ordered part of an entry (a CM key tuple is ordered
     by its leading position); ``None`` orders the entries themselves.
@@ -71,67 +152,32 @@ class SortedRun:
         self.items = items
         self._key = key
 
-    @property
-    def family(self) -> type | None:
-        """The family every entry belongs to; ``None`` while the run is empty."""
-        return order_family(self._ordered(self.items[0])) if self.items else None
-
-    def _ordered(self, entry: Any) -> Any:
-        return entry if self._key is None else self._key(entry)
-
     @classmethod
     def build(
         cls, entries: Iterable[Any], *, key: Callable[[Any], Any] | None = None
-    ) -> "SortedRun | None":
-        """The sorted run of ``entries``; ``None`` when they do not order."""
-        items = list(entries)
-        ordered = items if key is None else list(map(key, items))
-        if not orders_totally(ordered):
-            return None
-        items.sort(key=key)
-        return cls(items, key)
+    ) -> "SortedRun":
+        """The sorted run of ``entries``."""
+        return cls(sorted(entries, key=key), key)
 
-    def add(self, entry: Any) -> bool:
-        """Insert ``entry``; ``False`` (run unchanged) if it does not order."""
-        family = order_family(self._ordered(entry))
-        if family is None or self.family not in (None, family):
-            return False
+    def add(self, entry: Any) -> None:
+        """Insert ``entry`` after the entries it ties with."""
         insort(self.items, entry, key=self._key)
-        return True
 
-    def remove(self, entry: Any) -> bool:
-        """Remove one entry equal to ``entry``; ``False`` if none is held."""
-        items, ordered = self.items, self._ordered(entry)
-        if not items or order_family(ordered) is not self.family:
-            return False
-        position = bisect_left(items, ordered, key=self._key)
-        while position < len(items):
-            candidate = items[position]
-            if candidate == entry:
-                del items[position]
-                return True
-            if self._ordered(candidate) != ordered:
-                break
-            position += 1
-        return False
+    def remove(self, entry: Any) -> None:
+        """Remove one entry equal to ``entry``; ``ValueError`` if none is held."""
+        items, key = self.items, self._key
+        ordered = entry if key is None else key(entry)
+        start = bisect_left(items, ordered, key=key)
+        del items[items.index(entry, start, bisect_right(items, ordered, key=key))]
 
-    def span(self, low: Any, high: Any) -> tuple[int, int] | None:
+    def span(self, low: Any, high: Any) -> tuple[int, int]:
         """``[start, stop)`` of the entries with ``low <= ordered part <= high``.
 
-        Either bound may be ``None`` (open).  ``None`` when a bound is not
-        of the run's family -- the caller's linear pass decides what such a
-        comparison means (or raises, as it always did).
+        Either bound may be ``None`` (open); no NULL falls in any range, and
+        a NaN only in one open above.  A bound of another family than the
+        entries raises ``TypeError`` when bisection compares it with one.
         """
-        items, key, family = self.items, self._key, self.family
-        if not items:
-            return 0, 0
-        start, stop = 0, len(items)
-        if low is not None:
-            if order_family(low) is not family:
-                return None
-            start = bisect_left(items, low, key=key)
-        if high is not None:
-            if order_family(high) is not family:
-                return None
-            stop = bisect_right(items, high, key=key)
-        return start, max(start, stop)
+        items, key = self.items, self._key
+        start = 0 if low is None else bisect_left(items, low, key=key)
+        bound, cut = (NULL_KEY, bisect_left) if high is None else (high, bisect_right)
+        return start, max(start, cut(items, bound, key=key))

@@ -18,14 +18,19 @@ either exactly (one pass over the rows) or from estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import IdentityBucketer
 from repro.core.composite import CompositeKeySpec
 from repro.core.model import CorrelationProfile
-from repro.core.ordering import SortedRun, orders_totally
+from repro.core.ordering import (
+    NAN_KEY,
+    NULL_KEY,
+    SortedRun,
+    columns,
+    order_key,
+    order_keys,
+)
 from repro.sampling.adaptive import adaptive_estimate
 from repro.sampling.distinct import DistinctSampler
 from repro.sampling.reservoir import ReservoirSampler
@@ -193,7 +198,9 @@ class IncrementalTableStatistics:
     * a reservoir row sample (:class:`~repro.sampling.reservoir.ReservoirSampler`)
       updated on every insert and delete -- exact while it still holds every
       live row, estimated (Adaptive Estimator) beyond that;
-    * per-attribute min/max updated on insert; a delete cannot cheaply tell
+    * per-attribute min/max updated on insert, over the non-NULL values in
+      the value order (:mod:`repro.core.ordering`: a NaN is the maximum
+      above every number); a delete cannot cheaply tell
       whether it removed an extreme value, so the bounds stay conservatively
       wide until ``bounds_rebuild_deletes`` deletes have accumulated *and*
       the reservoir still holds every live row, at which point they are
@@ -248,9 +255,9 @@ class IncrementalTableStatistics:
     def _reset(self) -> None:
         self._reservoir = ReservoirSampler(self.sample_capacity, seed=self._seed)
         self._total_rows = 0
-        self._minmax: dict[str, tuple[Any, Any]] = {}
-        #: Attributes whose values turned out not to be mutually comparable.
-        self._untracked: set[str] = set()
+        #: attribute -> (min, max) order keys of its non-NULL values; ``None``
+        #: while it has met only NULLs.
+        self._minmax: dict[str, tuple[Any, Any] | None] = {}
         self._deletes_since_bounds_rebuild = 0
         #: Whether any delete since the last rebuild hit a min/max value.
         self._bounds_possibly_stale = False
@@ -258,10 +265,10 @@ class IncrementalTableStatistics:
         self._profile_cache: dict[tuple, CorrelationProfile] = {}
         self._cardinality_cache: dict[tuple, int] = {}
         self._selectivity_cache: dict[Any, float] = {}
-        #: attribute -> sorted run of the sample's values of it, built by the
-        #: first :meth:`range_fraction` and maintained with the reservoir
-        #: from then on; ``None`` once the column proved not to order.
-        self._sorted_columns: dict[str, SortedRun | None] = {}
+        #: attribute -> sorted run of the order keys of the sample's values
+        #: of it, built by the first :meth:`range_fraction` and maintained
+        #: with the reservoir from then on.
+        self._sorted_columns: dict[str, SortedRun] = {}
 
     # -- maintenance ------------------------------------------------------------
 
@@ -288,21 +295,27 @@ class IncrementalTableStatistics:
             self._observe_value(attribute, value)
         self._invalidate()
 
-    def observe_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
+    def observe_rows(
+        self, rows: Sequence[Mapping[str, Any]], values: dict[str, list[Any]] | None = None
+    ) -> None:
         """Observe a batch of inserted rows: one bulk load.
 
         The state equals :meth:`observe_insert` applied to each row in
         order -- reservoir contents, random stream, bounds and their order --
         reached in one pass per structure instead of one call per row, with
-        the derived-statistics caches cleared once.
+        the derived-statistics caches cleared once.  ``values`` is
+        :func:`~repro.core.ordering.columns` of ``rows`` when the caller has
+        read them already (the write-time family check does).
         """
         if not rows:
             return
         self._ops_since_refresh += len(rows)
-        self._fold(rows)
+        self._fold(rows, values)
         self._invalidate()
 
-    def _fold(self, rows: Sequence[Mapping[str, Any]]) -> None:
+    def _fold(
+        self, rows: Sequence[Mapping[str, Any]], values: dict[str, list[Any]] | None = None
+    ) -> None:
         """Count, sample and bound ``rows`` (the state part of an insert)."""
         self._total_rows += len(rows)
         if self._sorted_columns:
@@ -311,59 +324,29 @@ class IncrementalTableStatistics:
                 self._follow_reservoir(row if admitted else None, evicted)
         else:
             self._reservoir.extend(rows)
-        self._observe_columns(rows)
+        self._observe_columns(columns(rows) if values is None else values)
 
-    def _observe_columns(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """Fold every row's values into the bounds, a column at a time.
+    def _observe_columns(self, values_of: dict[str, list[Any]]) -> None:
+        """Fold every row's values (``columns(rows)``) into the bounds, a
+        column at a time.
 
-        Equal to :meth:`_observe_value` over each row's items in order: a
-        column whose values (with its current bounds) order totally takes
-        ``min`` / ``max``, which keep the first of equal extremes exactly as
-        the fold does, and new attributes enter the bounds in the first
-        row's column order.  Any other column -- a ``None``, a NaN, mixed
-        families -- is folded value by value; rows that do not all carry
-        the first row's attributes are folded row by row.  Every column is
-        read before any bound moves, so a ragged batch changes nothing
-        until the row-by-row fold.
+        Equal to :meth:`_observe_value` over each row's items in order: an
+        attribute enters the bounds where the rows first carry it, NULLs
+        (and missing columns) move no bound, and ``min`` / ``max`` over the
+        order keys keep the first of equal extremes exactly as the fold does.
         """
-        if not rows:
-            return
-        columns = list(rows[0])
-        outcomes: list[tuple[str, tuple[Any, Any] | None]] | None = None
-        if all(map(eq, repeat(len(columns)), map(len, rows))):
-            outcomes = []
-            try:
-                for attribute in columns:
-                    values = list(map(itemgetter(attribute), rows))
-                    if attribute not in self._untracked:
-                        outcomes.append((attribute, self._column_bounds(attribute, values)))
-            except KeyError:  # a row lacks one of the first row's columns
-                outcomes = None
-        if outcomes is None:
-            for row in rows:
-                for attribute, value in row.items():
-                    self._observe_value(attribute, value)
-            return
-        for attribute, bounds in outcomes:
-            if bounds is not None:
-                self._minmax[attribute] = bounds
-                continue
-            for value in map(itemgetter(attribute), rows):
-                self._observe_value(attribute, value)
-
-    def _column_bounds(
-        self, attribute: str, values: list[Any]
-    ) -> tuple[Any, Any] | None:
-        """``attribute``'s bounds after folding ``values``; ``None`` unless exact."""
-        bounds = self._minmax.get(attribute)
-        if not orders_totally(values) or not (
-            bounds is None or orders_totally((*bounds, values[0]))
-        ):
-            return None
-        low, high = min(values), max(values)
-        if bounds is None:
-            return low, high
-        return min(bounds[0], low), max(bounds[1], high)
+        minmax = self._minmax
+        for attribute, values in values_of.items():
+            keys = order_keys(values)
+            if keys is not values:  # a NULL or a NaN: the NULLs move no bound
+                keys = [key for key in keys if key is not NULL_KEY]
+            bounds = minmax.get(attribute)
+            if keys:
+                low, high = min(keys), max(keys)
+                if bounds is not None:
+                    low, high = min(bounds[0], low), max(bounds[1], high)
+                bounds = low, high
+            minmax[attribute] = bounds
 
     def observe_delete(self, row: Mapping[str, Any]) -> None:
         self._total_rows = max(0, self._total_rows - 1)
@@ -397,24 +380,12 @@ class IncrementalTableStatistics:
         stored: Mapping[str, Any] | None,
         removed: Mapping[str, Any] | None,
     ) -> None:
-        """Mirror one reservoir change in every built sorted column.
-
-        A column that cannot follow -- the stored value does not order with
-        the rest, or the removed one is not where the sample says it was --
-        stops answering rather than drift from the sample.
-        """
+        """Mirror one reservoir change in every built sorted column."""
         for attribute, column in self._sorted_columns.items():
-            if column is None:
-                continue
-            followed = (
-                removed is None
-                or (attribute in removed and column.remove(removed[attribute]))
-            ) and (
-                stored is None
-                or (attribute in stored and column.add(stored[attribute]))
-            )
-            if not followed:
-                self._sorted_columns[attribute] = None
+            if removed is not None:
+                column.remove(order_key(removed.get(attribute)))
+            if stored is not None:
+                column.add(order_key(stored.get(attribute)))
 
     def _touches_bound(self, row: Mapping[str, Any]) -> bool:
         """Whether deleting ``row`` may have shrunk any attribute's bounds."""
@@ -428,13 +399,10 @@ class IncrementalTableStatistics:
         """Recompute per-attribute min/max from the (complete) reservoir.
 
         Only called while the sample holds every live row, so the rebuilt
-        bounds are exact.  Attributes flagged as non-comparable stay
-        untracked.
+        bounds are exact.
         """
         self._minmax = {}
-        for row in self._reservoir:
-            for attribute, value in row.items():
-                self._observe_value(attribute, value)
+        self._observe_columns(columns(self._reservoir.sample))
         self._deletes_since_bounds_rebuild = 0
         self._bounds_possibly_stale = False
 
@@ -448,23 +416,17 @@ class IncrementalTableStatistics:
         self._fold(list(rows))
 
     def _observe_value(self, attribute: str, value: Any) -> None:
-        if attribute in self._untracked:
+        value = order_key(value)
+        if value is NULL_KEY:
+            self._minmax.setdefault(attribute, None)
             return
         bounds = self._minmax.get(attribute)
         if bounds is None:
             self._minmax[attribute] = (value, value)
-            return
-        low, high = bounds
-        try:
-            if value < low:
-                low = value
-            elif value > high:
-                high = value
-        except TypeError:
-            self._untracked.add(attribute)
-            self._minmax.pop(attribute, None)
-            return
-        self._minmax[attribute] = (low, high)
+        elif value < bounds[0]:
+            self._minmax[attribute] = (value, bounds[1])
+        elif value > bounds[1]:
+            self._minmax[attribute] = (bounds[0], value)
 
     def _invalidate(self) -> None:
         self._profile_cache.clear()
@@ -487,8 +449,13 @@ class IncrementalTableStatistics:
         return len(self._reservoir) == self._total_rows
 
     def attribute_range(self, attribute: str) -> tuple[Any, Any] | None:
-        """Incrementally-maintained ``(min, max)``; ``None`` when unknown."""
-        return self._minmax.get(attribute)
+        """Incrementally-maintained ``(min, max)`` of the non-NULL values;
+        ``None`` when there is none."""
+        bounds = self._minmax.get(attribute)
+        if bounds is None:
+            return None
+        low, high = (float("nan") if bound is NAN_KEY else bound for bound in bounds)
+        return low, high
 
     def match_fraction(
         self,
@@ -523,37 +490,26 @@ class IncrementalTableStatistics:
             self._selectivity_cache[key] = fraction
         return fraction
 
-    def range_fraction(self, attribute: str, low: Any, high: Any) -> float | None:
+    def range_fraction(self, attribute: str, low: Any, high: Any) -> float:
         """Fraction of live rows with ``low <= row[attribute] <= high``.
 
         Order statistics instead of a sweep: the very float
         :meth:`match_fraction` returns for that inclusive range (either
         bound may be ``None``; an inverted range matches nothing), read off
-        a sorted column of the sample's values as ``bisect_right(high) -
-        bisect_left(low)``.  The column is built on first use and follows
-        the reservoir from then on, so neither repetition nor DML makes the
+        a sorted column of the order keys of the sample's values as
+        :meth:`SortedRun.span <repro.core.ordering.SortedRun.span>` -- which
+        counts no NULL, and a NaN only in a range open above, as the
+        predicate does.  The column is built on first use and follows the
+        reservoir from then on, so neither repetition nor DML makes the
         answer cost more than the two bisections -- which is also why ranges
         never enter the selectivity memo.
-
-        ``None`` when bisection could not reproduce the sweep: the column
-        holds (or ever held, since the last :meth:`rebuild`) a ``None``, a
-        NaN, or values that do not order with one another, some sampled row
-        lacks the attribute, or a bound is not of the column's family.  The
-        caller sweeps instead.
         """
-        columns = self._sorted_columns
-        if attribute not in columns:
-            try:
-                columns[attribute] = SortedRun.build(
-                    [row[attribute] for row in self._reservoir]
-                )
-            except KeyError:  # a sampled row lacks the attribute
-                columns[attribute] = None
-        column = columns[attribute]
-        span = None if column is None else column.span(low, high)
-        if column is None or span is None:
-            return None
-        start, stop = span
+        column = self._sorted_columns.get(attribute)
+        if column is None:
+            column = self._sorted_columns[attribute] = SortedRun.build(
+                order_keys([row.get(attribute) for row in self._reservoir])
+            )
+        start, stop = column.span(low, high)
         return (stop - start) / len(column.items) if column.items else 0.0
 
     # -- derived statistics ------------------------------------------------------

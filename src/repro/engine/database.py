@@ -841,6 +841,8 @@ class Database:
     ) -> list[RID]:
         """Insert row versions stamped with the transaction's xid."""
         target = self._versioned_table(table)
+        rows = list(rows)
+        target.admit(rows)
         rids = []
         for row in rows:
             rid = target.insert_version(row, transaction.xid)
@@ -895,6 +897,8 @@ class Database:
         target = self._versioned_table(table)
         victims = self._victims(transaction, target, predicates)
         hidden = (XMIN_COLUMN, XMAX_COLUMN, BUCKET_COLUMN)
+        if victims:  # the rest of each new version passed when it was written
+            target.admit((updates,))
         for rid, row in victims:
             fresh = {
                 column: value for column, value in row.items() if column not in hidden

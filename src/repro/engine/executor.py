@@ -704,11 +704,11 @@ def _ordering_key_getter(
 ) -> Callable[[Mapping[str, Any]], tuple[Any, ...]]:
     """A join-key extractor whose keys also order in the presence of None.
 
-    Equality between wrapped keys is exactly raw-value equality (so merge
-    matching agrees with the hash and nested-loop operators, where
-    ``None == None`` matches), but ordering comparisons never reach a
-    ``None < value`` — rows with NULL keys simply sort after everything
-    else instead of crashing the merge.
+    Equality between wrapped keys is exactly raw-value equality, but
+    ordering comparisons never reach a ``None < value`` — rows with NULL
+    keys simply sort after everything else instead of crashing the merge,
+    which then joins no key with a NULL part, ``(True, None)``, as the hash
+    and nested-loop operators do.
     """
     columns = tuple(columns)
 
@@ -829,6 +829,11 @@ class HashJoin(JoinOperator):
                     setdefault(key, []).append(row)
         finally:
             _charge_cpu(self.inner_path, build_rows)
+        # NULL matches no comparison: a key with a NULL part joins nothing.
+        table.pop(None, None)
+        if len(self.join_on) > 1:
+            for key in [key for key in table if None in key]:
+                del table[key]
         return table
 
     def _probe_input(
@@ -1136,6 +1141,8 @@ class SortMergeJoin(JoinOperator):
                 end = bisect_right(inner_keys, key, parked)
                 inner_group = inner_rows[parked:end]
                 parked = end
+                if (True, None) in key:  # NULL matches no comparison
+                    continue
                 out.extend(
                     [
                         {**outer_row, **matched}
@@ -1225,6 +1232,8 @@ class SortMergeJoin(JoinOperator):
                 while inner_row is not sentinel and inner_key == key:
                     inner_group.append(inner_row)
                     advance()
+                if (True, None) in key:  # NULL matches no comparison
+                    continue
                 for outer_row in outer_group:
                     for matched in inner_group:
                         yield {**outer_row, **matched}

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.bucketing import Bucketer
 from repro.core.composite import CompositeKeySpec
 from repro.core.model import TableProfile
+from repro.core.ordering import claim_families, columns, order_key
 from repro.core.statistics import DEFAULT_STATS_SAMPLE_SIZE, IncrementalTableStatistics
 from repro.engine.predicates import Between, Equals, InSet
 from repro.engine.schema import TableSchema
@@ -113,7 +114,7 @@ class PartitionSpec:
     def partition_of(self, value: Any) -> int:
         """The partition index a row with this key value routes to."""
         if self.method == "range":
-            return bisect_right(self.boundaries, value)
+            return bisect_right(self.boundaries, order_key(value))
         return stable_partition_hash(value) % self.num_partitions
 
     def prune(self, predicates: "PredicateSet") -> tuple[int, ...]:
@@ -121,28 +122,24 @@ class PartitionSpec:
 
         Static and conservative: driven by the tightest indexable predicate
         on the partition key (a necessary condition for any row to match, so
-        a partition it rules out holds no matching rows).  Unorderable
-        bounds fall back to scanning every partition.
+        a partition it rules out holds no matching rows).
         """
         every = tuple(range(self.num_partitions))
         predicate = predicates.on_attribute(self.key)
         if predicate is None:
             return every
-        try:
-            if isinstance(predicate, Equals):
-                return (self.partition_of(predicate.value),)
-            if isinstance(predicate, InSet):
-                return tuple(sorted({self.partition_of(v) for v in predicate.values}))
-            if isinstance(predicate, Between) and self.method == "range":
-                low = 0 if predicate.low is None else self.partition_of(predicate.low)
-                high = (
-                    self.num_partitions - 1
-                    if predicate.high is None
-                    else self.partition_of(predicate.high)
-                )
-                return tuple(range(low, high + 1))
-        except TypeError:
-            return every
+        if isinstance(predicate, Equals):
+            return (self.partition_of(predicate.value),)
+        if isinstance(predicate, InSet):
+            return tuple(sorted({self.partition_of(v) for v in predicate.values}))
+        if isinstance(predicate, Between) and self.method == "range":
+            low = 0 if predicate.low is None else self.partition_of(predicate.low)
+            high = (
+                self.num_partitions - 1
+                if predicate.high is None
+                else self.partition_of(predicate.high)
+            )
+            return tuple(range(low, high + 1))
         return every
 
     def layout_compatible_with(self, other: "PartitionSpec") -> bool:
@@ -214,6 +211,9 @@ class PartitionedTable:
         self.partitions: tuple[Table, ...] = tuple(partitions)
         self.devices: tuple[DiskModel, ...] = tuple(devices)
         self.tups_per_page = self.partitions[0].tups_per_page
+        #: column -> value family, over every partition
+        #: (:func:`~repro.core.ordering.claim_families`).
+        self.families: dict[str, type] = {}
         #: Whole-table planner statistics (the children keep their own).
         self.statistics = IncrementalTableStatistics(
             sample_capacity=stats_sample_size, refresh_ops=stats_refresh_ops
@@ -260,13 +260,18 @@ class PartitionedTable:
         """Bulk load rows, routing each to its partition by the key."""
         key, partition_of = self.spec.key, self.spec.partition_of
         stored = [dict(row) for row in rows]
+        values = columns(stored)
+        claim_families(self.families, values, self.name)
         grouped: list[list[dict[str, Any]]] = [[] for _ in self.partitions]
         for row in stored:
             grouped[partition_of(row[key])].append(row)
-        self.statistics.observe_rows(stored)
+        self.statistics.observe_rows(stored, values)
         for partition, chunk in zip(self.partitions, grouped):
             if chunk:
-                partition.load(chunk)
+                # Checked above, over the whole table.  Each partition
+                # copies its rows, so they sit together in memory.
+                copies = [dict(row) for row in chunk]
+                partition._fill(copies, columns(copies))
         return len(stored)
 
     def cluster_on(
@@ -320,6 +325,7 @@ class PartitionedTable:
     def insert_row(self, row: Mapping[str, Any], *, charge_io: bool = True) -> RID:
         """Insert one tuple into the partition its key routes to."""
         stored = dict(row)
+        claim_families(self.families, columns((stored,)), self.name)
         index = self.spec.partition_of(stored[self.spec.key])
         rid = self.partitions[index].insert_row(stored, charge_io=charge_io)
         self.statistics.observe_insert(stored)

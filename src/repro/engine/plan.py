@@ -25,10 +25,11 @@ top, bottom-up in this order:
     never read); projection trims emitted rows to the requested columns
     (residual predicates below still see whole rows).
 
-NULL ordering follows PostgreSQL: NULLs sort last ascending and first
-descending.  Ties under a LIMIT resolve by input order (the sort is stable;
-the top-k keeps the first-seen row of a tied key), so a top-k is exactly the
-prefix of the stable full sort.
+Values order by :mod:`repro.core.ordering`, PostgreSQL's rule: numbers,
+then NaN, then NULL ascending, reversed descending.  Ties under a LIMIT
+resolve by input order (the sort is stable; the top-k keeps the first-seen
+row of a tied key), so a top-k is exactly the prefix of the stable full
+sort.
 
 :func:`render_plan` walks an executed tree and prints one line per node with
 the planner's estimates next to the node's actual counters -- the
@@ -53,6 +54,7 @@ if TYPE_CHECKING:
     from repro.storage.disk import DiskModel
 
 from repro.core.cost import sort_comparison_count, top_k_comparison_count
+from repro.core.ordering import NULL_KEY, order_key, order_keys
 from repro.engine.executor import (
     ExecutionContext,
     HashJoin,
@@ -65,39 +67,31 @@ from repro.engine.query import Aggregate
 
 
 # ---------------------------------------------------------------------------
-# Sort keys: direction- and NULL-aware comparison
+# Sort keys: the value order, in either direction
 # ---------------------------------------------------------------------------
 
 class SortKey:
-    """One row's value under one ORDER BY column, totally ordered.
+    """One row's value under one ORDER BY column, in the value order.
 
-    Wraps the raw value so that a sort or merge never compares ``None``
-    with a real value: NULLs rank last ascending, first descending (the
-    PostgreSQL defaults), and a descending column simply inverts the
-    comparison -- which keeps multi-column keys with mixed directions a
-    plain tuple comparison.
+    Holds the value's order key (:func:`~repro.core.ordering.order_key`), so
+    NULLs rank last ascending and first descending with NaN next to them,
+    and a descending column simply inverts the comparison -- which keeps
+    multi-column keys with mixed directions a plain tuple comparison.
     """
 
     __slots__ = ("value", "ascending")
 
     def __init__(self, value: Any, ascending: bool) -> None:
-        self.value = value
+        self.value = order_key(value)
         self.ascending = ascending
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SortKey) and self.value == other.value
 
     def __lt__(self, other: "SortKey") -> bool:
-        a, b = (
-            (self.value, other.value)
-            if self.ascending
-            else (other.value, self.value)
-        )
-        if a is None:
-            return False  # NULLs last in the ascending frame
-        if b is None:
-            return True
-        return a < b
+        if self.ascending:
+            return self.value < other.value
+        return other.value < self.value
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -126,39 +120,31 @@ def columnar_sort(
     ``tuple(SortKey(...))`` key of :func:`sort_key_function`: exploiting sort
     stability, one stable pass per ordering column from the least to the
     most significant reproduces the lexicographic multi-column order.  A
-    NULL-free column sorts on raw values (``itemgetter`` key,
-    ``reverse=not ascending`` -- Python's reverse sort keeps equal elements
-    in order, preserving stability); a column containing NULLs falls back to
-    wrapping that pass's values in :class:`SortKey`, the only place its
-    NULL-ordering comparator is still needed.
+    column without NULL or NaN sorts on raw values (``itemgetter`` key);
+    any other on order keys.  Either way ``reverse=not ascending`` -- which
+    keeps equal elements in order, preserving stability.
     """
     for column, ascending in reversed(tuple(ordering)):
-        if None in [row[column] for row in rows]:
-            rows.sort(key=_null_aware_pass_key(column, ascending))
-        else:
-            rows.sort(key=itemgetter(column), reverse=not ascending)
-
-
-def _null_aware_pass_key(
-    column: str, ascending: bool
-) -> Callable[[Mapping[str, Any]], SortKey]:
-    return lambda row: SortKey(row[column], ascending)
+        values = [row[column] for row in rows]
+        raw = order_keys(values) is values
+        key = itemgetter(column) if raw else lambda row: order_key(row[column])
+        rows.sort(key=key, reverse=not ascending)
 
 
 def _encode_sort_column(values: list[Any], ascending: bool) -> list[Any]:
     """A directly comparable sort-key vector for one ORDER BY column.
 
-    Raw values for a NULL-free ascending column; negated values for a
-    NULL-free descending column over a negatable type; :class:`SortKey`
+    Order keys for an ascending column; negated values for a descending
+    column without NULL or NaN over a negatable type; :class:`SortKey`
     wrapping otherwise.  Each encoding orders *and* equates values exactly
     as ``SortKey(value, ascending)`` does, so separately encoded batches
     rank rows identically -- as long as any one comparison only ever sees
     keys from the same encoding call (guaranteed by encoding each top-k
     merge's candidate set afresh).
     """
-    if None not in values:
-        if ascending:
-            return values
+    if ascending:
+        return order_keys(values)
+    if order_keys(values) is values:
         try:
             return [-value for value in values]
         except TypeError:
@@ -177,18 +163,17 @@ def _not_worse_mask(
 
     The top-k prefilter: ``threshold`` is the leading ORDER BY value of the
     current k-th row, and only rows marked ``True`` can still displace it
-    (equals stay -- later columns and arrival order decide them).  Uses the
-    one operator :class:`SortKey` orders by, so a value ``<`` cannot rank
-    (NaN) is kept, and a NaN threshold keeps everything.  So does a NULL or
-    otherwise non-comparable value on either side: those rank by
-    :class:`SortKey`'s rules, not by ``<``, and the whole batch is kept.
+    (equals stay -- later columns and arrival order decide them).  It
+    compares in the value order: a NULL ranks last ascending (kept only
+    against a NULL threshold) and first descending; a raw NaN compares false
+    with a number, so it is kept (the merge ranks it), and a sentinel ranks
+    a raw NaN as :data:`~repro.core.ordering.NAN_KEY`.
     """
-    try:
-        if ascending:
-            return [not threshold < row[column] for row in batch]
-        return [not row[column] < threshold for row in batch]
-    except TypeError:
-        return [True] * len(batch)
+    threshold = order_key(threshold)
+    if ascending:
+        null = threshold is NULL_KEY
+        return [not threshold < v if (v := row[column]) is not None else null for row in batch]
+    return [not v < threshold if (v := row[column]) is not None else True for row in batch]
 
 
 def _ordering_text(ordering: Sequence[tuple[str, bool]]) -> str:

@@ -15,6 +15,7 @@ from types import CodeType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.composite import ValueConstraint
+from repro.core.ordering import order_key
 
 
 class Predicate:
@@ -65,13 +66,18 @@ class Equals(Predicate):
     attribute: str
     value: Any
 
+    def __post_init__(self) -> None:
+        # Compared as its order key: NULL_KEY equals no row value, NAN_KEY
+        # every NaN, and any other value is its own key.
+        object.__setattr__(self, "_key", order_key(self.value))
+
     def matches(self, row: Mapping[str, Any]) -> bool:
-        return row[self.attribute] == self.value
+        return row[self.attribute] == self._key
 
     def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
         return (
             f"row[_attr{index}] == _value{index}",
-            {f"_attr{index}": self.attribute, f"_value{index}": self.value},
+            {f"_attr{index}": self.attribute, f"_value{index}": self._key},
         )
 
     def constraint(self) -> ValueConstraint:
@@ -95,16 +101,16 @@ class InSet(Predicate):
     def __init__(self, attribute: str, values: Iterable[Any]) -> None:
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "values", tuple(values))
+        # Tuple containment over the values' order keys, as Equals compares.
+        object.__setattr__(self, "_keys", tuple(map(order_key, self.values)))
 
     def matches(self, row: Mapping[str, Any]) -> bool:
-        return row[self.attribute] in self.values
+        return row[self.attribute] in self._keys
 
     def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
-        # Tuple containment, like matches(): equality-based even for values
-        # a set could not hash.
         return (
             f"row[_attr{index}] in _values{index}",
-            {f"_attr{index}": self.attribute, f"_values{index}": self.values},
+            {f"_attr{index}": self.attribute, f"_values{index}": self._keys},
         )
 
     def constraint(self) -> ValueConstraint:
@@ -129,32 +135,28 @@ class Between(Predicate):
     def __post_init__(self) -> None:
         if self.low is None and self.high is None:
             raise ValueError("a range predicate needs at least one bound")
+        if self.low != self.low or self.high != self.high:
+            raise ValueError("a range bound cannot be NaN")
 
     def matches(self, row: Mapping[str, Any]) -> bool:
         value = row[self.attribute]
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
+        return (
+            value is not None
+            and (self.low is None or not value < self.low)
+            and (self.high is None or value <= self.high)
+        )
 
     def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
-        # Negated-exclusion form: a failed comparison (e.g. NaN) keeps the
-        # row, exactly as matches() does.
-        attr = f"_attr{index}"
-        env: dict[str, Any] = {attr: self.attribute}
-        if self.low is None:
-            env[f"_high{index}"] = self.high
-            return f"not row[{attr}] > _high{index}", env
-        if self.high is None:
-            env[f"_low{index}"] = self.low
-            return f"not row[{attr}] < _low{index}", env
-        env[f"_low{index}"] = self.low
-        env[f"_high{index}"] = self.high
-        return (
-            f"not (row[{attr}] < _low{index} or row[{attr}] > _high{index})",
-            env,
-        )
+        # NULL fails the first test; NaN passes "not < low" and fails "<= high".
+        value = f"_v{index}"
+        conditions = [f"({value} := row[_attr{index}]) is not None"]
+        if self.low is not None:
+            conditions.append(f"not {value} < _low{index}")
+        if self.high is not None:
+            conditions.append(f"{value} <= _high{index}")
+        names = (f"_attr{index}", f"_low{index}", f"_high{index}")
+        env = dict(zip(names, (self.attribute, self.low, self.high)))
+        return " and ".join(conditions), env
 
     def constraint(self) -> ValueConstraint:
         return ValueConstraint.between(self.low, self.high)

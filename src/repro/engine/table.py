@@ -22,6 +22,7 @@ from repro.core.bucketing import Bucketer, assign_clustered_buckets
 from repro.core.composite import CompositeKeySpec
 from repro.core.correlation_map import CorrelationMap
 from repro.core.model import CorrelationProfile, TableProfile
+from repro.core.ordering import claim_families, columns, order_key, order_keys
 from repro.core.statistics import DEFAULT_STATS_SAMPLE_SIZE, IncrementalTableStatistics
 from repro.engine.predicates import Between, PredicateSet
 from repro.engine.schema import TableSchema
@@ -45,19 +46,16 @@ def sample_selectivity(
 
     A set that is exactly one ``Between`` is answered by order statistics
     (:meth:`IncrementalTableStatistics.range_fraction`, two bisections);
-    everything else -- and a range over a column that does not order --
-    by the sample sweep, memoised per predicate set until the next
-    insert/delete.  Both routes return the same float.  Shared by
+    everything else by the sample sweep, memoised per predicate set until
+    the next insert/delete.  Both routes return the same float.  Shared by
     :class:`Table` and :class:`~repro.engine.partition.PartitionedTable`.
     """
     if len(predicates) == 1:
         (predicate,) = predicates
         if type(predicate) is Between:
-            fraction = statistics.range_fraction(
+            return statistics.range_fraction(
                 predicate.attribute, predicate.low, predicate.high
             )
-            if fraction is not None:
-                return fraction
     return statistics.match_fraction(predicates.matches, key=tuple(predicates))
 
 
@@ -97,6 +95,10 @@ class Table:
         self.statistics = IncrementalTableStatistics(
             sample_capacity=stats_sample_size, refresh_ops=stats_refresh_ops
         )
+
+        #: column -> the value family its first non-NULL value fixed (see
+        #: :meth:`admit`).
+        self.families: dict[str, type] = {}
 
         #: True once any row carries MVCC version columns; while False the
         #: scan kernels skip visibility filtering entirely (the pre-MVCC
@@ -148,12 +150,28 @@ class Table:
 
     # -- loading and clustering -----------------------------------------------------
 
+    def admit(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Check ``rows`` against the column families before a write.
+
+        A value of another family than its column's, or of a type with
+        none, raises ``TypeError`` naming the table and the column before
+        any structure changes (:func:`~repro.core.ordering.claim_families`).
+        """
+        claim_families(self.families, columns(rows), self.name)
+
     def load(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Bulk load rows (initial population; no buffer-pool traffic)."""
         stored = [dict(row) for row in rows]
-        self.heap.bulk_load(stored)
-        self.statistics.observe_rows(stored)
+        values = columns(stored)
+        claim_families(self.families, values, self.name)
+        self._fill(stored, values)
         return len(stored)
+
+    def _fill(self, rows: list[dict[str, Any]], values: dict[str, list[Any]]) -> None:
+        """Bulk load rows that passed :meth:`admit` and that this table owns;
+        ``values`` are their :func:`~repro.core.ordering.columns`."""
+        self.heap.bulk_load(rows)
+        self.statistics.observe_rows(rows, values)
 
     def cluster_on(
         self, attribute: str, *, pages_per_bucket: int | None = None
@@ -166,7 +184,7 @@ class Table:
         """
         if not self.schema.has_column(attribute):
             raise KeyError(f"unknown column {attribute!r} in table {self.name!r}")
-        placed = self.heap.rebuild_clustered(lambda row: row[attribute])
+        placed = self.heap.rebuild_clustered(lambda row: order_key(row[attribute]))
         if self.mvcc_versioned:
             self._note_versions(placed)
         self.clustered_attribute = attribute
@@ -175,7 +193,7 @@ class Table:
         )
         page_bounds = []
         for page in self.heap.pages:
-            keys = [row[attribute] for row in page.slots]
+            keys = order_keys([row[attribute] for row in page.slots])
             page_bounds.append((min(keys), max(keys)))
         self.clustered_index.build(page_bounds)
         self.heap.seal()
@@ -210,7 +228,7 @@ class Table:
         if pages_per_bucket <= 0:
             raise ValueError("pages_per_bucket must be positive")
         tuples_per_bucket = pages_per_bucket * self.tups_per_page
-        keys = [row[attribute] for _rid, row in placed]
+        keys = order_keys([row[attribute] for _rid, row in placed])
         ids, buckets = assign_clustered_buckets(keys, tuples_per_bucket)
         for (_rid, row), bucket_id in zip(placed, ids):
             row[BUCKET_COLUMN] = bucket_id
@@ -256,6 +274,7 @@ class Table:
         Values outside every bucket (only possible for rows inserted after
         clustering with new clustered-attribute values) map to the tail.
         """
+        value = order_key(value)
         for min_key, max_key, bucket_id in self._bucket_key_ranges:
             if min_key <= value <= max_key:
                 return bucket_id
@@ -386,6 +405,7 @@ class Table:
         ``creator`` is the xid a version was stamped with; its page is told
         as soon as the row sits on it, before any other structure is touched.
         """
+        self.admit((row,))
         if self.has_clustered_buckets:
             row[BUCKET_COLUMN] = TAIL_BUCKET
         rid = self.heap.append(row, charge_io=charge_io)

@@ -122,14 +122,6 @@ class BPlusTree:
         The number of separators ``<= key``: ``bisect_right`` over the
         sorted separators, the very child a left-to-right scan for the
         first separator above ``key`` stops at, in log2(fanout) compares.
-
-        The one key the two differ on is one that compares false with every
-        separator -- a NaN, or a tuple led by a NaN no separator shares:
-        ``bisect_right`` sends it right of every separator where the scan
-        sent it left of every one.  A NaN key is found again by neither --
-        :meth:`search` and :meth:`delete` test equality, which NaN fails --
-        so its entry is stored and counted, never returned by
-        :meth:`search` and never removed by :meth:`delete`, as before.
         """
         return bisect.bisect_right(node.keys, key)
 

@@ -20,6 +20,7 @@ import bisect
 import math
 from typing import Any, Iterable
 
+from repro.core.ordering import order_key
 from repro.storage.buffer_pool import BufferPool
 
 #: Fanout assumed when deriving the height of the clustered index from its
@@ -46,7 +47,11 @@ class ClusteredIndex:
     # -- construction -----------------------------------------------------------
 
     def build(self, page_key_bounds: Iterable[tuple[Any, Any]]) -> None:
-        """Build from per-page ``(min_key, max_key)`` bounds in page order."""
+        """Build from per-page ``(min_key, max_key)`` bounds in page order.
+
+        The bounds are order keys (:func:`~repro.core.ordering.order_key`),
+        so a page of NULLs or NaNs sorts after every page of values.
+        """
         self._page_min_keys = []
         self._page_max_keys = []
         for min_key, max_key in page_key_bounds:
@@ -102,7 +107,7 @@ class ClusteredIndex:
         """Heap pages that may contain ``value`` (contiguous by construction)."""
         if charge_io:
             self._charge_descent()
-        return self._pages_for_range(value, value)
+        return self._pages_for_range(order_key(value), order_key(value))
 
     def pages_for_range(
         self, low: Any, high: Any, *, charge_io: bool = True

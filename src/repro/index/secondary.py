@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
+from repro.core.ordering import NULL_KEY, order_key
 from repro.index.btree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import RID
@@ -69,10 +70,11 @@ class SecondaryIndex:
     # -- key handling ----------------------------------------------------------
 
     def key_of(self, row: dict[str, Any]) -> Any:
-        """Extract the index key for ``row`` (a scalar for single columns)."""
+        """The index key of ``row``: its value's order key (a tuple of them
+        for composites; see :mod:`repro.core.ordering`)."""
         if len(self.attributes) == 1:
-            return row[self.attributes[0]]
-        return tuple(row[attr] for attr in self.attributes)
+            return order_key(row[self.attributes[0]])
+        return tuple(order_key(row[attr]) for attr in self.attributes)
 
     @staticmethod
     def _entry_key(key: Any, rid: RID) -> tuple[Any, RID]:
@@ -134,6 +136,7 @@ class SecondaryIndex:
 
     def probe(self, key: Any, *, charge_io: bool = True) -> list[RID]:
         """Return the RIDs stored under ``key``, charging a root-to-leaf read."""
+        key = order_key(key) if len(self.attributes) == 1 else tuple(map(order_key, key))
         rids = []
         scanned = 0
         for value, rid in self._iter_entries_from(key):
@@ -152,7 +155,11 @@ class SecondaryIndex:
         *,
         charge_io: bool = True,
     ) -> list[RID]:
-        """Return RIDs for all keys in the inclusive range ``[low, high]``."""
+        """Return RIDs for all keys in the inclusive range ``[low, high]``.
+
+        ``None`` bounds are open; no NULL key is in range, and a NaN key
+        only when the range is open above.
+        """
         rids: list[RID] = []
         scanned = 0
         if low is None:
@@ -160,7 +167,7 @@ class SecondaryIndex:
         else:
             iterator = self._iter_entries_from(low)
         for value, rid in iterator:
-            if high is not None and value > high:
+            if value > high if high is not None else value is NULL_KEY:
                 break
             rids.append(rid)
             scanned += 1
@@ -179,6 +186,8 @@ class SecondaryIndex:
         """
         if len(self.attributes) == 1:
             return self.probe_range(low, high, charge_io=charge_io)
+        # An equality on the prefix arrives as the range (value, value).
+        low, high = (bound if bound is None else order_key(bound) for bound in (low, high))
         rids: list[RID] = []
         scanned = 0
         if low is None:
@@ -186,7 +195,7 @@ class SecondaryIndex:
         else:
             iterator = (entry for entry, _ in self.tree.range_scan(((low,),)))
         for value, rid in iterator:
-            if high is not None and value[0] > high:
+            if value[0] > high if high is not None else value[0] is NULL_KEY:
                 break
             rids.append(rid)
             scanned += 1

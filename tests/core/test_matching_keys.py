@@ -6,7 +6,7 @@ its targets.  For a range on the leading key position it bisects a sorted
 key directory that ``insert`` / ``delete`` keep in step with the mapping.
 The oracle is the pass it replaced -- ``key_matches`` over ``keys()`` --
 re-run after every step of a random maintenance history, over single,
-composite, bucketed and non-orderable keys, for range, set, mixed and
+composite, bucketed and NULL/NaN-holding keys, for range, set, mixed and
 unconstrained positions.  On top of that sits the paper's invariant, as a
 property: a CM lookup may return false positives, never false negatives.
 """
@@ -23,14 +23,14 @@ from repro.core.composite import CompositeKeySpec, ValueConstraint, key_matches
 from repro.core.correlation_map import CorrelationMap
 
 #: Column -> the values rows draw from.  ``p`` straddles the 4096-dollar
-#: bucket edges of ``ebay_price_bucketer(12)``; ``m`` does not order.
+#: bucket edges of ``ebay_price_bucketer(12)``; ``m`` holds NULL and NaN.
 POOLS = {
     "n": list(range(9)),
     "s": ["", "ab", "abcd", "b", "zz"],
     "p": [0.0, 10.0, 4095.99, 4096.0, 5000.0, 9000.5, 100_000.0],
-    "m": [None, 1, 2.5, "x", math.nan],
+    "m": [None, 1, 2.5, -3, math.nan, float("nan")],
 }
-#: Column -> range bounds: the values that order, plus some off the pool.
+#: Column -> range bounds: the pool's values, plus some off the pool.
 BOUNDS = {
     "n": [-1, *range(9), 11],
     "s": ["", "a", "ab", "abcd", "b", "c", "zz", "zzz"],
@@ -44,8 +44,9 @@ KEY_SPECS = {
     "bucketed": (["p"], {"p": ebay_price_bucketer(12)}),
     "bucketed_composite": (["p", "n"], {"p": ebay_price_bucketer(12)}),
     "string_leading": (["s", "p"], {"p": WidthBucketer(5000)}),
-    "unorderable": (["m"], {}),
-    "unorderable_composite": (["m", "n"], {}),
+    "nullable": (["m"], {}),
+    "nullable_composite": (["m", "n"], {}),
+    "nullable_bucketed": (["m"], {"m": WidthBucketer(2)}),
 }
 
 rows = st.fixed_dictionaries(
@@ -66,13 +67,10 @@ def constraint_for(column):
     """Unconstrained | ``=`` | ``IN`` | a closed, one-sided or inverted range."""
     pool, bounds = POOLS[column], BOUNDS[column]
     bound = st.one_of(st.none(), st.sampled_from(bounds))
-    # The all-equality dictionary probe sorts each IN-list (as it always
-    # did), so a list itself must order; single values need not.
-    listable = [v for v in pool if isinstance(v, (int, float))] if column == "m" else pool
     return st.one_of(
         st.none(),
         st.builds(ValueConstraint.equals, st.sampled_from(pool)),
-        st.builds(ValueConstraint.in_set, st.lists(st.sampled_from(listable), max_size=4)),
+        st.builds(ValueConstraint.in_set, st.lists(st.sampled_from(pool), max_size=4)),
         st.builds(ValueConstraint.between, bound, bound).filter(
             lambda c: c.low is not None or c.high is not None
         ),
@@ -86,36 +84,17 @@ def constraint_sets(attributes):
 
 
 def linear_pass(cm, bucket_constraints):
-    """The keys the replaced loop selects; ``TypeError`` if it raised one."""
-    try:
-        return {key for key in cm.keys() if key_matches(key, bucket_constraints)}
-    except TypeError:
-        return TypeError
+    """The keys the directory replaced the loop for."""
+    return {key for key in cm.keys() if key_matches(key, bucket_constraints)}
 
 
 def satisfies(row, constraints):
-    try:
-        return all(c.matches(row[attribute]) for attribute, c in constraints.items())
-    except TypeError:
-        return False
+    return all(c.matches(row[attribute]) for attribute, c in constraints.items())
 
 
 def check(cm, live, constraints):
     bucket_constraints = cm.key_spec.bucket_constraints(constraints)
     expected = linear_pass(cm, bucket_constraints)
-    if expected is TypeError:
-        # Keys (or bounds) that do not compare: the directory declines and
-        # the fallback raises exactly what the linear pass always raised.
-        for lookup in (
-            lambda: cm.matching_keys(bucket_constraints),
-            lambda: cm.lookup_constraints(constraints),
-        ):
-            try:
-                lookup()
-            except TypeError:
-                continue
-            raise AssertionError("the linear pass raises TypeError here")
-        return
     matched = list(cm.matching_keys(bucket_constraints))
     assert len(matched) == len(set(matched))
     assert set(matched) == expected

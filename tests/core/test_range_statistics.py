@@ -7,11 +7,13 @@ discard decisions.  The oracle is the plain loop it replaces -- every
 sampled row through ``Between.matches`` -- re-run after every single step of
 a random maintenance history, for every range a small bound pool can form
 (closed, one-sided, empty, inverted, bounds on and between stored values),
-with the sample both complete and a subsample of the rows.
+with the sample both complete and a subsample of the rows.  Columns hold
+NULL (and, numeric, NaN) next to their values: the sorted column places
+them as the predicate does (``repro.core.ordering``).
 """
 
 import math
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -23,100 +25,75 @@ from repro.engine.predicates import Between, PredicateSet
 
 DAY0 = date(2024, 1, 1)
 
-#: Per column kind: the values rows draw from (few, so duplicates are heavy),
-#: bounds that fall between, below and above them, and values that do not
-#: order with the column (``None``, NaN, another family).
+#: Per column kind: the values rows draw from (few, so duplicates are heavy,
+#: NULL among them, and NaN for the numbers), and bounds that fall between,
+#: below and above them.
 KINDS = {
-    "int": ([0, 1, 2, 3, 5, 8], [-1, 4, 9], [None, math.nan, "3"]),
+    "int": ([0, 1, 2, 3, 5, 8, None, math.nan], [-1, 4, 9]),
     "float": (
-        [-2.5, 0.0, 0.25, 0.5, 7.0, 1e9],
+        [-2.5, 0.0, 0.25, 0.5, 7.0, 1e9, None, math.nan, float("nan")],
         [-3.0, 0.3, 3, math.inf],
-        [None, math.nan, "0.5"],
     ),
-    "string": (["", "a", "ab", "b", "zz"], ["0", "aa", "zzz"], [None, 7, b"a"]),
+    "string": (["", "a", "ab", "b", "zz", None], ["0", "aa", "zzz"]),
     "date": (
-        [DAY0 + timedelta(days=d) for d in (0, 1, 2, 10, 40)],
+        [DAY0 + timedelta(days=d) for d in (0, 1, 2, 10, 40)] + [None],
         [DAY0 - timedelta(days=1), DAY0 + timedelta(days=5), DAY0 + timedelta(days=99)],
-        [None, datetime(2024, 1, 2), 5],
     ),
 }
 
 
 def ranges_of(kind):
-    """Every (low, high) over the kind's values and off-values, open ends included."""
-    values, between, _poison = KINDS[kind]
-    bounds = [None, *values, *between]
+    """Every (low, high) over the kind's values and off-values, open ends
+    included (NULL is the open bound; NaN is no bound)."""
+    values, between = KINDS[kind]
+    bounds = [None, *(v for v in values if v is not None and v == v), *between]
     return [(lo, hi) for lo in bounds for hi in bounds if (lo, hi) != (None, None)]
 
 
 def swept(stats, low, high):
-    """The fraction the sample sweep computes: the loop, written out.
-
-    ``None`` when the loop raises (a bound that does not compare with the
-    column) -- ``range_fraction`` must then decline, so its caller sweeps
-    and raises the same error.
-    """
+    """The fraction the sample sweep computes: the loop, written out."""
     rows = stats.sample_rows
     predicate = Between("v", low, high)
-    try:
-        matching = sum(1 for row in rows if predicate.matches(row))
-    except TypeError:
-        return None
+    matching = sum(1 for row in rows if predicate.matches({"v": row.get("v")}))
     return matching / len(rows) if rows else 0.0
 
 
-def orders(values):
-    """Whether ``values`` hold no None/NaN and compare with one another."""
-    try:
-        sorted(values)
-    except TypeError:
-        return False
-    return all(value is not None and value == value for value in values)
-
-
 #: ("insert", value index) | ("delete", live index, by identity?) |
-#: ("delete_absent", value index) | ("poison", poison index) | ("rebuild",)
+#: ("delete_absent", value index) | ("lacking", value index) | ("rebuild",)
 steps = st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 100)),
     st.tuples(st.just("insert"), st.integers(0, 100)),
     st.tuples(st.just("delete"), st.integers(0, 10_000), st.booleans()),
     st.tuples(st.just("delete_absent"), st.integers(0, 100)),
-    st.tuples(st.just("poison"), st.integers(0, 100)),
+    st.tuples(st.just("lacking"), st.integers(0, 100)),
     st.tuples(st.just("rebuild")),
 )
 
 
-def run_history(kind, capacity, history, *, allow_poison):
-    values, _between, poison = KINDS[kind]
+def run_history(kind, capacity, history, *, allow_lacking):
+    values, _between = KINDS[kind]
     ranges = ranges_of(kind)
     stats = IncrementalTableStatistics(sample_capacity=capacity, seed=3)
     live: list[dict] = []
     serial = 0
-    #: True from the moment the sample admits a value that does not order
-    #: with the rest of it, until a rebuild re-seeds the sample without one.
-    gave_up = False
 
     def check():
         for low, high in ranges:
-            answer = stats.range_fraction("v", low, high)
-            if gave_up:
-                assert answer is None
-            else:
-                assert answer == swept(stats, low, high), (low, high)
+            assert stats.range_fraction("v", low, high) == swept(stats, low, high), (
+                low,
+                high,
+            )
 
     check()  # builds the column over an empty sample
     for step in history:
         action = step[0]
-        if action == "insert" or (action == "poison" and allow_poison):
-            pool = values if action == "insert" else poison
+        if action == "insert" or (action == "lacking" and allow_lacking):
             serial += 1
-            row = {"id": serial, "v": pool[step[1] % len(pool)]}
+            row = {"id": serial, "v": values[step[1] % len(values)]}
+            if action == "lacking":  # a row without the column reads as NULL
+                del row["v"]
             stats.observe_insert(row)
             live.append(row)
-            # Admitted or not, poison or not (a lone "3" orders with itself,
-            # a date after it does not): what counts is whether the sample
-            # as it now stands still orders.
-            gave_up = gave_up or not orders([row["v"] for row in stats.sample_rows])
         elif action == "delete" and live:
             row = live.pop(step[1] % len(live))
             # By identity (the engine's case) or as an equal copy.
@@ -125,7 +102,6 @@ def run_history(kind, capacity, history, *, allow_poison):
             stats.observe_delete({"id": -1, "v": values[step[1] % len(values)]})
         elif action == "rebuild":
             stats.rebuild(live)
-            gave_up = not orders([row["v"] for row in stats.sample_rows])
         check()
     return stats
 
@@ -137,7 +113,7 @@ def run_history(kind, capacity, history, *, allow_poison):
 )
 @settings(max_examples=120, deadline=None)
 def test_range_fraction_equals_the_sweep_after_every_step(kind, capacity, history):
-    run_history(kind, capacity, history, allow_poison=False)
+    run_history(kind, capacity, history, allow_lacking=False)
 
 
 @given(
@@ -146,10 +122,8 @@ def test_range_fraction_equals_the_sweep_after_every_step(kind, capacity, histor
     st.lists(steps, max_size=45),
 )
 @settings(max_examples=120, deadline=None)
-def test_a_column_that_stops_ordering_answers_none_from_then_on(
-    kind, capacity, history
-):
-    run_history(kind, capacity, history, allow_poison=True)
+def test_rows_lacking_the_column_read_as_null(kind, capacity, history):
+    run_history(kind, capacity, history, allow_lacking=True)
 
 
 def test_subsampled_history_replaces_and_erodes_the_sample():
@@ -157,20 +131,24 @@ def test_subsampled_history_replaces_and_erodes_the_sample():
     history = [("insert", i) for i in range(60)] + [
         ("delete", 7 * i, True) for i in range(30)
     ]
-    stats = run_history("int", 5, history, allow_poison=False)
+    stats = run_history("int", 5, history, allow_lacking=False)
     assert len(stats.sample_rows) <= 5 < stats.total_rows
 
 
-def test_bound_outside_the_column_family_falls_back():
+def test_bound_outside_the_column_family_raises():
+    """As comparing it with the column's values does, in the sweep."""
     stats = IncrementalTableStatistics()
-    for value in (1, 2, 3):
+    for value in (1, 2, 3, None):
         stats.observe_insert({"v": value})
-    assert stats.range_fraction("v", 1, 2) == 2 / 3
-    assert stats.range_fraction("v", "1", None) is None
-    assert stats.range_fraction("v", None, math.nan) is None
-    assert stats.range_fraction("missing", 0, 1) is None
-    # An unusable bound does not cost the column its later answers.
-    assert stats.range_fraction("v", 2, None) == 2 / 3
+    assert stats.range_fraction("v", 1, 2) == 2 / 4
+    with pytest.raises(TypeError):
+        stats.range_fraction("v", "1", None)
+    with pytest.raises(TypeError):
+        PredicateSet([Between("v", "1", None)]).batch_filter(stats.sample_rows)
+    # A column no row carries is all NULL: no range holds any of it.
+    assert stats.range_fraction("missing", 0, 1) == 0.0
+    # A refused bound does not cost the column its later answers.
+    assert stats.range_fraction("v", 2, None) == 2 / 4
 
 
 # -- through the table ---------------------------------------------------------
@@ -206,27 +184,24 @@ def test_table_estimate_equals_the_sweep_across_dml():
 
 
 def test_table_estimate_with_nan_still_equals_the_sweep():
-    """``Between.matches`` accepts NaN; bisection cannot, so the table sweeps."""
+    """A NaN sits above every number: in a range open above, in no other."""
     db, table = small_table([1.0, 2.0, 3.0, 4.0])
-    predicate = Between("price", 2.0, 3.0)
-    assert table.estimate_matching_rows(PredicateSet([predicate])) == 2.0
-    db.insert("t", [{"id": 9, "price": math.nan}])
-    assert table.statistics.range_fraction("price", 2.0, 3.0) is None
-    estimate = table.estimate_matching_rows(PredicateSet([predicate]))
-    assert estimate == sweep_estimate(table, predicate) == 3.0
+    closed, open_above = Between("price", 2.0, 3.0), Between("price", 2.0, None)
+    assert table.estimate_matching_rows(PredicateSet([closed])) == 2.0
+    db.insert("t", [{"id": 9, "price": math.nan}, {"id": 10, "price": None}])
+    for predicate, expected in ((closed, 2.0), (open_above, 4.0)):
+        estimate = table.estimate_matching_rows(PredicateSet([predicate]))
+        assert estimate == sweep_estimate(table, predicate) == expected
 
 
-@pytest.mark.parametrize("unorderable", [None, "3.0"])
-def test_table_estimate_over_unorderable_values_raises_as_the_sweep_does(unorderable):
+def test_a_second_family_is_refused_before_the_estimate_moves():
     db, table = small_table([1.0, 2.0, 3.0, 4.0])
     predicate = Between("price", 2.0, 3.0)
-    table.estimate_matching_rows(PredicateSet([predicate]))  # column built
-    db.insert("t", [{"id": 9, "price": unorderable}])
-    assert table.statistics.range_fraction("price", 2.0, 3.0) is None
-    with pytest.raises(TypeError):
-        sweep_estimate(table, predicate)
-    with pytest.raises(TypeError):
-        table.estimate_matching_rows(PredicateSet([predicate]))
+    before = table.estimate_matching_rows(PredicateSet([predicate]))  # column built
+    with pytest.raises(TypeError, match="'t'.*'price'"):
+        db.insert("t", [{"id": 9, "price": "3.0"}])
+    assert table.num_rows == 4
+    assert table.estimate_matching_rows(PredicateSet([predicate])) == before
 
 
 def test_ranges_never_enter_the_selectivity_memo():

@@ -72,7 +72,9 @@ PARTITION_LAYOUTS = tuple(
 )
 
 
-def build_fuzz_rows():
+def build_fuzz_rows(nullable=False):
+    """The fuzz rows; ``nullable`` makes every 41st price NULL and every 43rd
+    a NaN, and leaves every other value (and the random stream) alone."""
     rng = random.Random(1234)
     rows = []
     for i in range(NUM_ROWS):
@@ -87,6 +89,10 @@ def build_fuzz_rows():
                 "qty": rng.randrange(0, 20),
             }
         )
+        if nullable and i % 41 == 0:
+            rows[-1]["price"] = None
+        elif nullable and i % 43 == 0:
+            rows[-1]["price"] = float("nan")
     return rows
 
 
@@ -105,9 +111,9 @@ def partition_spec(label):
     return PartitionSpec.by_range("catid", boundaries)
 
 
-def build_fuzz_database():
+def build_fuzz_database(nullable=False):
     """items (clustered, price index) plus a cats dimension table for joins."""
-    rows = build_fuzz_rows()
+    rows = build_fuzz_rows(nullable)
     db = Database(buffer_pool_pages=400)
     db.create_table("items", sample_row=rows[0], tups_per_page=40)
     db.load("items", rows)
@@ -121,7 +127,7 @@ def build_fuzz_database():
     return db
 
 
-def build_partitioned_database(label):
+def build_partitioned_database(label, nullable=False):
     """The fuzz tables under one partition layout (plus price index).
 
     ``cats`` is co-partitioned with ``items`` on ``catid`` (partition-wise
@@ -130,7 +136,7 @@ def build_partitioned_database(label):
     flat reference database carries both names as ordinary flat tables, so
     any generated query runs unchanged on both sides of the differential.
     """
-    rows = build_fuzz_rows()
+    rows = build_fuzz_rows(nullable)
     cat_rows = build_cat_rows()
     db = Database(buffer_pool_pages=400)
     db.create_table(
@@ -162,3 +168,21 @@ def fuzz_database():
 def partitioned_databases():
     """The fuzz tables under every partition layout."""
     return {label: build_partitioned_database(label) for label in PARTITION_LAYOUTS}
+
+
+@pytest.fixture(scope="module")
+def nullable_databases():
+    """label -> the fuzz tables with NULL and NaN prices ("flat" or a
+    partition layout), each built on first use."""
+    built = {}
+
+    def database(label):
+        if label not in built:
+            built[label] = (
+                build_fuzz_database(nullable=True)
+                if label == "flat"
+                else build_partitioned_database(label, nullable=True)
+            )
+        return built[label]
+
+    return database

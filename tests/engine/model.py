@@ -18,6 +18,11 @@ ORDER BY, the multiset otherwise, and under a LIMIT over a non-total order
 the sort-key prefix plus containment in the unlimited result.  Float sums
 compare with a last-ulp tolerance, because the engine may legitimately add
 in another order (clustered heaps, partitions, parallel partial merges).
+
+NULL and NaN follow PostgreSQL, written out here with plain comparisons:
+NULL (or a missing column) matches no predicate; NaN equals NaN and sorts
+above every number; ascending order is numbers, NaN, NULL, and descending
+reverses it.
 """
 
 import math
@@ -39,19 +44,42 @@ class ModelResult:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _rank(value):
+    """Where a value sorts ascending: numbers 0, NaN 1, NULL 2."""
+    if value is None:
+        return 2
+    return 1 if value != value else 0
+
+
+def _before(a, b):
+    """Whether ``a`` sorts strictly before ``b`` ascending."""
+    if _rank(a) != _rank(b):
+        return _rank(a) < _rank(b)
+    return _rank(a) == 0 and a < b
+
+
+def _equal(a, b):
+    """SQL equality: NULL equals nothing, NaN equals NaN."""
+    if a is None or b is None:
+        return False
+    return _rank(a) == _rank(b) and (_rank(a) == 1 or a == b)
+
+
 def holds(predicate, row):
     """One predicate on one row, interpreted from the predicate's fields."""
     if isinstance(predicate, ExpressionPredicate):
         return bool(predicate.function(row))
-    value = row[predicate.attribute]
+    value = row.get(predicate.attribute)
     if isinstance(predicate, Equals):
-        return value == predicate.value
+        return _equal(value, predicate.value)
     if isinstance(predicate, InSet):
-        return any(value == candidate for candidate in predicate.values)
+        return any(_equal(value, candidate) for candidate in predicate.values)
     if isinstance(predicate, Between):
-        if predicate.low is not None and value < predicate.low:
+        if value is None:
             return False
-        if predicate.high is not None and value > predicate.high:
+        if predicate.low is not None and _before(value, predicate.low):
+            return False
+        if predicate.high is not None and _before(predicate.high, value):
             return False
         return True
     raise TypeError(f"the model does not know predicate {predicate!r}")
@@ -65,7 +93,7 @@ def _joined(outer_rows, inner_rows, on):
     merged = []
     for outer in outer_rows:
         for inner in inner_rows:
-            if all(outer[left] == inner[right] for left, right in on):
+            if all(_equal(outer[left], inner[right]) for left, right in on):
                 merged.append({**outer, **inner})
     return merged
 
@@ -100,18 +128,13 @@ def _grouped(rows, columns, aggregate):
 
 
 def compare_rows(left, right, ordering):
-    """ORDER BY comparison: NULLs last ascending, first descending."""
+    """ORDER BY comparison: numbers, NaN, NULL ascending; reversed descending."""
     for column, ascending in ordering:
         a, b = left[column], right[column]
-        if a is None and b is None:
-            continue
-        if a is None or b is None:
-            nulls_after = ascending
-            a_after = (a is None) == nulls_after
-            return 1 if a_after else -1
-        if a == b:
-            continue
-        return -1 if (a < b) == ascending else 1
+        if _before(a, b):
+            return -1 if ascending else 1
+        if _before(b, a):
+            return 1 if ascending else -1
     return 0
 
 
@@ -145,9 +168,12 @@ def evaluate(query, tables):
 # ---------------------------------------------------------------------------
 
 def values_close(left, right):
-    """Exact for ints/strings/None; last-ulp tolerance for float sums."""
+    """Exact for ints/strings/None; last-ulp tolerance for float sums; NaN
+    matches NaN."""
     if isinstance(left, float) and isinstance(right, float):
-        return math.isclose(left, right, rel_tol=1e-9, abs_tol=1e-12)
+        return math.isclose(left, right, rel_tol=1e-9, abs_tol=1e-12) or (
+            _rank(left) == _rank(right) == 1
+        )
     return left == right
 
 
@@ -205,8 +231,15 @@ def order_is_total(query, unique_columns):
     return bool(ordered & set(unique_columns))
 
 
+#: Stands for every NaN in a sort key, so key sequences compare NaN-equal.
+_NAN = object()
+
+
 def sort_keys(rows, ordering):
-    return [tuple(row[column] for column, _ascending in ordering) for row in rows]
+    return [
+        tuple(_NAN if _rank(row[column]) == 1 else row[column] for column, _a in ordering)
+        for row in rows
+    ]
 
 
 def assert_matches_model(result, query, tables, *, unique_columns=(), context=""):

@@ -19,6 +19,10 @@ each must return exactly the model's visible rows.  A second invariant
 holds the page version summaries to their contract: every ``_xmin`` /
 ``_xmax`` on a live slot is in its page's summary.
 
+The drawn ``u`` values include NULL and NaN, so every path is held to the
+value order's rule too (NULL matches no predicate, NaN only ``= NaN``,
+``IN (..., NaN)`` and a range open above).
+
 Two deliberate limits.  Non-transactional DML (``Database.insert`` /
 ``delete``) and open transactions never overlap: the engine documents no
 semantics for that mix (a physical delete under a pinned snapshot).  And the
@@ -48,19 +52,29 @@ from tests.engine.model import holds, user_columns
 NUM_C = 10
 #: Steps a reader pinned before a commit / abort stays among the readers.
 PINNED_FOR_STEPS = 3
+#: The one NaN the machine draws, so model and engine rows compare equal.
+NAN = float("nan")
+#: ``u`` values that are no number: NULL and NaN.
+SPECIAL_U = st.sampled_from([None, NAN])
 
 
 def make_row(row_id, c, jitter, w):
-    """``u`` follows the clustered ``c`` (a soft FD); ``w`` does not."""
-    return {"id": row_id, "c": c, "u": c * 10 + jitter, "w": w}
+    """``u`` follows the clustered ``c`` (a soft FD), unless ``jitter`` is
+    NULL or NaN -- then ``u`` is; ``w`` follows nothing."""
+    u = c * 10 + jitter if isinstance(jitter, int) else jitter
+    return {"id": row_id, "c": c, "u": u, "w": w}
 
 
-#: What every step is checked with: point, range, set, conjunction.
+#: What every step is checked with: point, range, set, conjunction, and
+#: the two that NULL and NaN answer differently: a range open above and a
+#: set naming both.
 PROBES = (
     PredicateSet.of(Equals("u", 34)),
     PredicateSet.of(Between("u", 18, 47)),
     PredicateSet.of(InSet("c", (1, 4, 7))),
     PredicateSet.of(Between("c", 2, 6), Between("u", 25, 58), Equals("w", 1)),
+    PredicateSet.of(Between("u", 60, None)),
+    PredicateSet.of(InSet("u", (NAN, None, 34))),
 )
 
 #: Predicates DML rules pick victims with.
@@ -72,15 +86,20 @@ victims = st.one_of(
         st.integers(0, 12),
     ),
     st.builds(Equals, st.just("w"), st.integers(0, 3)),
+    st.builds(Equals, st.just("u"), SPECIAL_U),
 )
 new_rows = st.lists(
-    st.tuples(st.integers(0, NUM_C - 1), st.integers(0, 9), st.integers(0, 3)),
+    st.tuples(
+        st.integers(0, NUM_C - 1),
+        st.one_of(st.integers(0, 9), SPECIAL_U),
+        st.integers(0, 3),
+    ),
     min_size=1,
     max_size=5,
 )
 updates = st.one_of(
     st.builds(lambda w: {"w": w}, st.integers(0, 3)),
-    st.builds(lambda u: {"u": u}, st.integers(0, 99)),
+    st.builds(lambda u: {"u": u}, st.one_of(st.integers(0, 99), SPECIAL_U)),
     st.builds(lambda c: {"c": c}, st.integers(0, NUM_C - 1)),
 )
 CM_DESIGNS = {

@@ -67,14 +67,12 @@ class TestBatchFilter:
 
     def test_null_values_in_predicate_columns(self):
         rows = [{"a": None}, {"a": 1}, {"a": None}, {"a": 2}]
+        # NULL matches no comparison, ``= NULL`` and ``IN (..., NULL)`` included.
         assert PredicateSet.of(Equals("a", 1)).batch_filter(rows) == [{"a": 1}]
-        assert PredicateSet.of(Equals("a", None)).batch_filter(rows) == [
-            {"a": None},
-            {"a": None},
-        ]
-        assert PredicateSet.of(InSet("a", [2, None])).batch_filter(rows) == [
-            {"a": None},
-            {"a": None},
+        assert PredicateSet.of(Equals("a", None)).batch_filter(rows) == []
+        assert PredicateSet.of(InSet("a", [2, None])).batch_filter(rows) == [{"a": 2}]
+        assert PredicateSet.of(Between("a", 0, None)).batch_filter(rows) == [
+            {"a": 1},
             {"a": 2},
         ]
 
@@ -158,19 +156,19 @@ class TestColumnarSort:
                         assert (encoded[i] < encoded[j]) == (wrapped[i] < wrapped[j])
 
     def test_not_worse_mask_follows_sortkey(self):
-        values = [5.0, 1.0, 3.0, 3.0, NAN]
+        values = [5.0, 1.0, 3.0, 3.0, NAN, None, float("nan")]
         batch = [{"v": value} for value in values]
         for ascending in (True, False):
-            threshold = SortKey(3.0, ascending)
-            expected = [not threshold < SortKey(value, ascending) for value in values]
-            assert _not_worse_mask(batch, "v", ascending, 3.0) == expected
-            assert _not_worse_mask(batch, "v", ascending, NAN) == [True] * len(batch)
-            # NULLs (and any other non-comparable pair) rank by SortKey's
-            # rules, not by `<`: the whole batch is kept.
-            assert _not_worse_mask(batch, "v", ascending, None) == [True] * len(batch)
-            mixed = [{"v": 9.0}, {"v": None}]
-            assert _not_worse_mask(mixed, "v", ascending, 3.0) == [True, True]
-        assert _not_worse_mask([{"v": "a"}], "v", True, 3.0) == [True]
+            for threshold in (3.0, NAN, None):
+                expected = [
+                    not SortKey(threshold, ascending) < SortKey(value, ascending)
+                    for value in values
+                ]
+                mask = _not_worse_mask(batch, "v", ascending, threshold)
+                # Exact, but for a NaN newcomer against a number: ``<`` is
+                # false both ways there, so it is kept for the merge to rank.
+                for keep, want, value in zip(mask, expected, values):
+                    assert keep == want or (keep and value != value), (threshold, value)
 
     def test_sorted_with_keys_matches_ordering_key_getter(self):
         rows = _rows_with_nulls()
@@ -229,24 +227,21 @@ TOP_K_PREFILTER_CASES = {
     "best_rows_arrive_last": (_rows_with_nulls(400), ("-id",), 13),
     "k_at_least_n": (_rows_with_nulls(400), ("-price", "name"), 400),
     "k_is_one": (_rows_with_nulls(400), ("price",), 1),
-    # NaN breaks the total order, so heap and sort only agree where neither
-    # ever has to rank a NaN against a real value to decide: NaNs arriving
-    # once k better rows are held (kept by the prefilter, then cut), and a
-    # NaN that is itself the k-th row (as threshold it prunes nothing).
+    # NaN sorts above every number and below NULL: NaNs arriving once k
+    # better rows are held (kept by the prefilter, then cut), a NaN that is
+    # itself the k-th row, and NaNs ranking first descending.
     "nan_newcomers": (
         _priced([float(i) if i < 40 or i % 5 else NAN for i in range(400)]),
         ("price",),
         13,
     ),
     "nan_threshold": (_priced([NAN] + [float(i) for i in range(399)]), ("price",), 1),
+    "nans_and_nulls_desc": (
+        _priced([None if i % 7 == 0 else NAN if i % 11 == 0 else float(i) for i in range(400)]),
+        ("-price", "id"),
+        80,
+    ),
 }
-
-
-#: The two NaN cases, as literal ids: NaN has no place in a total order, so
-#: the model's full sort is no reference for them.  ``nan_newcomers`` -- the
-#: NaNs arrive once 13 better rows are held, pass the prefilter and are cut;
-#: ``nan_threshold`` -- the first row is NaN, nothing ranks below it by ``<``.
-TOP_K_NAN_EXPECTED = {"nan_newcomers": list(range(13)), "nan_threshold": [0]}
 
 
 def check_exact(db, query, rows, **options):
@@ -288,11 +283,7 @@ class TestEndToEndColumnarParity:
         rows, order_by, limit = TOP_K_PREFILTER_CASES[case]
         db = _database(rows)
         query = Query.select("t").order_by(*order_by).with_limit(limit)
-        if case in TOP_K_NAN_EXPECTED:
-            result = assert_batch_size_invariant(db, query)
-            assert [row["id"] for row in result.rows] == TOP_K_NAN_EXPECTED[case]
-        else:
-            result = check_exact(db, query, rows)
+        result = check_exact(db, query, rows)
         assert len(result.rows) == min(limit, len(rows))
 
     @pytest.mark.parametrize(
@@ -388,8 +379,8 @@ class TestSortMergeJoinVectorized:
         assert result.pages_visited == 19
 
     def test_null_join_keys_match_like_the_model(self):
-        # NULL = NULL matches, as in the hash and nested-loop operators (and
-        # the model's ``==``); NULL keys sort after every value.
+        # NULL matches no key, in the merge as in the hash and nested-loop
+        # operators (and the model); NULL keys sort after every value.
         outer = [{"okey": None if i % 4 == 0 else i % 9, "o": i} for i in range(80)]
         inner = [{"ikey": None if i % 5 == 0 else i % 9, "i": i} for i in range(60)]
         db, tables = self._load(
@@ -397,4 +388,4 @@ class TestSortMergeJoinVectorized:
         )
         query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
         result = self._check(db, tables, query)
-        assert any(row["okey"] is None for row in result.rows)
+        assert result.rows and not any(row["okey"] is None for row in result.rows)

@@ -20,13 +20,18 @@ operator body with itself:
   a total ORDER BY, the multiset otherwise, the sort-key prefix and
   containment under a LIMIT over ties, float sums to the last ulps.
 
-The tier-1 corpus is small (see ``--fuzz-iterations`` in the root
-``conftest.py``); soak runs widen it::
+Seeds past the recorded corpus run over a twin of the tables whose prices
+hold NULL and NaN, with predicates that name NULL and NaN and open ranges,
+so the soak corpus holds the value order (``repro.core.ordering``) to the
+model too; the recorded seeds, their rows and their predicates are those of
+the recording.  The tier-1 corpus is small (see ``--fuzz-iterations`` in
+the root ``conftest.py``); soak runs widen it::
 
     PYTHONPATH=src python -m pytest tests/engine/test_fuzz_parity.py --fuzz-iterations 500
 """
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -50,16 +55,26 @@ from tests.engine.runs import (
 )
 
 EXEC_GOLDENS = Path(__file__).with_name("exec_goldens.json")
+#: Seeds the goldens record; later seeds draw NULL and NaN.
+RECORDED_SEEDS = 200
 
 # ---------------------------------------------------------------------------
 # Seeded query generation
 # ---------------------------------------------------------------------------
 
-def _random_predicates(rng):
+def _random_predicates(rng, nullable=False):
     predicates = []
     for _ in range(rng.randrange(0, 3)):
-        kind = rng.randrange(5)
-        if kind == 0:
+        kind = rng.randrange(8 if nullable else 5)
+        if kind == 5:
+            predicates.append(Equals("price", rng.choice([None, math.nan])))
+        elif kind == 6:
+            predicates.append(InSet("price", [math.nan, None, rng.uniform(0, 9_000)]))
+        elif kind == 7:
+            bound = rng.uniform(0, 10_000)
+            bounds = (bound, None) if rng.random() < 0.5 else (None, bound)
+            predicates.append(Between("price", *bounds))
+        elif kind == 0:
             predicates.append(Equals("catid", rng.randrange(NUM_CATEGORIES)))
         elif kind == 1:
             low = rng.uniform(0, 9_000)
@@ -75,31 +90,42 @@ def _random_predicates(rng):
     return predicates
 
 
-def _random_aggregate(rng):
-    return rng.choice(
-        [
-            Aggregate.count(),
-            Aggregate.sum("price"),
-            Aggregate.avg("price"),
-            Aggregate.count_distinct("catid"),
-        ]
+def _random_aggregate(rng, nullable=False):
+    return _scoped(
+        rng.choice(
+            [
+                Aggregate.count(),
+                Aggregate.sum("price"),
+                Aggregate.avg("price"),
+                Aggregate.count_distinct("catid"),
+            ]
+        ),
+        nullable,
     )
+
+
+def _scoped(aggregate, nullable):
+    """Aggregates over NULL and NaN prices are outside the value order: a
+    nullable seed counts instead."""
+    return Aggregate.count() if nullable and aggregate.expression == "price" else aggregate
 
 
 def generate_query(seed):
     """One random query (and an optional forced access method) per seed."""
     rng = random.Random(seed)
-    predicates = _random_predicates(rng)
+    nullable = seed >= RECORDED_SEEDS
+    predicates = _random_predicates(rng, nullable)
     joined = rng.random() < 0.35
     shape = rng.choice(["plain", "plain", "scalar", "grouped"])
 
     kwargs = {}
     if shape == "scalar":
-        kwargs["aggregate"] = _random_aggregate(rng)
+        kwargs["aggregate"] = _random_aggregate(rng, nullable)
     elif shape == "grouped":
         group = rng.choice([("catid",), ("cat2",), ("catid", "cat2")])
-        kwargs["aggregate"] = rng.choice(
-            [Aggregate.count(), Aggregate.avg("price"), Aggregate.sum("qty")]
+        kwargs["aggregate"] = _scoped(
+            rng.choice([Aggregate.count(), Aggregate.avg("price"), Aggregate.sum("qty")]),
+            nullable,
         )
         kwargs["group_by"] = group
         if rng.random() < 0.5:
@@ -142,11 +168,16 @@ def exec_goldens():
     return json.loads(EXEC_GOLDENS.read_text())
 
 
+def _model_tables(nullable):
+    cats = build_cat_rows()
+    return {"items": build_fuzz_rows(nullable), "cats": cats, "catsf": cats}
+
+
 @pytest.fixture(scope="module")
 def model_tables():
-    """The loaded rows, as the plain lists the model evaluates over."""
-    cats = build_cat_rows()
-    return {"items": build_fuzz_rows(), "cats": cats, "catsf": cats}
+    """The loaded rows, as the plain lists the model evaluates over:
+    ``False`` -> the recorded seeds' tables, ``True`` -> their nullable twin."""
+    return {nullable: _model_tables(nullable) for nullable in (False, True)}
 
 
 def pytest_generate_tests(metafunc):
@@ -155,12 +186,15 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("fuzz_seed", range(iterations))
 
 
-def test_fuzz_batch_parity(fuzz_database, fuzz_seed, exec_goldens, model_tables):
+def test_fuzz_batch_parity(
+    fuzz_database, nullable_databases, fuzz_seed, exec_goldens, model_tables
+):
     query, force, batch_sizes = generate_query(fuzz_seed)
     context = f"seed={fuzz_seed} force={force} query={query.describe()}"
     recorded = exec_goldens["flat"]
+    nullable = fuzz_seed >= RECORDED_SEEDS
     result = assert_batch_size_invariant(
-        fuzz_database,
+        nullable_databases("flat") if nullable else fuzz_database,
         query,
         batch_sizes,
         recorded=recorded[fuzz_seed] if fuzz_seed < len(recorded) else None,
@@ -168,7 +202,7 @@ def test_fuzz_batch_parity(fuzz_database, fuzz_seed, exec_goldens, model_tables)
         force=force,
     )
     assert_matches_model(
-        result, query, model_tables, unique_columns=("itemid",), context=context
+        result, query, model_tables[nullable], unique_columns=("itemid",), context=context
     )
 
 
@@ -179,17 +213,19 @@ def test_fuzz_batch_parity(fuzz_database, fuzz_seed, exec_goldens, model_tables)
 def generate_partition_query(seed):
     """One random query (possibly a join) plus a layout and execution modes."""
     rng = random.Random(seed + 777_000)
-    predicates = _random_predicates(rng)
+    nullable = seed >= RECORDED_SEEDS
+    predicates = _random_predicates(rng, nullable)
     joined = rng.random() < 0.35
     join_target = rng.choice(["cats", "catsf"])
     shape = rng.choice(["plain", "plain", "scalar", "grouped"])
     kwargs = {}
     if shape == "scalar":
-        kwargs["aggregate"] = _random_aggregate(rng)
+        kwargs["aggregate"] = _random_aggregate(rng, nullable)
     elif shape == "grouped":
         group = rng.choice([("catid",), ("cat2",), ("catid", "cat2")])
-        kwargs["aggregate"] = rng.choice(
-            [Aggregate.count(), Aggregate.avg("price"), Aggregate.sum("qty")]
+        kwargs["aggregate"] = _scoped(
+            rng.choice([Aggregate.count(), Aggregate.avg("price"), Aggregate.sum("qty")]),
+            nullable,
         )
         kwargs["group_by"] = group
         if rng.random() < 0.4:
@@ -243,10 +279,11 @@ def assert_parallel_identical(reference, candidate, *, context):
 
 
 def test_fuzz_partition_parity(
-    partitioned_databases, fuzz_seed, exec_goldens, model_tables
+    partitioned_databases, nullable_databases, fuzz_seed, exec_goldens, model_tables
 ):
     query, label, batch_sizes, workers = generate_partition_query(fuzz_seed)
-    db = partitioned_databases[label]
+    nullable = fuzz_seed >= RECORDED_SEEDS
+    db = nullable_databases(label) if nullable else partitioned_databases[label]
     context = (
         f"seed={fuzz_seed} layout={label} workers={workers} "
         f"query={query.describe()}"
@@ -260,7 +297,7 @@ def test_fuzz_partition_parity(
         context=context,
     )
     assert_matches_model(
-        serial, query, model_tables, unique_columns=("itemid",), context=context
+        serial, query, model_tables[nullable], unique_columns=("itemid",), context=context
     )
     if workers is not None:
         for batch_size in (None, batch_sizes[0]):

@@ -9,6 +9,8 @@ scheduler / parallel drivers of one partitioned layout, with the rows
 checked against the plain-Python model (``tests/engine/model.py``).
 """
 
+import math
+
 import pytest
 
 from repro.engine.database import Database
@@ -166,10 +168,14 @@ class TestPruning:
         assert self.RANGE.prune(PredicateSet([Equals("qty", 3)])) == (0, 1, 2, 3)
         assert self.RANGE.prune(PredicateSet([])) == (0, 1, 2, 3)
 
-    def test_unorderable_bounds_fall_back_to_all(self):
-        assert self.RANGE.prune(
-            PredicateSet([Between("catid", "a", "b")])
-        ) == (0, 1, 2, 3)
+    def test_a_bound_of_another_family_raises(self):
+        # As comparing it with the key column's values does in any scan.
+        with pytest.raises(TypeError):
+            self.RANGE.prune(PredicateSet([Between("catid", "a", "b")]))
+
+    def test_null_and_nan_keys_route_above_every_boundary(self):
+        assert self.RANGE.partition_of(None) == self.RANGE.partition_of(math.nan) == 3
+        assert self.RANGE.prune(PredicateSet([Between("catid", 25, None)])) == (2, 3)
 
 
 # ---------------------------------------------------------------------------
