@@ -76,8 +76,6 @@ def sorted_lookup_cost(
     correlation: CorrelationProfile,
     profile: TableProfile,
     hw: HardwareParameters,
-    *,
-    clamp_to_scan: bool = True,
 ) -> float:
     """Cost of a sorted (bitmap) secondary index scan with correlations.
 
@@ -95,9 +93,7 @@ def sorted_lookup_cost(
         hw.seek_cost_ms * profile.btree_height + hw.seq_page_cost_ms * c_pages
     )
     cost = n_lookups * correlation.c_per_u * per_value_cost
-    if clamp_to_scan:
-        return min(cost, scan_cost(profile, hw))
-    return cost
+    return min(cost, scan_cost(profile, hw))
 
 
 @dataclass(frozen=True)
@@ -130,8 +126,6 @@ def cm_lookup_cost(
     inputs: CMCostInputs,
     profile: TableProfile,
     hw: HardwareParameters,
-    *,
-    clamp_to_scan: bool = True,
 ) -> float:
     """Cost of answering ``n_lookups`` predicated values through a CM.
 
@@ -151,9 +145,7 @@ def cm_lookup_cost(
     cost = n_lookups * inputs.buckets_per_lookup * per_bucket_cost
     if not inputs.cm_resident:
         cost += hw.seek_cost_ms + hw.seq_page_cost_ms * inputs.cm_pages
-    if clamp_to_scan:
-        return min(cost, scan_cost(profile, hw))
-    return cost
+    return min(cost, scan_cost(profile, hw))
 
 
 def speedup_over_scan(

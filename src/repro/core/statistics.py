@@ -226,42 +226,29 @@ class IncrementalTableStatistics:
         sample_capacity: int = DEFAULT_STATS_SAMPLE_SIZE,
         seed: int = 0,
         bounds_rebuild_deletes: int | None = None,
-        refresh_ops: int | None = None,
     ) -> None:
         if sample_capacity <= 0:
             raise ValueError("sample_capacity must be positive")
         if bounds_rebuild_deletes is not None and bounds_rebuild_deletes <= 0:
             raise ValueError("bounds_rebuild_deletes must be positive")
-        if refresh_ops is not None and refresh_ops <= 0:
-            raise ValueError("refresh_ops must be positive")
         self.sample_capacity = sample_capacity
         self.bounds_rebuild_deletes = (
             bounds_rebuild_deletes
             if bounds_rebuild_deletes is not None
             else max(64, sample_capacity // 100)
         )
-        #: Periodic re-seeding policy: after this many observed inserts +
-        #: deletes the owner should call :meth:`rebuild` with a fresh scan
-        #: (see :attr:`refresh_due`).  ``None`` disables the policy.  This
-        #: is the full-refresh complement of the bounds-only rebuild above:
-        #: once the reservoir is a *subsample*, deletes erode it (discarded
-        #: rows are not replaced) and its distribution slowly drifts from
-        #: the live table; a periodic re-seed restores an exactly uniform --
-        #: or, for small tables, complete -- sample.
-        self.refresh_ops = refresh_ops
         self._seed = seed
         self._reset()
 
     def _reset(self) -> None:
         self._reservoir = ReservoirSampler(self.sample_capacity, seed=self._seed)
         self._total_rows = 0
-        #: attribute -> (min, max) order keys of its non-NULL values; ``None``
-        #: while it has met only NULLs.
+        #: attribute -> (min, max) of its values other than NULL and NaN;
+        #: ``None`` while it has met only those.
         self._minmax: dict[str, tuple[Any, Any] | None] = {}
         self._deletes_since_bounds_rebuild = 0
         #: Whether any delete since the last rebuild hit a min/max value.
         self._bounds_possibly_stale = False
-        self._ops_since_refresh = 0
         self._profile_cache: dict[tuple, CorrelationProfile] = {}
         self._cardinality_cache: dict[tuple, int] = {}
         self._selectivity_cache: dict[Any, float] = {}
@@ -272,22 +259,8 @@ class IncrementalTableStatistics:
 
     # -- maintenance ------------------------------------------------------------
 
-    @property
-    def refresh_due(self) -> bool:
-        """True once ``refresh_ops`` maintenance operations have accumulated.
-
-        The statistics object cannot scan the heap itself; the owning table
-        checks this after each insert/delete and calls :meth:`rebuild` with
-        a fresh row scan when it trips.
-        """
-        return (
-            self.refresh_ops is not None
-            and self._ops_since_refresh >= self.refresh_ops
-        )
-
     def observe_insert(self, row: Mapping[str, Any]) -> None:
         self._total_rows += 1
-        self._ops_since_refresh += 1
         admitted, evicted = self._reservoir.add(row)
         if self._sorted_columns:
             self._follow_reservoir(row if admitted else None, evicted)
@@ -309,7 +282,6 @@ class IncrementalTableStatistics:
         """
         if not rows:
             return
-        self._ops_since_refresh += len(rows)
         self._fold(rows, values)
         self._invalidate()
 
@@ -331,15 +303,15 @@ class IncrementalTableStatistics:
         column at a time.
 
         Equal to :meth:`_observe_value` over each row's items in order: an
-        attribute enters the bounds where the rows first carry it, NULLs
-        (and missing columns) move no bound, and ``min`` / ``max`` over the
+        attribute enters the bounds where the rows first carry it, NULLs,
+        NaNs and missing columns move no bound, and ``min`` / ``max`` over the
         order keys keep the first of equal extremes exactly as the fold does.
         """
         minmax = self._minmax
         for attribute, values in values_of.items():
             keys = order_keys(values)
-            if keys is not values:  # a NULL or a NaN: the NULLs move no bound
-                keys = [key for key in keys if key is not NULL_KEY]
+            if keys is not values:  # a NULL or a NaN: neither moves a bound
+                keys = [key for key in keys if key is not NULL_KEY and key is not NAN_KEY]
             bounds = minmax.get(attribute)
             if keys:
                 low, high = min(keys), max(keys)
@@ -350,7 +322,6 @@ class IncrementalTableStatistics:
 
     def observe_delete(self, row: Mapping[str, Any]) -> None:
         self._total_rows = max(0, self._total_rows - 1)
-        self._ops_since_refresh += 1
         if self._reservoir.discard(row) and self._sorted_columns:
             # The sampled copy equals ``row``, so its values do too.
             self._follow_reservoir(None, row)
@@ -409,15 +380,14 @@ class IncrementalTableStatistics:
     def rebuild(self, rows: Iterable[Mapping[str, Any]]) -> None:
         """Recompute from scratch: re-seed the reservoir, bounds and caches.
 
-        Called by DDL that rewrites the heap anyway (clustering) and by the
-        periodic :attr:`refresh_due` policy; also resets the refresh clock.
+        Called by DDL that rewrites the heap anyway (clustering).
         """
         self._reset()
         self._fold(list(rows))
 
     def _observe_value(self, attribute: str, value: Any) -> None:
         value = order_key(value)
-        if value is NULL_KEY:
+        if value is NULL_KEY or value is NAN_KEY:
             self._minmax.setdefault(attribute, None)
             return
         bounds = self._minmax.get(attribute)
@@ -449,13 +419,13 @@ class IncrementalTableStatistics:
         return len(self._reservoir) == self._total_rows
 
     def attribute_range(self, attribute: str) -> tuple[Any, Any] | None:
-        """Incrementally-maintained ``(min, max)`` of the non-NULL values;
-        ``None`` when there is none."""
-        bounds = self._minmax.get(attribute)
-        if bounds is None:
-            return None
-        low, high = (float("nan") if bound is NAN_KEY else bound for bound in bounds)
-        return low, high
+        """Incrementally-maintained ``(min, max)`` of the values other than
+        NULL and NaN; ``None`` when there is none.
+
+        A NaN sorts above every number but has no place on the number line,
+        so a range's share of the domain is measured between these bounds.
+        """
+        return self._minmax.get(attribute)
 
     def match_fraction(
         self,

@@ -85,7 +85,6 @@ class Database:
         disk_params: DiskParameters | None = None,
         buffer_pool_pages: int = DEFAULT_BUFFER_POOL_PAGES,
         stats_sample_size: int = DEFAULT_STATS_SAMPLE_SIZE,
-        stats_refresh_ops: int | None = None,
         batch_size: int | None = DEFAULT_BATCH_SIZE,
     ) -> None:
         if batch_size is not None and batch_size < 1:
@@ -104,11 +103,6 @@ class Database:
         self.hardware = HardwareParameters.from_disk(self.disk.params)
         self.planner = Planner(self.hardware)
         self.stats_sample_size = stats_sample_size
-        #: Re-seed each table's statistics (reservoir, bounds, caches) from a
-        #: heap scan after this many inserts+deletes; ``None`` disables the
-        #: periodic refresh policy (the default -- the incremental updates
-        #: are exact while the sample is complete).
-        self.stats_refresh_ops = stats_refresh_ops
         #: Whether join planning over partitioned tables may fall back to a
         #: repartitioning exchange (hash-splitting the build side into the
         #: outer table's partition layout).  With it off, a join whose only
@@ -154,7 +148,6 @@ class Database:
                 buffer_pool_pages=self.buffer_pool.capacity_pages,
                 tups_per_page=tups_per_page,
                 stats_sample_size=self.stats_sample_size,
-                stats_refresh_ops=self.stats_refresh_ops,
             )
             self.tables[name] = partitioned
             return partitioned
@@ -163,7 +156,6 @@ class Database:
             self.buffer_pool,
             tups_per_page=tups_per_page,
             stats_sample_size=self.stats_sample_size,
-            stats_refresh_ops=self.stats_refresh_ops,
         )
         self.tables[name] = table
         return table
@@ -690,7 +682,6 @@ class Database:
         rows: Iterable[Mapping[str, Any]],
         *,
         batch_size: int | None = None,
-        two_phase_commit: bool = True,
     ) -> MaintenanceResult:
         """Insert rows, maintaining heap, secondary indexes, CMs and the WAL.
 
@@ -719,10 +710,10 @@ class Database:
                 transaction.log("cm_update", {"cm": cm.name}, size_bytes=32)
             affected += 1
             if batch_size and affected % batch_size == 0:
-                transaction.commit(two_phase=two_phase_commit)
+                transaction.commit()
                 transaction = None
         if transaction is not None:
-            transaction.commit(two_phase=two_phase_commit)
+            transaction.commit()
         io = self._fold_device_windows(self.disk.window_since(before), device_snaps)
         return MaintenanceResult(
             rows_affected=affected,
@@ -764,8 +755,6 @@ class Database:
         self,
         table: str,
         predicates: PredicateSet | Sequence[Predicate],
-        *,
-        two_phase_commit: bool = True,
     ) -> MaintenanceResult:
         """Delete every row matching ``predicates``.
 
@@ -803,7 +792,7 @@ class Database:
                 for cm in source.correlation_maps.values():
                     transaction.log("cm_update", {"cm": cm.name}, size_bytes=32)
                 affected += 1
-        transaction.commit(two_phase=two_phase_commit)
+        transaction.commit()
         io = self._fold_device_windows(self.disk.window_since(before), device_snaps)
         return MaintenanceResult(
             rows_affected=affected,
@@ -950,46 +939,6 @@ class Database:
                 f"write-write conflict on {table!r}: the version is already "
                 f"deleted by concurrent transaction {xmax}"
             )
-
-    # -- concurrent serving ------------------------------------------------------------------
-
-    def run_concurrent(
-        self,
-        queries: Sequence[Query],
-        *,
-        max_concurrent: int = 8,
-        policy: str = "fair",
-        batch_size: int | None = None,
-        page_budget: int | None = None,
-        cpu_ms_budget: float | None = None,
-    ) -> list[QueryResult]:
-        """Serve ``queries`` concurrently through one cooperative scheduler.
-
-        Every query is admitted (up to ``max_concurrent`` at once), pins its
-        snapshot at admission and advances one scheduling quantum at a time
-        over the shared buffer pool; see
-        :class:`repro.engine.scheduler.QueryScheduler` for the scheduling
-        surface (budgets, priorities, per-query latencies).  Results come
-        back in submission order.  The first failed query's error is
-        re-raised.
-        """
-        from repro.engine.scheduler import QueryScheduler
-
-        scheduler = QueryScheduler(
-            self,
-            max_concurrent=max_concurrent,
-            policy=policy,
-            batch_size=batch_size,
-        )
-        for query in queries:
-            scheduler.submit(
-                query, page_budget=page_budget, cpu_ms_budget=cpu_ms_budget
-            )
-        scheduled = scheduler.run()
-        for entry in scheduled:
-            if entry.error is not None:
-                raise entry.error
-        return [entry.result for entry in scheduled]
 
     # -- cache and measurement control -------------------------------------------------------
 

@@ -181,7 +181,6 @@ class PartitionedTable:
         buffer_pool_pages: int,
         tups_per_page: int | None = None,
         stats_sample_size: int = DEFAULT_STATS_SAMPLE_SIZE,
-        stats_refresh_ops: int | None = None,
     ) -> None:
         if not schema.has_column(spec.key):
             raise KeyError(
@@ -204,7 +203,6 @@ class PartitionedTable:
                     pool,
                     tups_per_page=tups_per_page,
                     stats_sample_size=stats_sample_size,
-                    stats_refresh_ops=stats_refresh_ops,
                 )
             )
             devices.append(device)
@@ -215,9 +213,7 @@ class PartitionedTable:
         #: (:func:`~repro.core.ordering.claim_families`).
         self.families: dict[str, type] = {}
         #: Whole-table planner statistics (the children keep their own).
-        self.statistics = IncrementalTableStatistics(
-            sample_capacity=stats_sample_size, refresh_ops=stats_refresh_ops
-        )
+        self.statistics = IncrementalTableStatistics(sample_capacity=stats_sample_size)
 
     # -- basic properties --------------------------------------------------------
 

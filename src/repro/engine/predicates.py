@@ -225,19 +225,6 @@ class PredicateSet:
     def matches(self, row: Mapping[str, Any]) -> bool:
         return all(predicate.matches(row) for predicate in self.predicates)
 
-    def batch_filter(self, rows: list) -> list:
-        """The rows surviving every predicate (batch twin of :meth:`matches`).
-
-        One compiled comprehension over the batch (see :meth:`batch_kernel`):
-        the same conjunction as :meth:`matches`, short-circuited row-major
-        left to right, with the comparisons inlined rather than dispatched
-        through per-predicate closures.  An empty set returns ``rows``
-        unchanged.
-        """
-        if not self.predicates:
-            return rows
-        return self.batch_kernel()(rows)
-
     def batch_kernel(
         self, project: Sequence[str] | None = None
     ) -> Callable[[list], list]:

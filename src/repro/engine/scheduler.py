@@ -6,11 +6,9 @@ preemption point that needs no threads and no locks.  The
 :class:`QueryScheduler` exploits it: it admits up to ``max_concurrent``
 queries, gives each its own plan tree, :class:`ExecutionContext` and MVCC
 snapshot (pinned at admission), and round-robins the *runnable* set one
-scheduling quantum at a time.  A quantum pulls batches from one query's plan
-until the query's per-turn budget -- heap pages visited and/or simulated
-CPU-milliseconds -- is spent (one batch per turn without budgets); the query
-then yields with all counters intact and resumes exactly where it stopped,
-courtesy of the generator-based pipelines.
+scheduling quantum at a time.  A quantum is one batch pull from one query's
+plan; the query then yields with all counters intact and resumes exactly
+where it stopped, courtesy of the generator-based pipelines.
 
 Everything physical is shared, so *cache interference is a first-class,
 measurable effect*: all queries hit the same :class:`~repro.storage.
@@ -25,17 +23,9 @@ simulated milliseconds from submission to completion, so queueing delay and
 interference are visible in the same unit as every other cost in the
 repository.
 
-Scheduling policies:
-
-``fair``
-    Strict round-robin over the runnable queries: the next query to run is
-    always the one that has waited longest, so a long scan cannot starve a
-    point lookup (it yields after every quantum).
-
-``priority``
-    The highest-priority runnable query runs next; ties rotate round-robin.
-    Lower-priority queries run only when no higher-priority query is
-    runnable, i.e. starvation of low priorities is accepted by design.
+The one scheduling policy is ``fair``: strict round-robin over the runnable
+queries.  The next query to run is always the one that has waited longest,
+so a long scan cannot starve a point lookup (it yields after every quantum).
 
 The scheduler is deterministic: no wall clock and no randomness influence
 any decision, so a given submission sequence replays the exact same
@@ -58,9 +48,6 @@ from repro.storage.disk import DiskModel, IOBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.database import Database
-
-#: Scheduling policies :class:`QueryScheduler` understands.
-POLICIES = ("fair", "priority")
 
 def _window_since(
     devices: Sequence[DiskModel], snapshots: Sequence[IOBreakdown]
@@ -89,10 +76,8 @@ class QuantumReport:
     """What one :meth:`QueryScheduler.step` call did (telemetry/tests)."""
 
     label: str
-    batches: int
     rows: int
     pages: int
-    cpu_ms: float
     finished: bool
     failed: bool = False
 
@@ -103,7 +88,8 @@ class ScheduledQuery:
     Exposes the admission-to-completion timeline in simulated milliseconds
     (``submitted_ms`` / ``admitted_ms`` / ``finished_ms``) plus per-query
     totals: ``io`` accumulates the quantum I/O windows attributed to this
-    query, ``quanta`` counts its turns.  ``result`` is the ordinary
+    query, ``quanta`` counts its turns and ``pages_visited`` the logical
+    pages its plan has visited so far.  ``result`` is the ordinary
     :class:`~repro.engine.query.QueryResult` (built from this query's own
     counters and I/O) once the query finishes; ``error`` holds the raising
     exception if it failed.
@@ -114,18 +100,12 @@ class ScheduledQuery:
         query: Query,
         *,
         label: str,
-        priority: int,
-        page_budget: int | None,
-        cpu_ms_budget: float | None,
         run_kwargs: dict[str, Any],
         snapshot: Snapshot | None,
         transaction: Transaction | None,
     ) -> None:
         self.query = query
         self.label = label
-        self.priority = priority
-        self.page_budget = page_budget
-        self.cpu_ms_budget = cpu_ms_budget
         self.run_kwargs = run_kwargs
         self.state = WAITING
         #: The snapshot pinned at admission (or the one explicitly passed).
@@ -133,12 +113,15 @@ class ScheduledQuery:
         self.transaction = transaction
         self.plan = None
         self.context: ExecutionContext | None = None
+        #: The shared disk plus the plan's partition devices, fixed at
+        #: admission: the devices each quantum's I/O window folds.
+        self.devices: tuple[DiskModel, ...] = ()
         self.rows: list[dict[str, Any]] = []
         self.result: QueryResult | None = None
         self.error: Exception | None = None
         self.io = IOBreakdown()
         self.quanta = 0
-        self.batches = 0
+        self.pages_visited = 0
         self.submitted_ms: float = 0.0
         self.admitted_ms: float | None = None
         self.finished_ms: float | None = None
@@ -179,7 +162,7 @@ class QueryScheduler:
         once; the rest wait in FIFO order and are admitted as slots free up
         (their snapshots are pinned at admission, not submission).
     policy:
-        ``"fair"`` or ``"priority"`` (see the module docstring).
+        Only ``"fair"`` (see the module docstring).
     batch_size:
         Rows per scheduling quantum pull; defaults to the database's batch
         size.
@@ -195,11 +178,10 @@ class QueryScheduler:
     ) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be positive")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r} (one of {POLICIES})")
+        if policy != "fair":
+            raise ValueError(f"unknown policy {policy!r} (only 'fair')")
         self.database = database
         self.max_concurrent = max_concurrent
-        self.policy = policy
         self.batch_size = batch_size if batch_size is not None else database.batch_size
         self._waiting: deque[ScheduledQuery] = deque()
         self._runnable: deque[ScheduledQuery] = deque()
@@ -212,9 +194,6 @@ class QueryScheduler:
         query: Query,
         *,
         label: str | None = None,
-        priority: int = 0,
-        page_budget: int | None = None,
-        cpu_ms_budget: float | None = None,
         snapshot: Snapshot | None = None,
         transaction: Transaction | None = None,
         force: str | None = None,
@@ -224,22 +203,12 @@ class QueryScheduler:
     ) -> ScheduledQuery:
         """Queue a query; it is admitted as soon as a slot is free.
 
-        ``page_budget`` / ``cpu_ms_budget`` bound one scheduling *turn* (the
-        query keeps pulling batches within a turn until either is spent);
-        without them a turn is exactly one batch.  ``priority`` only matters
-        under the priority policy.  ``snapshot``/``transaction`` override
-        the snapshot otherwise pinned at admission.
+        ``snapshot``/``transaction`` override the snapshot otherwise pinned
+        at admission.
         """
-        if page_budget is not None and page_budget < 1:
-            raise ValueError("page_budget must be positive")
-        if cpu_ms_budget is not None and cpu_ms_budget <= 0:
-            raise ValueError("cpu_ms_budget must be positive")
         entry = ScheduledQuery(
             query,
             label=label or f"q{len(self._all)}",
-            priority=priority,
-            page_budget=page_budget,
-            cpu_ms_budget=cpu_ms_budget,
             run_kwargs={
                 "force": force,
                 "force_join": force_join,
@@ -278,6 +247,7 @@ class QueryScheduler:
                 entry.state = FAILED
                 entry.finished_ms = db.elapsed_ms()
                 continue
+            entry.devices = (db.disk, *exchange_devices(entry.plan))
             entry._iterator = db._batches(entry.plan, entry.context, self.batch_size)
             entry.admitted_ms = db.elapsed_ms()
             entry.state = RUNNING
@@ -303,13 +273,13 @@ class QueryScheduler:
     def step(self) -> QuantumReport | None:
         """Run one scheduling quantum; ``None`` when nothing is runnable.
 
-        Deterministic: which query runs is fully decided by the policy and
-        the submission/yield history, so a scripted interleaving replays
-        identically -- the property the anomaly tests rely on.
+        Deterministic: which query runs is fully decided by the submission/
+        yield history, so a scripted interleaving replays identically -- the
+        property the anomaly tests rely on.
         """
         if not self._runnable:
             return None
-        entry = self._pick()
+        entry = self._runnable.popleft()
         report = self._run_quantum(entry)
         if entry.finished:
             self._admit()
@@ -323,77 +293,50 @@ class QueryScheduler:
             self.step()
         return list(self._all)
 
-    def _pick(self) -> ScheduledQuery:
-        if self.policy == "priority":
-            best = max(range(len(self._runnable)), key=lambda i: self._runnable[i].priority)
-            entry = self._runnable[best]
-            del self._runnable[best]
-            return entry
-        return self._runnable.popleft()
-
     def _run_quantum(self, entry: ScheduledQuery) -> QuantumReport:
-        """Pull batches from one query until its per-turn budget is spent.
+        """Pull one batch from one query.
 
-        Each pull's I/O window is attributed to the query; the page meter
-        counts *logical* pages visited (buffer-pool hits included), so a
-        budget means the same amount of work whatever the cache holds.
+        The pull's I/O window is attributed to the query; ``pages`` counts
+        the *logical* pages the pull visited (buffer-pool hits included).
+        A query that finishes or fails drops the rows it collected: a
+        finished one hands them to its result.
         """
         db = self.database
         assert entry._iterator is not None and entry.plan is not None
-        devices: tuple[DiskModel, ...] = (db.disk, *exchange_devices(entry.plan))
         entry.quanta += 1
-        batches = rows = 0
-        pages = 0
-        cpu_ms = 0.0
-        failed = finished = False
-        collect = entry.rows.extend
-        while True:
-            pages_before = entry.plan.total_counters().pages_visited
-            before = [device.snapshot() for device in devices]
-            try:
-                batch = next(entry._iterator)
-            except StopIteration:
-                entry.io = entry.io.add(_window_since(devices, before))
-                finished = True
-                break
-            except Exception as exc:  # noqa: BLE001 - reported on the entry
-                entry.io = entry.io.add(_window_since(devices, before))
-                entry.error = exc
-                failed = True
-                break
-            window = _window_since(devices, before)
-            entry.io = entry.io.add(window)
-            entry.batches += 1
-            batches += 1
-            rows += len(batch)
-            collect(batch)
-            pages += entry.plan.total_counters().pages_visited - pages_before
-            cpu_ms += window.elapsed_ms(db.disk.params)
-            if entry.page_budget is None and entry.cpu_ms_budget is None:
-                break
-            if entry.page_budget is not None and pages >= entry.page_budget:
-                break
-            if entry.cpu_ms_budget is not None and cpu_ms >= entry.cpu_ms_budget:
-                break
+        rows = 0
+        finished = failed = False
+        before = [device.snapshot() for device in entry.devices]
+        try:
+            batch = next(entry._iterator)
+        except StopIteration:
+            finished = True
+        except Exception as exc:  # noqa: BLE001 - reported on the entry
+            entry.error = exc
+            failed = True
+        else:
+            rows = len(batch)
+            entry.rows.extend(batch)
+        entry.io = entry.io.add(_window_since(entry.devices, before))
+        visited = entry.plan.total_counters().pages_visited
+        pages = visited - entry.pages_visited
+        entry.pages_visited = visited
         if finished:
             entry.result = db._build_result(
                 entry.query, entry.plan, entry.rows, entry.context, entry.io
             )
-            entry.rows = []
             entry.state = FINISHED
         elif failed:
             entry.state = FAILED
-            if entry._iterator is not None:
-                entry._iterator.close()
+            entry._iterator.close()
         if entry.finished:
+            entry.rows = []
             entry.finished_ms = db.elapsed_ms()
             entry._iterator = None
         return QuantumReport(
             label=entry.label,
-            batches=batches,
             rows=rows,
             pages=pages,
-            cpu_ms=cpu_ms,
             finished=finished,
             failed=failed,
         )

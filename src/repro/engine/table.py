@@ -69,7 +69,6 @@ class Table:
         *,
         tups_per_page: int | None = None,
         stats_sample_size: int = DEFAULT_STATS_SAMPLE_SIZE,
-        stats_refresh_ops: int | None = None,
     ) -> None:
         self.schema = schema
         self.buffer_pool = buffer_pool
@@ -89,12 +88,8 @@ class Table:
         self._cm_uses_buckets: dict[str, bool] = {}
 
         #: Planner statistics maintained incrementally under inserts/deletes;
-        #: planning never scans the heap (see ARCHITECTURE.md).  The optional
-        #: periodic re-seed (``stats_refresh_ops``) is the one maintenance
-        #: path that scans it, amortised over that many DML operations.
-        self.statistics = IncrementalTableStatistics(
-            sample_capacity=stats_sample_size, refresh_ops=stats_refresh_ops
-        )
+        #: planning never scans the heap (see ARCHITECTURE.md).
+        self.statistics = IncrementalTableStatistics(sample_capacity=stats_sample_size)
 
         #: column -> the value family its first non-NULL value fixed (see
         #: :meth:`admit`).
@@ -416,7 +411,6 @@ class Table:
         for cm in self.correlation_maps.values():
             cm.insert(row)
         self.statistics.observe_insert(row)
-        self._maybe_refresh_statistics()
         return rid
 
     def delete_row(self, rid: RID, *, charge_io: bool = True) -> dict[str, Any] | None:
@@ -430,7 +424,6 @@ class Table:
         for cm in self.correlation_maps.values():
             cm.delete(row)
         self.statistics.observe_delete(row)
-        self._maybe_refresh_statistics()
         return row
 
     # -- MVCC version writes ---------------------------------------------------------------------
@@ -473,18 +466,6 @@ class Table:
         row[XMAX_COLUMN] = xid
         self.mvcc_versioned = True
         return row
-
-    def _maybe_refresh_statistics(self) -> None:
-        """The periodic re-seeding policy (``stats_refresh_ops``).
-
-        Once enough DML has accumulated, the statistics are rebuilt from one
-        accounting-free heap scan: the reservoir is re-seeded (restoring a
-        uniform -- or complete -- sample after delete erosion), the min/max
-        bounds snap back to the live domain, and the derived-statistics
-        caches start fresh.  Disabled (``None``) by default.
-        """
-        if self.statistics.refresh_due:
-            self.statistics.rebuild(self.heap.all_rows())
 
     # -- statistics --------------------------------------------------------------------------------
 

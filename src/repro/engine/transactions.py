@@ -166,17 +166,13 @@ class Transaction:
         self.records += 1
         self.manager.stats.records_logged += 1
 
-    def commit(self, *, two_phase: bool = True) -> None:
-        """Commit; ``two_phase=True`` mirrors the prototype's 2PC with PostgreSQL."""
+    def commit(self) -> None:
+        """Commit through two-phase commit, the prototype's 2PC with PostgreSQL."""
         if self.closed:
             raise RuntimeError("transaction already closed")
-        if two_phase:
-            self.manager.wal.prepare({"xid": self.xid})
-            self.manager.wal.commit_prepared({"xid": self.xid})
-            self.manager.stats.flushes += 2
-        else:
-            self.manager.wal.commit({"xid": self.xid})
-            self.manager.stats.flushes += 1
+        self.manager.wal.prepare({"xid": self.xid})
+        self.manager.wal.commit_prepared({"xid": self.xid})
+        self.manager.stats.flushes += 2
         self.closed = True
         self.manager._finish(self.xid, COMMITTED)
         self.manager.stats.transactions += 1

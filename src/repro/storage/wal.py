@@ -4,8 +4,8 @@ The paper's prototype keeps correlation maps in main memory and makes them
 recoverable by writing their updates to a transaction log that is flushed
 during two-phase commit with PostgreSQL.  Secondary B+Trees likewise pay WAL
 costs for every page they dirty.  This module reproduces the accounting: log
-records accumulate in a buffer and each flush (commit / prepare) charges one
-fsync seek plus the sequential write of the buffered log pages.
+records accumulate in a buffer and each flush (prepare / commit_prepared)
+charges one fsync seek plus the sequential write of the buffered log pages.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ class WriteAheadLog:
         self._flushed_lsn = self._next_lsn - 1
         return pages
 
-    def commit(self, payload: dict[str, Any] | None = None) -> None:
-        """Append a commit record and flush (simple single-phase commit)."""
-        self.append("commit", payload)
-        self.flush()
-
     def prepare(self, payload: dict[str, Any] | None = None) -> None:
         """First phase of two-phase commit: persist the prepare record."""
         self.append("prepare", payload)
@@ -108,9 +103,9 @@ class WriteAheadLog:
         :meth:`repro.engine.transactions.Transaction.log`): MVCC writes log
         ``insert_version`` / ``delete_version`` / ``update_version``,
         correlation-map maintenance logs ``cm_update``, and termination logs
-        ``prepare`` + ``commit_prepared`` (2PC), ``commit`` (single-phase)
-        or ``abort``.  Recovery-style inspection and the isolation tests use
-        this to audit what one transaction durably claimed to have done.
+        ``prepare`` + ``commit_prepared`` (2PC) or ``abort``.  Recovery-style
+        inspection and the isolation tests use this to audit what one
+        transaction durably claimed to have done.
         """
         return [record for record in self.records if record.payload.get("xid") == xid]
 

@@ -73,7 +73,6 @@ def observed_state(stats):
             for a, bounds in stats._minmax.items()
         ],
         "total_rows": stats.total_rows,
-        "ops": stats._ops_since_refresh,
         "sorted_columns": {
             attribute: [id(value) for value in run.items]
             for attribute, run in stats._sorted_columns.items()

@@ -75,7 +75,7 @@ def test_empty_matches_cost_zero(advisor):
     assert benefit.speedups[0].speedup == float("inf")
 
 
-def test_full_table_matches_clamp_to_scan(advisor):
+def test_full_table_match_costs_a_scan(advisor):
     adv, rows = advisor
     predicates = {"mirror": lambda row: True}
     benefit = adv.simulate_clustering("group", predicates)

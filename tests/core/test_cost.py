@@ -36,7 +36,7 @@ def test_pipelined_rejects_negative_lookups():
 
 def test_sorted_cost_formula_uncapped():
     corr = CorrelationProfile(c_per_u=2.0, c_tups=200, u_tups=100)
-    cost = sorted_lookup_cost(3, corr, PROFILE, HW, clamp_to_scan=False)
+    cost = sorted_lookup_cost(3, corr, PROFILE, HW)  # far below the scan cost
     c_pages = 200 / 100
     expected = 3 * 2.0 * (5.5 * 3 + 0.078 * c_pages)
     assert cost == pytest.approx(expected)

@@ -144,7 +144,7 @@ def test_bound_outside_the_column_family_raises():
     with pytest.raises(TypeError):
         stats.range_fraction("v", "1", None)
     with pytest.raises(TypeError):
-        PredicateSet([Between("v", "1", None)]).batch_filter(stats.sample_rows)
+        PredicateSet([Between("v", "1", None)]).batch_kernel()(stats.sample_rows)
     # A column no row carries is all NULL: no range holds any of it.
     assert stats.range_fraction("missing", 0, 1) == 0.0
     # A refused bound does not cost the column its later answers.

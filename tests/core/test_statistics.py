@@ -235,78 +235,3 @@ class TestDeleteHeavyBoundsRebuild:
         assert table.attribute_range("k") == (0, 499)
         assert 90 <= before <= 110
         assert 90 <= after <= 110
-
-
-class TestPeriodicStatisticsRefresh:
-    """The ``stats_refresh_ops`` re-seeding policy (ISSUE satellite)."""
-
-    def test_refresh_due_counts_inserts_and_deletes(self):
-        from repro.core.statistics import IncrementalTableStatistics
-
-        stats = IncrementalTableStatistics(sample_capacity=4, refresh_ops=5)
-        rows = [{"v": i} for i in range(3)]
-        for row in rows:
-            stats.observe_insert(row)
-        assert not stats.refresh_due
-        stats.observe_delete(rows[0])
-        stats.observe_delete(rows[1])
-        assert stats.refresh_due
-        stats.rebuild([rows[2]])  # a rebuild resets the refresh clock
-        assert not stats.refresh_due
-
-    def test_refresh_ops_validation(self):
-        import pytest as _pytest
-
-        from repro.core.statistics import IncrementalTableStatistics
-
-        with _pytest.raises(ValueError):
-            IncrementalTableStatistics(refresh_ops=0)
-
-    def test_disabled_by_default(self):
-        from repro.core.statistics import IncrementalTableStatistics
-
-        stats = IncrementalTableStatistics(sample_capacity=2)
-        for i in range(1000):
-            stats.observe_insert({"v": i})
-        assert not stats.refresh_due
-
-    def test_table_reseeds_after_enough_dml(self):
-        """Delete erosion on a subsampled reservoir heals at the refresh.
-
-        200 loaded rows overflow the 120-row reservoir, so the sample is a
-        subsample and the delete-churn bounds rebuild (which requires a
-        *complete* sample) can never clip the stale bounds.  The periodic
-        re-seed scans the heap instead: ``refresh_ops=33`` makes the 100th
-        delete trip the fourth refresh (200 load ops trip one immediately,
-        then every 33 deletes: 34, 67, 100), at which point the 100
-        survivors fit the reservoir again -- complete sample, exact bounds.
-        """
-        from repro.engine.database import Database
-        from repro.engine.predicates import Between
-
-        def build(refresh_ops):
-            db = Database(
-                buffer_pool_pages=200,
-                stats_sample_size=120,
-                stats_refresh_ops=refresh_ops,
-            )
-            db.create_table("t", columns=["k"], tups_per_page=20)
-            db.load("t", [{"k": i} for i in range(200)])
-            return db
-
-        # Without the policy, deleting half the table erodes the subsampled
-        # reservoir (discarded sample rows are never replaced) and the
-        # bounds stay conservatively wide forever.
-        eroded = build(None)
-        eroded.delete("t", [Between("k", 100, 199)])
-        eroded_stats = eroded.table("t").statistics
-        assert not eroded_stats.sample_is_complete
-        assert len(eroded_stats.sample_rows) < eroded.table("t").num_rows
-        assert eroded.table("t").attribute_range("k") == (0, 199)
-
-        refreshed = build(33)
-        refreshed.delete("t", [Between("k", 100, 199)])
-        stats = refreshed.table("t").statistics
-        assert stats.sample_is_complete
-        assert len(stats.sample_rows) == refreshed.table("t").num_rows == 100
-        assert refreshed.table("t").attribute_range("k") == (0, 99)

@@ -59,19 +59,19 @@ def _rows_with_nulls(n=200, seed=3, null_share=0.2):
 class TestBatchFilter:
     def test_empty_predicate_set_returns_rows_unchanged(self):
         rows = [{"a": 1}, {"a": 2}]
-        assert PredicateSet().batch_filter(rows) is rows
+        assert PredicateSet().batch_kernel()(rows) == rows
 
     def test_all_rows_filtered(self):
         rows = [{"a": value} for value in range(10)]
-        assert PredicateSet.of(Equals("a", -1)).batch_filter(rows) == []
+        assert PredicateSet.of(Equals("a", -1)).batch_kernel()(rows) == []
 
     def test_null_values_in_predicate_columns(self):
         rows = [{"a": None}, {"a": 1}, {"a": None}, {"a": 2}]
         # NULL matches no comparison, ``= NULL`` and ``IN (..., NULL)`` included.
-        assert PredicateSet.of(Equals("a", 1)).batch_filter(rows) == [{"a": 1}]
-        assert PredicateSet.of(Equals("a", None)).batch_filter(rows) == []
-        assert PredicateSet.of(InSet("a", [2, None])).batch_filter(rows) == [{"a": 2}]
-        assert PredicateSet.of(Between("a", 0, None)).batch_filter(rows) == [
+        assert PredicateSet.of(Equals("a", 1)).batch_kernel()(rows) == [{"a": 1}]
+        assert PredicateSet.of(Equals("a", None)).batch_kernel()(rows) == []
+        assert PredicateSet.of(InSet("a", [2, None])).batch_kernel()(rows) == [{"a": 2}]
+        assert PredicateSet.of(Between("a", 0, None)).batch_kernel()(rows) == [
             {"a": 1},
             {"a": 2},
         ]
@@ -95,7 +95,7 @@ class TestBatchFilter:
         ]
         predicate_set = PredicateSet(predicates)
         expected = [row for row in rows if predicate_set.matches(row)]
-        assert predicate_set.batch_filter(rows) == expected
+        assert predicate_set.batch_kernel()(rows) == expected
 
     def test_kernel_with_projection_filters_then_projects(self):
         rows = [{"a": i, "b": i * 10, "c": i * 100} for i in range(6)]

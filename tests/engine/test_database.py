@@ -104,11 +104,6 @@ class TestMaintenance:
         assert db.insert("items", []).log_flushes == 0
         assert db.transactions.active == set()
 
-    def test_insert_single_phase_commit(self, indexed_database):
-        rows = make_rows(n=10, seed=9)
-        outcome = indexed_database.insert("items", rows, two_phase_commit=False)
-        assert outcome.log_flushes == 1
-
     def test_more_indexes_cost_more_to_maintain(self, item_rows):
         """The Figure 8 mechanism: extra B+Trees slow down inserts."""
 

@@ -11,6 +11,7 @@ rows and wants every index and CM to forget them.
 """
 
 import math
+import random
 
 import pytest
 
@@ -129,6 +130,38 @@ def test_a_nan_bound_is_refused():
         Between("price", NAN, 5.0)
     with pytest.raises(ValueError):
         Between("price", None, NAN)
+
+
+@pytest.mark.parametrize("partitioned", [False, True], ids=["flat", "hash4"])
+def test_one_nan_does_not_widen_a_range_estimate(partitioned):
+    """A NaN has no place on the number line, so the range's share of the
+    domain is measured between the numeric bounds, with or without it."""
+
+    def estimate(with_nan):
+        rng = random.Random(7)
+        rows = [
+            {"id": i, "cat": rng.randrange(50), "price": round(rng.uniform(0, 1000), 2)}
+            for i in range(4000)
+        ]
+        if with_nan:
+            rows[2000]["price"] = NAN
+        db = Database(buffer_pool_pages=200)
+        options = {"partition_by": PartitionSpec.by_hash("id", 4)} if partitioned else {}
+        db.create_table("items", sample_row=rows[0], tups_per_page=50, **options)
+        db.load("items", rows)
+        db.cluster("items", "cat", pages_per_bucket=4)
+        db.create_secondary_index("items", "price")
+        table = db.table("items")
+        predicates = PredicateSet([Between("price", 100.0, 103.0)])
+        return table.attribute_range("price"), db.planner._estimate_n_lookups(
+            table, predicates, ["price"]
+        )
+
+    (low, high), plain = estimate(False)
+    bounds, with_nan = estimate(True)
+    assert bounds == (low, high)
+    assert plain == 12
+    assert abs(with_nan - plain) <= 1
 
 
 def children(db):

@@ -19,6 +19,7 @@ from repro.engine.partition import PartitionSpec, stable_partition_hash
 from repro.engine.plan import SortNode, TopKNode
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.query import Aggregate, Query
+from repro.engine.scheduler import QueryScheduler
 from tests.engine.model import assert_matches_model
 from tests.engine.runs import assert_batch_size_invariant
 
@@ -370,6 +371,17 @@ def run_cold(db, query, *, batch_size=-1, parallel=None):
     return db.run_query(query, cold_cache=True, parallel=parallel)
 
 
+def run_scheduled(db, *queries):
+    """Interleave ``queries`` through one scheduler; results in submission order."""
+    scheduler = QueryScheduler(db)
+    for query in queries:
+        scheduler.submit(query)
+    entries = scheduler.run()
+    for entry in entries:
+        assert entry.error is None, entry.error
+    return [entry.result for entry in entries]
+
+
 def assert_identical_stats(reference, candidate, *, context):
     assert candidate.rows_examined == reference.rows_examined, context
     assert candidate.rows_matched == reference.rows_matched, context
@@ -398,7 +410,7 @@ class TestExecutionParity:
         reference = run_cold(db, query)
         db.reset_measurements()
         db.drop_caches()
-        (candidate,) = db.run_concurrent([query])
+        (candidate,) = run_scheduled(db, query)
         assert_identical_stats(reference, candidate, context=f"{query.name} scheduled")
         assert candidate.rows == reference.rows
         assert candidate.value == reference.value
@@ -415,7 +427,7 @@ class TestExecutionParity:
         solo = [run_cold(db, query) for query in (left, right)]
         db.reset_measurements()
         db.drop_caches()
-        together = db.run_concurrent([left, right], max_concurrent=2)
+        together = run_scheduled(db, left, right)
         for reference, candidate in zip(solo, together):
             assert_identical_stats(
                 reference, candidate, context=candidate.query.name
@@ -462,7 +474,7 @@ class TestExecutionParity:
         db.batch_size = 256
         db.reset_measurements()
         db.drop_caches()
-        (candidates["scheduled"],) = db.run_concurrent([query])
+        (candidates["scheduled"],) = run_scheduled(db, query)
         if FORK_AVAILABLE:
             candidates["parallel=2"] = run_cold(db, query, parallel=2)
         reference = candidates["batch=256"]

@@ -1,9 +1,8 @@
-"""QueryScheduler tests: fairness, budgets, priorities and admission control.
+"""QueryScheduler tests: fairness, one-batch quanta and admission control.
 
 The scheduler's contract is cooperative round-robin at RowBatch granularity:
-a quantum is one batch pull (or budget-bounded pulls), yielding queries keep
-all execution state in their suspended generator pipeline, and everything is
-deterministic.  These tests drive :meth:`QueryScheduler.step` directly to
+a quantum is one batch pull, yielding queries keep all execution state in
+their suspended generator pipeline, and everything is deterministic.  These tests drive :meth:`QueryScheduler.step` directly to
 observe individual quanta; the last test pins the shared-pool throughput
 effect in simulated time, and ``perf/``'s ``concurrent_serving`` workload
 records it in real seconds (``scheduler.shared_read_ratio``).
@@ -69,19 +68,23 @@ def test_fair_policy_alternates_between_runnable_queries(database):
     assert labels == ["a", "b", "a", "b", "a", "b"]
 
 
-def test_unbudgeted_quantum_is_exactly_one_batch(database):
+def test_quantum_is_exactly_one_batch(database):
     scheduler = QueryScheduler(database, batch_size=32)
-    scheduler.submit(FULL_SCAN, force="seq_scan")
+    entry = scheduler.submit(FULL_SCAN, force="seq_scan")
     for _ in range(5):
         report = scheduler.step()
-        assert report.batches == 1
+        assert not report.finished
         # scans align batches to page boundaries: 32 rows round up to 2
         # pages of 20 tuples
         assert report.rows == 40
+        assert report.pages == 2
+    scheduler.run()
+    # 50 two-page batches, then the pull that ends the scan
+    assert entry.quanta == NUM_ROWS // 40 + 1
 
 
 def test_budget_exhausted_query_yields_and_resumes_with_counters_intact(database):
-    """A budgeted scan, preempted many times, reports exactly the serial run."""
+    """A scan preempted after every batch reports exactly the serial run."""
     database.reset_measurements()
     database.drop_caches()
     serial = database.run_query(FULL_SCAN, force="seq_scan")
@@ -89,12 +92,12 @@ def test_budget_exhausted_query_yields_and_resumes_with_counters_intact(database
     database.reset_measurements()
     database.drop_caches()
     scheduler = QueryScheduler(database, batch_size=32)
-    entry = scheduler.submit(FULL_SCAN, force="seq_scan", page_budget=5)
+    entry = scheduler.submit(FULL_SCAN, force="seq_scan")
     reports = []
     while not entry.finished:
         reports.append(scheduler.step())
     assert entry.quanta > 10  # genuinely preempted and resumed many times
-    assert all(report.batches >= 1 for report in reports[:-1])
+    assert all(report.rows > 0 for report in reports[:-1])
     result = entry.result
     assert result.rows == serial.rows
     assert result.rows_examined == serial.rows_examined
@@ -103,36 +106,6 @@ def test_budget_exhausted_query_yields_and_resumes_with_counters_intact(database
     # Quantum page meters add up to the plan's total, so no work went
     # unattributed across the yield/resume boundaries.
     assert sum(report.pages for report in reports) == result.pages_visited
-
-
-def test_cpu_ms_budget_bounds_a_turn(database):
-    scheduler = QueryScheduler(database, batch_size=32)
-    entry = scheduler.submit(FULL_SCAN, force="seq_scan", cpu_ms_budget=0.5)
-    report = scheduler.step()
-    assert report.batches >= 1
-    assert not entry.finished or report.finished
-
-
-def test_priority_policy_runs_high_priority_to_completion_first(database):
-    scheduler = QueryScheduler(database, policy="priority", batch_size=32)
-    low = scheduler.submit(FULL_SCAN, label="low", priority=0, force="seq_scan")
-    high = scheduler.submit(
-        Query.select("items", name="high"), label="high", priority=5, force="seq_scan"
-    )
-    while not high.finished:
-        report = scheduler.step()
-        assert report.label == "high"  # low never runs while high is runnable
-    assert not low.finished
-    scheduler.run()
-    assert low.state == FINISHED
-
-
-def test_priority_ties_rotate_round_robin(database):
-    scheduler = QueryScheduler(database, policy="priority", batch_size=32)
-    scheduler.submit(FULL_SCAN, label="a", priority=1, force="seq_scan")
-    scheduler.submit(Query.select("items", name="b"), label="b", priority=1, force="seq_scan")
-    labels = [scheduler.step().label for _ in range(4)]
-    assert labels == ["a", "b", "a", "b"]
 
 
 def test_admission_control_caps_active_queries(database):
@@ -191,24 +164,32 @@ def test_failed_query_reports_its_error_and_frees_the_slot(database):
     assert healthy.result.rows_matched == 1
 
 
-def test_run_concurrent_returns_results_in_submission_order(database):
+def test_a_query_that_fails_mid_run_drops_its_rows(database):
+    predicate, state = _armed_predicate()
+    scheduler = QueryScheduler(database, batch_size=32)
+    entry = scheduler.submit(Query.select("items", predicate), force="seq_scan")
+    scheduler.step()
+    scheduler.step()
+    assert len(entry.rows) == 80
+    state["armed"] = True
+    report = scheduler.step()
+    assert report.failed and entry.state == FAILED
+    assert entry.rows == [] and entry.result is None
+
+
+def test_run_returns_queries_in_submission_order(database):
     queries = [
         Query.select("items", Between("catid", c, c), name=f"q{c}")
         for c in range(6)
     ]
-    results = database.run_concurrent(queries, max_concurrent=3)
+    scheduler = QueryScheduler(database, max_concurrent=3)
+    for query in queries:
+        scheduler.submit(query)
+    results = [entry.result for entry in scheduler.run()]
     assert [r.query.name for r in results] == [q.name for q in queries]
     for c, result in enumerate(results):
         assert result.rows_matched == NUM_ROWS // 50
         assert all(row["catid"] == c for row in result.rows)
-
-
-def test_run_concurrent_reraises_a_query_failure(database):
-    predicate, state = _armed_predicate()
-    boom = Query.select("items", predicate)
-    state["armed"] = True
-    with pytest.raises(RuntimeError, match="boom"):
-        database.run_concurrent([Query.select("items"), boom])
 
 
 def test_a_query_that_cannot_be_planned_fails_without_stalling_the_rest(database):
@@ -236,20 +217,14 @@ def test_a_query_that_cannot_be_planned_fails_without_stalling_the_rest(database
     immediate = QueryScheduler(database, max_concurrent=1).submit(bad)
     assert immediate.state == FAILED and isinstance(immediate.error, ValueError)
 
-    with pytest.raises(ValueError, match="no_such_column"):
-        database.run_concurrent([FULL_SCAN, bad], max_concurrent=1)
-
 
 def test_scheduler_rejects_bad_arguments(database):
     with pytest.raises(ValueError):
         QueryScheduler(database, max_concurrent=0)
     with pytest.raises(ValueError):
         QueryScheduler(database, policy="unfair")
-    scheduler = QueryScheduler(database)
     with pytest.raises(ValueError):
-        scheduler.submit(FULL_SCAN, page_budget=0)
-    with pytest.raises(ValueError):
-        scheduler.submit(FULL_SCAN, cpu_ms_budget=0)
+        QueryScheduler(database, policy="priority")
 
 
 def test_interleaved_readers_share_the_pool_for_twice_the_throughput():

@@ -277,7 +277,7 @@ def run_random_scenario(seed, *, num_rows=120, readers=5, writer_actions=8):
             report = scheduler.step()
             if report is not None:
                 trace.append(
-                    (report.label, report.batches, report.rows, report.pages)
+                    (report.label, report.rows, report.pages)
                 )
     scheduler.run()
     results = {entry.label: entry.result.rows_matched for entry in entries}

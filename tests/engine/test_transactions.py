@@ -28,22 +28,14 @@ def test_log_records_tagged_with_xid():
     assert wal.records[-1].payload["table"] == "items"
 
 
-def test_two_phase_commit_costs_two_flushes():
+def test_commit_costs_two_flushes():
     disk, _wal, manager = make_manager()
     transaction = manager.begin()
     transaction.log("cm_update")
-    transaction.commit(two_phase=True)
+    transaction.commit()
     assert disk.counters.log_flushes == 2
     assert manager.stats.transactions == 1
     assert manager.stats.flushes == 2
-
-
-def test_single_phase_commit_costs_one_flush():
-    disk, _wal, manager = make_manager()
-    transaction = manager.begin()
-    transaction.log("insert")
-    transaction.commit(two_phase=False)
-    assert disk.counters.log_flushes == 1
 
 
 def test_closed_transaction_rejects_further_use():
@@ -72,10 +64,10 @@ def test_stats_accumulate_across_transactions():
     for _ in range(3):
         transaction = manager.begin()
         transaction.log("insert")
-        transaction.commit(two_phase=False)
+        transaction.commit()
     assert manager.stats.transactions == 3
     assert manager.stats.records_logged == 3
-    assert manager.stats.flushes == 3
+    assert manager.stats.flushes == 6
 
 
 def test_abort_counts_into_stats():

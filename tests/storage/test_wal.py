@@ -38,12 +38,12 @@ def test_group_commit_amortises_flushes():
     wal = WriteAheadLog(disk)
     for _ in range(100):
         wal.append("insert", size_bytes=64)
-    wal.commit()
+    wal.flush()
     assert wal.flush_count == 1
     assert disk.counters.log_flushes == 1
 
 
-def test_two_phase_commit_flushes_twice():
+def test_prepare_and_commit_prepared_flush_twice():
     disk = DiskModel()
     wal = WriteAheadLog(disk)
     wal.append("cm_update")
