@@ -235,3 +235,56 @@ class TestDeleteHeavyBoundsRebuild:
         assert table.attribute_range("k") == (0, 499)
         assert 90 <= before <= 110
         assert 90 <= after <= 110
+
+
+class TestNullAndNaNBounds:
+    """NULL and NaN have no place on the number line, so neither moves a
+    min/max bound, on either insert path or in the rebuild after deletes."""
+
+    ROWS = [
+        {"v": 3.0},
+        {"v": float("nan")},
+        {"v": None},
+        {"v": -1.5},
+        {"v": float("nan")},
+        {"v": 7.25},
+    ]
+
+    @pytest.mark.parametrize("bulk", [False, True], ids=["row_at_a_time", "bulk"])
+    def test_nan_and_null_move_no_bound(self, bulk):
+        from repro.core.statistics import IncrementalTableStatistics
+
+        stats = IncrementalTableStatistics()
+        if bulk:
+            stats.observe_rows(self.ROWS)
+        else:
+            for row in self.ROWS:
+                stats.observe_insert(row)
+        assert stats.attribute_range("v") == (-1.5, 7.25)
+
+    def test_a_column_of_only_nan_and_null_has_no_range(self):
+        from repro.core.statistics import IncrementalTableStatistics
+
+        stats = IncrementalTableStatistics()
+        stats.observe_rows([{"v": float("nan")}, {"v": None}])
+        stats.observe_insert({"v": float("nan")})
+        assert stats.attribute_range("v") is None
+        stats.observe_insert({"v": 4})
+        assert stats.attribute_range("v") == (4, 4)
+
+    def test_bounds_rebuilt_after_deletes_skip_nan(self):
+        from repro.core.statistics import IncrementalTableStatistics
+
+        stats = IncrementalTableStatistics(
+            sample_capacity=10_000, bounds_rebuild_deletes=10
+        )
+        rows = [{"v": float(i)} for i in range(100)]
+        nan_row = {"v": float("nan")}
+        stats.observe_rows(rows + [nan_row])
+        for row in rows[90:]:
+            stats.observe_delete(row)
+        # The rebuild reads the complete sample, NaN row included.
+        assert stats.attribute_range("v") == (0.0, 89.0)
+        stats.observe_delete(nan_row)
+        assert stats.attribute_range("v") == (0.0, 89.0)
+        assert stats.total_rows == 90

@@ -104,6 +104,14 @@ class TestMaintenance:
         assert db.insert("items", []).log_flushes == 0
         assert db.transactions.active == set()
 
+    def test_delete_commits_in_two_flushes(self, indexed_database):
+        db = indexed_database
+        before = db.table("items").num_rows
+        outcome = db.delete("items", [Between("price", 0.0, 500.0)])
+        assert outcome.rows_affected == before - db.table("items").num_rows > 0
+        assert outcome.log_flushes == 2  # one 2PC commit: prepare, commit
+        assert db.transactions.active == set()
+
     def test_more_indexes_cost_more_to_maintain(self, item_rows):
         """The Figure 8 mechanism: extra B+Trees slow down inserts."""
 

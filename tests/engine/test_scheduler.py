@@ -11,6 +11,7 @@ records it in real seconds (``scheduler.shared_read_ratio``).
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.executor import PlanNode
 from repro.engine.predicates import Between, ExpressionPredicate
 from repro.engine.query import Query
 from repro.engine.scheduler import FAILED, FINISHED, QueryScheduler
@@ -81,6 +82,41 @@ def test_quantum_is_exactly_one_batch(database):
     scheduler.run()
     # 50 two-page batches, then the pull that ends the scan
     assert entry.quanta == NUM_ROWS // 40 + 1
+
+
+def test_a_quantum_walks_the_counter_tree_once(database, monkeypatch):
+    walks = []
+    total_counters = PlanNode.total_counters
+
+    def counted(node):
+        walks.append(node)
+        return total_counters(node)
+
+    monkeypatch.setattr(PlanNode, "total_counters", counted)
+    scheduler = QueryScheduler(database, batch_size=32)
+    entry = scheduler.submit(FULL_SCAN, force="seq_scan")
+    for _ in range(5):
+        walks.clear()
+        assert not scheduler.step().finished
+        assert walks == [entry.plan]
+
+
+def test_interleaved_quanta_attribute_every_page_read_to_one_query(database):
+    """Each quantum's I/O window goes to the query that ran it, so the
+    per-query totals add up to exactly what the disk did."""
+    database.reset_measurements()
+    database.drop_caches()
+    before = database.disk.snapshot()
+    scheduler = QueryScheduler(database, batch_size=32)
+    scan = scheduler.submit(FULL_SCAN, force="seq_scan")
+    lookup = scheduler.submit(POINT_LOOKUP, force="seq_scan")
+    scheduler.run()
+    disk = database.disk.window_since(before)
+    # The scan's first quantum read the lookup's page, so the lookup's
+    # quanta found it cached and no read is counted twice.
+    assert scan.io.pages_read == disk.pages_read > 0
+    assert lookup.io.pages_read == 0
+    assert scan.io.add(lookup.io) == disk
 
 
 def test_budget_exhausted_query_yields_and_resumes_with_counters_intact(database):
