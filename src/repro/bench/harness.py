@@ -50,13 +50,14 @@ def scaled_disk_parameters(seek_scale: float) -> DiskParameters:
     )
 
 
-def scale_factor(default: float = 1.0) -> float:
-    """The global scale multiplier from ``REPRO_SCALE`` (>= 0.05)."""
+def scale_factor() -> float:
+    """The global scale multiplier from ``REPRO_SCALE`` (>= 0.05; 1.0 when
+    unset or not a number)."""
     raw = os.environ.get(SCALE_ENV_VAR, "")
     try:
-        value = float(raw) if raw else default
+        value = float(raw) if raw else 1.0
     except ValueError:
-        value = default
+        value = 1.0
     return max(0.05, value)
 
 
@@ -74,22 +75,16 @@ class ExperimentScale:
         return cls(factor=scale_factor())
 
 
-def _make_database(
-    buffer_pool_pages: int, seek_scale: float, stats_sample_size: int | None
-) -> Database:
-    """A Database with scaled disk timing and optional statistics-sample cap.
+def _make_database(buffer_pool_pages: int, seek_scale: float) -> Database:
+    """A Database with scaled disk timing.
 
-    ``stats_sample_size=None`` keeps the engine default, which is large enough
-    that every bundled data set gets exact (complete-sample) statistics; pass a
-    smaller cap to exercise the estimated-statistics path at benchmark scale.
+    The engine's default statistics sample is large enough that every
+    bundled data set gets exact (complete-sample) statistics.
     """
-    kwargs: dict[str, Any] = {
-        "buffer_pool_pages": buffer_pool_pages,
-        "disk_params": scaled_disk_parameters(seek_scale),
-    }
-    if stats_sample_size is not None:
-        kwargs["stats_sample_size"] = stats_sample_size
-    return Database(**kwargs)
+    return Database(
+        buffer_pool_pages=buffer_pool_pages,
+        disk_params=scaled_disk_parameters(seek_scale),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +104,10 @@ def build_ebay_database(
     num_categories: int = 400,
     items_per_category: tuple[int, int] = (150, 250),
     buffer_pool_pages: int = 1_000,
-    tups_per_page: int = 50,
-    pages_per_bucket: int | None = 10,
-    cluster_on: str = "catid",
-    seek_scale: float = EBAY_SEEK_SCALE,
     seed: int = 42,
-    stats_sample_size: int | None = None,
 ) -> tuple[Database, list[dict[str, Any]]]:
-    """The ITEMS table clustered on CATID (the Experiment 1-4 setup)."""
+    """The ITEMS table clustered on CATID in buckets of 10 pages (the
+    Experiment 1-4 setup)."""
     scale = scale or ExperimentScale.from_environment()
     config = EbayConfig(
         num_categories=scale.rows(num_categories),
@@ -124,10 +115,10 @@ def build_ebay_database(
         seed=seed,
     )
     rows = generate_items(config)
-    db = _make_database(buffer_pool_pages, seek_scale, stats_sample_size)
-    db.create_table("items", sample_row=rows[0], tups_per_page=tups_per_page)
+    db = _make_database(buffer_pool_pages, EBAY_SEEK_SCALE)
+    db.create_table("items", sample_row=rows[0], tups_per_page=50)
     db.load("items", rows)
-    db.cluster("items", cluster_on, pages_per_bucket=pages_per_bucket)
+    db.cluster("items", "catid", pages_per_bucket=10)
     return db, rows
 
 
@@ -149,16 +140,11 @@ def build_tpch_database(
     scale: ExperimentScale | None = None,
     *,
     num_orders: int = 20_000,
-    buffer_pool_pages: int = 1_000,
-    tups_per_page: int = 60,
     cluster_on: str = "receiptdate",
-    pages_per_bucket: int | None = 10,
-    orderdate_span_days: int = 365,
     seek_scale: float = TPCH_SEEK_SCALE,
-    seed: int = 7,
-    stats_sample_size: int | None = None,
 ) -> tuple[Database, list[dict[str, Any]]]:
-    """The lineitem table, by default clustered on receiptdate (correlated).
+    """The lineitem table, by default clustered on receiptdate (correlated),
+    in buckets of 10 pages.
 
     The order-date span is shrunk together with the row count so that each
     ship/receipt date keeps a realistic number of rows (and therefore pages).
@@ -168,35 +154,28 @@ def build_tpch_database(
         num_orders=scale.rows(num_orders),
         num_parts=max(200, scale.rows(num_orders) // 5),
         num_suppliers=max(40, scale.rows(num_orders) // 100),
-        orderdate_span_days=orderdate_span_days,
-        seed=seed,
+        orderdate_span_days=365,
+        seed=7,
     )
     rows = generate_lineitem(config)
-    db = _make_database(buffer_pool_pages, seek_scale, stats_sample_size)
-    db.create_table("lineitem", sample_row=rows[0], tups_per_page=tups_per_page)
+    db = _make_database(1_000, seek_scale)
+    db.create_table("lineitem", sample_row=rows[0], tups_per_page=60)
     db.load("lineitem", rows)
-    db.cluster("lineitem", cluster_on, pages_per_bucket=pages_per_bucket)
+    db.cluster("lineitem", cluster_on, pages_per_bucket=10)
     return db, rows
 
 
 def build_tpch_join_database(
     scale: ExperimentScale | None = None,
     *,
-    num_orders: int = 8_000,
-    buffer_pool_pages: int = 1_500,
-    tups_per_page: int = 60,
-    orderdate_span_days: int = 365,
     cluster_orders_on: str | None = "orderkey",
-    orders_pages_per_bucket: int | None = 10,
-    seek_scale: float = TPCH_SEEK_SCALE,
-    seed: int = 7,
-    stats_sample_size: int | None = None,
 ) -> tuple[Database, list[dict[str, Any]], list[dict[str, Any]]]:
     """lineitem + orders, set up for the lineitem-orders join workload.
 
     ``lineitem`` is clustered on ``receiptdate`` (the correlated clustering
     the single-table experiments use) with a CM on the correlated predicate
-    attribute ``shipdate``.  ``orders`` is clustered on ``cluster_orders_on``:
+    attribute ``shipdate``.  ``orders`` (8 000 orders before scaling) is
+    clustered on ``cluster_orders_on``, in buckets of 10 pages:
 
     * ``"orderkey"`` (default) -- join probes ride the clustered index;
     * ``"orderdate"`` -- the clustered key is the *date*; a CM on
@@ -209,24 +188,25 @@ def build_tpch_join_database(
     Returns ``(db, lineitem_rows, orders_rows)``.
     """
     scale = scale or ExperimentScale.from_environment()
+    num_orders = scale.rows(8_000)
     config = TPCHConfig(
-        num_orders=scale.rows(num_orders),
-        num_parts=max(200, scale.rows(num_orders) // 5),
-        num_suppliers=max(40, scale.rows(num_orders) // 100),
-        orderdate_span_days=orderdate_span_days,
-        seed=seed,
+        num_orders=num_orders,
+        num_parts=max(200, num_orders // 5),
+        num_suppliers=max(40, num_orders // 100),
+        orderdate_span_days=365,
+        seed=7,
     )
     lineitem_rows = generate_lineitem(config)
     orders_rows = generate_orders(config)
-    db = _make_database(buffer_pool_pages, seek_scale, stats_sample_size)
-    db.create_table("lineitem", sample_row=lineitem_rows[0], tups_per_page=tups_per_page)
+    db = _make_database(1_500, TPCH_SEEK_SCALE)
+    db.create_table("lineitem", sample_row=lineitem_rows[0], tups_per_page=60)
     db.load("lineitem", lineitem_rows)
     db.cluster("lineitem", "receiptdate", pages_per_bucket=10)
     db.create_correlation_map("lineitem", ["shipdate"], name="cm_shipdate")
-    db.create_table("orders", sample_row=orders_rows[0], tups_per_page=tups_per_page)
+    db.create_table("orders", sample_row=orders_rows[0], tups_per_page=60)
     db.load("orders", orders_rows)
     if cluster_orders_on is not None:
-        db.cluster("orders", cluster_orders_on, pages_per_bucket=orders_pages_per_bucket)
+        db.cluster("orders", cluster_orders_on, pages_per_bucket=10)
     if cluster_orders_on == "orderdate":
         db.create_correlation_map("orders", ["orderkey"], name="cm_orderkey")
     return db, lineitem_rows, orders_rows
@@ -258,18 +238,13 @@ def build_sdss_rows(
 def build_sdss_database(
     scale: ExperimentScale | None = None,
     *,
-    buffer_pool_pages: int = 2_000,
-    tups_per_page: int = 20,
-    cluster_on: str = "objid",
     pages_per_bucket: int | None = 10,
-    seek_scale: float = SDSS_SEEK_SCALE,
-    stats_sample_size: int | None = None,
     **row_kwargs: Any,
 ) -> tuple[Database, list[dict[str, Any]]]:
     """The PhotoObj-style table clustered on objID (the Experiment 5 setup)."""
     rows = build_sdss_rows(scale, **row_kwargs)
-    db = _make_database(buffer_pool_pages, seek_scale, stats_sample_size)
-    db.create_table("photoobj", sample_row=rows[0], tups_per_page=tups_per_page)
+    db = _make_database(2_000, SDSS_SEEK_SCALE)
+    db.create_table("photoobj", sample_row=rows[0], tups_per_page=20)
     db.load("photoobj", rows)
-    db.cluster("photoobj", cluster_on, pages_per_bucket=pages_per_bucket)
+    db.cluster("photoobj", "objid", pages_per_bucket=pages_per_bucket)
     return db, rows

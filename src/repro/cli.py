@@ -198,10 +198,8 @@ def _run_demo(
         flat_join = Query.select("items", Between("price", 10_000, 60_000)).join(
             "catsflat", on="catid"
         )
-        pdb.enable_repartition = False  # pin the broadcast shape
-        print(f"\nEXPLAIN ANALYZE {flat_join.describe()} (broadcast):")
+        print(f"\nEXPLAIN ANALYZE {flat_join.describe()} (flat build side, chosen shape):")
         print(pdb.explain_analyze(flat_join, cold_cache=True))
-        pdb.enable_repartition = True
         print("\nflat build side, every costed candidate:")
         for plan in pdb.explain(flat_join):
             print(f"  {plan['estimated_cost_ms']:8.2f} ms est  {plan['structure']}")

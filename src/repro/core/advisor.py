@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import (
     BucketingOption,
@@ -28,6 +28,7 @@ from repro.core.bucketing import (
 from repro.core.composite import AttributeBucketing, CompositeKeySpec, ValueConstraint
 from repro.core.cost import CMCostInputs, cm_lookup_cost, scan_cost, sorted_lookup_cost
 from repro.core.model import CorrelationProfile, HardwareParameters, TableProfile
+from repro.core.ordering import order_key
 from repro.core.statistics import StatisticsCollector
 
 #: Per-entry byte estimates, matching the accounting in ``correlation_map`` and
@@ -35,6 +36,23 @@ from repro.core.statistics import StatisticsCollector
 _CM_TARGET_BYTES = 12
 _CM_KEY_OVERHEAD_BYTES = 8
 _BTREE_ENTRY_OVERHEAD_BYTES = 20
+
+#: Candidate enumeration limits: CM keys of at most four attributes, at most
+#: 2 048 candidate designs per query, and no attribute whose equality
+#: predicate selects more than half of the table (Section 6.1.3).
+_MAX_ATTRIBUTES_PER_CM = 4
+_MAX_CANDIDATES_PER_QUERY = 2048
+_MIN_SELECTIVITY = 0.5
+
+#: Recommended clustered-attribute bucket width, in heap pages.  The paper
+#: finds ~10 pages per bucket loses only ~1 ms per query (Table 3) while
+#: keeping the CM small.
+_CLUSTERED_BUCKET_PAGES = 10
+
+
+def _distinct_count(values: Iterable[Any]) -> int:
+    """Distinct values in the value order: NaNs count once, NULL not at all."""
+    return len({order_key(value) for value in values if value is not None})
 
 
 @dataclass(frozen=True)
@@ -119,14 +137,9 @@ class CMAdvisor:
         *,
         table_profile: TableProfile | None = None,
         hardware: HardwareParameters | None = None,
-        tups_per_page: int = 100,
         sample_size: int = 30_000,
         seed: int = 0,
-        max_attributes_per_cm: int = 4,
-        max_candidates_per_query: int = 2048,
         performance_target: float = 0.10,
-        min_selectivity: float = 0.5,
-        clustered_bucket_pages: int = 10,
     ) -> None:
         if not rows:
             raise ValueError("the advisor needs a non-empty table")
@@ -134,18 +147,11 @@ class CMAdvisor:
         self.clustered_attribute = clustered_attribute
         self.hardware = hardware or HardwareParameters()
         self.table_profile = table_profile or TableProfile(
-            total_tups=len(rows), tups_per_page=tups_per_page
+            total_tups=len(rows), tups_per_page=100
         )
         self.sample_size = sample_size
         self.seed = seed
-        self.max_attributes_per_cm = max_attributes_per_cm
-        self.max_candidates_per_query = max_candidates_per_query
         self.performance_target = performance_target
-        self.min_selectivity = min_selectivity
-        #: Recommended clustered-attribute bucket width, in heap pages.  The
-        #: paper finds ~10 pages per bucket loses only ~1 ms per query
-        #: (Table 3) while keeping the CM small.
-        self.clustered_bucket_pages = clustered_bucket_pages
 
         self._collector = StatisticsCollector(rows)
         self._sample = self._collector.collect_sample(
@@ -158,20 +164,24 @@ class CMAdvisor:
         would bucket it (Section 6.1.1).
 
         CM entries map to clustered *buckets* of roughly
-        ``clustered_bucket_pages`` heap pages, not to raw clustered values;
+        ``_CLUSTERED_BUCKET_PAGES`` heap pages, not to raw clustered values;
         estimating sizes against raw values would wildly overstate CM sizes
         whenever the clustered attribute is many-valued (e.g. a unique key).
         Numeric clustered attributes are approximated with a fixed-width
         bucketing of the right bucket count; non-numeric ones fall back to
-        value granularity.
+        value granularity.  NULL and NaN stay out of the bounds: each
+        buckets to its own order key.
         """
-        values = [row[self.clustered_attribute] for row in self._sample]
+        values = [
+            v for row in self._sample
+            if (v := row[self.clustered_attribute]) is not None and v == v
+        ]
         numeric = values and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
         )
         if not numeric:
             return CompositeKeySpec.build([self.clustered_attribute])
-        rows_per_bucket = max(1, self.clustered_bucket_pages * self.table_profile.tups_per_page)
+        rows_per_bucket = max(1, _CLUSTERED_BUCKET_PAGES * self.table_profile.tups_per_page)
         num_buckets = max(1, self.table_profile.total_tups // rows_per_bucket)
         low, high = min(values), max(values)
         span = float(high) - float(low)
@@ -197,7 +207,7 @@ class CMAdvisor:
         report = []
         for attribute in attributes:
             options = self.bucketing_candidates(attribute)
-            cardinality = len({row[attribute] for row in self.rows})
+            cardinality = _distinct_count(row[attribute] for row in self.rows)
             levels = [option.level for option in options if option.level > 0]
             report.append(
                 {
@@ -224,7 +234,7 @@ class CMAdvisor:
             attribute: self.bucketing_candidates(attribute) for attribute in attributes
         }
         candidates: list[CompositeKeySpec] = []
-        for size in range(1, min(len(attributes), self.max_attributes_per_cm) + 1):
+        for size in range(1, min(len(attributes), _MAX_ATTRIBUTES_PER_CM) + 1):
             for subset in itertools.combinations(attributes, size):
                 option_lists = [per_attribute_options[attribute] for attribute in subset]
                 for combination in itertools.product(*option_lists):
@@ -233,25 +243,25 @@ class CMAdvisor:
                         {option.attribute: option.bucketer for option in combination},
                     )
                     candidates.append(spec)
-                    if len(candidates) >= self.max_candidates_per_query:
+                    if len(candidates) >= _MAX_CANDIDATES_PER_QUERY:
                         return candidates
         return candidates
 
     def _eligible_attributes(self, query: TrainingQuery) -> tuple[str, ...]:
         """Predicated attributes, excluding the clustered attribute itself and
-        predicates less selective than the configured threshold."""
+        predicates that select more than half of the table."""
         eligible = []
         for attribute in query.attributes:
             if attribute == self.clustered_attribute:
                 continue
-            if self._estimated_selectivity(attribute, query) > self.min_selectivity:
+            if self._estimated_selectivity(attribute, query) > _MIN_SELECTIVITY:
                 continue
             eligible.append(attribute)
         return tuple(eligible)
 
     def _estimated_selectivity(self, attribute: str, query: TrainingQuery) -> float:
         """Fraction of rows an equality predicate on ``attribute`` selects."""
-        distinct = len({row[attribute] for row in self._sample}) or 1
+        distinct = _distinct_count(row[attribute] for row in self._sample) or 1
         constraint = query.constraints.get(attribute)
         values = 1
         if constraint is not None and constraint.values is not None:
@@ -281,7 +291,7 @@ class CMAdvisor:
         size_bytes = distinct_keys * (key_bytes + _CM_KEY_OVERHEAD_BYTES) + entries * _CM_TARGET_BYTES
 
         pages_per_bucket = max(
-            float(self.clustered_bucket_pages),
+            float(_CLUSTERED_BUCKET_PAGES),
             profile.c_pages(self.table_profile.tups_per_page),
         )
         cm_inputs = CMCostInputs(
@@ -370,12 +380,6 @@ class CMAdvisor:
             recommended=recommended,
             scan_cost_ms=table_scan,
         )
-
-    def recommend_workload(
-        self, queries: Sequence[TrainingQuery]
-    ) -> list[Recommendation]:
-        """Recommendations for every query of a training workload."""
-        return [self.recommend(query) for query in queries]
 
     # -- Table 5 style report -----------------------------------------------------------------
 

@@ -21,12 +21,12 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.core.ordering import order_key
+from repro.core.ordering import NAN_KEY, order_key
 
 #: The advisor considers bucketings that produce between 2**2 and 2**16
-#: buckets (Section 6.1.2).  Both limits are configurable per call.
+#: buckets (Section 6.1.2).
 MIN_BUCKETS = 2 ** 2
 MAX_BUCKETS = 2 ** 16
 
@@ -46,10 +46,6 @@ class Bucketer(ABC):
     @abstractmethod
     def describe(self) -> str:
         """Human-readable description used in advisor reports."""
-
-    def bucket_range(self, low: Any, high: Any) -> tuple[Any, Any]:
-        """Bucket keys of an inclusive value range (for range predicates)."""
-        return self.bucket(low), self.bucket(high)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
@@ -90,9 +86,6 @@ class WidthBucketer(Bucketer):
             return order_key(value)
         index = math.floor((value - self.origin) / self.width)
         return self.origin + index * self.width
-
-    def bucket_index(self, value: Any) -> int:
-        return math.floor((value - self.origin) / self.width)
 
     def describe(self) -> str:
         if float(self.width).is_integer():
@@ -174,53 +167,46 @@ class BucketingOption:
         return f"2^{self.level}"
 
 
-def candidate_bucketings(
-    attribute: str,
-    values: Sequence[Any],
-    *,
-    min_buckets: int = MIN_BUCKETS,
-    max_buckets: int = MAX_BUCKETS,
-    include_identity: bool = True,
-) -> list[BucketingOption]:
+def candidate_bucketings(attribute: str, values: Sequence[Any]) -> list[BucketingOption]:
     """Enumerate the bucketings the CM Advisor considers for one attribute.
 
     Follows Section 6.1.2: bucket sizes scale exponentially (2, 4, 8, ...
     distinct values per bucket) and only bucketings yielding between
-    ``min_buckets`` and ``max_buckets`` buckets are kept.  Few-valued
-    attributes (cardinality below ``min_buckets``) are offered unbucketed
-    only, as in Table 4 of the paper ("mode", "type").
+    :data:`MIN_BUCKETS` and :data:`MAX_BUCKETS` buckets are kept.  Few-valued
+    attributes (cardinality at most :data:`MIN_BUCKETS`) are offered
+    unbucketed only, as in Table 4 of the paper ("mode", "type").
 
     Numeric attributes are bucketed by value truncation (:class:`WidthBucketer`
     with a width of ``2**level`` times the attribute's average value gap);
-    non-numeric attributes only admit the identity bucketing.
+    non-numeric attributes only admit the identity bucketing.  Distinct
+    values are counted in the value order (:mod:`repro.core.ordering`): every
+    NaN is one value, NULL none; neither enters the numeric span.
     """
-    distinct = sorted(set(values))
-    cardinality = len(distinct)
-    options: list[BucketingOption] = []
-    if include_identity:
-        options.append(
-            BucketingOption(attribute, 0, IdentityBucketer(), max(1, cardinality))
-        )
-    if cardinality <= min_buckets:
+    keys = {order_key(v) for v in values if v is not None}
+    cardinality = len(keys)
+    options = [BucketingOption(attribute, 0, IdentityBucketer(), max(1, cardinality))]
+    if cardinality <= MIN_BUCKETS:
         return options
-    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in distinct)
-    if not numeric:
+    numbers = [k for k in keys if k is not NAN_KEY]
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers)
+    if not numbers or not numeric:
         return options
 
-    span = float(distinct[-1]) - float(distinct[0])
+    low = float(min(numbers))
+    span = float(max(numbers)) - low
     if span <= 0:
         return options
-    average_gap = span / max(1, cardinality - 1)
+    average_gap = span / max(1, len(numbers) - 1)
 
     level = 1
     while True:
         values_per_bucket = 2 ** level
         estimated_buckets = math.ceil(cardinality / values_per_bucket)
-        if estimated_buckets < min_buckets:
+        if estimated_buckets < MIN_BUCKETS:
             break
-        if estimated_buckets <= max_buckets:
+        if estimated_buckets <= MAX_BUCKETS:
             width = values_per_bucket * average_gap
-            bucketer = WidthBucketer(width, origin=float(distinct[0]))
+            bucketer = WidthBucketer(width, origin=low)
             # Remember which "2^level values per bucket" produced this width,
             # so advisor reports can describe the design the way the paper
             # does (e.g. "psfMag_g(2^13)").
@@ -239,8 +225,6 @@ class ClusteredBucket:
     bucket_id: int
     first_row: int
     last_row: int
-    min_key: Any
-    max_key: Any
 
     @property
     def num_rows(self) -> int:
@@ -278,8 +262,6 @@ def assign_clustered_buckets(
                     bucket_id=bucket_id,
                     first_row=bucket_start,
                     last_row=position - 1,
-                    min_key=clustered_keys[bucket_start],
-                    max_key=clustered_keys[position - 1],
                 )
             )
             bucket_id += 1
@@ -297,28 +279,6 @@ def assign_clustered_buckets(
             bucket_id=bucket_id,
             first_row=bucket_start,
             last_row=len(clustered_keys) - 1,
-            min_key=clustered_keys[bucket_start],
-            max_key=clustered_keys[-1],
         )
     )
     return ids, buckets
-
-
-def iter_bucket_keys_in_range(
-    bucketer: Bucketer, keys: Iterable[Any], low: Any, high: Any
-) -> Iterator[Any]:
-    """Yield the CM bucket keys among ``keys`` that may contain values in
-    the inclusive range ``[low, high]``.
-
-    Works for any bucketer because it only relies on bucket keys being the
-    images of values: a bucket key ``k`` qualifies when it equals the bucket
-    of some boundary or lies between the bucketed boundaries.
-    """
-    low_key = bucketer.bucket(low) if low is not None else None
-    high_key = bucketer.bucket(high) if high is not None else None
-    for key in keys:
-        if low_key is not None and key < low_key:
-            continue
-        if high_key is not None and key > high_key:
-            continue
-        yield key

@@ -3,10 +3,11 @@
 The paper's Section 3.4 experiment clusters the SDSS ``PhotoObj`` table on
 each of 39 attributes in turn and counts, for every clustering, how many of
 39 single-attribute selection queries speed up by at least 2x/4x/8x/16x over
-a table scan.  The clustering advisor performs the analytical version of that
-experiment: using the correlation-aware cost model, it predicts the speedup
-of every (query attribute, clustered attribute) combination and summarises
-which clustered attributes help the most queries.
+a table scan.  The clustering advisor runs that experiment without a
+physical rebuild per clustering: it lays the rows out in each candidate's
+order, charges every query's sorted index scan with the cost model's
+hardware constants, and summarises which clustered attributes help the most
+queries.
 
 This is also the analysis a physical designer (the paper's future work)
 would build on when choosing a clustered index.
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.cost import scan_cost, sorted_lookup_cost
+from repro.core.cost import scan_cost
 from repro.core.model import HardwareParameters, TableProfile
-from repro.core.statistics import StatisticsCollector
 
 #: The speedup thresholds reported in Figure 2.
 SPEEDUP_THRESHOLDS = (2.0, 4.0, 8.0, 16.0)
@@ -27,7 +27,7 @@ SPEEDUP_THRESHOLDS = (2.0, 4.0, 8.0, 16.0)
 
 @dataclass(frozen=True)
 class QuerySpeedup:
-    """Predicted speedup of one query attribute under one clustering."""
+    """Speedup of one query attribute under one clustering."""
 
     query_attribute: str
     clustered_attribute: str
@@ -52,14 +52,13 @@ class ClusteringBenefit:
     def queries_with_speedup(self, threshold: float) -> int:
         return sum(1 for s in self.speedups if s.speedup >= threshold)
 
-    def histogram(
-        self, thresholds: Sequence[float] = SPEEDUP_THRESHOLDS
-    ) -> dict[float, int]:
-        return {t: self.queries_with_speedup(t) for t in thresholds}
+    def histogram(self) -> dict[float, int]:
+        """Queries sped up by at least each of :data:`SPEEDUP_THRESHOLDS`."""
+        return {t: self.queries_with_speedup(t) for t in SPEEDUP_THRESHOLDS}
 
 
 class ClusteringAdvisor:
-    """Predicts which clustered attribute accelerates the most queries."""
+    """Finds which clustered attribute accelerates the most queries."""
 
     def __init__(
         self,
@@ -67,136 +66,51 @@ class ClusteringAdvisor:
         *,
         table_profile: TableProfile | None = None,
         hardware: HardwareParameters | None = None,
-        tups_per_page: int = 100,
-        n_lookups: int = 1,
     ) -> None:
         if not rows:
             raise ValueError("the clustering advisor needs a non-empty table")
         self.rows = rows
         self.hardware = hardware or HardwareParameters()
         self.table_profile = table_profile or TableProfile(
-            total_tups=len(rows), tups_per_page=tups_per_page
+            total_tups=len(rows), tups_per_page=100
         )
-        self.n_lookups = n_lookups
-        self._collector = StatisticsCollector(rows)
-
-    def evaluate_clustering(
-        self, clustered_attribute: str, query_attributes: Sequence[str]
-    ) -> ClusteringBenefit:
-        """Predict every query's speedup under one choice of clustering."""
-        scan = scan_cost(self.table_profile, self.hardware)
-        speedups = []
-        for attribute in query_attributes:
-            if attribute == clustered_attribute:
-                # A query on the clustered attribute itself: a clustered-index
-                # range read, modelled as c_per_u = 1.
-                profile = self._collector.correlation_profile(attribute, attribute)
-                profile = type(profile)(
-                    c_per_u=1.0, c_tups=profile.c_tups, u_tups=profile.u_tups
-                )
-            else:
-                profile = self._collector.correlation_profile(
-                    attribute, clustered_attribute
-                )
-            cost = sorted_lookup_cost(
-                self.n_lookups, profile, self.table_profile, self.hardware
-            )
-            speedups.append(
-                QuerySpeedup(
-                    query_attribute=attribute,
-                    clustered_attribute=clustered_attribute,
-                    c_per_u=profile.c_per_u,
-                    lookup_cost_ms=cost,
-                    scan_cost_ms=scan,
-                )
-            )
-        return ClusteringBenefit(
-            clustered_attribute=clustered_attribute, speedups=tuple(speedups)
-        )
-
-    def evaluate_all(
-        self,
-        clustered_candidates: Sequence[str],
-        query_attributes: Sequence[str] | None = None,
-    ) -> list[ClusteringBenefit]:
-        """Figure 2: one :class:`ClusteringBenefit` per candidate clustering."""
-        query_attributes = list(query_attributes or clustered_candidates)
-        return [
-            self.evaluate_clustering(candidate, query_attributes)
-            for candidate in clustered_candidates
-        ]
-
-    def best_clustering(
-        self,
-        clustered_candidates: Sequence[str],
-        query_attributes: Sequence[str] | None = None,
-        *,
-        threshold: float = 2.0,
-    ) -> ClusteringBenefit:
-        """The clustering that accelerates the most queries by ``threshold``x."""
-        benefits = self.evaluate_all(clustered_candidates, query_attributes)
-        return max(benefits, key=lambda b: b.queries_with_speedup(threshold))
-
-    # -- layout simulation (how Figure 2 is actually measured) -------------------
 
     def simulate_workload(
         self,
         clustered_candidates: Sequence[str],
         query_predicates: Mapping[str, Callable[[Mapping[str, Any]], bool]],
-        *,
-        btree_height: int | None = None,
     ) -> list[ClusteringBenefit]:
-        """Layout-simulate every (clustering, query) combination efficiently.
+        """Measure (rather than model) every (clustering, query) combination.
 
-        Query matches are evaluated once; each candidate clustering then only
-        re-maps the matching rows onto its physical layout.  This is how the
-        Figure 2 benchmark sweeps 39 clusterings x 39 queries in seconds.
+        For each candidate the rows are laid out in clustered-attribute
+        order; for every query the heap pages holding matching tuples are
+        computed directly, and the cost of a sorted (bitmap) index scan over
+        that page set -- one seek per contiguous page run plus a sequential
+        read per page, plus one secondary-index range descent -- is charged
+        with the hardware constants.  This mirrors how the paper measures
+        Figure 2 while avoiding a physical rebuild per clustering.  Query
+        matches are evaluated once; each candidate clustering only re-maps
+        the matching rows onto its layout, so 39 clusterings x 39 queries
+        take seconds.
         """
         matches = {
             attribute: [i for i, row in enumerate(self.rows) if predicate(row)]
             for attribute, predicate in query_predicates.items()
         }
         return [
-            self._simulate_with_matches(candidate, matches, btree_height=btree_height)
+            self._simulate_with_matches(candidate, matches)
             for candidate in clustered_candidates
         ]
-
-    def simulate_clustering(
-        self,
-        clustered_attribute: str,
-        query_predicates: Mapping[str, Callable[[Mapping[str, Any]], bool]],
-        *,
-        btree_height: int | None = None,
-    ) -> ClusteringBenefit:
-        """Measure (rather than model) each query's cost under one clustering.
-
-        The rows are laid out in ``clustered_attribute`` order; for every
-        query the heap pages holding matching tuples are computed directly,
-        and the cost of a sorted (bitmap) index scan over that page set --
-        one seek per contiguous page run plus a sequential read per page,
-        plus one secondary-index range descent -- is charged with the
-        hardware constants.  This mirrors how the paper measures Figure 2
-        while avoiding a physical rebuild per clustering.
-        """
-        matches = {
-            attribute: [i for i, row in enumerate(self.rows) if predicate(row)]
-            for attribute, predicate in query_predicates.items()
-        }
-        return self._simulate_with_matches(
-            clustered_attribute, matches, btree_height=btree_height
-        )
 
     def _simulate_with_matches(
         self,
         clustered_attribute: str,
         matches: Mapping[str, Sequence[int]],
-        *,
-        btree_height: int | None = None,
     ) -> ClusteringBenefit:
         order = sorted(range(len(self.rows)), key=lambda i: self.rows[i][clustered_attribute])
         position_of = {row_index: position for position, row_index in enumerate(order)}
         tups_per_page = self.table_profile.tups_per_page
-        height = btree_height or self.table_profile.btree_height
+        height = self.table_profile.btree_height
         scan = scan_cost(self.table_profile, self.hardware)
         speedups = []
         for attribute, matching in matches.items():

@@ -44,7 +44,6 @@ from itertools import product, tee
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.bucketing import Bucketer
 from repro.core.composite import (
     BucketConstraint,
     CompositeKeySpec,
@@ -87,10 +86,6 @@ class CMStats:
     max_targets_per_key: int
     avg_targets_per_key: float
 
-    @property
-    def size_megabytes(self) -> float:
-        return self.size_bytes / (1024 * 1024)
-
 
 class CorrelationMap:
     """A compressed mapping from unclustered values to clustered targets.
@@ -103,14 +98,11 @@ class CorrelationMap:
         The (possibly composite, possibly bucketed) CM attribute(s).
     clustered_attribute:
         The clustered attribute whose values (or bucket ids) the CM stores.
-    clustered_bucketer:
-        Optional bucketer applied to the clustered attribute; when the table
-        assigns clustered bucket ids (Section 6.1.1) the engine instead passes
-        the bucket id as the target directly via ``target_of``.
     target_of:
         Optional callable ``row -> target`` overriding how the clustered
-        target of a row is derived.  Defaults to the (bucketed) order key of
-        the row's ``clustered_attribute`` value.
+        target of a row is derived; a table clustered into buckets
+        (Section 6.1.1) passes one that reads the row's bucket id.  Defaults
+        to the order key of the row's ``clustered_attribute`` value.
     """
 
     def __init__(
@@ -119,13 +111,11 @@ class CorrelationMap:
         key_spec: CompositeKeySpec,
         clustered_attribute: str,
         *,
-        clustered_bucketer: Bucketer | None = None,
         target_of: Callable[[Mapping[str, Any]], Any] | None = None,
     ) -> None:
         self.name = name
         self.key_spec = key_spec
         self.clustered_attribute = clustered_attribute
-        self.clustered_bucketer = clustered_bucketer
         self._target_of = target_of
         #: key tuple -> {clustered target -> co-occurrence count}
         self._mapping: dict[tuple[Any, ...], dict[Any, int]] = {}
@@ -153,17 +143,12 @@ class CorrelationMap:
         """:meth:`target_of` of every row, streamed: one pass for many rows."""
         if self._target_of is not None:
             return map(self._target_of, rows)
-        if self.clustered_bucketer is None:
-            return iter(order_keys(list(map(itemgetter(self.clustered_attribute), rows))))
-        return map(self.target_of, rows)
+        return iter(order_keys(list(map(itemgetter(self.clustered_attribute), rows))))
 
     def target_of(self, row: Mapping[str, Any]) -> Any:
         if self._target_of is not None:
             return self._target_of(row)
-        value = row[self.clustered_attribute]
-        if self.clustered_bucketer is not None:
-            return self.clustered_bucketer.bucket(value)
-        return order_key(value)
+        return order_key(row[self.clustered_attribute])
 
     # -- construction and maintenance (Algorithm 1) -----------------------------
 
@@ -345,8 +330,9 @@ class CorrelationMap:
         """Approximate in-memory / on-disk size of the CM."""
         return self._key_bytes + self._entries * _ENTRY_BYTES
 
-    def size_pages(self, page_size_bytes: int = 8192) -> int:
-        return max(1, -(-self.size_bytes() // page_size_bytes))
+    def size_pages(self) -> int:
+        """Size in 8 KiB pages, at least one."""
+        return max(1, -(-self.size_bytes() // 8192))
 
     def stats(self) -> CMStats:
         return CMStats(

@@ -148,15 +148,6 @@ def cm_lookup_cost(
     return min(cost, scan_cost(profile, hw))
 
 
-def speedup_over_scan(
-    lookup_cost: float, profile: TableProfile, hw: HardwareParameters
-) -> float:
-    """How many times faster than a table scan a lookup is (>= 1 is a win)."""
-    if lookup_cost <= 0:
-        return float("inf")
-    return scan_cost(profile, hw) / lookup_cost
-
-
 # ---------------------------------------------------------------------------
 # LIMIT-aware costing
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class RewrittenPredicate:
         """True when no clustered value co-occurs: the result is empty."""
         return not self.clustered_values
 
-    def to_sql(self, table: str, *, select_list: str = "*") -> str:
+    def to_sql(self, table: str) -> str:
         """Render the rewritten query as SQL text (for reports/debugging)."""
         clauses = []
         for attribute, constraint in self.residual_constraints.items():
@@ -56,7 +56,7 @@ class RewrittenPredicate:
         in_list = ", ".join(_literal(v) for v in self.clustered_values)
         clauses.append(f"{self.clustered_attribute} IN ({in_list})")
         where = " AND ".join(clauses)
-        return f"SELECT {select_list} FROM {table} WHERE {where}"
+        return f"SELECT * FROM {table} WHERE {where}"
 
 
 def _literal(value: Any) -> str:

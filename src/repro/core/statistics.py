@@ -6,18 +6,15 @@ clustered-attribute values that co-occur with each unclustered value::
     c_per_u = D(Au, Ac) / D(Au)
 
 where ``D(.)`` counts distinct values.  The collector computes these counts
-either exactly (one pass over the rows) or from estimators:
-
-* Distinct Sampling (Gibbons) for single-attribute cardinalities, which needs
-  a full scan but is highly accurate;
-* the Adaptive Estimator (Charikar et al.) over an in-memory random sample,
-  used by the CM Advisor when it must evaluate hundreds of candidate
-  composite keys quickly.
+either exactly (one pass over the rows) or with the Adaptive Estimator
+(Charikar et al.) over an in-memory random sample, which the CM Advisor uses
+when it must evaluate hundreds of candidate composite keys quickly.
+(Distinct Sampling, Gibbons' full-scan estimator of one attribute's
+cardinality, is :func:`repro.sampling.distinct.distinct_sample_estimate`.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.bucketing import IdentityBucketer
@@ -32,7 +29,6 @@ from repro.core.ordering import (
     order_keys,
 )
 from repro.sampling.adaptive import adaptive_estimate
-from repro.sampling.distinct import DistinctSampler
 from repro.sampling.reservoir import ReservoirSampler
 
 
@@ -46,21 +42,6 @@ def c_per_u_from_cardinalities(distinct_uc: float, distinct_u: float) -> float:
     if distinct_u <= 0:
         raise ValueError("distinct count of the unclustered attribute must be positive")
     return distinct_uc / distinct_u
-
-
-@dataclass(frozen=True)
-class AttributeSummary:
-    """Exact summary of one attribute (or composite key)."""
-
-    distinct_values: int
-    total_rows: int
-
-    @property
-    def tuples_per_value(self) -> float:
-        """Average number of tuples carrying each value (``u_tups``/``c_tups``)."""
-        if self.distinct_values == 0:
-            return 0.0
-        return self.total_rows / self.distinct_values
 
 
 class StatisticsCollector:
@@ -79,12 +60,6 @@ class StatisticsCollector:
         return len(self._rows)
 
     # -- exact statistics -------------------------------------------------------
-
-    def summarize(self, key_spec: CompositeKeySpec | str) -> AttributeSummary:
-        """Exact distinct count for an attribute or bucketed composite key."""
-        spec = self._as_spec(key_spec)
-        seen = {spec.key_of(row) for row in self._rows}
-        return AttributeSummary(distinct_values=len(seen), total_rows=len(self._rows))
 
     def correlation_profile(
         self,
@@ -114,15 +89,6 @@ class StatisticsCollector:
 
     # -- estimated statistics -----------------------------------------------------
 
-    def distinct_sampling_estimate(
-        self, attribute: str, *, sample_size: int = 4096, seed: int = 0
-    ) -> float:
-        """Single-attribute cardinality via Gibbons' Distinct Sampling."""
-        sampler = DistinctSampler(sample_size, seed=seed)
-        for row in self._rows:
-            sampler.add(row[attribute])
-        return sampler.estimate()
-
     def collect_sample(
         self, *, sample_size: int = 30_000, seed: int = 0
     ) -> list[Mapping[str, Any]]:
@@ -137,8 +103,6 @@ class StatisticsCollector:
         clustered: CompositeKeySpec | str,
         sample: RowCollection | None = None,
         *,
-        sample_size: int = 30_000,
-        seed: int = 0,
         total_rows: int | None = None,
     ) -> CorrelationProfile:
         """Table 2 statistics estimated with the Adaptive Estimator.
@@ -152,7 +116,7 @@ class StatisticsCollector:
         u_spec = self._as_spec(unclustered)
         c_spec = self._as_spec(clustered)
         if sample is None:
-            sample = self.collect_sample(sample_size=sample_size, seed=seed)
+            sample = self.collect_sample()
         if not sample:
             return CorrelationProfile(c_per_u=0.0, c_tups=0.0, u_tups=0.0)
         total = max(total_rows or len(self._rows), len(sample))
@@ -224,7 +188,6 @@ class IncrementalTableStatistics:
         self,
         *,
         sample_capacity: int = DEFAULT_STATS_SAMPLE_SIZE,
-        seed: int = 0,
         bounds_rebuild_deletes: int | None = None,
     ) -> None:
         if sample_capacity <= 0:
@@ -237,11 +200,10 @@ class IncrementalTableStatistics:
             if bounds_rebuild_deletes is not None
             else max(64, sample_capacity // 100)
         )
-        self._seed = seed
         self._reset()
 
     def _reset(self) -> None:
-        self._reservoir = ReservoirSampler(self.sample_capacity, seed=self._seed)
+        self._reservoir = ReservoirSampler(self.sample_capacity, seed=0)
         self._total_rows = 0
         #: attribute -> (min, max) of its values other than NULL and NaN;
         #: ``None`` while it has met only those.

@@ -123,19 +123,15 @@ def generate_categories(config: EbayConfig | None = None) -> list[Category]:
     return categories
 
 
-def generate_items(
-    config: EbayConfig | None = None, categories: list[Category] | None = None
-) -> list[dict[str, Any]]:
+def generate_items(config: EbayConfig | None = None) -> list[dict[str, Any]]:
     """Generate the ITEMS table rows (materialised in memory)."""
-    return list(iter_items(config, categories))
+    return list(iter_items(config))
 
 
-def iter_items(
-    config: EbayConfig | None = None, categories: list[Category] | None = None
-) -> Iterator[dict[str, Any]]:
+def iter_items(config: EbayConfig | None = None) -> Iterator[dict[str, Any]]:
     """Stream ITEMS rows, category by category."""
     config = config or EbayConfig()
-    categories = categories if categories is not None else generate_categories(config)
+    categories = generate_categories(config)
     rng = random.Random(config.seed + 1)
     item_id = 0
     for category in categories:

@@ -23,13 +23,11 @@ deviations from stock TPC-H that give the join a CM-exploitable
 
 from __future__ import annotations
 
-import datetime
 import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-#: TPC-H order dates span 1992-01-01 .. 1998-08-02.
-EPOCH = datetime.date(1992, 1, 1)
+#: TPC-H order dates span 1992-01-01 (day 0) .. 1998-08-02.
 ORDERDATE_SPAN_DAYS = 2406 - 151  # leave room for ship + receipt lags
 
 #: Receipt lag distribution: the paper's "roughly 4 days for standard UPS,
@@ -65,16 +63,6 @@ class TPCHConfig:
             raise ValueError("TPC-H needs at least 4 suppliers")
         if self.orderdate_span_days <= 0:
             raise ValueError("orderdate_span_days must be positive")
-
-
-def day_to_date(day_number: int) -> datetime.date:
-    """Convert an integer day number back to a calendar date."""
-    return EPOCH + datetime.timedelta(days=int(day_number))
-
-
-def date_to_day(date: datetime.date) -> int:
-    """Convert a calendar date to the integer day number used in rows."""
-    return (date - EPOCH).days
 
 
 def supplier_for_part(partkey: int, replica: int, num_suppliers: int) -> int:

@@ -51,31 +51,6 @@ def one_percent_range(
     return values[start], values[start + window - 1]
 
 
-def sdss_selection_queries(
-    rows: Sequence[Mapping[str, Any]],
-    attributes: Sequence[str],
-    *,
-    table: str = "photoobj",
-    selectivity: float = 0.01,
-    seed: int = 0,
-) -> list[Query]:
-    """One ~1 %-selectivity selection per attribute (the Figure 2 query set)."""
-    queries = []
-    for position, attribute in enumerate(attributes):
-        low, high = one_percent_range(
-            rows, attribute, selectivity=selectivity, seed=seed + position
-        )
-        queries.append(
-            Query.select(
-                table,
-                Between(attribute, low, high),
-                aggregate=Aggregate.count(),
-                name=f"q_{attribute}",
-            )
-        )
-    return queries
-
-
 # ---------------------------------------------------------------------------
 # TPC-H: shipdate IN (...) (Figure 3)
 # ---------------------------------------------------------------------------
@@ -84,7 +59,6 @@ def tpch_shipdate_query(
     rows: Sequence[Mapping[str, Any]],
     num_dates: int,
     *,
-    table: str = "lineitem",
     seed: int = 0,
 ) -> Query:
     """``SELECT AVG(extendedprice * discount) WHERE shipdate IN (...)``."""
@@ -92,7 +66,7 @@ def tpch_shipdate_query(
     distinct_dates = sorted({row["shipdate"] for row in rows})
     chosen = rng.sample(distinct_dates, min(num_dates, len(distinct_dates)))
     return Query.select(
-        table,
+        "lineitem",
         InSet("shipdate", sorted(chosen)),
         aggregate=Aggregate.avg(lambda row: row["extendedprice"] * row["discount"]),
         name=f"shipdates_{num_dates}",
@@ -107,24 +81,21 @@ def ebay_price_range_query(
     low: float,
     price_range: float,
     *,
-    table: str = "items",
     count_distinct: str = "cat2",
 ) -> Query:
     """``SELECT COUNT(DISTINCT CATx) WHERE Price BETWEEN low AND low+range``."""
     return Query.select(
-        table,
+        "items",
         Between("price", low, low + price_range),
         aggregate=Aggregate.count_distinct(count_distinct),
         name=f"price_{low}_{price_range}",
     )
 
 
-def ebay_category_query(
-    attribute: str, value: Any, *, table: str = "items"
-) -> Query:
+def ebay_category_query(attribute: str, value: Any) -> Query:
     """``SELECT AVG(Price) WHERE CATx = value`` (Experiments 3 and 4)."""
     return Query.select(
-        table,
+        "items",
         Equals(attribute, value),
         aggregate=Aggregate.avg("price"),
         name=f"{attribute}_{value}",
@@ -179,17 +150,17 @@ def ebay_cat_values_by_c_per_u(
     rows: Sequence[Mapping[str, Any]],
     attribute: str = "cat5",
     *,
-    clustered: str = "catid",
     targets: Sequence[int] = (4, 15, 24, 62, 145),
 ) -> list[tuple[Any, int]]:
-    """Values of ``attribute`` whose c_per_u is closest to each target.
+    """Values of ``attribute`` whose c_per_u (over ``catid``) is closest to
+    each target.
 
     Reproduces the Experiment 4 selection of CAT5 values with c_per_u ranging
     from 4 to 145 (Figure 10).  Returns ``(value, actual_c_per_u)`` pairs.
     """
     co_occurring: dict[Any, set[Any]] = {}
     for row in rows:
-        co_occurring.setdefault(row[attribute], set()).add(row[clustered])
+        co_occurring.setdefault(row[attribute], set()).add(row["catid"])
     available = sorted(co_occurring.items(), key=lambda item: len(item[1]))
     chosen: list[tuple[Any, int]] = []
     used: set[Any] = set()
@@ -210,16 +181,14 @@ def ebay_cat_values_by_c_per_u(
 # SDSS: SX6 and the Q2 variant (Tables 3-6, Experiment 5)
 # ---------------------------------------------------------------------------
 
-def sdss_sx6_query(
-    field_values: Sequence[int], *, table: str = "photoobj", psfmag_g_limit: float = 20.0
-) -> Query:
-    """The SX6-style query: fieldID IN (...) AND mode=1 AND type=6 AND psfmag_g < limit."""
+def sdss_sx6_query(field_values: Sequence[int]) -> Query:
+    """The SX6-style query: fieldID IN (...) AND mode=1 AND type=6 AND psfmag_g < 20."""
     return Query.select(
-        table,
+        "photoobj",
         InSet("fieldid", list(field_values)),
         Equals("mode", 1),
         Equals("type", 6),
-        Between("psfmag_g", None, psfmag_g_limit),
+        Between("psfmag_g", None, 20.0),
         aggregate=Aggregate.count(),
         name="sx6",
     )
@@ -239,11 +208,15 @@ def sdss_sx6_training_query(n_lookups: int = 2) -> TrainingQuery:
     )
 
 
+#: The sky region of the Experiment 5 query.
+_Q2_RA_RANGE = (193.117, 194.517)
+_Q2_DEC_RANGE = (1.411, 1.555)
+
+
 def sdss_q2_query(
-    ra_range: tuple[float, float] = (193.117, 194.517),
-    dec_range: tuple[float, float] = (1.411, 1.555),
+    ra_range: tuple[float, float] = _Q2_RA_RANGE,
+    dec_range: tuple[float, float] = _Q2_DEC_RANGE,
     *,
-    table: str = "photoobj",
     surface_range: tuple[float, float] = (23.0, 25.0),
 ) -> Query:
     """The Experiment 5 query: a sky region restricted to blue, bright surfaces.
@@ -253,7 +226,7 @@ def sdss_q2_query(
     """
     low, high = surface_range
     return Query.select(
-        table,
+        "photoobj",
         Between("ra", *ra_range),
         Between("dec", *dec_range),
         ExpressionPredicate("g + rho", lambda row: low <= row["g"] + row["rho"] <= high),
@@ -262,32 +235,13 @@ def sdss_q2_query(
     )
 
 
-def sdss_q2_training_query(
-    ra_range: tuple[float, float] = (193.117, 194.517),
-    dec_range: tuple[float, float] = (1.411, 1.555),
-) -> TrainingQuery:
+def sdss_q2_training_query() -> TrainingQuery:
     """The Q2-variant predicate set as CM Advisor input (Experiment 5)."""
     return TrainingQuery(
         constraints={
-            "ra": ValueConstraint.between(*ra_range),
-            "dec": ValueConstraint.between(*dec_range),
+            "ra": ValueConstraint.between(*_Q2_RA_RANGE),
+            "dec": ValueConstraint.between(*_Q2_DEC_RANGE),
         },
         n_lookups=1,
         name="Q2-variant",
     )
-
-
-def training_queries_from_queries(queries: Sequence[Query]) -> list[TrainingQuery]:
-    """Convert executable queries into CM Advisor training queries."""
-    training = []
-    for query in queries:
-        constraints = query.predicates.constraints()
-        n_lookups = 1
-        for predicate in query.predicates.indexable_predicates():
-            values = predicate.lookup_values
-            if values is not None:
-                n_lookups = max(n_lookups, len(values))
-        training.append(
-            TrainingQuery(constraints=constraints, n_lookups=n_lookups, name=query.name)
-        )
-    return training

@@ -103,12 +103,6 @@ class Database:
         self.hardware = HardwareParameters.from_disk(self.disk.params)
         self.planner = Planner(self.hardware)
         self.stats_sample_size = stats_sample_size
-        #: Whether join planning over partitioned tables may fall back to a
-        #: repartitioning exchange (hash-splitting the build side into the
-        #: outer table's partition layout).  With it off, a join whose only
-        #: viable shape is the repartition -- incompatible layouts on both
-        #: sides, no flat build side -- is rejected with an explicit error.
-        self.enable_repartition = True
         self.tables: dict[str, Table | PartitionedTable] = {}
 
     # -- DDL ---------------------------------------------------------------------
@@ -159,14 +153,6 @@ class Database:
         )
         self.tables[name] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        target = self.table(name)
-        if isinstance(target, PartitionedTable):
-            target.drop_caches()
-        else:
-            self.buffer_pool.drop_file(name)
-        del self.tables[name]
 
     def table(self, name: str) -> Table | PartitionedTable:
         if name not in self.tables:
@@ -346,14 +332,15 @@ class Database:
                 "it reduces the full matching row stream to one value"
             )
         self._validate_query(query, projection)
-        choose, _candidates, target, options = self._planner_route(query)
+        choose, _candidates, target = self._planner_route(query)
         if query.joins:
-            options["force_join"] = force_join
-        elif force_join is not None:
+            return choose(
+                target, query, force=force, force_join=force_join, limit=limit,
+                projection=projection,
+            )
+        if force_join is not None:
             raise ValueError("force_join only applies to queries with joins")
-        return choose(
-            target, query, force=force, limit=limit, projection=projection, **options
-        )
+        return choose(target, query, force=force, limit=limit, projection=projection)
 
     def _effective_snapshot(
         self,
@@ -497,14 +484,12 @@ class Database:
 
     def _planner_route(
         self, query: Query
-    ) -> tuple[
-        Callable[..., PlanNode], Callable[..., list[PlanNode]], Any, dict[str, Any]
-    ]:
+    ) -> tuple[Callable[..., PlanNode], Callable[..., list[PlanNode]], Any]:
         """The planner entry points serving ``query``, shared by plan and explain.
 
-        Returns the ``choose*`` method, its ``candidate_*`` twin, their
+        Returns the ``choose*`` method, its ``candidate_*`` twin and their
         first argument -- the table, or for joins the catalog the planner
-        resolves table names against -- and the extra options both take.
+        resolves table names against.
         A join touching any partitioned table plans partition-wise
         (co-partitioned, broadcast or repartition exchange shapes);
         genuinely unsupported layouts are rejected there with an actionable
@@ -521,17 +506,11 @@ class Database:
                     planner.choose_partitioned_join,
                     planner.candidate_partitioned_join_plans,
                     catalog,
-                    {"enable_repartition": self.enable_repartition},
                 )
-            return planner.choose_join, planner.candidate_join_plans, catalog, {}
+            return planner.choose_join, planner.candidate_join_plans, catalog
         if partitioned:
-            return (
-                planner.choose_partitioned,
-                planner.candidate_partitioned_plans,
-                chain[0],
-                {},
-            )
-        return planner.choose, planner.candidate_plans, chain[0], {}
+            return planner.choose_partitioned, planner.candidate_partitioned_plans, chain[0]
+        return planner.choose, planner.candidate_plans, chain[0]
 
     def _validate_query(self, query: Query, projection: Sequence[str] | None) -> None:
         """Check table names, column collisions and the projection.
@@ -622,8 +601,8 @@ class Database:
         (ambiguous columns, unknown projection) fails here the same way.
         """
         self._validate_query(query, query.projection)
-        _choose, candidates, target, options = self._planner_route(query)
-        plans = candidates(target, query, limit=query.limit, **options)
+        _choose, candidates, target = self._planner_route(query)
+        plans = candidates(target, query, limit=query.limit)
         return [
             {
                 "method": plan.method,

@@ -106,7 +106,7 @@ class RowBatch(list):
     before handing rows to callers).
 
     The row-dict view is the source of truth; per-column vectors are
-    *lazily materialised* by :meth:`column`/:meth:`key_vector` with one
+    *lazily materialised* by :meth:`column` with one
     C-driven pass when a kernel wants columnar input (sort keys, group
     keys, join keys).  Vectors are never cached on the batch: batches are
     consumed exactly once, and caching would tax the append/extend hot
@@ -118,13 +118,6 @@ class RowBatch(list):
     def column(self, name: str) -> list[Any]:
         """This batch's values for one column, as a fresh list."""
         return [row[name] for row in self]
-
-    def key_vector(self, columns: Sequence[str]) -> list[Any]:
-        """Per-row key values for ``columns``: scalars for a single
-        column, tuples for composites (matching :func:`_key_getter`)."""
-        if len(columns) == 1:
-            return [row[columns[0]] for row in self]
-        return list(map(itemgetter(*columns), self))
 
 
 @dataclass(slots=True)

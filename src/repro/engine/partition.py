@@ -327,11 +327,9 @@ class PartitionedTable:
         self.statistics.observe_insert(stored)
         return rid
 
-    def delete_in_partition(
-        self, index: int, rid: RID, *, charge_io: bool = True
-    ) -> dict[str, Any] | None:
+    def delete_in_partition(self, index: int, rid: RID) -> dict[str, Any] | None:
         """Delete one tuple of partition ``index``, updating global statistics."""
-        row = self.partitions[index].delete_row(rid, charge_io=charge_io)
+        row = self.partitions[index].delete_row(rid)
         if row is not None:
             self.statistics.observe_delete(row)
         return row

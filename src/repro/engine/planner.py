@@ -819,7 +819,6 @@ class Planner:
         self,
         tables: Mapping[str, AnyTable],
         query: Query,
-        enable_repartition: bool,
     ) -> "_PartitionJoinLayout":
         """Classify a two-table join touching partitioned storage.
 
@@ -836,8 +835,7 @@ class Planner:
           hash join through a shared cache, scanned once.
         * ``repartition`` -- the build side (flat, or partitioned with an
           incompatible layout) hash-split into the outer layout by the join
-          column equated with the outer partition key; gated by
-          ``enable_repartition`` (``Database.enable_repartition``).
+          column equated with the outer partition key.
         """
         if len(query.tables) != 2:
             raise ValueError(
@@ -866,16 +864,9 @@ class Planner:
         if isinstance(inner, Table):
             shapes.append("broadcast")
         routable = any(outer_column == spec.key for outer_column, _inner in pairs)
-        if routable and "co_partitioned" not in shapes and enable_repartition:
+        if routable and "co_partitioned" not in shapes:
             shapes.append("repartition")
         if not shapes:
-            if routable:
-                raise ValueError(
-                    f"cannot join partitioned table {outer_name!r} with "
-                    f"{inner_name!r}: the partition layouts are incompatible "
-                    "and repartitioning is disabled "
-                    "(Database.enable_repartition)"
-                )
             raise ValueError(
                 f"cannot join partitioned table {outer_name!r} with "
                 f"{inner_name!r}: the join condition equates neither "
@@ -1094,14 +1085,13 @@ class Planner:
         force_join: str | None,
         limit: int | None,
         projection: Sequence[str] | None,
-        enable_repartition: bool,
     ) -> list[PlanNode]:
         """One plan per exchange shape that applies and survives the forcing.
 
         See :meth:`_partition_join_layout` for the shapes; when the forcing
         rules every shape out, the first shape's reason is raised.
         """
-        layout = self._partition_join_layout(tables, query, enable_repartition)
+        layout = self._partition_join_layout(tables, query)
         plans: list[PlanNode] = []
         errors: list[str] = []
         for shape in layout.shapes:
@@ -1126,7 +1116,6 @@ class Planner:
         force_join: str | None = None,
         limit: int | None = None,
         projection: Sequence[str] | None = None,
-        enable_repartition: bool = True,
     ) -> PlanNode:
         """The cheapest partition-wise join plan over partitioned storage.
 
@@ -1137,7 +1126,7 @@ class Planner:
         """
         _check_forced(force, force_join)
         plans = self._partition_join_plans(
-            tables, query, force, force_join, limit, projection, enable_repartition
+            tables, query, force, force_join, limit, projection
         )
         return min(plans, key=self.plan_rank)
 
@@ -1148,11 +1137,10 @@ class Planner:
         *,
         limit: int | None = None,
         projection: Sequence[str] | None = None,
-        enable_repartition: bool = True,
     ) -> list[PlanNode]:
         """Every applicable partition-wise join shape, for ``Database.explain``."""
         return self._partition_join_plans(
-            tables, query, None, None, limit, projection, enable_repartition
+            tables, query, None, None, limit, projection
         )
 
     #: Tie-break order when estimated costs are equal (which happens when all

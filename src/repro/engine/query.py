@@ -243,16 +243,6 @@ class Aggregate:
         """Fresh columnar per-group state for one hash aggregation."""
         return GroupedAccumulators(self)
 
-    def compute(self, rows: Sequence[Mapping[str, Any]]) -> Any:
-        """Evaluate the aggregate over already-materialised rows.
-
-        For callers holding a row list; query execution streams through
-        :meth:`make_accumulator` instead of materialising the input.
-        """
-        accumulator = self.make_accumulator()
-        accumulator.add_batch(rows)
-        return accumulator.result()
-
     @classmethod
     def count(cls, *, alias: str | None = None) -> "Aggregate":
         return cls("count", alias=alias)
@@ -652,10 +642,6 @@ class QueryResult:
     #: The executed physical plan tree (a PlanNode), for EXPLAIN
     #: ANALYZE-style inspection of per-node counters.
     plan: Any = field(default=None, repr=False)
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.elapsed_ms / 1000.0
 
     @property
     def false_positive_rows(self) -> int:

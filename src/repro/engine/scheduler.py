@@ -131,20 +131,6 @@ class ScheduledQuery:
     def finished(self) -> bool:
         return self.state in (FINISHED, FAILED)
 
-    @property
-    def latency_ms(self) -> float | None:
-        """Simulated submission-to-completion latency (includes queueing)."""
-        if self.finished_ms is None:
-            return None
-        return self.finished_ms - self.submitted_ms
-
-    @property
-    def queue_ms(self) -> float | None:
-        """Simulated time spent waiting for admission."""
-        if self.admitted_ms is None:
-            return None
-        return self.admitted_ms - self.submitted_ms
-
     def describe(self) -> str:
         return f"{self.label}[{self.state}]"
 

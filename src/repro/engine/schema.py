@@ -34,13 +34,9 @@ class TableSchema:
             raise ValueError(f"column_bytes refers to unknown columns: {sorted(unknown)}")
 
     @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        columns: Sequence[str],
-        column_bytes: Mapping[str, int] | None = None,
-    ) -> "TableSchema":
-        return cls(name=name, columns=tuple(columns), column_bytes=dict(column_bytes or {}))
+    def from_columns(cls, name: str, columns: Sequence[str]) -> "TableSchema":
+        """Columns of the default width."""
+        return cls(name=name, columns=tuple(columns))
 
     @classmethod
     def infer(cls, name: str, sample_row: Mapping[str, Any]) -> "TableSchema":
@@ -71,12 +67,13 @@ class TableSchema:
         """How many tuples fit on one page (at least 1)."""
         return max(1, page_size_bytes // self.row_bytes())
 
-    def with_column(self, column: str, width: int = DEFAULT_COLUMN_BYTES) -> "TableSchema":
-        """A copy of the schema with one extra column (e.g. the bucket id)."""
+    def with_column(self, column: str) -> "TableSchema":
+        """A copy of the schema with one extra column (e.g. the bucket id) of
+        the default width."""
         if column in self.columns:
             return self
         return TableSchema(
             name=self.name,
             columns=self.columns + (column,),
-            column_bytes={**dict(self.column_bytes), column: width},
+            column_bytes={**dict(self.column_bytes), column: DEFAULT_COLUMN_BYTES},
         )

@@ -79,7 +79,7 @@ class Table:
         self.clustered_attribute: str | None = None
         self.clustered_index: ClusteredIndex | None = None
         self.pages_per_bucket: int | None = None
-        self._bucket_key_ranges: list[tuple[Any, Any, int]] = []
+        self._has_buckets = False
         self._clustered_until_page = 0
 
         self.secondary_indexes: dict[str, SecondaryIndex] = {}
@@ -120,7 +120,7 @@ class Table:
 
     @property
     def has_clustered_buckets(self) -> bool:
-        return bool(self._bucket_key_ranges)
+        return self._has_buckets
 
     def all_rows(self) -> Iterable[dict[str, Any]]:
         """Every live row, without I/O accounting (catalog / statistics use)."""
@@ -195,7 +195,7 @@ class Table:
         self._clustered_until_page = self.heap.num_pages
 
         self.pages_per_bucket = pages_per_bucket
-        self._bucket_key_ranges = []
+        self._has_buckets = False
         if pages_per_bucket is not None:
             self._assign_buckets(placed, attribute, pages_per_bucket)
 
@@ -232,12 +232,8 @@ class Table:
         for bucket in buckets:
             first_page = placed[bucket.first_row][0].page_no
             last_page = placed[bucket.last_row][0].page_no
-            self.clustered_index.register_bucket(
-                bucket.bucket_id, first_page, last_page, bucket.min_key, bucket.max_key
-            )
-            self._bucket_key_ranges.append(
-                (bucket.min_key, bucket.max_key, bucket.bucket_id)
-            )
+            self.clustered_index.register_bucket(bucket.bucket_id, first_page, last_page)
+        self._has_buckets = bool(buckets)
 
     def _rebuild_secondary_structures(
         self, placed: Sequence[tuple[RID, dict[str, Any]]]
@@ -262,18 +258,6 @@ class Table:
             )
 
     # -- bucket helpers -----------------------------------------------------------------
-
-    def bucket_for_value(self, value: Any) -> int:
-        """The clustered bucket id whose key range contains ``value``.
-
-        Values outside every bucket (only possible for rows inserted after
-        clustering with new clustered-attribute values) map to the tail.
-        """
-        value = order_key(value)
-        for min_key, max_key, bucket_id in self._bucket_key_ranges:
-            if min_key <= value <= max_key:
-                return bucket_id
-        return TAIL_BUCKET
 
     def pages_for_targets(self, targets: Iterable[Any], *, uses_buckets: bool) -> list[int]:
         """Heap pages to visit for a CM lookup result.
@@ -318,9 +302,6 @@ class Table:
         index.build(self.heap.scan(charge_io=False))
         self.secondary_indexes[name] = index
         return index
-
-    def drop_secondary_index(self, name: str) -> None:
-        del self.secondary_indexes[name]
 
     # -- correlation maps -----------------------------------------------------------------------
 
@@ -428,7 +409,7 @@ class Table:
 
     # -- MVCC version writes ---------------------------------------------------------------------
 
-    def insert_version(self, row: Mapping[str, Any], xid: int, *, charge_io: bool = True) -> RID:
+    def insert_version(self, row: Mapping[str, Any], xid: int) -> RID:
         """Insert a new row *version* stamped with its creating transaction.
 
         The row gains a hidden ``_xmin`` column and is placed like any
@@ -442,9 +423,9 @@ class Table:
         versioned = dict(row)
         versioned[XMIN_COLUMN] = xid
         self.mvcc_versioned = True
-        return self._place(versioned, charge_io=charge_io, creator=xid)
+        return self._place(versioned, charge_io=True, creator=xid)
 
-    def mark_deleted(self, rid: RID, xid: int, *, charge_io: bool = True) -> dict[str, Any] | None:
+    def mark_deleted(self, rid: RID, xid: int) -> dict[str, Any] | None:
         """MVCC delete: stamp the version at ``rid`` with a deleting xid.
 
         Nothing is physically removed -- the version stays in the heap (and
@@ -460,8 +441,7 @@ class Table:
         row = self.heap.fetch(rid, charge_io=False)
         if row is None:
             return None
-        if charge_io:
-            self.buffer_pool.access(self.heap.name, rid.page_no, dirty=True)
+        self.buffer_pool.access(self.heap.name, rid.page_no, dirty=True)
         self.heap.pages[rid.page_no].note_deleter(xid)
         row[XMAX_COLUMN] = xid
         self.mvcc_versioned = True

@@ -26,17 +26,6 @@ class PageBitmap:
             raise ValueError("page numbers must be non-negative")
         self._pages.add(page_no)
 
-    def add_range(self, start: int, end: int) -> None:
-        """Add the inclusive page range ``[start, end]``."""
-        if end < start:
-            raise ValueError("range end must not precede start")
-        self._pages.update(range(start, end + 1))
-
-    def union(self, other: "PageBitmap") -> "PageBitmap":
-        result = PageBitmap()
-        result._pages = self._pages | other._pages
-        return result
-
     def intersection(self, other: "PageBitmap") -> "PageBitmap":
         result = PageBitmap()
         result._pages = self._pages & other._pages
@@ -78,9 +67,3 @@ class PageBitmap:
     def num_runs(self) -> int:
         """Number of contiguous runs; each run costs one seek on disk."""
         return len(self.runs())
-
-    def fraction_of(self, total_pages: int) -> float:
-        """Fraction of the table's pages this bitmap touches."""
-        if total_pages <= 0:
-            return 0.0
-        return len(self._pages) / total_pages

@@ -91,10 +91,6 @@ class BPlusTree:
     def num_nodes(self) -> int:
         return sum(1 for _ in self._walk_nodes())
 
-    @property
-    def num_leaf_nodes(self) -> int:
-        return sum(1 for node in self._walk_nodes() if node.leaf)
-
     def _walk_nodes(self) -> Iterator[_Node]:
         stack = [self.root]
         while stack:
@@ -132,15 +128,6 @@ class BPlusTree:
         if idx is None:
             return []
         return list(leaf.values[idx])
-
-    def search_path(self, key: Any) -> tuple[list[Any], list[int]]:
-        """Like :meth:`search` but also return the page numbers traversed."""
-        leaf, path = self._find_leaf(key)
-        idx = self._leaf_index(leaf, key)
-        pages = [node.page_no for node in path]
-        if idx is None:
-            return [], pages
-        return list(leaf.values[idx]), pages
 
     @staticmethod
     def _leaf_index(leaf: _Node, key: Any) -> int | None:

@@ -41,8 +41,6 @@ class ClusteredIndex:
         self._page_max_keys: list[Any] = []
         #: Bucket id -> inclusive (first_page, last_page) range.
         self._bucket_pages: dict[Any, tuple[int, int]] = {}
-        #: Bucket id -> inclusive (min_key, max_key) of clustered values.
-        self._bucket_keys: dict[Any, tuple[Any, Any]] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -58,13 +56,11 @@ class ClusteredIndex:
             self._page_min_keys.append(min_key)
             self._page_max_keys.append(max_key)
 
-    def register_bucket(self, bucket_id: Any, first_page: int, last_page: int,
-                        min_key: Any, max_key: Any) -> None:
+    def register_bucket(self, bucket_id: Any, first_page: int, last_page: int) -> None:
         """Record the heap page range covered by a clustered bucket."""
         if last_page < first_page:
             raise ValueError("bucket page range is inverted")
         self._bucket_pages[bucket_id] = (first_page, last_page)
-        self._bucket_keys[bucket_id] = (min_key, max_key)
 
     # -- properties --------------------------------------------------------------
 
@@ -82,12 +78,6 @@ class ClusteredIndex:
         pages = max(1, self.num_pages)
         return max(1, math.ceil(math.log(pages, _HEIGHT_FANOUT)) + 1)
 
-    def bucket_ids(self) -> list[Any]:
-        return sorted(self._bucket_pages)
-
-    def bucket_key_range(self, bucket_id: Any) -> tuple[Any, Any]:
-        return self._bucket_keys[bucket_id]
-
     # -- lookups ------------------------------------------------------------------
 
     def _charge_descent(self) -> None:
@@ -103,18 +93,14 @@ class ClusteredIndex:
         for _ in range(max(0, n)):
             self._charge_descent()
 
-    def pages_for_value(self, value: Any, *, charge_io: bool = True) -> list[int]:
+    def pages_for_value(self, value: Any) -> list[int]:
         """Heap pages that may contain ``value`` (contiguous by construction)."""
-        if charge_io:
-            self._charge_descent()
+        self._charge_descent()
         return self._pages_for_range(order_key(value), order_key(value))
 
-    def pages_for_range(
-        self, low: Any, high: Any, *, charge_io: bool = True
-    ) -> list[int]:
+    def pages_for_range(self, low: Any, high: Any) -> list[int]:
         """Heap pages that may contain keys in ``[low, high]``."""
-        if charge_io:
-            self._charge_descent()
+        self._charge_descent()
         return self._pages_for_range(low, high)
 
     def _pages_for_range(self, low: Any, high: Any) -> list[int]:
@@ -134,14 +120,10 @@ class ClusteredIndex:
             return []
         return list(range(first, last + 1))
 
-    def pages_for_bucket(self, bucket_id: Any, *, charge_io: bool = True) -> list[int]:
+    def pages_for_bucket(self, bucket_id: Any) -> list[int]:
         """Heap pages covered by a clustered bucket id."""
         if bucket_id not in self._bucket_pages:
             return []
-        if charge_io:
-            self._charge_descent()
+        self._charge_descent()
         first, last = self._bucket_pages[bucket_id]
         return list(range(first, last + 1))
-
-    def key_bounds_of_page(self, page_no: int) -> tuple[Any, Any]:
-        return self._page_min_keys[page_no], self._page_max_keys[page_no]

@@ -134,7 +134,7 @@ class SecondaryIndex:
         for entry_key, _payloads in self.tree.range_scan((key,)):
             yield entry_key
 
-    def probe(self, key: Any, *, charge_io: bool = True) -> list[RID]:
+    def probe(self, key: Any) -> list[RID]:
         """Return the RIDs stored under ``key``, charging a root-to-leaf read."""
         key = order_key(key) if len(self.attributes) == 1 else tuple(map(order_key, key))
         rids = []
@@ -144,17 +144,10 @@ class SecondaryIndex:
                 break
             rids.append(rid)
             scanned += 1
-        if charge_io:
-            self._charge_scan(scanned)
+        self._charge_scan(scanned)
         return rids
 
-    def probe_range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        *,
-        charge_io: bool = True,
-    ) -> list[RID]:
+    def probe_range(self, low: Any = None, high: Any = None) -> list[RID]:
         """Return RIDs for all keys in the inclusive range ``[low, high]``.
 
         ``None`` bounds are open; no NULL key is in range, and a NaN key
@@ -171,13 +164,10 @@ class SecondaryIndex:
                 break
             rids.append(rid)
             scanned += 1
-        if charge_io:
-            self._charge_scan(scanned)
+        self._charge_scan(scanned)
         return rids
 
-    def probe_prefix_range(
-        self, low: Any = None, high: Any = None, *, charge_io: bool = True
-    ) -> list[RID]:
+    def probe_prefix_range(self, low: Any = None, high: Any = None) -> list[RID]:
         """RIDs whose *first* key attribute lies in ``[low, high]``.
 
         Composite indexes can only use the leading attribute of their key for
@@ -185,7 +175,7 @@ class SecondaryIndex:
         the remaining attributes must be filtered on the fetched tuples.
         """
         if len(self.attributes) == 1:
-            return self.probe_range(low, high, charge_io=charge_io)
+            return self.probe_range(low, high)
         # An equality on the prefix arrives as the range (value, value).
         low, high = (bound if bound is None else order_key(bound) for bound in (low, high))
         rids: list[RID] = []
@@ -199,8 +189,7 @@ class SecondaryIndex:
                 break
             rids.append(rid)
             scanned += 1
-        if charge_io:
-            self._charge_scan(scanned)
+        self._charge_scan(scanned)
         return rids
 
     def distinct_keys(self) -> list[Any]:

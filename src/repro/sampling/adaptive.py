@@ -52,12 +52,7 @@ def gee_estimate(sample: Sequence[Hashable], total_rows: int) -> float:
     return min(float(total_rows), max(estimate, float(len(set(sample)))))
 
 
-def adaptive_estimate(
-    sample: Sequence[Hashable],
-    total_rows: int,
-    *,
-    rare_threshold: int | None = None,
-) -> float:
+def adaptive_estimate(sample: Sequence[Hashable], total_rows: int) -> float:
     """Adaptive Estimator (AE) for the number of distinct values.
 
     The sample's values are split into *rare* (sample frequency below a
@@ -75,10 +70,9 @@ def adaptive_estimate(
     r = len(sample)
     n = total_rows
 
-    if rare_threshold is None:
-        # Charikar et al. treat values with sample frequency > sqrt(r) as
-        # frequent; small samples use a floor of 2 so f1/f2 stay meaningful.
-        rare_threshold = max(2, int(math.sqrt(r)))
+    # Charikar et al. treat values with sample frequency > sqrt(r) as
+    # frequent; small samples use a floor of 2 so f1/f2 stay meaningful.
+    rare_threshold = max(2, int(math.sqrt(r)))
 
     rare_counts = {value: c for value, c in counts.items() if c <= rare_threshold}
     frequent_distinct = distinct_in_sample - len(rare_counts)

@@ -37,12 +37,6 @@ class BufferPoolStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
 
 class BufferPool:
     """A fixed-capacity LRU cache of disk pages shared by all files.
@@ -195,12 +189,8 @@ class BufferPool:
         for key in [key for key in self._frames if key[0] == file_name]:
             del self._frames[key]
 
-    def clear(self, *, write_dirty: bool = False) -> None:
-        """Empty the pool, optionally writing dirty pages back first.
-
-        ``write_dirty=False`` mirrors the paper's cold-cache methodology of
-        dropping OS and database caches between runs.
-        """
-        if write_dirty:
-            self.flush_all()
+    def clear(self) -> None:
+        """Empty the pool without writing dirty pages back: the paper's
+        cold-cache methodology of dropping OS and database caches between
+        runs."""
         self._frames.clear()

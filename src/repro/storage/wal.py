@@ -35,7 +35,6 @@ class WriteAheadLog:
 
     __slots__ = (
         "disk",
-        "name",
         "records",
         "_next_lsn",
         "_pending_bytes",
@@ -44,9 +43,8 @@ class WriteAheadLog:
         "pages_written",
     )
 
-    def __init__(self, disk: DiskModel, *, name: str = "wal") -> None:
+    def __init__(self, disk: DiskModel) -> None:
         self.disk = disk
-        self.name = name
         self.records: list[LogRecord] = []
         self._next_lsn = 0
         self._pending_bytes = 0

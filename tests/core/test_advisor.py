@@ -102,16 +102,18 @@ class TestCandidateEnumeration:
         assert all("catid" not in spec.attributes for spec in candidates)
 
     def test_candidate_cap_respected(self, rows):
-        advisor = CMAdvisor(rows, "catid", sample_size=2000, max_candidates_per_query=10)
+        advisor = CMAdvisor(rows, "catid", sample_size=2000)
+        # Four many-valued attributes offer ~10 bucketings each, so their
+        # subsets up to four attributes exceed the cap of 2 048 candidates.
         query = TrainingQuery.over_attributes("price", "longitude", "latitude", "noise")
-        assert len(advisor.enumerate_candidates(query)) <= 10
+        assert len(advisor.enumerate_candidates(query)) == 2048
 
     def test_unselective_predicates_pruned(self, rows):
-        advisor = CMAdvisor(rows, "catid", sample_size=2000, min_selectivity=0.4)
-        # A predicate over a 2-valued attribute selects ~50% of the table and
-        # is pruned by the selectivity threshold.
+        advisor = CMAdvisor(rows, "catid", sample_size=2000)
+        # A predicate over a one-valued attribute selects the whole table,
+        # more than the half the selectivity threshold allows, and is pruned.
         for row in rows:
-            row["flag"] = row["itemid"] % 2
+            row["flag"] = 0
         try:
             query = TrainingQuery.over_attributes("flag", "price")
             candidates = advisor.enumerate_candidates(query)
@@ -195,14 +197,6 @@ class TestRecommendation:
             d.estimated_c_per_u for d in singles
         )
 
-    def test_workload_recommendation(self, advisor):
-        queries = [
-            TrainingQuery.over_attributes("price"),
-            TrainingQuery.over_attributes("noise"),
-        ]
-        recommendations = advisor.recommend_workload(queries)
-        assert len(recommendations) == 2
-
     def test_design_table_rows_have_table5_columns(self, advisor):
         rows = advisor.design_table(TrainingQuery.over_attributes("price"), limit=5)
         assert rows
@@ -237,3 +231,33 @@ class TestSDSSAdvisorIntegration:
         by_column = {row["column"]: row for row in report}
         assert by_column["mode"]["bucket_widths"].startswith("none")
         assert by_column["psfmag_g"]["bucket_levels"]
+
+
+class TestNullAndNaNColumns:
+    """Columns holding NULL or NaN count distinct values in the value order."""
+
+    @pytest.fixture(scope="class")
+    def advisor(self):
+        rows = [
+            {
+                "c": i // 20,
+                "u": None if i % 50 == 0 else float(i % 97) * 1.5,
+                "v": float("nan") if i % 7 == 0 else float((i * 31) % 500),
+            }
+            for i in range(2_000)
+        ]
+        return CMAdvisor(rows, "c", sample_size=1_000)
+
+    @pytest.mark.parametrize("attribute", ["u", "v"])
+    def test_recommend_evaluates_designs(self, advisor, attribute):
+        recommendation = advisor.recommend(TrainingQuery.over_attributes(attribute))
+        assert recommendation.designs
+        for design in recommendation.designs:
+            assert design.estimated_cost_ms == design.estimated_cost_ms  # not NaN
+
+    def test_bucketing_report_counts_nan_once_and_null_not_at_all(self, advisor):
+        report = advisor.bucketing_report(["u", "v"])
+        assert [(row["column"], row["cardinality"]) for row in report] == [
+            ("u", 97),
+            ("v", 501),  # every residue below 500, and NaN
+        ]

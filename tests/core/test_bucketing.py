@@ -10,7 +10,6 @@ from repro.core.bucketing import (
     WidthBucketer,
     assign_clustered_buckets,
     candidate_bucketings,
-    iter_bucket_keys_in_range,
 )
 
 
@@ -54,14 +53,6 @@ class TestWidthBucketer:
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
             WidthBucketer(0)
-
-    def test_bucket_index(self):
-        bucketer = WidthBucketer(100)
-        assert bucketer.bucket_index(250) == 2
-
-    def test_bucket_range(self):
-        bucketer = WidthBucketer(100)
-        assert bucketer.bucket_range(150, 420) == (100, 400)
 
     def test_equality(self):
         assert WidthBucketer(8) == WidthBucketer(8)
@@ -136,9 +127,22 @@ class TestCandidateBucketings:
         options = candidate_bucketings("city", [f"city{i}" for i in range(1000)])
         assert [o.level for o in options] == [0]
 
-    def test_identity_can_be_excluded(self):
-        options = candidate_bucketings("x", list(range(100)), include_identity=False)
-        assert all(o.level > 0 for o in options)
+    def test_nan_counts_once_and_null_not_at_all(self):
+        """Distinct values follow the value order: two numbers and any number
+        of NaN objects are three values, so the column stays unbucketed."""
+        nans = [float("nan") for _ in range(5)]
+        options = candidate_bucketings("a", [0.0, 1.0] + nans + [None, None])
+        assert [(o.level, o.estimated_buckets) for o in options] == [(0, 3)]
+
+    def test_null_and_nan_stay_out_of_the_numeric_span(self):
+        values = [float(i) for i in range(100)]
+        plain = candidate_bucketings("x", values)
+        options = candidate_bucketings("x", values + [None, float("nan")] * 10)
+        # One more distinct value (the NaN), the same 100-value span.
+        assert [o.level for o in options] == [o.level for o in plain]
+        for option, reference in zip(options[1:], plain[1:]):
+            assert option.bucketer.origin == 0.0
+            assert option.bucketer.width == reference.bucketer.width
 
     def test_constant_attribute(self):
         options = candidate_bucketings("x", [7] * 50)
@@ -165,7 +169,7 @@ class TestClusteredBucketing:
         ids, buckets = assign_clustered_buckets(keys, 2)
         assert ids == [0, 0, 1, 1, 2, 2]
         assert len(buckets) == 3
-        assert buckets[0].min_key == 1 and buckets[0].max_key == 1
+        assert (buckets[0].first_row, buckets[0].last_row) == (0, 1)
 
     def test_value_never_straddles_buckets(self):
         """Section 6.1.1: a clustered value must stay within one bucket."""
@@ -221,11 +225,3 @@ class TestClusteredBucketing:
         for bucket in buckets[:-1]:
             next_key = keys[bucket.last_row + 1]
             assert bucket.num_rows >= bucket_size or keys[bucket.last_row] != next_key
-
-
-def test_iter_bucket_keys_in_range():
-    bucketer = WidthBucketer(10)
-    keys = [0, 10, 20, 30, 40]
-    assert list(iter_bucket_keys_in_range(bucketer, keys, 15, 35)) == [10, 20, 30]
-    assert list(iter_bucket_keys_in_range(bucketer, keys, None, 15)) == [0, 10]
-    assert list(iter_bucket_keys_in_range(bucketer, keys, 35, None)) == [30, 40]

@@ -105,7 +105,7 @@ class TestObserveRows:
     @settings(max_examples=150, deadline=None)
     def test_equals_one_observe_insert_per_row(self, before, batch, capacity, sorted_column):
         bulk, folded = (
-            IncrementalTableStatistics(sample_capacity=capacity, seed=3) for _ in range(2)
+            IncrementalTableStatistics(sample_capacity=capacity) for _ in range(2)
         )
         for stats in (bulk, folded):
             for row in before:
@@ -122,7 +122,7 @@ class TestObserveRows:
     @settings(max_examples=100, deadline=None)
     def test_rebuild_equals_the_per_row_reseed(self, before, rows, capacity):
         bulk, folded = (
-            IncrementalTableStatistics(sample_capacity=capacity, seed=5) for _ in range(2)
+            IncrementalTableStatistics(sample_capacity=capacity) for _ in range(2)
         )
         for stats in (bulk, folded):
             for row in before:
@@ -175,7 +175,7 @@ CM_SHAPES = {
         "cm",
         CompositeKeySpec.build(["n"], {"n": WidthBucketer(4.0)}),
         "m",
-        clustered_bucketer=WidthBucketer(3.0),
+        target_of=lambda row, b=WidthBucketer(3.0): b.bucket(row["m"]),
     ),
     "bucketed composite": lambda: CorrelationMap(
         "cm", CompositeKeySpec.build(["n", "a"], {"n": WidthBucketer(5.0)}), "c"

@@ -19,7 +19,6 @@ def advisor(rows):
     return ClusteringAdvisor(
         rows,
         table_profile=TableProfile(total_tups=len(rows), tups_per_page=20, btree_height=2),
-        n_lookups=1,
     )
 
 
@@ -41,17 +40,9 @@ def test_requires_rows():
         ClusteringAdvisor([])
 
 
-def test_analytic_model_prefers_correlated_clustering(advisor):
-    """Analytic path: a strongly correlated pair costs less than a weak one."""
-    strong = advisor.evaluate_clustering("fieldid", ["run"]).speedups[0]
-    weak = advisor.evaluate_clustering("noise1", ["run"]).speedups[0]
-    assert strong.c_per_u < weak.c_per_u
-    assert strong.lookup_cost_ms <= weak.lookup_cost_ms
-
-
 def test_simulated_query_on_clustered_attribute_always_speeds_up(advisor, rows):
     predicates = one_percent_predicates(rows, ["fieldid"])
-    benefit = advisor.simulate_clustering("fieldid", predicates)
+    benefit = advisor.simulate_workload(["fieldid"], predicates)[0]
     assert benefit.speedups[0].speedup > 2
 
 
@@ -64,13 +55,13 @@ def test_simulated_correlated_family_benefits_from_clustering(advisor, rows):
     """
     position = ["fieldid", "run", "mjd"]
     predicates = one_percent_predicates(rows, position)
-    benefit = advisor.simulate_clustering("mjd", predicates)
+    benefit = advisor.simulate_workload(["mjd"], predicates)[0]
     assert benefit.queries_with_speedup(1.5) >= 2
 
 
 def test_simulated_uncorrelated_clustering_does_not_help(advisor, rows):
     predicates = one_percent_predicates(rows, ["psfmag_g", "fieldid"])
-    benefit = advisor.simulate_clustering("noise1", predicates)
+    benefit = advisor.simulate_workload(["noise1"], predicates)[0]
     helped = [s for s in benefit.speedups if s.speedup >= 1.5]
     assert len(helped) == 0
 
@@ -78,21 +69,11 @@ def test_simulated_uncorrelated_clustering_does_not_help(advisor, rows):
 def test_histogram_thresholds_are_monotone(advisor, rows):
     attributes = ["fieldid", "run", "mjd", "psfmag_g", "noise1"]
     predicates = one_percent_predicates(rows, attributes)
-    benefit = advisor.simulate_clustering("fieldid", predicates)
+    benefit = advisor.simulate_workload(["fieldid"], predicates)[0]
     histogram = benefit.histogram()
     assert set(histogram) == set(SPEEDUP_THRESHOLDS)
     counts = [histogram[t] for t in SPEEDUP_THRESHOLDS]
     assert counts == sorted(counts, reverse=True)
-
-
-def test_evaluate_all_and_best_clustering(advisor):
-    candidates = ["fieldid", "psfmag_g", "noise1"]
-    queries = ["fieldid", "run", "mjd", "extinction_r", "psfmag_r", "noise1"]
-    benefits = advisor.evaluate_all(candidates, queries)
-    assert len(benefits) == 3
-    best = advisor.best_clustering(candidates, queries)
-    # The position family is the largest, so clustering on fieldid wins.
-    assert best.clustered_attribute == "fieldid"
 
 
 def test_speedup_handles_zero_cost():

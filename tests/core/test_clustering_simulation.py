@@ -32,27 +32,10 @@ def advisor():
     ), rows
 
 
-def test_simulate_workload_matches_individual_calls(advisor):
-    adv, rows = advisor
-    predicates = {
-        "mirror": lambda row: 100 <= row["mirror"] <= 120,
-        "noise": lambda row: 100 <= row["noise"] <= 110,
-    }
-    combined = adv.simulate_workload(["group", "noise"], predicates)
-    individual = [
-        adv.simulate_clustering("group", predicates),
-        adv.simulate_clustering("noise", predicates),
-    ]
-    for got, expected in zip(combined, individual):
-        assert got.clustered_attribute == expected.clustered_attribute
-        for a, b in zip(got.speedups, expected.speedups):
-            assert a.lookup_cost_ms == pytest.approx(b.lookup_cost_ms)
-
-
 def test_correlated_queries_are_localized(advisor):
     adv, rows = advisor
     predicates = {"mirror": lambda row: row["mirror"] == 200}
-    benefit = adv.simulate_clustering("group", predicates)
+    benefit = adv.simulate_workload(["group"], predicates)[0]
     speedup = benefit.speedups[0]
     # One group of 40 rows: two pages, a single run.
     assert speedup.c_per_u == 1.0  # runs
@@ -63,14 +46,14 @@ def test_uncorrelated_queries_are_scattered(advisor):
     adv, rows = advisor
     # ~20 % of the rows, scattered over every page under the group clustering.
     predicates = {"noise": lambda row: row["noise"] < 200}
-    benefit = adv.simulate_clustering("group", predicates)
+    benefit = adv.simulate_workload(["group"], predicates)[0]
     assert benefit.speedups[0].speedup < 1.5
 
 
 def test_empty_matches_cost_zero(advisor):
     adv, rows = advisor
     predicates = {"mirror": lambda row: False}
-    benefit = adv.simulate_clustering("group", predicates)
+    benefit = adv.simulate_workload(["group"], predicates)[0]
     assert benefit.speedups[0].lookup_cost_ms == 0.0
     assert benefit.speedups[0].speedup == float("inf")
 
@@ -78,6 +61,6 @@ def test_empty_matches_cost_zero(advisor):
 def test_full_table_match_costs_a_scan(advisor):
     adv, rows = advisor
     predicates = {"mirror": lambda row: True}
-    benefit = adv.simulate_clustering("group", predicates)
+    benefit = adv.simulate_workload(["group"], predicates)[0]
     speedup = benefit.speedups[0]
     assert speedup.lookup_cost_ms == pytest.approx(speedup.scan_cost_ms)

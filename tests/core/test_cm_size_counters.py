@@ -101,7 +101,10 @@ steps = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_counters_equal_recomputation_after_every_step(shape, history):
     cm = CorrelationMap(
-        "cm", KEY_SPECS[shape](), "c", clustered_bucketer=WidthBucketer(10)
+        "cm",
+        KEY_SPECS[shape](),
+        "c",
+        target_of=lambda row, b=WidthBucketer(10): b.bucket(row["c"]),
     )
     live: list[dict] = []
     assert_counters_match(cm)

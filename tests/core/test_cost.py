@@ -10,7 +10,6 @@ from repro.core.cost import (
     scan_cost,
     sort_merge_join_cost,
     sorted_lookup_cost,
-    speedup_over_scan,
 )
 from repro.core.model import CorrelationProfile, HardwareParameters, TableProfile
 
@@ -105,11 +104,6 @@ def test_cm_cost_clamped_by_scan():
 def test_cm_cost_rejects_negative_lookups():
     with pytest.raises(ValueError):
         cm_lookup_cost(-1, CMCostInputs(1.0, 1.0), PROFILE, HW)
-
-
-def test_speedup_over_scan():
-    assert speedup_over_scan(scan_cost(PROFILE, HW) / 4, PROFILE, HW) == pytest.approx(4.0)
-    assert speedup_over_scan(0.0, PROFILE, HW) == float("inf")
 
 
 def test_figure3_shape_correlated_vs_uncorrelated():

@@ -138,7 +138,7 @@ def test_matching_keys_equal_the_linear_pass_after_every_step(scenario):
         "cm",
         CompositeKeySpec.build(attributes, bucketers),
         "c",
-        clustered_bucketer=WidthBucketer(10),
+        target_of=lambda row, b=WidthBucketer(10): b.bucket(row["c"]),
     )
     live: list[dict] = []
     for step in [("noop",), *history]:

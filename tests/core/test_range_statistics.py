@@ -73,7 +73,7 @@ steps = st.one_of(
 def run_history(kind, capacity, history, *, allow_lacking):
     values, _between = KINDS[kind]
     ranges = ranges_of(kind)
-    stats = IncrementalTableStatistics(sample_capacity=capacity, seed=3)
+    stats = IncrementalTableStatistics(sample_capacity=capacity)
     live: list[dict] = []
     serial = 0
 

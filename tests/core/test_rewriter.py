@@ -82,13 +82,13 @@ def test_range_predicate_rewrite_tpch_style():
     rows = [{"receiptdate": i + 3, "shipdate": i} for i in range(100)]
     cm = CorrelationMap(
         "cm", CompositeKeySpec.build(["receiptdate"]), "shipdate",
-        clustered_bucketer=WidthBucketer(10),
+        target_of=lambda row, b=WidthBucketer(10): b.bucket(row["shipdate"]),
     ).build(rows)
     rewriter = QueryRewriter(cm)
     rewritten = rewriter.rewrite({"receiptdate": ValueConstraint.between(20, 25)})
     assert rewritten.clustered_values == (10.0, 20.0)
-    sql = rewritten.to_sql("lineitem", select_list="COUNT(*)")
-    assert sql.startswith("SELECT COUNT(*) FROM lineitem WHERE")
+    sql = rewritten.to_sql("lineitem")
+    assert sql.startswith("SELECT * FROM lineitem WHERE")
     assert "BETWEEN 20 AND 25" in sql
 
 

@@ -61,15 +61,6 @@ def test_uncorrelated_attributes_have_high_c_per_u():
     assert profile.c_per_u > 15
 
 
-def test_summarize_single_and_composite():
-    collector = StatisticsCollector(city_state_rows())
-    city = collector.summarize("city")
-    assert city.distinct_values == 6
-    assert city.tuples_per_value == pytest.approx(10 / 6)
-    pair = collector.summarize(CompositeKeySpec.build(["city", "state"]))
-    assert pair.distinct_values == 9
-
-
 def test_composite_key_is_stronger_determinant():
     """(city, state) determines zip better than city alone (Section 1)."""
     rows = []
@@ -94,16 +85,7 @@ def test_bucketed_key_reduces_distinct_count_not_below_targets():
     assert profile.c_per_u == pytest.approx(1.0)
     unbucketed = collector.correlation_profile("price", "cat")
     assert unbucketed.c_per_u == pytest.approx(1.0)
-    assert collector.summarize(bucketed).distinct_values == 10
-
-
-def test_distinct_sampling_estimate_close_to_truth():
-    rng = random.Random(3)
-    rows = [{"v": rng.randrange(2000)} for _ in range(30_000)]
-    collector = StatisticsCollector(rows)
-    estimate = collector.distinct_sampling_estimate("v", sample_size=512, seed=1)
-    truth = len({row["v"] for row in rows})
-    assert 0.7 * truth <= estimate <= 1.3 * truth
+    assert len({bucketed.key_of(row) for row in rows}) == 10
 
 
 def test_estimated_profile_matches_exact_on_strong_correlation():
@@ -114,7 +96,8 @@ def test_estimated_profile_matches_exact_on_strong_correlation():
         rows.append({"u": c * 2 + rng.randrange(2), "c": c})
     collector = StatisticsCollector(rows)
     exact = collector.correlation_profile("u", "c")
-    estimated = collector.estimated_correlation_profile("u", "c", sample_size=5000, seed=2)
+    sample = collector.collect_sample(sample_size=5000, seed=2)
+    estimated = collector.estimated_correlation_profile("u", "c", sample)
     assert exact.c_per_u == pytest.approx(1.0)
     assert estimated.c_per_u < 2.5
 

@@ -61,7 +61,7 @@ def test_items_schema_and_counts():
 def test_prices_cluster_around_category_median():
     config = SMALL
     categories = generate_categories(config)
-    rows = generate_items(config, categories)
+    rows = generate_items(config)  # the same categories: one seed
     medians = {c.catid: c.median_price for c in categories}
     offsets = [abs(row["price"] - medians[row["catid"]]) for row in rows]
     # A $100 standard deviation: virtually all offsets within $500.

@@ -1,6 +1,5 @@
 """Tests for the TPC-H lineitem generator."""
 
-import datetime
 from collections import Counter
 
 import pytest
@@ -8,8 +7,6 @@ import pytest
 from repro.core.statistics import exact_c_per_u
 from repro.datasets.tpch import (
     TPCHConfig,
-    date_to_day,
-    day_to_date,
     expected_schema_columns,
     generate_lineitem,
     supplier_for_part,
@@ -32,11 +29,6 @@ def test_schema_and_row_count():
     # 1-7 lineitems per order, so on average ~4.
     assert 2_000 <= len(rows) <= 7 * 2_000
     assert all(1 <= row["quantity"] <= 50 for row in rows[:100])
-
-
-def test_date_helpers_round_trip():
-    assert day_to_date(0) == datetime.date(1992, 1, 1)
-    assert date_to_day(day_to_date(1234)) == 1234
 
 
 def test_dates_are_ordered_and_in_range():

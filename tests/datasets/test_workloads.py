@@ -8,7 +8,6 @@ from repro.datasets.ebay import EbayConfig, generate_items
 from repro.datasets.sdss import SDSSConfig, generate_photoobj
 from repro.datasets.tpch import TPCHConfig, generate_lineitem
 from repro.engine.predicates import Between, ExpressionPredicate, InSet
-from repro.engine.query import Query
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +31,6 @@ def test_one_percent_range_hits_target_selectivity(sdss_rows):
     assert 0.005 * len(sdss_rows) <= selected <= 0.05 * len(sdss_rows)
     with pytest.raises(ValueError):
         workloads.one_percent_range([], "x")
-
-
-def test_sdss_selection_queries_cover_all_attributes(sdss_rows):
-    queries = workloads.sdss_selection_queries(sdss_rows, ["psfmag_g", "fieldid", "ra"])
-    assert len(queries) == 3
-    assert {q.predicates.attributes[0] for q in queries} == {"psfmag_g", "fieldid", "ra"}
-    assert all(isinstance(q, Query) for q in queries)
 
 
 def test_tpch_shipdate_query(lineitem_rows):
@@ -109,15 +101,3 @@ def test_sdss_q2_query_matches_semantics(sdss_rows):
     ]
     assert len(matches) == len(expected)
     assert any(isinstance(p, ExpressionPredicate) for p in query.predicates)
-
-
-def test_training_queries_from_queries(lineitem_rows):
-    queries = [
-        workloads.tpch_shipdate_query(lineitem_rows, 5, seed=0),
-        workloads.ebay_price_range_query(0, 100),
-    ]
-    training = workloads.training_queries_from_queries(queries)
-    assert len(training) == 2
-    assert training[0].n_lookups == 5
-    assert "shipdate" in training[0].attributes
-    assert training[1].n_lookups == 1

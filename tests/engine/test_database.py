@@ -37,12 +37,6 @@ class TestDDL:
         with pytest.raises(KeyError):
             db.load("missing", [])
 
-    def test_drop_table(self):
-        db = Database()
-        db.create_table("t", columns=["x"])
-        db.drop_table("t")
-        assert "t" not in db.tables
-
 
 class TestQueries:
     def test_query_returns_value_and_io(self, indexed_database):

@@ -294,17 +294,6 @@ class TestPartitionJoins:
         structures = [plan["structure"] for plan in db.explain(JOIN_QUERY)]
         assert any("repartition cats" in s for s in structures)
 
-    def test_incompatible_layouts_with_repartition_disabled_raise(self):
-        db = build_join_database(
-            PartitionSpec.by_hash("catid", 4),
-            PartitionSpec.by_range("catid", [10, 20, 30]),
-        )
-        db.enable_repartition = False
-        with pytest.raises(ValueError, match="enable_repartition"):
-            db.run_query(JOIN_QUERY)
-        with pytest.raises(ValueError, match="enable_repartition"):
-            db.explain(JOIN_QUERY)
-
     def test_join_off_the_partition_key_needs_a_flat_build_side(self):
         # Joining on a non-key column cannot route a repartition, and the
         # build side is itself partitioned: genuinely unsupported.

@@ -156,7 +156,7 @@ def test_admission_control_caps_active_queries(database):
     assert scheduler.active == 1  # the slot was handed straight to `second`
     assert scheduler.pending == 0
     assert second.admitted_ms is not None
-    assert second.queue_ms >= 0
+    assert second.admitted_ms >= second.submitted_ms
 
 
 def test_waiting_queries_pin_snapshots_at_admission_not_submission(database):

@@ -17,7 +17,7 @@ def test_rejects_duplicate_columns():
 
 def test_rejects_unknown_column_bytes():
     with pytest.raises(ValueError):
-        TableSchema.from_columns("t", ["a"], {"b": 4})
+        TableSchema("t", ("a",), {"b": 4})
 
 
 def test_from_columns_and_has_column():
@@ -34,21 +34,21 @@ def test_infer_from_sample_row():
 
 
 def test_row_bytes_includes_overhead():
-    schema = TableSchema.from_columns("t", ["a", "b"], {"a": 8, "b": 8})
+    schema = TableSchema("t", ("a", "b"), {"a": 8, "b": 8})
     assert schema.row_bytes() == 16 + 28
 
 
 def test_tups_per_page():
-    schema = TableSchema.from_columns("t", ["a"], {"a": 8})
+    schema = TableSchema("t", ("a",), {"a": 8})
     assert schema.tups_per_page(8192) == 8192 // 36
     # A very wide row still fits at least one tuple per page.
-    wide = TableSchema.from_columns("w", ["blob"], {"blob": 100_000})
+    wide = TableSchema("w", ("blob",), {"blob": 100_000})
     assert wide.tups_per_page(8192) == 1
 
 
 def test_with_column_adds_once():
     schema = TableSchema.from_columns("t", ["a"])
-    extended = schema.with_column("_cm_bucket", 4)
+    extended = schema.with_column("_cm_bucket")
     assert extended.has_column("_cm_bucket")
     assert extended.with_column("_cm_bucket") is extended
     # The original is unchanged (schemas are immutable values).

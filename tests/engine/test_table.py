@@ -52,13 +52,6 @@ def test_no_clustered_value_spans_two_buckets(database):
     assert all(len(buckets) == 1 for buckets in value_to_buckets.values())
 
 
-def test_bucket_for_value(database):
-    table = database.table("items")
-    sample = next(iter(table.all_rows()))
-    assert table.bucket_for_value(sample["catid"]) == sample[BUCKET_COLUMN]
-    assert table.bucket_for_value(10_000_000) == TAIL_BUCKET
-
-
 def test_cluster_without_buckets(item_rows):
     db = Database(buffer_pool_pages=200)
     db.create_table("items", sample_row=item_rows[0], tups_per_page=50)
@@ -117,11 +110,8 @@ def test_cm_duplicate_and_unknown_column_rejected(database):
 
 def test_drop_structures(database):
     table = database.table("items")
-    table.create_secondary_index("price", name="idx")
     table.create_correlation_map(["price"], name="cm")
-    table.drop_secondary_index("idx")
     table.drop_correlation_map("cm")
-    assert not table.secondary_indexes
     assert not table.correlation_maps
 
 

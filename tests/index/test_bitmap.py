@@ -16,18 +16,9 @@ def test_negative_pages_rejected():
         PageBitmap([-1])
 
 
-def test_add_range_inclusive():
-    bitmap = PageBitmap()
-    bitmap.add_range(3, 6)
-    assert bitmap.pages() == [3, 4, 5, 6]
-    with pytest.raises(ValueError):
-        bitmap.add_range(5, 2)
-
-
-def test_union_and_intersection():
+def test_intersection():
     a = PageBitmap([1, 2, 3])
     b = PageBitmap([3, 4])
-    assert a.union(b).pages() == [1, 2, 3, 4]
     assert a.intersection(b).pages() == [3]
 
 
@@ -42,13 +33,6 @@ def test_empty_bitmap():
     assert not bitmap
     assert bitmap.runs() == []
     assert bitmap.num_runs == 0
-    assert bitmap.fraction_of(100) == 0.0
-
-
-def test_fraction_of_table():
-    bitmap = PageBitmap(range(25))
-    assert bitmap.fraction_of(100) == 0.25
-    assert bitmap.fraction_of(0) == 0.0
 
 
 def test_membership():

@@ -109,15 +109,6 @@ def test_delete_missing_key_is_noop():
     assert tree.num_entries == 1
 
 
-def test_search_path_returns_root_to_leaf_pages():
-    tree = BPlusTree(order=4)
-    for i in range(100):
-        tree.insert(i, i)
-    values, pages = tree.search_path(42)
-    assert values == [42]
-    assert len(pages) == tree.height
-
-
 def test_insert_reports_modified_pages():
     tree = BPlusTree(order=4)
     modified = tree.insert(1, "a")

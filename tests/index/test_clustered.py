@@ -51,33 +51,20 @@ def test_lookup_charges_descent_io():
     assert index.btree_height >= 2
 
 
-def test_charge_io_can_be_disabled():
-    disk, pool, index = make_index([(1, 5)])
-    index.pages_for_value(3, charge_io=False)
-    assert pool.stats.accesses == 0
-
-
 def test_bucket_registration_and_lookup():
     _disk, _pool, index = make_index([(1, 5), (5, 9), (10, 20), (21, 30)])
-    index.register_bucket(0, 0, 1, 1, 9)
-    index.register_bucket(1, 2, 3, 10, 30)
+    index.register_bucket(0, 0, 1)
+    index.register_bucket(1, 2, 3)
     assert index.pages_for_bucket(0) == [0, 1]
     assert index.pages_for_bucket(1) == [2, 3]
     assert index.pages_for_bucket(99) == []
     assert index.num_buckets == 2
-    assert index.bucket_ids() == [0, 1]
-    assert index.bucket_key_range(1) == (10, 30)
 
 
 def test_bucket_range_validation():
     _disk, _pool, index = make_index([(1, 5)])
     with pytest.raises(ValueError):
-        index.register_bucket(0, 3, 1, 1, 5)
-
-
-def test_key_bounds_of_page():
-    _disk, _pool, index = make_index([(1, 5), (6, 9)])
-    assert index.key_bounds_of_page(1) == (6, 9)
+        index.register_bucket(0, 3, 1)
 
 
 def test_height_grows_with_table_size():
