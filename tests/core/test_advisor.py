@@ -243,6 +243,8 @@ class TestNullAndNaNColumns:
                 "c": i // 20,
                 "u": None if i % 50 == 0 else float(i % 97) * 1.5,
                 "v": float("nan") if i % 7 == 0 else float((i * 31) % 500),
+                "w": None if i % 2 else 0.0,
+                "z": float("nan"),
             }
             for i in range(2_000)
         ]
@@ -261,3 +263,44 @@ class TestNullAndNaNColumns:
             ("u", 97),
             ("v", 501),  # every residue below 500, and NaN
         ]
+
+    @pytest.mark.parametrize("attribute", ["w", "z"])
+    def test_one_valued_predicate_is_pruned(self, advisor, attribute):
+        """``w`` holds one number beside NULLs, ``z`` a fresh NaN object per
+        row: each is one value, so an equality on it selects the whole table
+        and the selectivity threshold prunes it."""
+        candidates = advisor.enumerate_candidates(
+            TrainingQuery.over_attributes(attribute, "u")
+        )
+        assert candidates
+        assert all(attribute not in spec.attributes for spec in candidates)
+        assert any("u" in spec.attributes for spec in candidates)
+
+    def test_clustered_column_with_null_and_nan(self):
+        """The clustered side is bucketed over its numbers alone: NULL and NaN
+        each add at most one target per key, not value granularity."""
+
+        def rows(gaps):
+            return [
+                {
+                    "c": (
+                        None if gaps and i % 40 == 0
+                        else float("nan") if gaps and i % 45 == 0
+                        else float(i // 20)
+                    ),
+                    "u": float(i % 97),
+                }
+                for i in range(2_000)
+            ]
+
+        spec = CompositeKeySpec.build(["u"])
+        clean = CMAdvisor(rows(False), "c", sample_size=1_000)
+        advisor = CMAdvisor(rows(True), "c", sample_size=1_000)
+        assert (
+            advisor.evaluate_design(spec).estimated_c_per_u
+            <= clean.evaluate_design(spec).estimated_c_per_u + 2
+        )
+        recommendation = advisor.recommend(TrainingQuery.over_attributes("u"))
+        assert recommendation.designs
+        for design in recommendation.designs:
+            assert design.estimated_cost_ms == design.estimated_cost_ms  # not NaN

@@ -144,6 +144,17 @@ class TestCandidateBucketings:
             assert option.bucketer.origin == 0.0
             assert option.bucketer.width == reference.bucketer.width
 
+    def test_all_null_column_is_offered_unbucketed(self):
+        options = candidate_bucketings("x", [None] * 10)
+        assert [(o.level, o.estimated_buckets) for o in options] == [(0, 1)]
+
+    def test_strings_beside_nan_stay_unbucketed(self):
+        """A NaN among strings neither breaks the distinct count nor makes
+        the column numeric."""
+        values = [f"city{i}" for i in range(100)] + [float("nan")] * 3
+        options = candidate_bucketings("city", values)
+        assert [(o.level, o.estimated_buckets) for o in options] == [(0, 101)]
+
     def test_constant_attribute(self):
         options = candidate_bucketings("x", [7] * 50)
         assert [o.level for o in options] == [0]

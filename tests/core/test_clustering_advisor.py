@@ -76,6 +76,19 @@ def test_histogram_thresholds_are_monotone(advisor, rows):
     assert counts == sorted(counts, reverse=True)
 
 
+def test_simulated_workload_favours_the_largest_correlated_family(advisor, rows):
+    """Figure 2's ranking: clustering on the position family speeds up more
+    queries than clustering on a magnitude or on noise."""
+    candidates = ["fieldid", "psfmag_g", "noise1"]
+    queries = ["fieldid", "run", "mjd", "extinction_r", "psfmag_r", "noise1"]
+    predicates = one_percent_predicates(rows, queries)
+    benefits = advisor.simulate_workload(candidates, predicates)
+    assert [b.clustered_attribute for b in benefits] == candidates
+    helped = {b.clustered_attribute: b.queries_with_speedup(1.5) for b in benefits}
+    assert max(helped, key=helped.get) == "fieldid"
+    assert helped["fieldid"] > helped["noise1"]
+
+
 def test_speedup_handles_zero_cost():
     from repro.core.clustering_advisor import QuerySpeedup
 

@@ -32,6 +32,25 @@ def advisor():
     ), rows
 
 
+def test_simulate_workload_matches_individual_calls(advisor):
+    """Candidates are laid out independently: simulating two clusterings in
+    one workload costs each query as simulating either alone does."""
+    adv, rows = advisor
+    predicates = {
+        "mirror": lambda row: 100 <= row["mirror"] <= 120,
+        "noise": lambda row: 100 <= row["noise"] <= 110,
+    }
+    combined = adv.simulate_workload(["group", "noise"], predicates)
+    individual = [
+        adv.simulate_workload(["group"], predicates)[0],
+        adv.simulate_workload(["noise"], predicates)[0],
+    ]
+    for got, expected in zip(combined, individual):
+        assert got.clustered_attribute == expected.clustered_attribute
+        for a, b in zip(got.speedups, expected.speedups):
+            assert a.lookup_cost_ms == pytest.approx(b.lookup_cost_ms)
+
+
 def test_correlated_queries_are_localized(advisor):
     adv, rows = advisor
     predicates = {"mirror": lambda row: row["mirror"] == 200}

@@ -111,6 +111,19 @@ def test_estimated_profile_reuses_provided_sample():
     assert a == b
 
 
+def test_estimated_profile_defaults_to_the_collected_sample():
+    rng = random.Random(4)
+    rows = [{"u": rng.randrange(500), "c": rng.randrange(50)} for _ in range(40_000)]
+    collector = StatisticsCollector(rows)
+    default = collector.estimated_correlation_profile("u", "c")
+    assert default == collector.estimated_correlation_profile(
+        "u", "c", collector.collect_sample()
+    )
+    assert default != collector.estimated_correlation_profile(
+        "u", "c", collector.collect_sample(seed=1)
+    )
+
+
 def test_empty_rows_profile_is_zero():
     collector = StatisticsCollector([])
     profile = collector.correlation_profile("a", "b")

@@ -294,6 +294,30 @@ class TestPartitionJoins:
         structures = [plan["structure"] for plan in db.explain(JOIN_QUERY)]
         assert any("repartition cats" in s for s in structures)
 
+    def test_flat_build_side_runs_the_first_ranked_shape(self):
+        db = build_join_database(PartitionSpec.by_hash("catid", 4))
+        first = db.explain(JOIN_QUERY)[0]["structure"]
+        chosen, other = (
+            ("broadcast", "repartition")
+            if "broadcast cats" in first
+            else ("repartition", "broadcast")
+        )
+        tree = db.explain_analyze(JOIN_QUERY, cold_cache=True)
+        assert f"hash_join[{chosen}(cats)" in tree
+        assert f"{other}(cats)" not in tree
+
+    def test_incompatible_layouts_offer_only_repartition(self):
+        # Neither co-partitioned nor flat: repartitioning the build side into
+        # the outer layout is the one shape left, and it is always offered.
+        db = build_join_database(
+            PartitionSpec.by_hash("catid", 4),
+            PartitionSpec.by_range("catid", [10, 20, 30]),
+        )
+        structures = [plan["structure"] for plan in db.explain(JOIN_QUERY)]
+        assert structures
+        assert all("repartition cats" in s for s in structures)
+        assert not any("broadcast" in s or "co-partitioned" in s for s in structures)
+
     def test_join_off_the_partition_key_needs_a_flat_build_side(self):
         # Joining on a non-key column cannot route a repartition, and the
         # build side is itself partitioned: genuinely unsupported.

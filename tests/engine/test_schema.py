@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.schema import TableSchema
+from repro.engine.schema import DEFAULT_COLUMN_BYTES, TUPLE_OVERHEAD_BYTES, TableSchema
 
 
 def test_requires_columns():
@@ -24,6 +24,15 @@ def test_from_columns_and_has_column():
     schema = TableSchema.from_columns("t", ["a", "b"])
     assert schema.has_column("a")
     assert not schema.has_column("z")
+
+
+def test_columns_without_a_width_take_the_default():
+    schema = TableSchema.from_columns("t", ["a", "b"])
+    assert schema.row_bytes() == 2 * DEFAULT_COLUMN_BYTES + TUPLE_OVERHEAD_BYTES
+    inferred = TableSchema.infer("t", {"name": "a long city name"})
+    extended = inferred.with_column("_cm_bucket")
+    assert extended.column_bytes["_cm_bucket"] == DEFAULT_COLUMN_BYTES
+    assert extended.row_bytes() == inferred.row_bytes() + DEFAULT_COLUMN_BYTES
 
 
 def test_infer_from_sample_row():

@@ -226,6 +226,20 @@ def test_bulk_loaded_pages_have_an_empty_version_summary(database):
     )
 
 
+def test_version_stamps_dirty_their_heap_pages(database):
+    """MVCC writes are charged like any heap write: the page a version
+    lands on, and the page a delete stamp lands on, are dirty in the pool."""
+    table = database.table("items")
+    table.buffer_pool.clear()
+    row = {"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1}
+    created = table.insert_version(row, 7)
+    assert table.buffer_pool.is_dirty(table.heap.name, created.page_no)
+    victim, _row = next(iter(table.heap.scan(charge_io=False)))
+    assert not table.buffer_pool.contains(table.heap.name, victim.page_no)
+    table.mark_deleted(victim, 8)
+    assert table.buffer_pool.is_dirty(table.heap.name, victim.page_no)
+
+
 def test_stamping_sites_keep_the_page_summary(database):
     table = database.table("items")
     row = {"itemid": 99999, "catid": 5, "cat2": "group0", "price": 1.0, "noise": 1}

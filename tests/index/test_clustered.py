@@ -51,6 +51,18 @@ def test_lookup_charges_descent_io():
     assert index.btree_height >= 2
 
 
+def test_range_and_bucket_lookups_charge_one_descent():
+    _disk, pool, index = make_index([(i, i) for i in range(1000)])
+    index.register_bucket(0, 0, 9)
+    index.pages_for_range(10, 20)
+    assert pool.stats.accesses == index.btree_height
+    index.pages_for_bucket(0)
+    assert pool.stats.accesses == 2 * index.btree_height
+    # An unregistered bucket is answered without a descent.
+    assert index.pages_for_bucket(99) == []
+    assert pool.stats.accesses == 2 * index.btree_height
+
+
 def test_bucket_registration_and_lookup():
     _disk, _pool, index = make_index([(1, 5), (5, 9), (10, 20), (21, 30)])
     index.register_bucket(0, 0, 1)

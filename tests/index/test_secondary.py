@@ -83,6 +83,22 @@ def test_probe_range_returns_all_matching_rids():
     assert prices == [30, 40, 50, 60]
 
 
+def test_probe_range_charges_a_descent_and_the_leaves_walked():
+    _disk, pool, index = make_index(order=16)
+    index.build([(RID(i // 10, i % 10), {"city": i}) for i in range(200)])
+    assert len(index.probe_range(0, 63)) == 64
+    # 64 entries at 16 per leaf: four leaf pages after the descent.
+    assert pool.stats.accesses == index.btree_height + 4
+
+
+def test_probe_prefix_range_charges_a_descent_and_the_leaves_walked():
+    _disk, pool, index = make_index(("ra", "dec"), order=16)
+    index.build([(RID(i, 0), {"ra": i // 4, "dec": i % 4}) for i in range(200)])
+    # Four ra values with four dec values each: one leaf page.
+    assert len(index.probe_prefix_range(10, 13)) == 16
+    assert pool.stats.accesses == index.btree_height + 1
+
+
 def test_size_grows_with_entries():
     _disk, _pool, small = make_index()
     small.build([(RID(0, i), {"city": f"c{i}"}) for i in range(10)])

@@ -11,6 +11,12 @@ from repro.bench.harness import (
     scale_factor,
 )
 from repro.bench.reporting import format_series, format_table, print_header
+from repro.datasets.workloads import (
+    ebay_category_query,
+    ebay_price_range_query,
+    sdss_sx6_query,
+    tpch_shipdate_query,
+)
 
 
 def test_scale_factor_from_environment(monkeypatch):
@@ -55,6 +61,36 @@ def test_build_sdss_database_small():
     table = db.table("photoobj")
     assert table.clustered_attribute == "objid"
     assert table.num_rows == len(rows)
+
+
+def test_ebay_queries_run_against_the_harness_table():
+    db, rows = build_ebay_database(
+        ExperimentScale(0.1), num_categories=100, items_per_category=(5, 10)
+    )
+    low = min(row["price"] for row in rows)
+    result = db.run_query(ebay_price_range_query(low, 1_000))
+    in_range = sum(low <= row["price"] <= low + 1_000 for row in rows)
+    assert result.rows_matched == in_range
+    result = db.run_query(ebay_category_query("catid", rows[0]["catid"]))
+    assert result.rows_matched == sum(row["catid"] == rows[0]["catid"] for row in rows)
+
+
+def test_tpch_query_runs_against_the_harness_table():
+    db, rows = build_tpch_database(ExperimentScale(0.05), num_orders=2_000)
+    query = tpch_shipdate_query(rows, 3, seed=1)
+    dates = set(query.predicates.on_attribute("shipdate").values)
+    result = db.run_query(query)
+    assert result.rows_matched == sum(row["shipdate"] in dates for row in rows) > 0
+
+
+def test_sdss_query_runs_against_the_harness_table():
+    db, rows = build_sdss_database(
+        ExperimentScale(0.25), fields_ra=8, fields_dec=8, objects_per_field=8
+    )
+    fields = sorted({row["fieldid"] for row in rows})
+    query = sdss_sx6_query(fields[: len(fields) // 2])
+    expected = sum(all(p.matches(row) for p in query.predicates) for row in rows)
+    assert db.run_query(query).rows_matched == expected > 0
 
 
 def test_ebay_price_bucketer_levels():

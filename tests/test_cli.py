@@ -49,6 +49,24 @@ def test_demo_analyze_prints_plan_trees(capsys):
     assert "totals:" in out
 
 
+def test_demo_partitions_prints_the_chosen_flat_join_shape(capsys):
+    assert main(["demo", "--partitions", "4"]) == 0
+    out = capsys.readouterr().out
+    chosen, _, candidates = out.partition("flat build side, every costed candidate:")
+    assert "(flat build side, chosen shape)" in chosen
+    listed = [line for line in candidates.splitlines() if "ms est" in line]
+    shapes = [
+        shape
+        for line in listed
+        for shape in ("broadcast", "repartition")
+        if shape in line
+    ]
+    assert sorted(shapes) == ["broadcast", "repartition"]
+    # The plan tree printed is the shape the first-ranked candidate names.
+    tree = chosen.rpartition("(flat build side, chosen shape)")[2]
+    assert f"hash_join[{shapes[0]}(catsflat)" in tree
+
+
 def test_advise_rejects_unknown_dataset():
     with pytest.raises(SystemExit):
         main(["advise", "mystery"])
